@@ -18,7 +18,6 @@
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "serve/capture.hpp"
-#include "sim/shard.hpp"
 
 namespace pvcbench {
 
@@ -61,29 +60,6 @@ inline void require_known_keys(const pvc::Config& config,
                        std::source_location::current());
     }
   }
-}
-
-/// Parses the `shard_mode=` bench option (docs/PERFORMANCE.md "Spatial
-/// sharding"): `auto` (default) lets ShardedRun decompose and fall back
-/// to the spatial solver only for single-component flow sets,
-/// `component` pins the per-component path (serial within a merged
-/// set), `spatial` forces the capacity-split solver even on
-/// decomposable sets.  Unknown values exit with the accepted list, like
-/// require_known_keys.
-inline pvc::sim::ShardMode shard_mode_from_config(const pvc::Config& config) {
-  const std::string mode = config.get("shard_mode").value_or("auto");
-  if (mode == "auto") {
-    return pvc::sim::ShardMode::Auto;
-  }
-  if (mode == "component") {
-    return pvc::sim::ShardMode::Component;
-  }
-  if (mode == "spatial") {
-    return pvc::sim::ShardMode::Spatial;
-  }
-  throw pvc::Error("unknown shard_mode '" + mode +
-                       "' (accepted: auto, component, spatial)",
-                   std::source_location::current());
 }
 
 /// "17.2 TFlop/s (paper 17, +1.2%)" — the standard cell format.

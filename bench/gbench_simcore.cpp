@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "arch/systems.hpp"
@@ -175,21 +174,14 @@ BENCHMARK(BM_TagMatchChurn)
     ->Unit(benchmark::kMillisecond);
 
 // One full DES cluster step at 768 ranks (64 Aurora nodes), the
-// scaling_multinode hot path, priced by the serial engine (arg 0) and
-// the sharded engine at 1/2/4/8 workers.  The step is the x-pass of a
-// 2D many-field stencil (24 species/field halos per rank, the
+// scaling_multinode hot path.  The step is the x-pass of a 2D
+// many-field stencil (24 species/field halos per rank, the
 // combustion-code regime): ranks laid out on an 8x8 node grid, each
 // rank exchanging every field's halo with the same sub-device slot on
-// the x-neighbour nodes, so all 36864 messages cross nodes and each
-// grid row is an independent traffic island.  The sharded engine
-// decomposes that into 8 heavyweight components (sim/shard.hpp),
-// replacing one global max-min solve — superlinear in active flows —
-// with 8 small ones it runs on the worker pool.  The cluster is
-// constructed once outside the timing loop; each iteration prices one
-// step on the advancing simulated clock.  Guards the >= 2.5x shards=4
-// speedup recorded in BENCH_simcore.json.
-void BM_ShardedClusterStep(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
+// the x-neighbour nodes, so all 36864 messages cross nodes.  The
+// cluster is constructed once outside the timing loop; each iteration
+// prices one step on the advancing simulated clock.
+void BM_ClusterStep(benchmark::State& state) {
   const auto node = pvc::arch::aurora();
   const int ranks = 768;  // 64 nodes x 12 sub-devices
   const auto fabric = pvc::sim::FabricSpec::for_node(node);
@@ -209,37 +201,21 @@ void BM_ShardedClusterStep(benchmark::State& state) {
     }
   }
   pvc::comm::ClusterComm cluster(node, fabric, ranks);
-  cluster.set_shards(shards);
   for (auto _ : state) {
     const auto result = cluster.exchange(messages);
     benchmark::DoNotOptimize(result.finish);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(messages.size()));
-  state.SetLabel(shards == 0 ? "serial oracle"
-                             : std::to_string(shards) + " shard worker(s)");
 }
-BENCHMARK(BM_ShardedClusterStep)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterStep)->Unit(benchmark::kMillisecond);
 
-// The shape BM_ShardedClusterStep cannot cover: a cross-node all-to-all
-// whose routes chain every uplink/downlink into ONE connected component,
-// which PR 8's decomposition ran serially.  72 ranks on 6 Aurora nodes,
-// every cross-node ordered pair sends (same-node pairs are skipped —
-// they ride the intra-node link and would split off per-node islands),
-// with heterogeneous byte counts so the drain produces deep multi-level
-// rate solves.  Arg 0 prices it on the serial engine; args 1/2/4/8 on
-// the sharded engine, whose auto policy detects the single component
-// and switches to the spatial capacity-split solver
-// (docs/PERFORMANCE.md "Spatial sharding").  Guards the >= 2x shards=4
-// speedup recorded in BENCH_simcore.json.
-void BM_ShardedAllToAll(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
+// A cross-node all-to-all whose routes chain every uplink/downlink into
+// one contended flow set: 72 ranks on 6 Aurora nodes, every cross-node
+// ordered pair sends (same-node pairs are skipped — they ride the
+// intra-node link), with heterogeneous byte counts so the drain
+// produces deep multi-level rate solves.
+void BM_ClusterAllToAll(benchmark::State& state) {
   const auto node = pvc::arch::aurora();
   const int ranks = 72;  // 6 nodes x 12 sub-devices
   const int ranks_per_node = 12;
@@ -250,7 +226,7 @@ void BM_ShardedAllToAll(benchmark::State& state) {
   for (int s = 0; s < ranks; ++s) {
     for (int d = 0; d < ranks; ++d) {
       if (s / ranks_per_node == d / ranks_per_node) {
-        continue;  // same node: keep the component giant, not bridged
+        continue;  // same node: NIC bypass, not fabric traffic
       }
       const int k = s * ranks + d;
       messages.push_back(
@@ -258,51 +234,29 @@ void BM_ShardedAllToAll(benchmark::State& state) {
     }
   }
   pvc::comm::ClusterComm cluster(node, fabric, ranks);
-  cluster.set_shards(shards);
   for (auto _ : state) {
     const auto result = cluster.exchange(messages);
     benchmark::DoNotOptimize(result.finish);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(messages.size()));
-  state.SetLabel(shards == 0 ? "serial oracle"
-                             : std::to_string(shards) + " shard worker(s)");
 }
-BENCHMARK(BM_ShardedAllToAll)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterAllToAll)->Unit(benchmark::kMillisecond);
 
 // Checkpoint writes at 768 ranks (the resilience_sweep hot path): every
-// live rank pushes its state over {NIC egress, node uplink}, which
-// decomposes into per-node islands — the sharded engine's auto policy
-// keeps the PR 8 component path here, so this row pins the policy's
-// other half (spatial must NOT engage and must not cost anything).
-void BM_ShardedCheckpoint(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
+// live rank pushes its state over {NIC egress, node uplink}.
+void BM_ClusterCheckpoint(benchmark::State& state) {
   const auto node = pvc::arch::aurora();
   const int ranks = 768;  // 64 nodes x 12 sub-devices
   const auto fabric = pvc::sim::FabricSpec::for_node(node);
   pvc::comm::ClusterComm cluster(node, fabric, ranks);
-  cluster.set_shards(shards);
   for (auto _ : state) {
     const auto cost = cluster.checkpoint_write(4.0 * 1024.0 * 1024.0);
     benchmark::DoNotOptimize(cost);
   }
   state.SetItemsProcessed(state.iterations() * ranks);
-  state.SetLabel(shards == 0 ? "serial oracle"
-                             : std::to_string(shards) + " shard worker(s)");
 }
-BENCHMARK(BM_ShardedCheckpoint)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterCheckpoint)->Unit(benchmark::kMillisecond);
 
 void BM_MeasurePeakFlops(benchmark::State& state) {
   const auto node = pvc::arch::aurora();

@@ -19,19 +19,12 @@
 // Usage: resilience_sweep [csv=<path>] [metrics=<path>] [threads=<n>]
 //                         [system=<name>] [sim_ranks=<cap>]
 //                         [chaos=<spec>] [work=<s>] [trials=<n>]
-//                         [shards=<n>] [shard_mode=<m>]
 //
-// shards= selects the DES execution mode for the checkpoint and
-// recovery sections: 0 runs the serial engine (the oracle), n >= 1 the
-// sharded engine (docs/PERFORMANCE.md "Sharded engine"); output is
-// byte-identical for every n >= 1 (tests/determinism_check.cmake).
-//
-// shard_mode= (auto|component|spatial) picks the single-component
-// strategy: auto engages the spatial capacity-split solver only when
-// the flow set does not decompose, component pins the per-component
-// path, spatial forces the merged solver (docs/PERFORMANCE.md "Spatial
-// sharding").  For any fixed mode, output is byte-identical at every
-// worker count (tests/determinism_check.cmake pins shard_mode=spatial).
+// sim_ranks= caps the rank counts whose checkpoint write the DES prices
+// (default 768); 0 prices every point with the model.  The recovery
+// section always runs on the DES.  threads= only spreads the sections'
+// independent runs over a sweep pool: output is byte-identical at every
+// value (tests/determinism_check.cmake).
 
 #include <cstdio>
 #include <iostream>
@@ -80,8 +73,7 @@ struct CkptPoint {
 
 CkptPoint ckpt_point(const pvc::arch::NodeSpec& node,
                      const pvc::sim::FabricSpec& fabric, int ranks,
-                     int sim_cap, double bytes, int shards,
-                     pvc::sim::ShardMode mode) {
+                     long sim_cap, double bytes) {
   using namespace pvc;
   CkptPoint pt;
   pt.ranks = ranks;
@@ -90,8 +82,6 @@ CkptPoint ckpt_point(const pvc::arch::NodeSpec& node,
       fabric, std::min(ranks, node.total_subdevices()), bytes);
   if (ranks <= sim_cap) {
     comm::ClusterComm cluster(node, fabric, ranks);
-    cluster.set_shards(shards);
-    cluster.set_shard_mode(mode);
     pt.sim_s = cluster.checkpoint_write(bytes);
   }
   return pt;
@@ -118,7 +108,7 @@ RecoveryRun recovery_run(const pvc::arch::NodeSpec& node,
                          const pvc::sim::FabricSpec& fabric,
                          const pvc::fault::FaultPlan& plan, int ranks,
                          bool allreduce, pvc::fault::RecoveryPolicy policy,
-                         int spares, int shards, pvc::sim::ShardMode mode) {
+                         int spares) {
   using namespace pvc;
   RecoveryRun run;
   run.op = allreduce ? "allreduce" : "halo";
@@ -127,8 +117,6 @@ RecoveryRun recovery_run(const pvc::arch::NodeSpec& node,
   const int spare_nodes =
       policy == fault::RecoveryPolicy::Spare ? spares : 0;
   comm::ClusterComm cluster(node, fabric, ranks, spare_nodes);
-  cluster.set_shards(shards);
-  cluster.set_shard_mode(mode);
   fault::Injector injector(plan);
   injector.arm(cluster);
   run.result =
@@ -143,15 +131,14 @@ RecoveryRun recovery_run(const pvc::arch::NodeSpec& node,
 int run(int argc, char** argv) {
   using namespace pvc;
   const auto config = Config::from_args(argc, argv);
-  pvcbench::require_known_keys(config, {"chaos", "csv", "metrics", "shard_mode", "shards", "sim_ranks", "system", "threads", "trials", "work"});
+  pvcbench::require_known_keys(config, {"chaos", "csv", "metrics", "sim_ranks", "system", "threads", "trials", "work"});
   const std::string system = config.get("system").value_or("Aurora");
   const arch::NodeSpec node = arch::system_by_name(system);
   const sim::FabricSpec fabric = sim::FabricSpec::for_node(node);
-  // Sharded DES pricing (shards >= 1, the default) is what affords the
-  // 768 sim_ranks default; the serial oracle capped out at 192.
-  const int sim_cap = static_cast<int>(config.get_int("sim_ranks", 768));
-  const int shards = static_cast<int>(config.get_int("shards", 1));
-  const sim::ShardMode shard_mode = pvcbench::shard_mode_from_config(config);
+  const long sim_cap = config.get_int("sim_ranks", 768);
+  ensure(sim_cap >= 0, ErrorCode::InvalidArgument,
+         "sim_ranks must be non-negative (got " + std::to_string(sim_cap) +
+             "; 0 prices every point with the model)");
   const double work_s = config.get_double("work", 10000.0);
   const int trials = static_cast<int>(config.get_int("trials", 400));
   const fault::FaultPlan plan =
@@ -181,8 +168,7 @@ int run(int argc, char** argv) {
   std::vector<CkptPoint> ckpt(rank_counts.size());
   for (std::size_t i = 0; i < rank_counts.size(); ++i) {
     sweep.add([&, i] {
-      ckpt[i] = ckpt_point(node, fabric, rank_counts[i], sim_cap, ckpt_bytes,
-                           shards, shard_mode);
+      ckpt[i] = ckpt_point(node, fabric, rank_counts[i], sim_cap, ckpt_bytes);
     });
   }
   sweep.run();
@@ -327,8 +313,7 @@ int run(int argc, char** argv) {
       const std::size_t slot = pi * 2 + op;
       sweep.add([&, slot, pi, op] {
         runs[slot] = recovery_run(node, fabric, plan, job_ranks,
-                                  /*allreduce=*/op == 1, policies[pi], spares,
-                                  shards, shard_mode);
+                                  /*allreduce=*/op == 1, policies[pi], spares);
       });
     }
   }

@@ -10,20 +10,12 @@
 //
 // Usage: scaling_multinode [csv=<path>] [metrics=<path>] [threads=<n>]
 //                          [system=<name>] [sim_ranks=<cap>]
-//                          [chaos=<spec>] [shards=<n>] [shard_mode=<m>]
+//                          [chaos=<spec>]
 //
-// shards= selects the DES execution mode: 0 runs the serial engine (the
-// oracle), n >= 1 runs the sharded engine with an n-wide worker pool
-// (docs/PERFORMANCE.md "Sharded engine") — output is byte-identical for
-// every n >= 1 (tests/determinism_check.cmake).  The sharded default is
-// what lets sim_ranks default to 768 ranks of true DES coverage.
-//
-// shard_mode= (auto|component|spatial) picks the single-component
-// strategy: auto engages the spatial capacity-split solver when the
-// flow set does not decompose, component pins the per-component path,
-// spatial forces the merged solver (docs/PERFORMANCE.md "Spatial
-// sharding").  For any fixed mode, output is byte-identical at every
-// worker count (tests/determinism_check.cmake pins shard_mode=spatial).
+// sim_ranks= caps the rank counts priced by the DES (default 768, 64
+// Aurora nodes); 0 prices every point with the model.  threads= only
+// spreads the per-point DES runs over a sweep pool: output is
+// byte-identical at every value (tests/determinism_check.cmake).
 
 #include <cstdio>
 #include <iostream>
@@ -62,7 +54,7 @@ struct HaloPoint {
 HaloPoint halo_point(const pvc::arch::NodeSpec& node,
                      const pvc::sim::FabricSpec& fabric,
                      const pvc::fault::FaultPlan& plan, int ranks,
-                     int sim_cap, int shards, pvc::sim::ShardMode mode) {
+                     long sim_cap) {
   using namespace pvc;
   HaloPoint pt;
   pt.ranks = ranks;
@@ -72,8 +64,6 @@ HaloPoint halo_point(const pvc::arch::NodeSpec& node,
   pt.model_s = sim::halo_model_seconds(fabric, shape, kHaloBytes);
   if (ranks <= sim_cap) {
     comm::ClusterComm cluster(node, fabric, ranks);
-    cluster.set_shards(shards);
-    cluster.set_shard_mode(mode);
     fault::Injector injector(plan);
     injector.arm(cluster);
     pt.sim_s = comm::cluster_halo_exchange(cluster, kHaloBytes);
@@ -103,16 +93,14 @@ double step_seconds(const pvc::arch::NodeSpec& node,
 int run(int argc, char** argv) {
   using namespace pvc;
   const auto config = Config::from_args(argc, argv);
-  pvcbench::require_known_keys(config, {"chaos", "csv", "metrics", "shard_mode", "shards", "sim_ranks", "system", "threads"});
+  pvcbench::require_known_keys(config, {"chaos", "csv", "metrics", "sim_ranks", "system", "threads"});
   const std::string system = config.get("system").value_or("Aurora");
   const arch::NodeSpec node = arch::system_by_name(system);
   const sim::FabricSpec fabric = sim::FabricSpec::for_node(node);
-  // The sharded engine (shards >= 1, the default) prices the DES points
-  // in parallel per connected component, which is what affords a 768
-  // default where the serial engine capped out at 192.
-  const int sim_cap = static_cast<int>(config.get_int("sim_ranks", 768));
-  const int shards = static_cast<int>(config.get_int("shards", 1));
-  const sim::ShardMode shard_mode = pvcbench::shard_mode_from_config(config);
+  const long sim_cap = config.get_int("sim_ranks", 768);
+  ensure(sim_cap >= 0, ErrorCode::InvalidArgument,
+         "sim_ranks must be non-negative (got " + std::to_string(sim_cap) +
+             "; 0 prices every point with the model)");
   fault::FaultPlan plan;
   if (const auto chaos = config.get("chaos")) {
     plan = fault::FaultPlan::parse(*chaos);
@@ -144,8 +132,7 @@ int run(int argc, char** argv) {
       pvcbench::ParallelSweep::threads_from_config(config));
   for (std::size_t i = 0; i < rank_counts.size(); ++i) {
     sweep.add([&, i] {
-      halo[i] = halo_point(node, fabric, plan, rank_counts[i], sim_cap, shards,
-                           shard_mode);
+      halo[i] = halo_point(node, fabric, plan, rank_counts[i], sim_cap);
     });
   }
   sweep.run();

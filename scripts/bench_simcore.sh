@@ -22,7 +22,7 @@ if [[ ! -x "${bench}" ]]; then
 fi
 
 "${bench}" \
-  --benchmark_filter='BM_Engine|BM_FlowNetworkContention|BM_CacheChase|BM_TagMatchChurn|BM_Sharded' \
+  --benchmark_filter='BM_Engine|BM_FlowNetworkContention|BM_CacheChase|BM_TagMatchChurn|BM_Cluster' \
   --benchmark_min_time=0.5 \
   --benchmark_format=json \
   --benchmark_out="${out}" \
@@ -34,18 +34,8 @@ python3 "$(dirname "$0")/check_bench_build.py" "${out}"
 echo "wrote ${out}:"
 python3 - "${out}" <<'EOF'
 import json, sys
-path = sys.argv[1]
-doc = json.load(open(path))
+doc = json.load(open(sys.argv[1]))
 for b in doc.get("benchmarks", []):
-    # BM_Sharded*/<n> prices the same step at n shard workers (0 =
-    # serial oracle); store the count as a first-class field so the
-    # perf trajectory can plot speedup-vs-shards without re-parsing
-    # benchmark names.
-    if b["name"].startswith("BM_Sharded") and "/" in b["name"]:
-        b["shards"] = int(b["name"].rsplit("/", 1)[1])
-json.dump(doc, open(path, "w"), indent=1)
-for b in doc.get("benchmarks", []):
-    shards = f"  shards={b['shards']}" if "shards" in b else ""
     print(f"  {b['name']:34s} {b['real_time']:12.0f} {b['time_unit']}"
-          f"  ({b.get('items_per_second', 0) / 1e6:.2f} M items/s){shards}")
+          f"  ({b.get('items_per_second', 0) / 1e6:.2f} M items/s)")
 EOF

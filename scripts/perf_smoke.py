@@ -5,7 +5,7 @@ Re-runs each guarded suite from the given build dir and compares every
 matching benchmark against its committed baseline JSON at the repo
 root:
 
-  simcore    gbench_simcore   BM_Sharded*  vs BENCH_simcore.json
+  simcore    gbench_simcore   BM_Cluster*  vs BENCH_simcore.json
   workloads  gbench_workloads BM_*         vs BENCH_workloads.json
   serve      serve_throughput BM_Serve*    vs BENCH_serve.json
 
@@ -32,7 +32,7 @@ import tempfile
 # suite -> (bench binary under <build>/bench, baseline at repo root,
 #           --benchmark_filter regex)
 SUITES = {
-    "simcore": ("gbench_simcore", "BENCH_simcore.json", "Sharded"),
+    "simcore": ("gbench_simcore", "BENCH_simcore.json", "BM_Cluster"),
     "workloads": ("gbench_workloads", "BENCH_workloads.json", "BM_"),
     "serve": ("serve_throughput", "BENCH_serve.json", "BM_Serve"),
 }
@@ -76,6 +76,8 @@ def run_suite(build_dir: str, root: str, suite: str, tolerance: float) -> list:
             }
     finally:
         os.unlink(out_path)
+    if not current:
+        return [f"{suite}: filter {bench_filter!r} matched no benchmark"]
 
     failures = []
     print(f"{suite}: vs {baseline_name} (tolerance +{tolerance:.0%})")

@@ -1,7 +1,6 @@
 #include "comm/cluster.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 
 #include "comm/collectives.hpp"
@@ -186,68 +185,6 @@ int ClusterComm::healthy_nic(int node, int preferred) {
                                  std::to_string(node) + " is down");
 }
 
-void ClusterComm::set_shards(int shards) {
-  ensure(shards >= 0, ErrorCode::InvalidArgument,
-         "ClusterComm: shards must be non-negative (0 = serial)");
-  shards_ = shards;
-}
-
-void ClusterComm::drive_sharded(
-    sim::ShardedRun& run,
-    const std::function<void(std::uint64_t, sim::Time)>& apply) {
-  sharded_active_ = &run;
-  struct ActiveScope {
-    ClusterComm* comm;
-    ~ActiveScope() { comm->sharded_active_ = nullptr; }
-  } scope{this};
-
-  // YAWNS-style conservative windows: the coordinating engine holds only
-  // control events (armed faults, base-network housekeeping), so its
-  // next event time is a safe horizon — components may run every event
-  // strictly before it without ever seeing a state change out of order.
-  // The fabric guarantees the horizon is never degenerate: consecutive
-  // cross-node interactions sit at least conservative_lookahead_s()
-  // apart (sim/fabric.cpp).  Completions are applied between windows in
-  // (time, key) order and control events fire after same-instant
-  // deliveries are withheld, reproducing the serial engine's FIFO
-  // tie-break (faults carry older sequence numbers than the completions
-  // they race).
-  // Spatial runs hold one giant component, so without control events a
-  // single window would swallow the whole simulation and buffer every
-  // completion.  Cap each window at a stride of inter-group lookaheads
-  // past the run's clock: mailboxes stay bounded and the completion
-  // merge actually exchanges at barriers.  The cap never skips events —
-  // run_before() leaves everything at or past the horizon pending — and
-  // the loop terminates because each capped window advances the clock
-  // by a full stride until the run drains and idle() flips.
-  const sim::Time stride = 4096.0 * sim::inter_group_lookahead_s(fabric_);
-  for (;;) {
-    const auto t_ctl = engine_.next_event_time();
-    sim::Time horizon = t_ctl ? *t_ctl : sim::ShardedRun::kNoHorizon;
-    bool capped = false;
-    if (run.spatial() && !run.idle()) {
-      const sim::Time cap = run.max_now() + stride;
-      if (cap < horizon) {
-        horizon = cap;
-        capped = true;
-      }
-    }
-    run.run_window(horizon);
-    for (const sim::ShardCompletion& c : run.take_completions()) {
-      apply(c.key, c.time_s);
-    }
-    if (capped) {
-      continue;  // the control event (if any) is still ahead
-    }
-    if (!t_ctl) {
-      break;
-    }
-    engine_.run_until(*t_ctl);
-  }
-  engine_.run_until(std::max(engine_.now(), run.max_now()));
-  run.merge_metrics();
-}
-
 ClusterComm::ExchangeResult ClusterComm::exchange(
     std::span<const Message> messages) {
   auto& fm = detail::fabric_metrics();
@@ -258,10 +195,6 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
   result.failed.assign(messages.size(), 0);
   const double post = engine_.now();
   const double gap = sim::nic_message_gap_s(fabric_);
-  std::optional<sim::ShardedRun> run;
-  if (shards_ > 0) {
-    run.emplace(network_, post, shards_, shard_mode_);
-  }
 
   // Expose the in-progress result to the fault paths (set_node_down /
   // set_rank_failed fired by armed chaos events during engine_.run())
@@ -307,25 +240,14 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
       fm.bytes->add(static_cast<std::uint64_t>(bytes));
       erase_inflight(idx);
     };
-    const auto track = [this, idx, &msg, &src, &dst](sim::FlowId flow) {
+    const auto post_flow = [&](std::vector<sim::LinkId> links,
+                               double latency) {
+      const sim::FlowId flow =
+          network_.start_flow(std::move(links), msg.bytes, latency,
+                              on_complete);
       inflight_.push_back(
           InFlight{flow, idx, msg.src, msg.dst, src.node, dst.node});
       inflight_pos_[idx] = static_cast<std::uint32_t>(inflight_.size());
-    };
-    // Sharded mode registers the flow with the run (keyed by the post
-    // index) instead of starting it in the serial network; the InFlight
-    // entry's flow id is unused there — kill_inflight routes aborts by
-    // key through sharded_active_.
-    const auto post_flow = [&](std::vector<sim::LinkId> links,
-                               double latency) {
-      if (run) {
-        run->add_flow(sim::ShardFlowSpec{std::move(links), msg.bytes, latency,
-                                         static_cast<std::uint64_t>(idx)});
-        track(0);
-      } else {
-        track(network_.start_flow(std::move(links), msg.bytes, latency,
-                                  on_complete));
-      }
     };
 
     if (msg.src == msg.dst) {
@@ -383,21 +305,7 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
     post_flow(std::move(links), latency);
   }
 
-  if (run) {
-    drive_sharded(*run, [&](std::uint64_t key, sim::Time t) {
-      // Identical bookkeeping to the serial on_complete above, applied
-      // on the main thread in the deterministic (time, key) order.
-      const auto idx = static_cast<std::size_t>(key);
-      result.completion_s[idx] = t;
-      result.finish = std::max(result.finish, t);
-      ++delivered_;
-      fm.messages->add();
-      fm.bytes->add(static_cast<std::uint64_t>(messages[idx].bytes));
-      erase_inflight(idx);
-    });
-  } else {
-    engine_.run();
-  }
+  engine_.run();
   return result;
 }
 
@@ -476,11 +384,7 @@ void ClusterComm::kill_inflight(Pred&& pred) {
     }
     // The abort drops the completion callback, so the message simply
     // never arrives; the result records it as failed instead of hanging.
-    if (sharded_active_ != nullptr) {
-      sharded_active_->abort(static_cast<std::uint64_t>(entry.idx));
-    } else {
-      network_.abort_flow(entry.flow);
-    }
+    network_.abort_flow(entry.flow);
     fm.flows_killed->add();
     if (current_result_ != nullptr) {
       if (!current_result_->failed[entry.idx]) {
@@ -593,12 +497,7 @@ sim::Time ClusterComm::checkpoint_write(double bytes_per_rank) {
   auto& fm = detail::fabric_metrics();
   const double post = engine_.now();
   const double gap = sim::nic_message_gap_s(fabric_);
-  std::optional<sim::ShardedRun> run;
-  if (shards_ > 0) {
-    run.emplace(network_, post, shards_, shard_mode_);
-  }
   sim::Time finish = post;
-  std::uint64_t key = 0;
   for (std::size_t r = 0; r < binding_.size(); ++r) {
     if (rank_state_[r] != 0) {
       continue;  // dead ranks have nothing to save
@@ -612,24 +511,13 @@ sim::Time ClusterComm::checkpoint_write(double bytes_per_rank) {
                            fabric_.topo.local_hop_latency_s;
     std::vector<sim::LinkId> route{nic.egress,
                                    uplinks_[static_cast<std::size_t>(b.node)]};
-    if (run) {
-      run->add_flow(
-          sim::ShardFlowSpec{std::move(route), bytes_per_rank, latency, key++});
-    } else {
-      network_.start_flow(std::move(route), bytes_per_rank, latency,
-                          [&finish](sim::Time t) {
-                            finish = std::max(finish, t);
-                          });
-    }
+    network_.start_flow(std::move(route), bytes_per_rank, latency,
+                        [&finish](sim::Time t) {
+                          finish = std::max(finish, t);
+                        });
     fm.ckpt_bytes->add(static_cast<std::uint64_t>(bytes_per_rank));
   }
-  if (run) {
-    drive_sharded(*run, [&finish](std::uint64_t, sim::Time t) {
-      finish = std::max(finish, t);
-    });
-  } else {
-    engine_.run();
-  }
+  engine_.run();
   return finish - post;
 }
 
@@ -643,13 +531,6 @@ void ClusterComm::set_nic_degradation(int node, int nic, double factor) {
   const NicState& state = nics_[nic_index(node, nic)];
   network_.set_link_scale(state.egress, factor);
   network_.set_link_scale(state.ingress, factor);
-  if (sharded_active_ != nullptr) {
-    // Mid-drive fault: the flows live in component replicas, so the
-    // rescale must reach the owning replica too (the base network above
-    // stays the source of truth for later runs).
-    sharded_active_->set_link_scale(state.egress, factor);
-    sharded_active_->set_link_scale(state.ingress, factor);
-  }
 }
 
 void ClusterComm::set_global_link_degradation(int group_a, int group_b,
@@ -662,9 +543,6 @@ void ClusterComm::set_global_link_degradation(int group_a, int group_b,
   ensure(factor > 0.0 && factor <= 1.0, ErrorCode::InvalidArgument,
          "ClusterComm: global-link degradation factor must be in (0, 1]");
   network_.set_link_scale(global_link(group_a, group_b), factor);
-  if (sharded_active_ != nullptr) {
-    sharded_active_->set_link_scale(global_link(group_a, group_b), factor);
-  }
   global_scale_[static_cast<std::size_t>(group_a) * groups + group_b] = factor;
   global_scale_[static_cast<std::size_t>(group_b) * groups + group_a] = factor;
 }

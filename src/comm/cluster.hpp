@@ -46,7 +46,6 @@
 #include "sim/engine.hpp"
 #include "sim/fabric.hpp"
 #include "sim/flow_network.hpp"
-#include "sim/shard.hpp"
 
 namespace pvc::comm {
 
@@ -107,26 +106,6 @@ class ClusterComm {
   /// NIC injection FIFOs serialize in this order), runs the calendar
   /// dry, and returns per-message completion times.
   ExchangeResult exchange(std::span<const Message> messages);
-
-  /// Selects the execution mode of exchange()/checkpoint_write():
-  /// 0 (default) runs the serial engine — the oracle; n >= 1 runs the
-  /// sharded engine (sim::ShardedRun) with an n-wide worker pool.
-  /// Sharded results are byte-identical at every n (docs/PERFORMANCE.md
-  /// "Sharded engine"); against the serial oracle they agree to solver
-  /// tolerance (the ShardOracle suite in tests/test_sim.cpp).
-  void set_shards(int shards);
-  [[nodiscard]] int shards() const noexcept { return shards_; }
-
-  /// Partitioning policy of the sharded engine (only meaningful with
-  /// shards >= 1).  Auto keeps the connected-component path when the
-  /// posting decomposes and switches to the spatial capacity-split
-  /// solver when it collapses to one giant component; Component and
-  /// Spatial force the respective path (docs/PERFORMANCE.md "Spatial
-  /// sharding").
-  void set_shard_mode(sim::ShardMode mode) noexcept { shard_mode_ = mode; }
-  [[nodiscard]] sim::ShardMode shard_mode() const noexcept {
-    return shard_mode_;
-  }
 
   /// Links a message between two ranks would traverse right now
   /// (routing introspection for tests; empty for src == dst).
@@ -257,20 +236,9 @@ class ClusterComm {
   /// every completion O(inflight), turning large exchanges quadratic.
   void erase_inflight(std::size_t idx);
   /// Kills every in-flight flow `pred(entry)` selects, marking the
-  /// message failed in the current exchange's result.  Routes the abort
-  /// to the serial network or, mid-sharded-drive, to the owning
-  /// component of the active sim::ShardedRun.
+  /// message failed in the current exchange's result.
   template <typename Pred>
   void kill_inflight(Pred&& pred);
-  /// The conservative-time-window loop around a populated ShardedRun:
-  /// alternates component windows bounded by the coordinating engine's
-  /// next control event (fault events armed by fault::Injector) with
-  /// `apply(key, time)` calls for every delivered flow, in the serial
-  /// engine's (time, key) order.  Leaves engine_.now() at the later of
-  /// the last control event and the last delivery, then merges the
-  /// per-component metric registries.
-  void drive_sharded(sim::ShardedRun& run,
-                     const std::function<void(std::uint64_t, sim::Time)>& apply);
   [[nodiscard]] std::size_t nic_index(int node, int nic) const;
   [[nodiscard]] sim::LinkId global_link(int group_a, int group_b) const;
   /// First healthy NIC at or after `preferred` on `node`; throws
@@ -297,11 +265,6 @@ class ClusterComm {
 
   std::vector<InjectionRecord> injection_log_;
   std::uint64_t delivered_ = 0;
-  int shards_ = 0;  ///< 0 = serial oracle; >= 1 = sharded worker width
-  sim::ShardMode shard_mode_ = sim::ShardMode::Auto;
-  /// Non-null while drive_sharded() runs: the fault paths route flow
-  /// aborts and link rescales into the owning component replica.
-  sim::ShardedRun* sharded_active_ = nullptr;
 
   /// Per-rank fault state: bit 0 = node down, bit 1 = rank failed.
   /// Alive ⇔ 0.  Sized to size().

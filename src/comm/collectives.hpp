@@ -119,7 +119,8 @@ sim::Time reference_reduce_sum_to_root(
 // cluster_allreduce() (comm/cluster.cpp) runs round by round as bulk
 // exchanges; the round builders live here so the schedule is one
 // authoritative function of (algo, ranks, round) shared by the plain
-// driver, the sharded execution mode, and the tests that pin it.
+// driver, the fault-tolerant driver (fault/recovery.hpp), and the tests
+// that pin it.
 
 /// Bulk-synchronous rounds cluster_allreduce() runs with `algo` over
 /// `ranks` dense ranks: 2(ranks-1) for Ring, log2(ranks) for

@@ -12,7 +12,11 @@ Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.find('=') != std::string::npos) {
+    const auto eq = arg.find('=');
+    if (eq != std::string::npos) {
+      const std::string key = arg.substr(0, eq);
+      ensure(!cfg.has(key), ErrorCode::InvalidArgument,
+             "Config: option '" + key + "' given more than once");
       cfg.set(arg);
     } else {
       cfg.positional_.push_back(arg);

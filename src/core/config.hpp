@@ -18,7 +18,8 @@ class Config {
   Config() = default;
 
   /// Parses `argv[1..argc)` entries of the form `key=value`.  Arguments
-  /// without '=' are collected as positional arguments.
+  /// without '=' are collected as positional arguments.  A key given
+  /// twice throws ErrorCode::InvalidArgument naming it.
   static Config from_args(int argc, const char* const* argv);
 
   /// Parses a single `key=value` string; throws on malformed input.

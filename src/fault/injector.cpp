@@ -164,15 +164,10 @@ void Injector::schedule_cluster(comm::ClusterComm& cluster, double at_s,
   // exchange() picks NICs at post time, before the engine runs, so a
   // fault landing at (or before) the current simulated instant must
   // apply immediately — scheduling it would leave the very exchange it
-  // targets blind to it.
-  //
-  // The events armed here always live on the cluster's coordinating
-  // engine, never on a shard: under sharded execution
-  // (ClusterComm::set_shards) they are exactly the control events whose
-  // timestamps bound the conservative windows, and the fault setters
-  // they invoke route flow kills / link rescales into the owning
-  // component replica (kill_inflight / set_link_scale forwarding in
-  // comm/cluster.cpp) between windows, when no worker is running.
+  // targets blind to it.  Later faults are ordinary events on the
+  // cluster's engine and fire mid-exchange in timestamp order; one armed
+  // before the exchange posts wins the FIFO tie-break against a
+  // same-instant completion, so it kills that flow.
   if (at_s <= cluster.engine().now()) {
     fire();
   } else {

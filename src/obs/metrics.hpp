@@ -290,7 +290,7 @@ class Registry {
   /// construction).  The thread_local metric caches hot layers keep
   /// (sim/flow_network.cpp, comm/cluster.cpp, ...) must key their
   /// rebind check on this id, NOT on the registry's address: a
-  /// short-lived registry (per-shard, per-sweep-task) can be freed and
+  /// short-lived registry (per-sweep-task) can be freed and
   /// the next one malloc'd at the same address, which an address
   /// compare mistakes for "still bound" — leaving the cache pointing at
   /// handles of the dead registry.

@@ -3,8 +3,8 @@
 // (docs/SERVING.md).
 //
 // A request names one bench binary and the key=value options to run it
-// with.  Because PRs 3-9 made every bench byte-reproducible at any
-// thread/shard count, the response is a pure function of
+// with.  Because every bench is byte-reproducible at any thread
+// count, the response is a pure function of
 //
 //     (bench name, sorted option map, seed, build type)
 //

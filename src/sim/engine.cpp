@@ -135,14 +135,14 @@ bool Engine::pending(EventId id) const noexcept {
          slot(idx).live;
 }
 
-bool Engine::pop_and_run(Time limit, bool strict) {
+bool Engine::pop_and_run(Time limit) {
   while (!heap_.empty() || !tail_.empty()) {
     // The calendar minimum is the smaller of the two structure fronts.
     const bool from_tail =
         !tail_.empty() &&
         (heap_.empty() || before(tail_.front(), heap_.front()));
     const Event& top = from_tail ? tail_.front() : heap_.front();
-    if (top.when > limit || (strict && top.when == limit)) {
+    if (top.when > limit) {
       // The minimum lies beyond the limit, so every entry does — live
       // or ghost.  Ghosts past the limit are purged on later pops.
       return false;
@@ -184,38 +184,6 @@ Time Engine::run_until(Time until) {
   }
   now_ = std::max(now_, until);
   return now_;
-}
-
-Time Engine::run_before(Time limit) {
-  ensure(limit >= now_, "Engine: run_before into the past");
-  while (pop_and_run(limit, /*strict=*/true)) {
-  }
-  now_ = std::max(now_, limit);
-  return now_;
-}
-
-std::optional<Time> Engine::next_event_time() {
-  // Purge cancelled ghosts off the calendar front until a live event
-  // (or nothing) is exposed — the same O(1)-per-ghost stamp check the
-  // pop path uses, done eagerly so the returned horizon is exact.
-  for (;;) {
-    if (heap_.empty() && tail_.empty()) {
-      return std::nullopt;
-    }
-    const bool from_tail =
-        !tail_.empty() &&
-        (heap_.empty() || before(tail_.front(), heap_.front()));
-    const Event& top = from_tail ? tail_.front() : heap_.front();
-    const Slot& s = slot(top.slot);
-    if (s.generation == top.generation && s.live) {
-      return top.when;
-    }
-    if (from_tail) {
-      tail_.pop_front();
-    } else {
-      heap_pop_min();
-    }
-  }
 }
 
 }  // namespace pvc::sim

@@ -18,7 +18,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace pvc::sim {
@@ -61,20 +60,6 @@ class Engine {
   /// Runs events with timestamp <= `until`, then advances now() to
   /// `until` (if it is later).  Returns new now().
   Time run_until(Time until);
-
-  /// Runs events with timestamp strictly BEFORE `limit`, then advances
-  /// now() to `limit`.  The strict bound is the sharded engine's window
-  /// barrier (src/sim/shard.hpp): events scheduled exactly AT the
-  /// horizon stay pending, so control events firing at the horizon on
-  /// the coordinating engine keep their serial-engine tie-break (they
-  /// carry older sequence numbers) over same-instant shard events.
-  Time run_before(Time limit);
-
-  /// Timestamp of the earliest live pending event, or nullopt when the
-  /// calendar is drained.  Cancelled ghost entries at the calendar
-  /// front are purged as a side effect (hence non-const).  The sharded
-  /// cluster driver reads this as its next conservative window horizon.
-  [[nodiscard]] std::optional<Time> next_event_time();
 
   /// Executes at most one event with timestamp <= `limit`.  Returns
   /// whether one ran; false means the calendar is drained or every
@@ -119,7 +104,7 @@ class Engine {
   }
   void heap_push(Event ev);
   Event heap_pop_min();
-  bool pop_and_run(Time limit, bool strict = false);
+  bool pop_and_run(Time limit);
 
   // Slots live in fixed-size chunks so growing the table never moves a
   // Slot (std::function moves during vector reallocation showed up as a

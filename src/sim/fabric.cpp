@@ -110,20 +110,6 @@ double inter_node_alpha_s(const FabricSpec& fabric) {
          fabric.topo.global_hop_latency_s;
 }
 
-double conservative_lookahead_s(const FabricSpec& fabric) {
-  // Shortest inter-node route: source NIC, router uplink, router
-  // downlink, destination NIC (same group, no global hop).  Everything
-  // else (global hops, injection-cursor serialization, byte time) only
-  // adds latency, so this lower-bounds cross-node causality.
-  return 2.0 * fabric.nic.latency_s + 2.0 * fabric.topo.local_hop_latency_s;
-}
-
-double inter_group_lookahead_s(const FabricSpec& fabric) {
-  // Cheapest inter-group route adds exactly one global hop on top of
-  // the intra-group minimum priced by conservative_lookahead_s().
-  return conservative_lookahead_s(fabric) + fabric.topo.global_hop_latency_s;
-}
-
 double nic_message_gap_s(const FabricSpec& fabric) {
   ensure(fabric.nic.message_rate_per_s > 0.0, ErrorCode::InvalidArgument,
          "FabricSpec: NIC message rate must be positive");

@@ -137,22 +137,6 @@ struct ClusterShape {
 /// message: NIC traversal both ends, two local hops, one global hop.
 [[nodiscard]] double inter_node_alpha_s(const FabricSpec& fabric);
 
-/// Conservative lookahead of the sharded cluster engine
-/// (src/sim/shard.hpp): the minimum latency any inter-node message pays
-/// before it can affect another node — NIC traversal at both endpoints
-/// plus the two router-uplink local hops of the shortest inter-node
-/// route.  Global hops and injection serialization only add to this, so
-/// no cross-shard event scheduled at time t can have effects before
-/// t + lookahead, which bounds the YAWNS-style synchronization window.
-[[nodiscard]] double conservative_lookahead_s(const FabricSpec& fabric);
-
-/// Lookahead across dragonfly *groups*: the intra-group bound above plus
-/// one global-hop traversal.  The spatial sharding mode
-/// (src/sim/shard.hpp, shard_mode=spatial) sizes its mailbox windows
-/// from this — traffic between node shards in different groups cannot
-/// couple faster than a global link can carry it.
-[[nodiscard]] double inter_group_lookahead_s(const FabricSpec& fabric);
-
 /// Per-NIC injection-gate cost of one message (1 / message rate).
 [[nodiscard]] double nic_message_gap_s(const FabricSpec& fabric);
 

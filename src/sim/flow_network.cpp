@@ -1,7 +1,6 @@
 #include "sim/flow_network.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -11,26 +10,9 @@
 namespace pvc::sim {
 
 namespace {
-// Historical local name for the exported completion threshold
-// (sim/flow_network.hpp): flows whose remaining volume drops below it
-// are considered done.
-constexpr double kEpsilonBytes = kFlowEpsilonBytes;
-
-// Below this many active flows the spatial executor's fan-out is not
-// worth its barrier crossings; the plain loops run instead.  Purely a
-// scheduling choice: both paths produce byte-identical results, so the
-// threshold can never change output.
-constexpr std::size_t kSpatialMinFlows = 96;
-
-/// Contiguous block of `n` items owned by worker `w` of `width`.
-[[nodiscard]] std::pair<std::size_t, std::size_t> worker_block(
-    std::size_t n, int w, int width) {
-  const std::size_t per = n / static_cast<std::size_t>(width);
-  const std::size_t extra = n % static_cast<std::size_t>(width);
-  const auto uw = static_cast<std::size_t>(w);
-  const std::size_t begin = per * uw + std::min(uw, extra);
-  return {begin, begin + per + (uw < extra ? 1 : 0)};
-}
+// Flows whose remaining volume drops below this are considered done
+// (guards against floating-point residue after progress integration).
+constexpr double kEpsilonBytes = 1e-6;
 
 /// Handles into the active registry, re-resolved whenever the calling
 /// thread's registry changes (ParallelSweep installs a per-worker
@@ -50,7 +32,7 @@ struct NetMetrics {
 
 NetMetrics& net_metrics() {
   // Rebinds whenever the thread's active registry changes.  Keyed on
-  // the registry's unique id: a new registry (per-shard, per-sweep-task)
+  // the registry's unique id: a new registry (per-sweep-task)
   // can reuse a freed one's address, which an address compare mistakes
   // for "still bound", leaving m pointing at dead handles.
   thread_local NetMetrics m;
@@ -126,20 +108,15 @@ const char* link_class_name(LinkClass c) {
   return "?";
 }
 
-LinkId FlowNetwork::add_link(std::string name, double capacity_bps,
-                             double initial_scale) {
+LinkId FlowNetwork::add_link(std::string name, double capacity_bps) {
   ensure(capacity_bps > 0.0, "FlowNetwork: link capacity must be positive");
-  ensure(initial_scale > 0.0 && initial_scale <= 1.0,
-         "FlowNetwork: initial link scale must be in (0, 1]");
   const LinkClass cls = classify_link(name);
-  links_.push_back(Link{std::move(name), capacity_bps, cls, initial_scale});
+  links_.push_back(Link{std::move(name), capacity_bps, cls});
   traversals_.push_back(0);
   link_flows_.emplace_back();
   link_pos_.push_back(kNoSlot);
   residual_.push_back(0.0);
   weight_.push_back(0.0);
-  share_q_.push_back(0.0);
-  split_counts_.push_back(0);
   return links_.size() - 1;
 }
 
@@ -365,22 +342,9 @@ void FlowNetwork::advance_progress() {
             dt * static_cast<double>(class_active_[c]));
       }
     }
-    if (exec_ != nullptr && active_.size() >= kSpatialMinFlows) {
-      // Per-flow independent updates: any block partition over the
-      // active list yields bit-identical remainders.
-      const int width = exec_->width();
-      exec_->run([&](int w) {
-        const auto [begin, end] = worker_block(active_.size(), w, width);
-        for (std::size_t i = begin; i < end; ++i) {
-          Flow& flow = slots_[active_[i]];
-          flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
-        }
-      });
-    } else {
-      for (const std::uint32_t slot : active_) {
-        Flow& flow = slots_[slot];
-        flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
-      }
+    for (const std::uint32_t slot : active_) {
+      Flow& flow = slots_[slot];
+      flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
     }
   }
   last_progress_time_ = now;
@@ -402,11 +366,6 @@ void FlowNetwork::recompute_rates() {
   }
   if (contended) {
     net_metrics().contention_events->add(1);
-  }
-
-  if (exec_ != nullptr && active_.size() >= kSpatialMinFlows) {
-    recompute_rates_spatial();
-    return;
   }
 
   unfrozen_.clear();
@@ -435,8 +394,7 @@ void FlowNetwork::recompute_rates() {
     // traversal separately charges the link, which `weight_` already
     // accounts for).  Keeping the decision reads separate from the
     // apply writes makes the level a pure function of its starting
-    // state — the property the spatial capacity-split path (and its
-    // worker fan-out) relies on for byte-identical results.
+    // state, independent of the order flows are visited in.
     still_unfrozen_.clear();
     frozen_scratch_.clear();
     for (Flow* flow : unfrozen_) {
@@ -469,170 +427,6 @@ void FlowNetwork::recompute_rates() {
     }
     unfrozen_.swap(still_unfrozen_);
   }
-}
-
-void FlowNetwork::recompute_rates_spatial() {
-  // Link-incidence progressive filling (docs/PERFORMANCE.md "Spatial
-  // sharding"): instead of re-dividing residual/weight for every route
-  // entry of every unfrozen flow, each level computes one quotient per
-  // active link, freezes the flows incident to the bottleneck links by
-  // walking those links' incidence lists, and reconciles shared links
-  // through integer (link, freeze-count) records — the cross-shard
-  // mailbox payload.  Every arithmetic operation on residual_/weight_
-  // is the same subtraction sequence the serial decide/apply loop
-  // performs, so the result is bit-identical at any executor width.
-  const int width = exec_->width();
-  // Width 1 (narrow hosts, or more components than workers) runs the
-  // identical arithmetic without atomics: claims, split counts and the
-  // record tally are plain reads/writes, which is what makes the
-  // algorithmic win over the flow-scan solver survive on one core.
-  const bool solo = width == 1;
-  ++spatial_solves_;
-  ++claim_epoch_;
-  if (claim_epoch_ == 0) {  // wrapped: invalidate every stale stamp
-    slot_claim_.assign(slots_.size(), 0);
-    claim_epoch_ = 1;
-  }
-  slot_claim_.resize(slots_.size(), 0);
-  for (const LinkId l : active_links_) {
-    split_counts_[l] = 0;
-  }
-  part_min_.assign(static_cast<std::size_t>(width), 0.0);
-  part_stat_.assign(static_cast<std::size_t>(width), 0);
-  part_slots_.resize(static_cast<std::size_t>(width));
-  shared_remaining_ = active_.size();
-  solver_done_ = false;
-  solver_error_ = nullptr;
-  std::uint64_t records = 0;
-
-  exec_->run([&](int w) {
-    const auto [flows_b, flows_e] = worker_block(active_.size(), w, width);
-    for (std::size_t i = flows_b; i < flows_e; ++i) {
-      slots_[active_[i]].rate = 0.0;
-    }
-    const auto [links_b, links_e] =
-        worker_block(active_links_.size(), w, width);
-    auto& mine = part_slots_[static_cast<std::size_t>(w)];
-    exec_->sync();
-    for (;;) {
-      // Level minimum: one division per owned active link, cached for
-      // the bottleneck test below (the serial loop re-divides the same
-      // operands — identical quotients either way).
-      double m = std::numeric_limits<double>::infinity();
-      for (std::size_t i = links_b; i < links_e; ++i) {
-        const LinkId l = active_links_[i];
-        if (weight_[l] > 0.0) {
-          share_q_[l] = residual_[l] / weight_[l];
-          m = std::min(m, share_q_[l]);
-        }
-      }
-      part_min_[static_cast<std::size_t>(w)] = m;
-      exec_->sync();
-      if (w == 0) {
-        if (shared_remaining_ == 0) {
-          solver_done_ = true;
-        } else {
-          double best = std::numeric_limits<double>::infinity();
-          for (const double pm : part_min_) {
-            best = std::min(best, pm);
-          }
-          if (best == std::numeric_limits<double>::infinity()) {
-            solver_error_ = "FlowNetwork: active flow with no weighted links";
-          }
-          shared_share_ = std::max(best, 0.0);
-        }
-      }
-      exec_->sync();
-      if (solver_done_ || solver_error_ != nullptr) {
-        return;
-      }
-      const double share = shared_share_;
-      // Decide: claim every still-unfrozen flow incident to a
-      // bottleneck link.  The claim stamp makes each flow freeze
-      // exactly once even when two of its route links bottleneck in
-      // the same level on different workers; the claimed set equals
-      // the serial decide phase's set because an unfrozen flow's route
-      // links always carry its own positive weight.
-      mine.clear();
-      for (std::size_t i = links_b; i < links_e; ++i) {
-        const LinkId l = active_links_[i];
-        if (weight_[l] <= 0.0 || share_q_[l] > share * (1.0 + 1e-12)) {
-          continue;
-        }
-        for (const Incidence& entry : link_flows_[l]) {
-          if (solo) {
-            if (slot_claim_[entry.slot] == claim_epoch_) {
-              continue;  // frozen this solve already
-            }
-            slot_claim_[entry.slot] = claim_epoch_;
-          } else {
-            std::atomic_ref<std::uint32_t> claim(slot_claim_[entry.slot]);
-            std::uint32_t seen = claim.load(std::memory_order_relaxed);
-            if (seen == claim_epoch_) {
-              continue;  // frozen this solve (this level or earlier)
-            }
-            if (!claim.compare_exchange_strong(seen, claim_epoch_,
-                                               std::memory_order_relaxed)) {
-              continue;  // another worker claimed it first
-            }
-          }
-          Flow& flow = slots_[entry.slot];
-          flow.rate = share;
-          for (const auto& [rl, count] : flow.incident) {
-            if (solo) {
-              split_counts_[rl] += count;
-            } else {
-              std::atomic_ref<std::uint32_t> c(split_counts_[rl]);
-              c.fetch_add(count, std::memory_order_relaxed);
-            }
-          }
-          mine.push_back(entry.slot);
-        }
-      }
-      part_stat_[static_cast<std::size_t>(w)] = mine.size();
-      exec_->sync();
-      if (w == 0) {
-        std::size_t frozen = 0;
-        for (const std::uint64_t c : part_stat_) {
-          frozen += c;
-        }
-        if (frozen == 0) {
-          solver_error_ = "FlowNetwork: progressive filling failed to converge";
-        }
-        shared_remaining_ -= frozen;
-      }
-      // Apply: drain the owned links' freeze-count records with the
-      // same repeated same-value subtractions the serial apply phase
-      // performs — per-link results depend only on the count.
-      std::uint64_t drained = 0;
-      for (std::size_t i = links_b; i < links_e; ++i) {
-        const LinkId l = active_links_[i];
-        const std::uint32_t count = split_counts_[l];
-        if (count == 0) {
-          continue;
-        }
-        for (std::uint32_t k = 0; k < count; ++k) {
-          residual_[l] -= share;
-          weight_[l] -= 1.0;
-        }
-        split_counts_[l] = 0;
-        ++drained;
-      }
-      if (drained > 0) {
-        if (solo) {
-          records += drained;
-        } else {
-          std::atomic_ref<std::uint64_t>(records).fetch_add(
-              drained, std::memory_order_relaxed);
-        }
-      }
-      exec_->sync();
-    }
-  });
-  if (solver_error_ != nullptr) {
-    ensure(false, solver_error_);
-  }
-  split_records_ += records;
 }
 
 void FlowNetwork::mark_rates_dirty() {
@@ -669,31 +463,10 @@ void FlowNetwork::reschedule_completion() {
     return;
   }
   double earliest = std::numeric_limits<double>::infinity();
-  if (exec_ != nullptr && active_.size() >= kSpatialMinFlows) {
-    // Exact min of partial mins — partition-independent.
-    const int width = exec_->width();
-    part_min_.assign(static_cast<std::size_t>(width),
-                     std::numeric_limits<double>::infinity());
-    exec_->run([&](int w) {
-      const auto [begin, end] = worker_block(active_.size(), w, width);
-      double m = std::numeric_limits<double>::infinity();
-      for (std::size_t i = begin; i < end; ++i) {
-        const Flow& flow = slots_[active_[i]];
-        if (flow.rate > 0.0) {
-          m = std::min(m, flow.remaining / flow.rate);
-        }
-      }
-      part_min_[static_cast<std::size_t>(w)] = m;
-    });
-    for (const double pm : part_min_) {
-      earliest = std::min(earliest, pm);
-    }
-  } else {
-    for (const std::uint32_t slot : active_) {
-      const Flow& flow = slots_[slot];
-      if (flow.rate > 0.0) {
-        earliest = std::min(earliest, flow.remaining / flow.rate);
-      }
+  for (const std::uint32_t slot : active_) {
+    const Flow& flow = slots_[slot];
+    if (flow.rate > 0.0) {
+      earliest = std::min(earliest, flow.remaining / flow.rate);
     }
   }
   ensure(earliest < std::numeric_limits<double>::infinity(),
@@ -710,34 +483,11 @@ void FlowNetwork::on_completion_event() {
   // Collect finished slots first (active_ iterates ascending FlowId, so
   // completion callbacks keep firing in id order), then unlink them.
   // Both collections are member scratch: this path runs once per
-  // completing flow, and per-event heap churn here is a fixed cost every
-  // shard pays (sim/shard.hpp) no matter how well the flow set
-  // decomposes.
+  // completing flow.
   finished_slots_.clear();
-  if (exec_ != nullptr && active_.size() >= kSpatialMinFlows) {
-    // Block-partitioned scan; concatenating the per-worker hits in
-    // worker order preserves the ascending-FlowId order of active_.
-    const int width = exec_->width();
-    part_slots_.resize(static_cast<std::size_t>(width));
-    exec_->run([&](int w) {
-      const auto [begin, end] = worker_block(active_.size(), w, width);
-      auto& hits = part_slots_[static_cast<std::size_t>(w)];
-      hits.clear();
-      for (std::size_t i = begin; i < end; ++i) {
-        if (slots_[active_[i]].remaining <= kEpsilonBytes) {
-          hits.push_back(active_[i]);
-        }
-      }
-    });
-    for (int w = 0; w < width; ++w) {
-      const auto& hits = part_slots_[static_cast<std::size_t>(w)];
-      finished_slots_.insert(finished_slots_.end(), hits.begin(), hits.end());
-    }
-  } else {
-    for (const std::uint32_t slot : active_) {
-      if (slots_[slot].remaining <= kEpsilonBytes) {
-        finished_slots_.push_back(slot);
-      }
+  for (const std::uint32_t slot : active_) {
+    if (slots_[slot].remaining <= kEpsilonBytes) {
+      finished_slots_.push_back(slot);
     }
   }
   if (finished_slots_.empty()) {

@@ -39,31 +39,6 @@ namespace pvc::sim {
 using LinkId = std::size_t;
 using FlowId = std::uint64_t;
 
-/// Flows whose remaining volume drops below this are considered done
-/// (guards against floating-point residue after progress integration).
-/// Exported so the sharded engine (sim/shard.hpp) and its tests can
-/// reason about the exact completion threshold the solver applies.
-inline constexpr double kFlowEpsilonBytes = 1e-6;
-
-/// Worker fan-out hook for the spatial sharded engine (sim/shard.hpp,
-/// docs/PERFORMANCE.md "Spatial sharding").  A FlowNetwork given an
-/// executor routes its data-parallel phases — progress integration,
-/// the per-level capacity split of progressive filling, completion
-/// scans — through run(); the executor runs fn(w) for every worker
-/// index in [0, width()) with the caller participating as worker 0,
-/// and returns only when all of them finished.  sync() is a full
-/// barrier across the width() participants, callable from inside fn.
-/// Results are byte-identical at every width: each phase either
-/// partitions independent per-flow work or exchanges integer freeze
-/// counts whose per-link application order is fixed.
-class ParallelExecutor {
- public:
-  virtual ~ParallelExecutor() = default;
-  [[nodiscard]] virtual int width() const noexcept = 0;
-  virtual void run(const std::function<void(int)>& fn) = 0;
-  virtual void sync() = 0;
-};
-
 /// Coarse link taxonomy used for per-class metrics (obs registry names
 /// net.<class>.bytes / net.<class>.flow_seconds).  Classified from the
 /// link name NodeSim assigns when it builds the graph.
@@ -105,12 +80,7 @@ class FlowNetwork {
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
   /// Adds a link with the given capacity (> 0) and returns its id.
-  /// `initial_scale` seeds the degradation factor in (0, 1] without the
-  /// side effects of set_link_scale() (no resolve event, no
-  /// net.link_degradations bump) — shard replicas use it to inherit the
-  /// base network's current fault state (src/sim/shard.hpp).
-  LinkId add_link(std::string name, double capacity_bps,
-                  double initial_scale = 1.0);
+  LinkId add_link(std::string name, double capacity_bps);
 
   [[nodiscard]] std::size_t link_count() const noexcept {
     return links_.size();
@@ -168,30 +138,6 @@ class FlowNetwork {
   /// the randomized-churn equivalence test in tests/test_sim.cpp.
   [[nodiscard]] std::vector<std::pair<FlowId, double>> reference_rates() const;
 
-  /// Attaches (or with nullptr detaches) the spatial sharded engine's
-  /// worker fan-out.  While attached, the solver switches to the
-  /// link-incidence capacity-split path (one division per active link
-  /// per filling level instead of one per flow-route entry) and the
-  /// per-flow phases fan out across the executor's width — both
-  /// byte-identical to the serial flow-scan path at any width
-  /// (docs/PERFORMANCE.md "Spatial sharding").
-  void set_parallel_executor(ParallelExecutor* exec) noexcept {
-    exec_ = exec;
-  }
-
-  /// Progressive-filling solves routed through the spatial
-  /// link-incidence path so far (0 without an executor).
-  [[nodiscard]] std::uint64_t spatial_solves() const noexcept {
-    return spatial_solves_;
-  }
-
-  /// (link, freeze-count) capacity-split records exchanged across the
-  /// spatial solver's per-level barriers — the mailbox traffic the
-  /// shard.* metrics report (src/sim/shard.cpp).
-  [[nodiscard]] std::uint64_t capacity_split_records() const noexcept {
-    return split_records_;
-  }
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -214,9 +160,6 @@ class FlowNetwork {
 
   void activate(Flow flow);
   void deactivate(std::uint32_t slot);
-  /// Spatial solver core: link-incidence progressive filling fanned out
-  /// over exec_ (bit-identical to the serial flow-scan loop).
-  void recompute_rates_spatial();
   /// Removes `id` from the latency-phase registry; false when absent
   /// (the flow was aborted — its activation/completion event must bail).
   [[nodiscard]] bool unlatent(FlowId id);
@@ -269,25 +212,8 @@ class FlowNetwork {
   std::vector<Flow*> still_unfrozen_;
   std::vector<Flow*> frozen_scratch_;  ///< decide-phase output per level
 
-  // Spatial-solver state (populated only while exec_ is attached).
-  ParallelExecutor* exec_ = nullptr;
-  std::vector<double> share_q_;          ///< per-link residual/weight cache
-  std::vector<std::uint32_t> split_counts_;  ///< per-link freeze counts
-  std::vector<std::uint32_t> slot_claim_;    ///< per-slot freeze stamp
-  std::uint32_t claim_epoch_ = 0;
-  std::vector<double> part_min_;             ///< per-worker min reductions
-  std::vector<std::uint64_t> part_stat_;     ///< per-worker tallies
-  std::vector<std::vector<std::uint32_t>> part_slots_;  ///< per-worker slots
-  double shared_share_ = 0.0;
-  std::size_t shared_remaining_ = 0;
-  bool solver_done_ = false;
-  const char* solver_error_ = nullptr;
-  std::uint64_t spatial_solves_ = 0;
-  std::uint64_t split_records_ = 0;
-
   // Completion-event scratch, reused across on_completion_event() calls
-  // (two heap allocations per completion event otherwise — a fixed
-  // per-event cost the sharded engine pays once per flow per window).
+  // (two heap allocations per completion event otherwise).
   // on_completion_event() cannot re-enter itself (events fire only from
   // the engine loop), so reuse is safe even when completion callbacks
   // start or abort flows.

@@ -68,94 +68,45 @@ foreach(bin scaling_sweep table3_p2p fig1_latency ablation_model
                    "${bin} metrics determinism")
 endforeach()
 
-# Sharded-engine determinism (ISSUE-8): shards=4 must produce
-# byte-identical stdout, CSV, and metrics to shards=1 — the sharded
-# path's (time, shard, sequence) merge order is a pure function of the
-# flow set, never of the worker count (sim/shard.hpp).  The
-# scaling_multinode run layers failover chaos (a NIC death and a NIC
-# degradation mid-exchange) on top, so the cross-shard control-event
-# path — faults applied at window barriers — is pinned too;
-# resilience_sweep exercises the fault-tolerant collectives and
-# checkpoint/restart paths under sharding.  sim_ranks=384 keeps the DES
-# portion large enough to decompose (32 nodes) while bounding runtime.
-# The chaos spec is quoted directly at the call (its clause-separating
-# semicolons would be split as list separators if routed through a
-# variable or ARGN).
-function(run_multinode_chaos tag shards)
+# Cluster benches under chaos: the same threads=1 vs threads=4 diff with
+# a fault plan armed on every DES point.  scaling_multinode layers a NIC
+# death and a NIC degradation mid-exchange (failover and re-shared
+# bandwidth); resilience_sweep kills a node mid-collective and recovers
+# it under both policies.  threads=1 runs every point on the calling
+# thread — the serial oracle — so each leg diffs a parallel sweep
+# against it.  The chaos spec travels as a named argument, quoted at
+# every use (its clause-separating semicolons would be split as list
+# separators if routed through ARGN or an unquoted expansion).
+function(run_chaos_leg tag bin spec)
   file(MAKE_DIRECTORY "${WORK_DIR}/${tag}")
   execute_process(
-    COMMAND "${BENCH_DIR}/scaling_multinode" sim_ranks=384 shards=${shards}
-            "chaos=seed:7;nicdown:node=3,nic=0,at=2us;nicdegrade:node=5,nic=1,factor=0.5,at=3us"
+    COMMAND "${BENCH_DIR}/${bin}" ${ARGN} "chaos=${spec}"
             csv=out.csv metrics=out.met
     WORKING_DIRECTORY "${WORK_DIR}/${tag}"
     OUTPUT_FILE "${WORK_DIR}/${tag}.out"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "scaling_multinode shards=${shards} failed (exit ${rc})")
+    message(FATAL_ERROR "${bin} ${ARGN} chaos=${spec} failed (exit ${rc})")
   endif()
 endfunction()
-run_multinode_chaos(smn_s1 1)
-run_multinode_chaos(smn_s4 4)
-run_bench(resilience_sweep res_s1 sim_ranks=384 shards=1
-          csv=out.csv metrics=out.met)
-run_bench(resilience_sweep res_s4 sim_ranks=384 shards=4
-          csv=out.csv metrics=out.met)
-function(expect_shard_identical one four name)
+function(expect_legs_identical one four name)
   expect_identical("${WORK_DIR}/${one}.out" "${WORK_DIR}/${four}.out"
-                   "${name} shards=1 vs shards=4 (stdout)")
+                   "${name} threads=1 vs threads=4 (stdout)")
   expect_identical("${WORK_DIR}/${one}/out.csv" "${WORK_DIR}/${four}/out.csv"
-                   "${name} shards=1 vs shards=4 (CSV)")
+                   "${name} threads=1 vs threads=4 (CSV)")
   expect_identical("${WORK_DIR}/${one}/out.met" "${WORK_DIR}/${four}/out.met"
-                   "${name} shards=1 vs shards=4 (metrics)")
+                   "${name} threads=1 vs threads=4 (metrics)")
 endfunction()
-expect_shard_identical(smn_s1 smn_s4 scaling_multinode)
-expect_shard_identical(res_s1 res_s4 resilience_sweep)
-
-# Spatial-solver determinism (ISSUE-9): shard_mode=spatial forces the
-# merged capacity-split solver onto every DES point — including the
-# decomposable ones the auto policy would have run per-component — and
-# shards=4 must still produce byte-identical stdout, CSV, and metrics
-# to shards=1: the solver's freeze order, split counts, and drain
-# arithmetic are pure functions of the flow set, never of the worker
-# count (sim/flow_network.cpp recompute_rates_spatial).  Both runs
-# layer chaos so mid-window fault application through the mailbox path
-# is pinned too.  sim_ranks=192 bounds runtime (the merged solver prices
-# the whole flow set as one component, so these points are the slow
-# kind the auto policy exists to avoid).
-function(run_multinode_spatial tag shards)
-  file(MAKE_DIRECTORY "${WORK_DIR}/${tag}")
-  execute_process(
-    COMMAND "${BENCH_DIR}/scaling_multinode" sim_ranks=192 shards=${shards}
-            shard_mode=spatial
-            "chaos=seed:7;nicdown:node=3,nic=0,at=2us;nicdegrade:node=5,nic=1,factor=0.5,at=3us"
-            csv=out.csv metrics=out.met
-    WORKING_DIRECTORY "${WORK_DIR}/${tag}"
-    OUTPUT_FILE "${WORK_DIR}/${tag}.out"
-    RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "scaling_multinode shard_mode=spatial shards=${shards} failed (exit ${rc})")
-  endif()
-endfunction()
-function(run_resilience_spatial tag shards)
-  file(MAKE_DIRECTORY "${WORK_DIR}/${tag}")
-  execute_process(
-    COMMAND "${BENCH_DIR}/resilience_sweep" sim_ranks=192 shards=${shards}
-            shard_mode=spatial trials=50
-            "chaos=seed:7;nodedown:node=3,at=2us"
-            csv=out.csv metrics=out.met
-    WORKING_DIRECTORY "${WORK_DIR}/${tag}"
-    OUTPUT_FILE "${WORK_DIR}/${tag}.out"
-    RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "resilience_sweep shard_mode=spatial shards=${shards} failed (exit ${rc})")
-  endif()
-endfunction()
-run_multinode_spatial(smn_sp1 1)
-run_multinode_spatial(smn_sp4 4)
-run_resilience_spatial(res_sp1 1)
-run_resilience_spatial(res_sp4 4)
-expect_shard_identical(smn_sp1 smn_sp4 "scaling_multinode shard_mode=spatial")
-expect_shard_identical(res_sp1 res_sp4 "resilience_sweep shard_mode=spatial")
+foreach(threads 1 4)
+  run_chaos_leg(smn_chaos_t${threads} scaling_multinode
+                "seed:7;nicdown:node=3,nic=0,at=2us;nicdegrade:node=5,nic=1,factor=0.5,at=3us"
+                sim_ranks=384 threads=${threads})
+  run_chaos_leg(res_chaos_t${threads} resilience_sweep
+                "seed:7;nodedown:node=3,at=2us"
+                sim_ranks=192 trials=50 threads=${threads})
+endforeach()
+expect_legs_identical(smn_chaos_t1 smn_chaos_t4 "scaling_multinode chaos")
+expect_legs_identical(res_chaos_t1 res_chaos_t4 "resilience_sweep chaos")
 
 # chaos_degradation: the default plan pins seed 42 — two threads=4 runs
 # must be bit-identical, and threads=1 must match as well.

@@ -105,6 +105,13 @@ struct PeakCase {
   double paper_value;
 };
 
+// Without a PrintTo, gtest prints a case as raw bytes, which include the
+// address of the `system` literal; the ctest names gtest_discover_tests
+// derives from that printout would then change on every build under ASLR.
+void PrintTo(const PeakCase& c, std::ostream* os) {
+  *os << c.system << '_' << precision_name(c.precision);
+}
+
 class FmaPeakVsPaper : public ::testing::TestWithParam<PeakCase> {};
 
 TEST_P(FmaPeakVsPaper, WithinTenPercent) {
@@ -130,6 +137,10 @@ struct GemmCase {
   Precision precision;
   double paper_value;
 };
+
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << c.system << '_' << precision_name(c.precision);
+}
 
 class GemmRateVsPaper : public ::testing::TestWithParam<GemmCase> {};
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "core/ascii_plot.hpp"
 #include "core/config.hpp"
@@ -275,6 +276,18 @@ TEST(Config, MalformedEntryThrows) {
   Config cfg;
   EXPECT_THROW(cfg.set("novalue"), Error);
   EXPECT_THROW(cfg.set("=x"), Error);
+}
+
+TEST(Config, RepeatedKeyIsRejectedByName) {
+  const char* argv[] = {"prog", "threads=1", "system=aurora", "threads=4"};
+  try {
+    (void)Config::from_args(4, argv);
+    FAIL() << "expected InvalidArgument";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(std::string(e.what()).find("'threads'"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -119,9 +119,6 @@ TEST(Documentation, AcceptedKeyListsMatchParsedKeysAndReadme) {
     if (source.find("threads_from_config") != std::string::npos) {
       parsed.insert("threads");
     }
-    if (source.find("shard_mode_from_config") != std::string::npos) {
-      parsed.insert("shard_mode");
-    }
     for (const auto& key : parsed) {
       EXPECT_TRUE(accepted.count(key))
           << name << " parses `" << key
@@ -169,11 +166,7 @@ TEST(Documentation, ScalingDocCoversTheMultinodeBenchOptions) {
   EXPECT_NE(scaling.find("scaling_multinode"), std::string::npos);
   const std::string bench_source =
       slurp(kRoot / "bench" / "scaling_multinode.cpp");
-  std::set<std::string> keys = config_keys_in(bench_source);
-  if (bench_source.find("shard_mode_from_config") != std::string::npos) {
-    keys.insert("shard_mode");
-  }
-  for (const auto& key : keys) {
+  for (const auto& key : config_keys_in(bench_source)) {
     EXPECT_NE(scaling.find("`" + key + "="), std::string::npos)
         << "docs/SCALING.md does not document scaling_multinode's `" << key
         << "=` option";
@@ -195,11 +188,7 @@ TEST(Documentation, ScalingDocCoversTheResilienceBenchOptions) {
   EXPECT_NE(scaling.find("resilience_sweep"), std::string::npos);
   const std::string bench_source =
       slurp(kRoot / "bench" / "resilience_sweep.cpp");
-  std::set<std::string> keys = config_keys_in(bench_source);
-  if (bench_source.find("shard_mode_from_config") != std::string::npos) {
-    keys.insert("shard_mode");
-  }
-  for (const auto& key : keys) {
+  for (const auto& key : config_keys_in(bench_source)) {
     EXPECT_NE(scaling.find("`" + key + "="), std::string::npos)
         << "docs/SCALING.md does not document resilience_sweep's `" << key
         << "=` option";
@@ -229,34 +218,6 @@ TEST(Documentation, ObservabilityDocListsTheFabricMetrics) {
         << "docs/OBSERVABILITY.md does not document `" << name << "`";
   }
   EXPECT_GE(fabric_names, 9u);
-}
-
-TEST(Documentation, ObservabilityDocListsTheShardMetrics) {
-  // Same contract as the fabric metrics, for the sharded-engine
-  // counters: run one exchange through the sharded path (shards=1 is
-  // enough to register every shard.* name, including the spatial and
-  // mailbox tallies) over a fresh registry, then require each live
-  // shard.-prefixed name backticked in the doc.
-  pvc::obs::Registry registry;
-  pvc::obs::ScopedRegistry scope(registry);
-  const auto node = pvc::arch::aurora();
-  pvc::comm::ClusterComm cluster(node, pvc::sim::FabricSpec::for_node(node),
-                                 24);
-  cluster.set_shards(1);
-  static_cast<void>(cluster.exchange(
-      std::vector<pvc::comm::ClusterComm::Message>{{0, 12, 1024.0}}));
-
-  const std::string doc = slurp(kRoot / "docs" / "OBSERVABILITY.md");
-  std::size_t shard_names = 0;
-  for (const auto& name : registry.names()) {
-    if (name.rfind("shard.", 0) != 0) {
-      continue;
-    }
-    ++shard_names;
-    EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
-        << "docs/OBSERVABILITY.md does not document `" << name << "`";
-  }
-  EXPECT_GE(shard_names, 6u);
 }
 
 TEST(Documentation, ServingDocCoversTheDaemonOptionsAndProtocol) {
@@ -290,7 +251,7 @@ TEST(Documentation, ReadmeListsTheServeBinaries) {
 }
 
 TEST(Documentation, ObservabilityDocListsTheServeMetrics) {
-  // Same contract as the fabric/shard metrics: register the serve.*
+  // Same contract as the fabric metrics: register the serve.*
   // names for real — constructing a Service is what registers them on
   // the global registry — then require each live name backticked in
   // the doc.  (tests/test_obs.cpp's exhaustive global-registry check

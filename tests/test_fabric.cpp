@@ -154,21 +154,6 @@ TEST(FabricModel, CollectiveSwitchoverBoundaries) {
   }
 }
 
-TEST(FabricModel, LookaheadBoundsAreOrderedAndPositive) {
-  // The window bounds the sharded drivers derive from the fabric:
-  // intra-group lookahead is two NIC traversals plus two local hops;
-  // the inter-group bound (spatial mailbox windows) adds exactly one
-  // global hop and therefore strictly dominates it.
-  const auto fabric = aurora_fabric();
-  const double intra = sim::conservative_lookahead_s(fabric);
-  const double inter = sim::inter_group_lookahead_s(fabric);
-  EXPECT_GT(intra, 0.0);
-  EXPECT_DOUBLE_EQ(intra, 2.0 * fabric.nic.latency_s +
-                              2.0 * fabric.topo.local_hop_latency_s);
-  EXPECT_DOUBLE_EQ(inter, intra + fabric.topo.global_hop_latency_s);
-  EXPECT_GT(inter, intra);
-}
-
 TEST(FabricModel, RecursiveDoublingRequiresPowerOfTwoRanks) {
   const auto fabric = aurora_fabric();
   EXPECT_THROW(static_cast<void>(sim::allreduce_model_seconds(
