@@ -17,7 +17,6 @@
 #include "core/units.hpp"
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
-#include "serve/capture.hpp"
 
 namespace pvcbench {
 
@@ -101,18 +100,10 @@ inline std::string cell_fom_vs_paper(const std::optional<double>& model,
   return buf;
 }
 
-/// Writes the CSV when the binary was invoked with `csv=<path>`.  When
-/// the run executes inside the sweep service (a serve::ScopedCapture is
-/// installed on this thread), the rendered CSV is stored in the capture
-/// instead — no file, no stdout chatter — so the service can embed it
-/// in the response body (docs/SERVING.md).
+/// Writes the CSV when the binary was invoked with `csv=<path>`.
 inline void maybe_write_csv(const pvc::Config& config,
                             const pvc::CsvWriter& csv) {
   if (const auto path = config.get("csv")) {
-    if (auto* capture = pvc::serve::active_capture()) {
-      capture->csv = csv.to_string();
-      return;
-    }
     csv.write_file(*path);
     std::printf("\nCSV written to %s\n", path->c_str());
   }
@@ -122,9 +113,8 @@ inline void maybe_write_csv(const pvc::Config& config,
 /// `metrics=<path>` (".json" suffix selects JSON, anything else CSV).
 /// Call at the end of main so the snapshot covers the whole run.  The
 /// active registry is the process-wide one in a standalone binary and
-/// the request-scoped one under the sweep service (which snapshots it
-/// itself and strips `metrics=` from requests, so this stays a no-op
-/// there).
+/// the caller's obs::ScopedRegistry when the bench runs in-process
+/// through run_bench_entry.
 inline void maybe_write_metrics(const pvc::Config& config) {
   if (const auto path = config.get("metrics")) {
     const auto snapshot = pvc::obs::Registry::active().snapshot();

@@ -1,5 +1,6 @@
 #pragma once
-// In-process bench entry registry (docs/SERVING.md).
+// In-process bench entry registry: runs any table/figure bench by name
+// inside the calling process (tests/test_bench_options.cpp, perfbench/).
 //
 // Every table/figure bench keeps its own `run(int argc, char** argv)`
 // (with its Config::from_args parse and require_known_keys list — the
@@ -11,12 +12,12 @@
 //    unit (the bench's own run() lives in an anonymous namespace);
 //  * the standard guarded `main`, suppressed when the source is
 //    compiled with -DPVCBENCH_NO_MAIN into the pvc_bench_suite library
-//    that the sweep-service daemon and tests link.
+//    that tests and perfbench/ link.
 //
 // The registry is a hand-maintained table rather than static-init
 // self-registration: a static library would silently drop unreferenced
 // registrar objects at link time, and a bench that vanishes from the
-// service is exactly the failure mode we want to be loud.
+// registry is exactly the failure mode we want to be loud.
 
 #include <string>
 #include <vector>
@@ -25,14 +26,14 @@
 
 namespace pvcbench {
 
-/// One requestable bench: the name the service routes on and the
-/// guarded entry point (same signature as the per-binary run()).
+/// One registered bench: its binary name and the entry point (same
+/// signature as the per-binary run()).
 struct BenchEntry {
   const char* name;
   int (*run)(int argc, char** argv);
 };
 
-/// Every bench the sweep service can run, in README table order.
+/// Every table/figure bench, in README table order.
 [[nodiscard]] const std::vector<BenchEntry>& bench_entries();
 
 /// Looks up an entry by name; nullptr when unknown.
@@ -40,8 +41,8 @@ struct BenchEntry {
 
 /// Runs an entry with a synthesized argv (`entry.name` becomes argv[0],
 /// `args` the option tail).  Unlike the standalone binary there is no
-/// exception guard: pvc::Error propagates so the sweep service can put
-/// the typed error into the response instead of a bare exit code.
+/// exception guard: pvc::Error propagates so the caller sees the typed
+/// error instead of a bare exit code.
 [[nodiscard]] int run_bench_entry(const BenchEntry& entry,
                                   const std::vector<std::string>& args);
 

@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "arch/systems.hpp"
 #include "comm/cluster.hpp"
 #include "comm/communicator.hpp"
-#include "core/rng.hpp"
 #include "micro/microbench.hpp"
 #include "runtime/node_sim.hpp"
 #include "sim/cache_model.hpp"
@@ -97,42 +95,26 @@ void BM_CacheHierarchyAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHierarchyAccess);
 
-// The Figure 1 workload shape: the address trace of a dependent pointer
-// chase (warmup lap + timed steps, as chase_simulated() issues it)
-// through the Aurora hierarchy at footprints resident in L1, in the
-// 192 MiB LLC, and beyond it in HBM.  The trace is precomputed so the
-// timed region is exactly the model hot path — reset() plus bulk
-// access_run() over block-buffered addresses — which is where the
-// latency sweeps spend their wall-clock.
+// The Figure 1 workload at footprints resident in L1, in the 192 MiB
+// LLC, and beyond it in HBM: one coalesced kernels::chase_simulated()
+// call per iteration, with the config micro::measure_latency_curve()
+// runs at that footprint.  The timed region is everything fig1_latency
+// pays per point: reset(), the Sattolo permutation, the dependent
+// next[idx] walk that generates the addresses, and the access_run()
+// blocks.
 void BM_CacheChase(benchmark::State& state) {
   const auto node = pvc::arch::aurora();
-  const std::size_t footprint = static_cast<std::size_t>(state.range(0));
   pvc::sim::CacheHierarchy cache(node.card.subdevice.caches,
                                  node.card.subdevice.hbm.latency_cycles);
-  const std::size_t nodes = footprint / 64;
-  const std::size_t steps = std::min<std::size_t>(200000, nodes * 4);
-  std::vector<std::uint32_t> next(nodes);
-  pvc::Rng rng(42);
-  pvc::sattolo_cycle(rng, next.data(), nodes);
-  std::vector<std::uint64_t> trace(nodes + steps);  // warmup lap + steps
-  std::uint32_t idx = 0;
-  for (auto& addr : trace) {
-    addr = static_cast<std::uint64_t>(idx) * 64;
-    idx = next[idx];
-  }
-  constexpr std::size_t kBlock = 4096;
+  const pvc::kernels::ChaseConfig config = pvc::micro::latency_chase_config(
+      static_cast<double>(state.range(0)), /*coalesced=*/true);
   for (auto _ : state) {
-    cache.reset();
-    double latency = 0.0;
-    for (std::size_t i = 0; i < trace.size(); i += kBlock) {
-      latency += cache.access_run(
-          {trace.data() + i, std::min(kBlock, trace.size() - i)});
-    }
-    cache.flush_metrics();
-    benchmark::DoNotOptimize(latency);
+    benchmark::DoNotOptimize(
+        pvc::kernels::chase_simulated(cache, config).avg_latency_cycles);
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(trace.size()));
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(config.warmup_steps + config.steps));
 }
 BENCHMARK(BM_CacheChase)
     ->Arg(256 << 10)  // L1-resident (512 KiB L1)

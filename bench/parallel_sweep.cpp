@@ -18,13 +18,9 @@ namespace {
 
 /// Set for the lifetime of each pool worker thread; read by
 /// SharedPool::on_pool_thread() so a sweep running *on* the pool (a
-/// nested ParallelSweep inside a task, or a bench driven by a service
-/// queue worker that is itself a pool thread in some test setups) falls
-/// back to inline execution instead of waiting on lanes the pool can
-/// never schedule.
+/// nested ParallelSweep inside a task) falls back to inline execution
+/// instead of waiting on lanes the pool can never schedule.
 thread_local bool tls_on_pool_thread = false;
-
-std::atomic<bool> g_use_shared_pool{true};
 
 }  // namespace
 
@@ -162,14 +158,6 @@ std::size_t ParallelSweep::add_keyed(const std::string& key,
   return index;
 }
 
-void ParallelSweep::set_use_shared_pool(bool enabled) noexcept {
-  g_use_shared_pool.store(enabled, std::memory_order_relaxed);
-}
-
-bool ParallelSweep::use_shared_pool() noexcept {
-  return g_use_shared_pool.load(std::memory_order_relaxed);
-}
-
 void ParallelSweep::run() {
   const std::size_t n = tasks_.size();
   if (n == 0 && deduped_ == 0) {
@@ -209,23 +197,11 @@ void ParallelSweep::run() {
     // on_pool_thread() arm keeps a nested sweep from blocking the pool
     // on lanes the pool itself would have to run.
     worker();
-  } else if (use_shared_pool()) {
-    // Batch onto the persistent process-wide pool: no thread spawn or
-    // join on this call, which is what makes back-to-back service
-    // requests cheap.  Each lane runs the very same claim-next-task
-    // worker a private thread would have run.
-    SharedPool::instance().run(workers, worker);
   } else {
-    // Legacy path, kept selectable so bench/serve_throughput can price
-    // pool reuse against per-run thread churn.
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(worker);
-    }
-    for (auto& t : pool) {
-      t.join();
-    }
+    // Batch onto the persistent process-wide pool: no thread spawn or
+    // join on this call.  Each lane runs the very same claim-next-task
+    // worker the inline arm runs.
+    SharedPool::instance().run(workers, worker);
   }
 
   // Task-index-order merge: the fold over double-valued gauges happens

@@ -25,15 +25,12 @@
 // n=1 runs everything inline on the calling thread (today's serial
 // behaviour), n>1 uses n workers.
 //
-// Execution by default batches onto SharedPool, one process-wide set of
-// persistent worker threads reused across every run() call (and, under
-// the sweep service, shared by every in-flight request) instead of the
-// historical spawn/join of fresh std::thread per run().  The pool runs
-// the exact same claim-next-task loop the private threads ran, and the
-// registry merge still happens on the calling thread, so the
-// determinism contract is untouched — only the thread lifecycle cost
-// moved.  set_use_shared_pool(false) restores the legacy spawn/join
-// path (bench/serve_throughput measures the two against each other).
+// Multi-threaded runs batch onto SharedPool, one process-wide set of
+// persistent worker threads reused across every run() call, so a
+// process that runs many sweeps (perfbench/, the in-process tests) pays
+// the thread spawn once.  Each lane runs the same claim-next-task loop
+// the inline path runs, and the registry merge happens on the calling
+// thread, so the pool never touches the determinism contract.
 
 #include <cstddef>
 #include <functional>
@@ -125,13 +122,6 @@ class ParallelSweep {
   /// caller's active registry in task order, and rethrows the first
   /// failure (by task index) if any task threw.
   void run();
-
-  /// Process-wide switch between the persistent SharedPool (default,
-  /// true) and the legacy spawn-a-thread-per-run path (false).  Both
-  /// produce byte-identical output; the bench daemon exposes this as
-  /// `batching=` so serve_throughput can price the difference.
-  static void set_use_shared_pool(bool enabled) noexcept;
-  [[nodiscard]] static bool use_shared_pool() noexcept;
 
  private:
   std::size_t threads_;

@@ -143,6 +143,11 @@ int run(int argc, char** argv) {
   const int trials = static_cast<int>(config.get_int("trials", 400));
   const fault::FaultPlan plan =
       fault::FaultPlan::parse(config.get("chaos").value_or(kDefaultChaos));
+  // The plan is armed only on the recovery job (spare nodes aside).
+  fault::check_cluster_plan(
+      plan,
+      {kJobNodes, fabric.nic.per_node, kJobNodes * node.total_subdevices()},
+      /*reads_checkpoint=*/true);
   std::printf("%s", plan.summary().c_str());
 
   const double ckpt_bytes =

@@ -101,16 +101,24 @@ int run(int argc, char** argv) {
   ensure(sim_cap >= 0, ErrorCode::InvalidArgument,
          "sim_ranks must be non-negative (got " + std::to_string(sim_cap) +
              "; 0 prices every point with the model)");
-  fault::FaultPlan plan;
-  if (const auto chaos = config.get("chaos")) {
-    plan = fault::FaultPlan::parse(*chaos);
-    std::printf("%s", plan.summary().c_str());
-  }
-
   const int base = node.total_subdevices();
   std::vector<int> rank_counts;
   for (const int m : kNodeMultipliers) {
     rank_counts.push_back(m * base);
+  }
+  fault::FaultPlan plan;
+  if (const auto chaos = config.get("chaos")) {
+    plan = fault::FaultPlan::parse(*chaos);
+    // The plan is armed on every DES point; the largest one bounds it.
+    fault::ClusterExtent largest;
+    for (const int ranks : rank_counts) {
+      if (ranks <= sim_cap) {
+        largest = {comm::nodes_for_ranks(node, ranks), fabric.nic.per_node,
+                   ranks};
+      }
+    }
+    fault::check_cluster_plan(plan, largest, /*reads_checkpoint=*/false);
+    std::printf("%s", plan.summary().c_str());
   }
 
   CsvWriter csv;

@@ -7,7 +7,6 @@ root:
 
   simcore    gbench_simcore   BM_Cluster*  vs BENCH_simcore.json
   workloads  gbench_workloads BM_*         vs BENCH_workloads.json
-  serve      serve_throughput BM_Serve*    vs BENCH_serve.json
 
 A row more than TOLERANCE slower than its committed time fails the
 run; rows only present on one side (a newly added or retired
@@ -17,8 +16,7 @@ baseline file skips that suite with a warning for the same reason.
 
 Absolute times move with the host, so the guard is deliberately loose
 (default 30%) — it exists to catch an algorithmic cliff (a serialized
-solver, a lost fast path, the serve cache no longer hitting), not 5%
-noise.  Override with PERF_SMOKE_TOLERANCE=<fraction>.
+solver, a lost fast path), not 5% noise.  Override with PERF_SMOKE_TOLERANCE=<fraction>.
 
 Usage: perf_smoke.py <build-dir> [suite ...]   (default: all suites)
 """
@@ -34,7 +32,6 @@ import tempfile
 SUITES = {
     "simcore": ("gbench_simcore", "BENCH_simcore.json", "BM_Cluster"),
     "workloads": ("gbench_workloads", "BENCH_workloads.json", "BM_"),
-    "serve": ("serve_throughput", "BENCH_serve.json", "BM_Serve"),
 }
 
 

@@ -30,7 +30,6 @@ enum class ErrorCode {
   Timeout,            ///< wait exceeded its simulated-time deadline
   TransferAborted,    ///< transfer failed after exhausting retries
   RankFailed,         ///< peer rank (or its whole node) is dead
-  QueueFull,          ///< admission queue at capacity (serve backpressure)
 };
 
 [[nodiscard]] constexpr const char* error_code_name(ErrorCode code) noexcept {
@@ -53,8 +52,6 @@ enum class ErrorCode {
       return "transfer_aborted";
     case ErrorCode::RankFailed:
       return "rank_failed";
-    case ErrorCode::QueueFull:
-      return "queue_full";
   }
   return "?";
 }

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "core/error.hpp"
 
@@ -401,17 +402,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
         bad_clause(clause, "durations must be non-negative");
       }
       plan.checkpoint = ck;
-    } else if (name == "recovery") {
-      Args args(clause, body, "policy");
-      const std::string_view policy = args.required("policy");
-      if (policy == "shrink") {
-        plan.recovery = RecoveryPolicy::Shrink;
-      } else if (policy == "spare") {
-        plan.recovery = RecoveryPolicy::Spare;
-      } else {
-        bad_clause(clause, "policy must be shrink|spare");
-      }
-      args.finish();
     } else if (name == "drop") {
       Args args(clause, body, "p");
       plan.drop_probability = parse_probability(clause, args.required("p"));
@@ -483,12 +473,79 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
   return plan;
 }
 
+void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
+                        bool reads_checkpoint) {
+  const auto reject = [](const std::string& clause, const std::string& why) {
+    raise(ErrorCode::InvalidArgument,
+          "FaultPlan: clause '" + clause + "' " + why +
+              " (docs/ROBUSTNESS.md)");
+  };
+  const std::pair<bool, const char*> node_level[] = {
+      {!plan.linkdowns.empty(), "linkdown"},
+      {!plan.flaps.empty(), "flap"},
+      {!plan.degradations.empty(), "degrade"},
+      {!plan.throttles.empty(), "throttle"},
+      {!plan.device_losses.empty(), "devlost"},
+      {plan.drop_probability > 0.0, "drop"},
+      {plan.corrupt_probability > 0.0, "corrupt"},
+      {plan.usm_fail_probability > 0.0, "usmfail"},
+      {plan.reroute_penalty.has_value(), "reroute"},
+      {plan.max_retries.has_value(), "retries"},
+      {plan.wait_timeout_s.has_value(), "timeout"},
+  };
+  for (const auto& [present, clause] : node_level) {
+    if (present) {
+      reject(clause,
+             "acts on a single node, and this bench runs cluster "
+             "simulations only");
+    }
+  }
+  if (plan.checkpoint && !reads_checkpoint) {
+    reject("ckpt", "is never read by this bench");
+  }
+
+  // `count` `what`s exist in `scope`; `index` must name one of them.
+  const auto require_exists = [&](const std::string& clause,
+                                  const std::string& what, int index,
+                                  int count, const std::string& scope) {
+    if (index < count) {
+      return;
+    }
+    reject(clause, largest.ranks == 0
+                       ? "targets a cluster, but these options arm none"
+                       : "names " + what + " " + std::to_string(index) +
+                             ", but " + scope + " has " +
+                             std::to_string(count) + " " + what + "s");
+  };
+  const std::string cluster = "the largest cluster this bench arms";
+  const auto check_nic = [&](const char* name, int node, int nic) {
+    const std::string clause = std::string(name) + ":node=" +
+                               std::to_string(node) + ",nic=" +
+                               std::to_string(nic);
+    require_exists(clause, "node", node, largest.nodes, cluster);
+    require_exists(clause, "NIC", nic, largest.nics_per_node, "each node");
+  };
+  for (const auto& ev : plan.nic_downs) {
+    check_nic("nicdown", ev.node, ev.nic);
+  }
+  for (const auto& ev : plan.nic_degradations) {
+    check_nic("nicdegrade", ev.node, ev.nic);
+  }
+  for (const auto& ev : plan.node_downs) {
+    require_exists("nodedown:node=" + std::to_string(ev.node), "node",
+                   ev.node, largest.nodes, cluster);
+  }
+  for (const auto& ev : plan.rank_fails) {
+    require_exists("rankfail:rank=" + std::to_string(ev.rank), "rank",
+                   ev.rank, largest.ranks, cluster);
+  }
+}
+
 bool FaultPlan::empty() const {
   return linkdowns.empty() && flaps.empty() && degradations.empty() &&
          throttles.empty() && device_losses.empty() && nic_downs.empty() &&
          nic_degradations.empty() && node_downs.empty() &&
          rank_fails.empty() && !checkpoint.has_value() &&
-         !recovery.has_value() &&
          drop_probability == 0.0 && corrupt_probability == 0.0 &&
          usm_fail_probability == 0.0 && !reroute_penalty.has_value() &&
          !max_retries.has_value() && !retry_backoff_s.has_value() &&
@@ -552,9 +609,6 @@ std::string FaultPlan::summary() const {
     }
     out << " restart " << checkpoint->restart_s << " s mtbf "
         << checkpoint->mtbf_s << " s\n";
-  }
-  if (recovery) {
-    out << "  recovery " << recovery_policy_name(*recovery) << "\n";
   }
   if (drop_probability > 0.0) {
     out << "  drop p=" << drop_probability << "\n";

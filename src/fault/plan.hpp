@@ -30,7 +30,6 @@
 //   nodedown:node=3,at=1ms[,for=5ms]          (cluster runs only)
 //   rankfail:rank=7[,at=1ms]                  (cluster runs only)
 //   ckpt:bytes=64e6[,interval=2s][,restart=30s][,mtbf=1000s]
-//   recovery:shrink     | recovery:policy=spare
 
 #include <cstdint>
 #include <optional>
@@ -163,9 +162,6 @@ struct FaultPlan {
   /// Checkpoint/restart discipline; unset = no checkpointing.
   std::optional<CheckpointPlan> checkpoint;
 
-  /// Recovery policy for fault-tolerant collectives; unset = Shrink.
-  std::optional<RecoveryPolicy> recovery;
-
   /// Per-attempt message fault probabilities, in [0, 1] with sum <= 1.
   double drop_probability = 0.0;
   double corrupt_probability = 0.0;
@@ -197,5 +193,29 @@ struct FaultPlan {
 /// Parses `123`, `1.5ms`, `2us`, `30ns`, `0.25s` into seconds.  Exposed
 /// for tests; throws ErrorCode::InvalidArgument on malformed input.
 [[nodiscard]] double parse_duration_s(std::string_view text);
+
+/// Size of the largest cluster a bench arms a plan on.  All zero when
+/// the bench's options arm no cluster at all.
+struct ClusterExtent {
+  int nodes = 0;
+  int nics_per_node = 0;
+  int ranks = 0;
+};
+
+/// Rejects a plan that a cluster-only bench (scaling_multinode,
+/// resilience_sweep) would silently ignore, with ErrorCode::InvalidArgument
+/// naming the clause:
+///  * node-level clauses (linkdown, flap, degrade, throttle, devlost,
+///    drop, corrupt, usmfail, reroute, retries, timeout), which need a
+///    NodeSim or Communicator the bench never builds;
+///  * `ckpt`, unless `reads_checkpoint`;
+///  * nodedown/nicdown/nicdegrade/rankfail clauses naming a node, NIC or
+///    rank outside `largest`.  Injector::arm(ClusterComm&) still skips
+///    such events per cluster, so a plan valid on the largest cluster
+///    stays valid on every smaller slice of the sweep.
+/// Zero-probability drop/corrupt/usmfail clauses parse to the empty plan
+/// and pass.
+void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
+                        bool reads_checkpoint);
 
 }  // namespace pvc::fault

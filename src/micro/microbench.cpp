@@ -202,16 +202,22 @@ std::vector<LatencyPoint> measure_latency_curve(
   std::vector<LatencyPoint> curve;
   curve.reserve(footprints_bytes.size());
   for (double footprint : footprints_bytes) {
-    kernels::ChaseConfig config;
-    config.footprint_bytes = static_cast<std::size_t>(footprint);
-    config.coalesced = coalesced;
-    const std::size_t nodes = config.footprint_bytes / 64;
-    config.steps = std::min<std::uint64_t>(20000, nodes * 4);
-    config.warmup_steps = std::min<std::uint64_t>(nodes, 8u << 20);
-    const auto run = kernels::chase_simulated(hierarchy, config);
+    const auto run = kernels::chase_simulated(
+        hierarchy, latency_chase_config(footprint, coalesced));
     curve.push_back(LatencyPoint{footprint, run.avg_latency_cycles});
   }
   return curve;
+}
+
+kernels::ChaseConfig latency_chase_config(double footprint_bytes,
+                                          bool coalesced) {
+  kernels::ChaseConfig config;
+  config.footprint_bytes = static_cast<std::size_t>(footprint_bytes);
+  config.coalesced = coalesced;
+  const std::size_t nodes = config.footprint_bytes / 64;
+  config.steps = std::min<std::uint64_t>(20000, nodes * 4);
+  config.warmup_steps = std::min<std::uint64_t>(nodes, 8u << 20);
+  return config;
 }
 
 std::vector<double> default_latency_footprints(const arch::NodeSpec& node) {

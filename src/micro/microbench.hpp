@@ -14,6 +14,7 @@
 #include "arch/gpu_spec.hpp"
 #include "arch/peaks.hpp"
 #include "arch/precision.hpp"
+#include "kernels/pointer_chase.hpp"
 
 namespace pvc::micro {
 
@@ -69,6 +70,12 @@ struct LatencyPoint {
 [[nodiscard]] std::vector<LatencyPoint> measure_latency_curve(
     const arch::NodeSpec& node, bool coalesced,
     const std::vector<double>& footprints_bytes);
+
+/// The chase measure_latency_curve() runs at one footprint: 20000 timed
+/// steps (at most 4 laps) after a warmup of one lap, capped at 8 Mi
+/// steps.  BM_CacheChase times exactly this config.
+[[nodiscard]] kernels::ChaseConfig latency_chase_config(double footprint_bytes,
+                                                        bool coalesced);
 
 /// Default footprint sweep: powers of two from 16 KiB to 8 GiB,
 /// clipped to the subdevice HBM capacity.

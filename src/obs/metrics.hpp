@@ -17,18 +17,13 @@
 //    a single branch on a plain bool.
 //
 // Concurrency: each simulation is single-threaded, but independent
-// simulations may run on worker threads (bench ParallelSweep).  Two
-// mechanisms keep the registry safe there:
-//  * registry scoping — ScopedRegistry installs a thread-local registry
-//    that Registry::active() serves instead of the process-global one;
-//    each worker collects into its own registry and the sweep merges
-//    them into the global registry in deterministic (task-index) order,
-//    so threads=N snapshots are byte-identical to threads=1;
-//  * optionally atomic cells — building with -DPVC_METRICS_ATOMIC=ON
-//    makes Counter/Gauge mutations relaxed std::atomic operations, for
-//    callers that prefer one shared registry over scoping (histograms
-//    stay non-atomic; use scoping when histograms are bumped
-//    concurrently).
+// simulations may run on worker threads (bench ParallelSweep).  Registry
+// scoping keeps the registry safe there: ScopedRegistry installs a
+// thread-local registry that Registry::active() serves instead of the
+// process-global one; each worker collects into its own registry and
+// the sweep merges them into the global registry in deterministic
+// (task-index) order, so threads=N snapshots are byte-identical to
+// threads=1.
 //
 // Values are read through the Snapshot API: a deep copy of every
 // metric's state at one instant, decoupled from later mutation, which
@@ -39,20 +34,9 @@
 #include <string>
 #include <vector>
 
-#if defined(PVC_METRICS_ATOMIC) && PVC_METRICS_ATOMIC
-#include <atomic>
-#endif
-
 // Compile-time kill switch (CMake option PVC_METRICS, default ON).
 #ifndef PVC_METRICS_ENABLED
 #define PVC_METRICS_ENABLED 1
-#endif
-
-// Optional lock-free shared-registry mode (CMake option
-// PVC_METRICS_ATOMIC, default OFF — the scoped-registry path needs no
-// atomics and keeps single-thread bumps a plain add).
-#ifndef PVC_METRICS_ATOMIC
-#define PVC_METRICS_ATOMIC 0
 #endif
 
 namespace pvc::obs {
@@ -82,31 +66,17 @@ class Counter {
   void add(std::uint64_t delta = 1) noexcept {
 #if PVC_METRICS_ENABLED
     if (detail::g_runtime_enabled) {
-#if PVC_METRICS_ATOMIC
-      value_.fetch_add(delta, std::memory_order_relaxed);
-#else
       value_ += delta;
-#endif
     }
 #else
     static_cast<void>(delta);
 #endif
   }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-#if PVC_METRICS_ATOMIC
-    return value_.load(std::memory_order_relaxed);
-#else
-    return value_;
-#endif
-  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
  private:
   friend class Registry;
-#if PVC_METRICS_ATOMIC
-  std::atomic<std::uint64_t> value_{0};
-#else
   std::uint64_t value_ = 0;
-#endif
 };
 
 /// Double-valued quantity; supports both set() and accumulate via add().
@@ -115,11 +85,7 @@ class Gauge {
   void set(double v) noexcept {
 #if PVC_METRICS_ENABLED
     if (detail::g_runtime_enabled) {
-#if PVC_METRICS_ATOMIC
-      value_.store(v, std::memory_order_relaxed);
-#else
       value_ = v;
-#endif
     }
 #else
     static_cast<void>(v);
@@ -128,31 +94,17 @@ class Gauge {
   void add(double delta) noexcept {
 #if PVC_METRICS_ENABLED
     if (detail::g_runtime_enabled) {
-#if PVC_METRICS_ATOMIC
-      value_.fetch_add(delta, std::memory_order_relaxed);
-#else
       value_ += delta;
-#endif
     }
 #else
     static_cast<void>(delta);
 #endif
   }
-  [[nodiscard]] double value() const noexcept {
-#if PVC_METRICS_ATOMIC
-    return value_.load(std::memory_order_relaxed);
-#else
-    return value_;
-#endif
-  }
+  [[nodiscard]] double value() const noexcept { return value_; }
 
  private:
   friend class Registry;
-#if PVC_METRICS_ATOMIC
-  std::atomic<double> value_{0.0};
-#else
   double value_ = 0.0;
-#endif
 };
 
 /// Histogram over uint64 values with fixed log2 buckets: bucket 0 holds
@@ -202,8 +154,7 @@ class Histogram {
 };
 
 /// Batches hot-path Counter updates.  Per-event `Counter::add(1)` calls
-/// cost an enabled-check (and an atomic RMW under PVC_METRICS_ATOMIC)
-/// on every event; layers with million-event hot loops (sim/cache_model)
+/// cost an enabled-check on every event; layers with million-event hot loops (sim/cache_model)
 /// instead keep their own running totals and push them through
 /// `flush_total()` once per kernel/batch — one Counter::add for the
 /// whole delta, with totals identical to unbatched instrumentation
@@ -278,8 +229,7 @@ struct Snapshot {
 /// requesting an existing name as a different type throws pvc::Error.
 /// Handles returned by counter()/gauge()/histogram() stay valid for the
 /// registry's lifetime.  A single Registry is not thread-safe — each
-/// simulation thread collects into its own via ScopedRegistry (or the
-/// cells are made atomic with -DPVC_METRICS_ATOMIC=ON).
+/// simulation thread collects into its own via ScopedRegistry.
 class Registry {
  public:
   Registry();

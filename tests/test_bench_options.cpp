@@ -1,17 +1,90 @@
-// Option validation of the bench binaries, driven in-process through the
-// bench registry (bench/bench_entry.hpp): malformed or retired options
-// must fail with a typed error that names the option, never run with a
-// silently different meaning.
+// The bench registry (bench/bench_entry.hpp) and the option validation
+// of the bench binaries, driven in-process through it: malformed or
+// retired options and chaos clauses must fail with a typed error that
+// names them, never run with a silently different meaning, and a bench
+// run twice in one process must write the same bytes both times.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_entry.hpp"
 #include "core/error.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
+
+namespace fs = std::filesystem;
+
+TEST(BenchRegistry, CoversEveryBenchBinary) {
+  // The registry is hand-maintained (static-init registration would be
+  // silently dropped from a static library); this pins the count so a
+  // new bench that forgets to enlist is caught here.
+  EXPECT_EQ(pvcbench::bench_entries().size(), 16u);
+  EXPECT_NE(pvcbench::find_bench("table2_microbench"), nullptr);
+  EXPECT_NE(pvcbench::find_bench("chaos_degradation"), nullptr);
+  EXPECT_EQ(pvcbench::find_bench("gbench_simcore"), nullptr);
+}
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Runs `bench` in-process under a fresh metrics registry with csv= and
+/// metrics= pointing into `dir`; returns the CSV and metrics bytes.
+std::pair<std::string, std::string> run_to_files(
+    const char* bench, std::vector<std::string> args, const fs::path& dir) {
+  const fs::path csv = dir / "out.csv";
+  const fs::path metrics = dir / "out.met";
+  args.push_back("csv=" + csv.string());
+  args.push_back("metrics=" + metrics.string());
+  pvc::obs::Registry registry;
+  pvc::obs::ScopedRegistry scope(registry);
+  const pvcbench::BenchEntry* entry = pvcbench::find_bench(bench);
+  if (entry == nullptr) {
+    ADD_FAILURE() << bench << " is not registered";
+    return {};
+  }
+  EXPECT_EQ(pvcbench::run_bench_entry(*entry, args), 0) << bench;
+  return {slurp(csv), slurp(metrics)};
+}
+
+TEST(BenchRegistry, InProcessRerunIsByteIdentical) {
+  // perfbench/ runs each bench in-process many times and checks every
+  // call's CSV against one recorded oracle, so a second run in the same
+  // process must write the same CSV and metrics bytes — including the
+  // threaded sweeps, which reuse the shared worker pool.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pvc_bench_rerun_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::pair<const char*, std::vector<std::string>> runs[] = {
+      {"power_report", {}},
+      {"table4_refspecs", {}},
+      {"sweep_msgsize", {"threads=2"}},
+      {"chaos_degradation", {"threads=4"}},
+  };
+  for (const auto& [bench, args] : runs) {
+    SCOPED_TRACE(bench);
+    const auto first = run_to_files(bench, args, dir);
+    const auto second = run_to_files(bench, args, dir);
+    EXPECT_FALSE(first.first.empty());
+    EXPECT_FALSE(first.second.empty());
+    EXPECT_EQ(first.first, second.first);    // CSV bytes
+    EXPECT_EQ(first.second, second.second);  // metrics bytes
+  }
+  fs::remove_all(dir);
+}
 
 /// Runs `bench` with `args` and returns the pvc::Error it throws; fails
 /// the test when the run completes instead.
@@ -57,6 +130,65 @@ TEST(BenchOptions, RetiredShardOptionsAreUnknown) {
         std::string::npos)
         << bench;
   }
+}
+
+TEST(BenchOptions, ClusterChaosClausesActOrFail) {
+  // Both cluster benches arm their plan only on ClusterComm jobs: a
+  // clause they never apply, or one naming a node, NIC or rank outside
+  // the largest cluster they arm, is an error naming the clause.
+  const std::pair<const char*, const char*> common[] = {
+      {"rankfail:rank=999999", "rankfail"},
+      {"nodedown:node=99999,at=0", "nodedown"},
+      {"nicdown:node=0,nic=99", "nicdown"},
+      {"nicdegrade:node=99999,nic=0,factor=0.5", "nicdegrade"},
+      {"recovery:spare", "recovery"},  // retired: an unknown clause
+      {"linkdown:a=0,b=2", "linkdown"},
+      {"flap:a=0,b=2,period=2ms", "flap"},
+      {"degrade:a=0,b=2,factor=0.5", "degrade"},
+      {"throttle:card=0,factor=0.5", "throttle"},
+      {"devlost:dev=99", "devlost"},
+      {"drop:0.1", "drop"},
+      {"corrupt:0.1", "corrupt"},
+      {"usmfail:p=0.1", "usmfail"},
+      {"reroute:0.5", "reroute"},
+      {"retries:max=2", "retries"},
+      {"timeout:1ms", "timeout"},
+  };
+  const auto expect_rejected = [](const char* bench,
+                                  std::vector<std::string> args,
+                                  const char* clause) {
+    const pvc::Error e = run_expecting_error(bench, args);
+    EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument)
+        << bench << " " << args.back();
+    EXPECT_NE(std::string(e.what()).find(clause), std::string::npos)
+        << bench << ": " << e.what();
+  };
+  for (const char* bench : {"scaling_multinode", "resilience_sweep"}) {
+    for (const auto& [spec, clause] : common) {
+      expect_rejected(bench, {std::string("chaos=") + spec}, clause);
+    }
+  }
+  // scaling_multinode never reads the checkpoint clause...
+  expect_rejected("scaling_multinode", {"chaos=ckpt:bytes=1e6"}, "ckpt");
+  // ...bounds targets by its largest DES point <= sim_ranks (192 Aurora
+  // ranks = 16 nodes at sim_ranks=384)...
+  expect_rejected("scaling_multinode", {"sim_ranks=384", "chaos=nodedown:16"},
+                  "nodedown:node=16");
+  expect_rejected("scaling_multinode", {"sim_ranks=384", "chaos=rankfail:192"},
+                  "rankfail:rank=192");
+  // ...and arms no cluster at all with sim_ranks=0.
+  expect_rejected("scaling_multinode",
+                  {"sim_ranks=0", "chaos=nicdown:node=0,nic=0"}, "nicdown");
+  // resilience_sweep arms its 64-node recovery job: node 63 exists.
+  const pvcbench::BenchEntry* resilience =
+      pvcbench::find_bench("resilience_sweep");
+  ASSERT_NE(resilience, nullptr);
+  EXPECT_EQ(pvcbench::run_bench_entry(
+                *resilience, {"sim_ranks=0", "trials=1",
+                              "chaos=seed:7;nodedown:node=63,at=2us"}),
+            0);
+  expect_rejected("resilience_sweep", {"chaos=nodedown:node=64,at=2us"},
+                  "nodedown:node=64");
 }
 
 }  // namespace

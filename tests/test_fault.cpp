@@ -112,7 +112,7 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   expect_invalid("rankfail:rank=1,for=1ms");         // rankfail has no window
   expect_invalid("ckpt:bytes=0");                    // bytes must be positive
   expect_invalid("ckpt:interval=60s");               // missing bytes
-  expect_invalid("recovery:policy=rollback");        // unknown policy
+  expect_invalid("recovery:spare");                  // retired clause
 }
 
 TEST(FaultPlan, ParsesNodeAndRankFailureClauses) {
@@ -136,24 +136,20 @@ TEST(FaultPlan, ParsesNodeAndRankFailureClauses) {
   EXPECT_NE(plan.summary().find("rankfail rank 9"), std::string::npos);
 }
 
-TEST(FaultPlan, ParsesCheckpointAndRecoveryClauses) {
+TEST(FaultPlan, ParsesCheckpointClause) {
   const auto plan = FaultPlan::parse(
-      "ckpt:bytes=1e9,interval=60s,restart=30s,mtbf=1000s;recovery:spare");
+      "ckpt:bytes=1e9,interval=60s,restart=30s,mtbf=1000s");
   ASSERT_TRUE(plan.checkpoint.has_value());
   EXPECT_DOUBLE_EQ(plan.checkpoint->bytes_per_rank, 1e9);
   EXPECT_DOUBLE_EQ(plan.checkpoint->interval_s, 60.0);
   EXPECT_DOUBLE_EQ(plan.checkpoint->restart_s, 30.0);
   EXPECT_DOUBLE_EQ(plan.checkpoint->mtbf_s, 1000.0);
-  ASSERT_TRUE(plan.recovery.has_value());
-  EXPECT_EQ(*plan.recovery, RecoveryPolicy::Spare);
-  EXPECT_NE(plan.summary().find("recovery spare"), std::string::npos);
 
   // Shorthand bytes; interval 0 means "Daly-optimal at run time".
-  const auto shorthand = FaultPlan::parse("ckpt:5e8;recovery:shrink");
+  const auto shorthand = FaultPlan::parse("ckpt:5e8");
   ASSERT_TRUE(shorthand.checkpoint.has_value());
   EXPECT_DOUBLE_EQ(shorthand.checkpoint->bytes_per_rank, 5e8);
   EXPECT_DOUBLE_EQ(shorthand.checkpoint->interval_s, 0.0);
-  EXPECT_EQ(*shorthand.recovery, RecoveryPolicy::Shrink);
   EXPECT_STREQ(recovery_policy_name(RecoveryPolicy::Shrink), "shrink");
   EXPECT_STREQ(recovery_policy_name(RecoveryPolicy::Spare), "spare");
 }
@@ -174,7 +170,6 @@ TEST(FaultPlan, FuzzedClausesRoundTripAndMutationsNameTheClause) {
     const int for_us = randint(1, 500);
     const bool windowed = randint(0, 1) == 1;
     const int bytes = randint(1, 1000000);
-    const bool spare = randint(0, 1) == 1;
     std::string spec = "nodedown:node=" + std::to_string(node) +
                        ",at=" + std::to_string(at_us) + "us";
     if (windowed) {
@@ -183,7 +178,6 @@ TEST(FaultPlan, FuzzedClausesRoundTripAndMutationsNameTheClause) {
     spec += ";rankfail:rank=" + std::to_string(rank) +
             ",at=" + std::to_string(at_us) + "us";
     spec += ";ckpt:bytes=" + std::to_string(bytes);
-    spec += std::string(";recovery:") + (spare ? "spare" : "shrink");
 
     const auto plan = FaultPlan::parse(spec);
     ASSERT_EQ(plan.node_downs.size(), 1u) << spec;
@@ -197,17 +191,14 @@ TEST(FaultPlan, FuzzedClausesRoundTripAndMutationsNameTheClause) {
     EXPECT_EQ(plan.rank_fails[0].rank, rank);
     ASSERT_TRUE(plan.checkpoint.has_value());
     EXPECT_DOUBLE_EQ(plan.checkpoint->bytes_per_rank, bytes);
-    EXPECT_EQ(*plan.recovery,
-              spare ? RecoveryPolicy::Spare : RecoveryPolicy::Shrink);
 
     const char* mutations[] = {
         "nodedown:node=-1",
         "nodedown:node=1,node=2",
         "rankfail:rank=1,bogus=1",
         "ckpt:bytes=0",
-        "recovery:policy=chaos",
     };
-    const char* mutation = mutations[randint(0, 4)];
+    const char* mutation = mutations[randint(0, 3)];
     try {
       (void)FaultPlan::parse(spec + ";" + mutation);
       FAIL() << "expected rejection of mutation: " << mutation;

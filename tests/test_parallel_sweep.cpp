@@ -104,7 +104,6 @@ TEST(ParallelSweep, SharedPoolIsReusedAcrossRuns) {
   // persistent workers — the pool's thread count stays at its
   // high-water mark while the batch count keeps climbing.
   auto& pool = pvcbench::SharedPool::instance();
-  ASSERT_TRUE(pvcbench::ParallelSweep::use_shared_pool());
   (void)run_sweep(4);
   const std::size_t workers_after_first = pool.workers();
   const std::size_t batches_after_first = pool.batches_run();
@@ -113,16 +112,6 @@ TEST(ParallelSweep, SharedPoolIsReusedAcrossRuns) {
   (void)run_sweep(4);
   EXPECT_EQ(pool.workers(), workers_after_first);
   EXPECT_EQ(pool.batches_run(), batches_after_first + 2);
-}
-
-TEST(ParallelSweep, LegacySpawnPathMatchesSharedPool) {
-  // batching=off (legacy thread spawn/join) must stay byte-identical to
-  // the pooled path — it exists only for the throughput comparison.
-  const auto pooled = run_sweep(4);
-  pvcbench::ParallelSweep::set_use_shared_pool(false);
-  const auto spawned = run_sweep(4);
-  pvcbench::ParallelSweep::set_use_shared_pool(true);
-  expect_identical(pooled, spawned);
 }
 
 TEST(ParallelSweep, NestedSweepOnPoolThreadRunsInline) {
