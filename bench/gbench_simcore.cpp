@@ -99,9 +99,8 @@ BENCHMARK(BM_CacheHierarchyAccess);
 // LLC, and beyond it in HBM: one coalesced kernels::chase_simulated()
 // call per iteration, with the config micro::measure_latency_curve()
 // runs at that footprint.  The timed region is everything fig1_latency
-// pays per point: reset(), the Sattolo permutation, the dependent
-// next[idx] walk that generates the addresses, and the access_run()
-// blocks.
+// pays per point: reset() and the closed form, which decides all three
+// footprints, including the per-block latency sums.
 void BM_CacheChase(benchmark::State& state) {
   const auto node = pvc::arch::aurora();
   pvc::sim::CacheHierarchy cache(node.card.subdevice.caches,
@@ -120,7 +119,7 @@ BENCHMARK(BM_CacheChase)
     ->Arg(256 << 10)  // L1-resident (512 KiB L1)
     ->Arg(16 << 20)   // LLC-resident (192 MiB LLC)
     ->Arg(384 << 20)  // beyond the LLC: HBM
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMicrosecond);
 
 // Message-matching churn: every rank bursts `range(0)` receives, then
 // the matching sends arrive in reverse tag order, so each send faces

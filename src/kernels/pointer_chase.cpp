@@ -8,34 +8,86 @@
 
 namespace pvc::kernels {
 
-ChaseResult chase_simulated(pvc::sim::CacheHierarchy& hierarchy,
-                            const ChaseConfig& config) {
+namespace {
+
+// Nodes are line-spaced so each chase step touches a fresh line.  In
+// coalesced mode the 16 lanes of a sub-group read 16 consecutive
+// 4-byte indices — one 64-byte line per step — so per-step latency is
+// identical but the footprint they cover is shared across lanes.
+constexpr std::size_t kLine = 64;
+// The walk feeds the hierarchy this many loads per access_run() call.
+constexpr std::size_t kBlock = 4096;
+
+std::size_t chase_nodes(const ChaseConfig& config) {
   ensure(config.footprint_bytes >= 256,
          "chase_simulated: footprint too small");
   ensure(config.steps > 0, "chase_simulated: need at least one step");
-  hierarchy.reset();
+  return config.footprint_bytes / kLine;
+}
 
-  // Nodes are line-spaced so each chase step touches a fresh line.  In
-  // coalesced mode the 16 lanes of a sub-group read 16 consecutive
-  // 4-byte indices — one 64-byte line per step — so per-step latency is
-  // identical but the footprint they cover is shared across lanes.
-  constexpr std::size_t kLine = 64;
-  const std::size_t nodes = config.footprint_bytes / kLine;
-  ensure(nodes >= 2, "chase_simulated: need at least two nodes");
+std::uint64_t chase_warmup(const ChaseConfig& config, std::size_t nodes) {
+  return config.warmup_steps > 0 ? config.warmup_steps
+                                 : static_cast<std::uint64_t>(nodes);
+}
+
+// `steps` loads that each take `latency`, summed the way the walk sums
+// them: per-block totals from access_run(), added in block order.  The
+// rounding therefore matches the walk bit for bit, even for latencies
+// that are not integers.
+double blocked_total(double latency, std::uint64_t steps) {
+  const auto block_total = [latency](std::uint64_t n) {
+    double total = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      total += latency;
+    }
+    return total;
+  };
+  const double full = steps >= kBlock ? block_total(kBlock) : 0.0;
+  double total = 0.0;
+  for (; steps >= kBlock; steps -= kBlock) {
+    total += full;
+  }
+  return steps > 0 ? total + block_total(steps) : total;
+}
+
+ChaseResult timed_result(double total, std::uint64_t steps) {
+  // Both modes load exactly one line per step (the coalesced lanes
+  // fall inside one line); step latency is that load's latency.
+  ChaseResult result;
+  result.loads = steps;
+  result.steps = steps;
+  result.avg_latency_cycles = total / static_cast<double>(steps);
+  return result;
+}
+
+}  // namespace
+
+ChaseResult chase_simulated(pvc::sim::CacheHierarchy& hierarchy,
+                            const ChaseConfig& config) {
+  const std::size_t nodes = chase_nodes(config);
+  hierarchy.reset();
+  const auto latency = hierarchy.closed_form_chase(
+      nodes, chase_warmup(config, nodes), config.steps);
+  if (!latency) {
+    return simulate_chase(hierarchy, config);
+  }
+  hierarchy.flush_metrics();
+  return timed_result(blocked_total(*latency, config.steps), config.steps);
+}
+
+ChaseResult simulate_chase(pvc::sim::CacheHierarchy& hierarchy,
+                           const ChaseConfig& config) {
+  const std::size_t nodes = chase_nodes(config);
+  hierarchy.reset();
 
   std::vector<std::uint32_t> next(nodes);
   pvc::Rng rng(config.seed);
   pvc::sattolo_cycle(rng, next.data(), nodes);
 
-  const std::uint64_t warmup = config.warmup_steps > 0
-                                   ? config.warmup_steps
-                                   : static_cast<std::uint64_t>(nodes);
-
   // Addresses depend only on the permutation, not on access results, so
   // the chase fills fixed-size blocks and drives the hierarchy through
   // the bulk access_run() entry point — one call per block instead of
   // one per load.
-  constexpr std::size_t kBlock = 4096;
   std::vector<std::uint64_t> block(kBlock);
   std::uint32_t idx = 0;
   const auto run_steps = [&](std::uint64_t steps) {
@@ -54,17 +106,10 @@ ChaseResult chase_simulated(pvc::sim::CacheHierarchy& hierarchy,
     return total;
   };
 
-  run_steps(warmup);
-
-  ChaseResult result;
-  // Both modes load exactly one line per step (the coalesced lanes
-  // fall inside one line); step latency is that load's latency.
+  run_steps(chase_warmup(config, nodes));
   const double total = run_steps(config.steps);
-  result.loads = config.steps;
-  result.steps = config.steps;
-  result.avg_latency_cycles = total / static_cast<double>(config.steps);
   hierarchy.flush_metrics();
-  return result;
+  return timed_result(total, config.steps);
 }
 
 double chase_host_ns_per_load(std::size_t footprint_bytes,

@@ -8,6 +8,13 @@
 // the modified variant where one 16-work-item sub-group issues the load
 // together (coalesced access) — each sub-group step touches the lines
 // covered by its 16 lanes.
+//
+// chase_simulated() answers from the hierarchy's closed form
+// (sim::CacheHierarchy::closed_form_chase) whenever the cache geometry
+// decides every load, as it does for every chase the benches run.  The
+// load-by-load walk, simulate_chase(), is its fallback and the oracle
+// the closed form is tested against (ChaseOracle.* in
+// tests/test_kernels.cpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -34,9 +41,21 @@ struct ChaseConfig {
   std::uint64_t seed = 42;
 };
 
-/// Runs the chase against `hierarchy` (which is reset first).
+/// Runs the chase against `hierarchy` (which is reset first): in closed
+/// form where the geometry decides it, otherwise via simulate_chase().
+/// Either way the result and the hierarchy's counters and metric
+/// totals are identical, bit for bit.  Lines the chase would leave
+/// resident are unspecified afterwards; reset() before reusing the
+/// hierarchy for access().
 [[nodiscard]] ChaseResult chase_simulated(pvc::sim::CacheHierarchy& hierarchy,
                                           const ChaseConfig& config);
+
+/// The chase walked load by load: builds the permutation and drives
+/// `hierarchy` (reset first) through CacheHierarchy::access_run() in
+/// 4096-load blocks.  chase_simulated()'s fallback, and the oracle its
+/// closed form must match.
+[[nodiscard]] ChaseResult simulate_chase(pvc::sim::CacheHierarchy& hierarchy,
+                                         const ChaseConfig& config);
 
 /// Real host-memory pointer chase: nanoseconds per dependent load over a
 /// footprint, for the google-benchmark measured baseline.

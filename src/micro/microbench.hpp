@@ -77,7 +77,7 @@ struct LatencyPoint {
 [[nodiscard]] kernels::ChaseConfig latency_chase_config(double footprint_bytes,
                                                         bool coalesced);
 
-/// Default footprint sweep: powers of two from 16 KiB to 8 GiB,
+/// Default footprint sweep: powers of two from 16 KiB to 1 GiB,
 /// clipped to the subdevice HBM capacity.
 [[nodiscard]] std::vector<double> default_latency_footprints(
     const arch::NodeSpec& node);

@@ -428,24 +428,6 @@ CacheHierarchy::CacheHierarchy(std::vector<CacheLevelSpec> specs,
     }
     level.stride_shift = floor_log2(stride);
     level.two_lines = stride > 16;
-    // Zero-filled records carry epoch stamp 0 != epoch 1, so they read
-    // as empty and materialise lazily on first touch.  Big arrays get
-    // 2 MiB alignment plus MADV_HUGEPAGE (see the header comment).
-    const std::size_t record_bytes =
-        (level.sets << level.stride_shift) * sizeof(std::uint32_t);
-    constexpr std::size_t kHugePage = std::size_t{2} << 20;
-    const std::size_t align = record_bytes >= kHugePage ? kHugePage : 64;
-    const std::size_t alloc_bytes = (record_bytes + align - 1) & ~(align - 1);
-    void* raw = std::aligned_alloc(align, alloc_bytes);
-    ensure(raw != nullptr, "CacheHierarchy: set-record allocation failed");
-    level.storage.reset(static_cast<std::uint32_t*>(raw));
-    level.records = level.storage.get();
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    if (align == kHugePage) {
-      madvise(raw, alloc_bytes, MADV_HUGEPAGE);  // advisory; failure is fine
-    }
-#endif
-    std::memset(raw, 0, alloc_bytes);
     // Per-level handles live for this hierarchy only, so they bind to
     // the registry active where the hierarchy was constructed.
     auto& reg = obs::Registry::active();
@@ -512,7 +494,90 @@ std::uint32_t CacheHierarchy::tag_of(const Level& level,
   return static_cast<std::uint32_t>(tag);
 }
 
+void CacheHierarchy::allocate_records() {
+  if (records_allocated_) {
+    return;
+  }
+  for (auto& level : levels_) {
+    // Zero-filled records carry epoch stamp 0, below every live epoch,
+    // so they read as empty and materialise lazily on first touch.  Big
+    // arrays get 2 MiB alignment plus MADV_HUGEPAGE (see the header
+    // comment).
+    const std::size_t record_bytes =
+        (level.sets << level.stride_shift) * sizeof(std::uint32_t);
+    constexpr std::size_t kHugePage = std::size_t{2} << 20;
+    const std::size_t align = record_bytes >= kHugePage ? kHugePage : 64;
+    const std::size_t alloc_bytes = (record_bytes + align - 1) & ~(align - 1);
+    void* raw = std::aligned_alloc(align, alloc_bytes);
+    ensure(raw != nullptr, "CacheHierarchy: set-record allocation failed");
+    level.storage.reset(static_cast<std::uint32_t*>(raw));
+    level.records = level.storage.get();
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+    if (align == kHugePage) {
+      madvise(raw, alloc_bytes, MADV_HUGEPAGE);  // advisory; failure is fine
+    }
+#endif
+    std::memset(raw, 0, alloc_bytes);
+  }
+  records_allocated_ = true;
+}
+
+std::optional<double> CacheHierarchy::closed_form_chase(std::uint64_t lines,
+                                                        std::uint64_t warmup,
+                                                        std::uint64_t steps) {
+  if (accesses_ != 0 || lines == 0) {
+    return std::nullopt;
+  }
+  // The rule reads a line's set as its index mod `sets`, which holds
+  // only for 64-byte lines; past the tag range access() would throw.
+  for (const auto& level : levels_) {
+    if (level.spec.line_bytes != 64 ||
+        ((lines - 1) >> level.set_shift) >= kInvalidTag) {
+      return std::nullopt;
+    }
+  }
+  std::size_t hit_level = levels_.size();  // == size: memory serves it
+  if (warmup < lines && steps <= lines - warmup) {
+    // Every load touches its line for the first time: all cold.
+  } else if (warmup == lines) {
+    // The warm-up lap misses everywhere and leaves each set holding the
+    // last `assoc` of its lines in cycle order.  Each timed lap then
+    // replays every set's lines in the same cyclic order, so LRU keeps
+    // all of them when they fit and evicts each one before its reuse
+    // when they do not.  A level that misses passes the whole cycle on
+    // to the next, which therefore sees the same pattern.
+    for (std::size_t i = 0; i < levels_.size(); ++i) {
+      const Level& level = levels_[i];
+      const std::uint64_t fewest = lines / level.sets;
+      const std::uint64_t most = fewest + (lines % level.sets != 0 ? 1 : 0);
+      if (most <= level.assoc) {
+        hit_level = i;
+        break;
+      }
+      if (fewest <= level.assoc) {
+        return std::nullopt;  // mixed: the cycle's order decides
+      }
+    }
+  } else {
+    return std::nullopt;
+  }
+
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    levels_[i].stats.misses += warmup + (i < hit_level ? steps : 0);
+  }
+  memory_fills_ += warmup;
+  if (hit_level < levels_.size()) {
+    levels_[hit_level].stats.hits += steps;
+  } else {
+    memory_fills_ += steps;
+  }
+  accesses_ += warmup + steps;
+  return hit_level < levels_.size() ? levels_[hit_level].spec.latency_cycles
+                                    : memory_latency_cycles_;
+}
+
 double CacheHierarchy::access_one(std::uint64_t addr) {
+  allocate_records();
   LevelCtx ctx[kMaxLevels];
   const std::size_t nlevels = levels_.size();
   for (std::size_t i = 0; i < nlevels; ++i) {
@@ -536,6 +601,7 @@ double CacheHierarchy::access(std::uint64_t addr) {
 }
 
 double CacheHierarchy::access_run(std::span<const std::uint64_t> addrs) {
+  allocate_records();
   accesses_ += addrs.size();
   LevelCtx ctx[kMaxLevels];
   const std::size_t nlevels = levels_.size();
@@ -650,7 +716,10 @@ void CacheHierarchy::reset() {
     if (level.epoch == 0) [[unlikely]] {
       // Epoch wrapped (after 2^32 resets): zero the records once so
       // stale stamps from the previous cycle cannot read as current.
-      std::fill_n(level.records, level.sets << level.stride_shift, 0u);
+      // Records not yet allocated start zeroed anyway.
+      if (level.records != nullptr) {
+        std::fill_n(level.records, level.sets << level.stride_shift, 0u);
+      }
       level.epoch = 1;
     }
     level.stats = CacheLevelStats{};

@@ -5,13 +5,21 @@
 // load's latency is the absolute access latency of the first level whose
 // tag array holds the line (the usual convention for latency plots), and
 // a miss fills the line into every level (inclusive hierarchy).  LRU
-// replacement within each set.  The model is functional — the pointer
-// chase really walks addresses through it — so capacity and conflict
-// behaviour produce the same knees the paper measures.
+// replacement within each set, so capacity and conflict behaviour
+// produce the same knees the paper measures.
 //
-// Hot-path design (docs/PERFORMANCE.md): the latency sweeps issue ~1e8
-// dependent loads per run, so per-access cost dominates fig1_latency
-// wall-clock.  Compared to the seed implementation this version
+// Figure 1's chase does not walk the model load by load.
+// closed_form_chase() derives its counters and latency from the set
+// geometry alone wherever that decides every load, which covers every
+// chase the benches run (docs/PERFORMANCE.md).  The per-load path
+// below serves kernels::simulate_chase() — the chase's fallback and
+// the closed form's test oracle — and direct access() callers.  Its
+// set records are allocated on the first simulated load, not in the
+// constructor, so a hierarchy that only ever answers in closed form
+// never pays for them.
+//
+// Per-load hot-path design: compared to the seed implementation this
+// version
 //  * extracts line/set/tag with shifts and masks (power-of-two set
 //    counts; the 192 MiB PVC LLC has 3·2^16 sets and falls back to a
 //    branchless Lemire fast-mod — no div/mod either way);
@@ -35,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,6 +95,29 @@ class CacheHierarchy {
   /// summed latency in cycles.  Equivalent to accumulating access()
   /// over the block, without per-load call overhead.
   double access_run(std::span<const std::uint64_t> addrs);
+
+  /// Closed form of a cyclic pointer chase from an empty hierarchy:
+  /// the 64-byte lines at addresses 0, 64, ..., 64·(lines-1) visited in
+  /// any order that forms one cycle, `warmup` untimed loads and then
+  /// `steps` timed ones.  Where the geometry decides every load, it
+  /// credits exactly the level_stats(), accesses(), memory_fills() and
+  /// pending metric deltas that walking the cycle through access_run()
+  /// would, and returns the latency every timed load sees.  The rule,
+  /// with n = lines, W = warmup and S = steps:
+  ///  * W < n and W + S <= n: every load is a first touch and misses
+  ///    every level;
+  ///  * W == n: walking the levels nearest-first, a level whose sets
+  ///    each hold at most `assoc` of the n lines (ceil(n/sets) <=
+  ///    assoc) hits every timed load, and one whose sets each hold
+  ///    more (floor(n/sets) > assoc) misses every timed load.
+  /// It returns std::nullopt and changes nothing for any other W, for
+  /// a level with both kinds of sets (the cycle's order then decides
+  /// the result), for a line size other than 64 B, and when loads have
+  /// been issued since reset().  The credited loads leave no line
+  /// resident: a later access() starts from empty sets.
+  [[nodiscard]] std::optional<double> closed_form_chase(std::uint64_t lines,
+                                                        std::uint64_t warmup,
+                                                        std::uint64_t steps);
 
   /// From-scratch oracle: the seed's MRU-ordered-ways implementation on
   /// private shadow state (same geometry, separate tags/stats, no obs
@@ -146,9 +178,11 @@ class CacheHierarchy {
     // 2 MiB and up are 2 MiB-aligned and madvise'd MADV_HUGEPAGE: the
     // big levels (the 25 MB of PVC LLC records) are walked at random,
     // so huge pages turn a guaranteed host-TLB miss per probe into a
-    // handful of entries that stay resident.
+    // handful of entries that stay resident.  allocate_records()
+    // creates the array on the first simulated load.
     std::unique_ptr<std::uint32_t[], detail::AlignedFree> storage;
-    std::uint32_t* records = nullptr;    // == storage.get(), never null
+    std::uint32_t* records = nullptr;    // == storage.get(); null until
+                                         // the first simulated load
     std::uint32_t stride_shift = 0;      // record size = 1<<this words
     std::uint32_t ranks_off = 0;         // word offset of the rank bytes
     std::uint32_t rank_words = 0;        // 64-bit words of rank bytes
@@ -175,6 +209,9 @@ class CacheHierarchy {
   // which also keeps the SWAR byte lanes carry-free).
   static constexpr std::uint8_t kRankPad = 127;
 
+  /// Allocates every level's zero-filled set records; a no-op once
+  /// they exist.  Called by the simulated entry points only.
+  void allocate_records();
   /// One load through the optimized arrays (no accesses_ bump).
   double access_one(std::uint64_t addr);
   [[nodiscard]] static std::uint64_t set_of(const Level& level,
@@ -191,6 +228,7 @@ class CacheHierarchy {
   std::uint64_t flushed_accesses_ = 0;
   std::uint64_t flushed_memory_fills_ = 0;
   std::uint64_t ref_accesses_ = 0;
+  bool records_allocated_ = false;
 };
 
 }  // namespace pvc::sim

@@ -44,7 +44,7 @@ endfunction()
 
 # Parallelized sweep binaries: threads=4 vs threads=1, stdout + CSV +
 # metrics snapshot all byte-identical.  fig1_latency additionally pins
-# the cache model's bulk access_run()/batched-metrics path (ISSUE-4);
+# the cache.* counters its closed-form chases credit;
 # table6_foms and power_report pin the per-system/per-row sweeps added
 # with the workload-layer optimisation PR (ISSUE-5); scaling_multinode
 # pins the multi-node fabric sweep (discrete-event ClusterComm points

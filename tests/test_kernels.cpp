@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "arch/systems.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "kernels/fma_chain.hpp"
@@ -13,6 +18,8 @@
 #include "kernels/pointer_chase.hpp"
 #include "kernels/reduction.hpp"
 #include "kernels/triad.hpp"
+#include "micro/microbench.hpp"
+#include "obs/metrics.hpp"
 #include "sim/cache_model.hpp"
 
 namespace pvc::kernels {
@@ -200,6 +207,265 @@ TEST(PointerChase, HostChaseProducesPlausibleLatency) {
   const double ns = chase_host_ns_per_load(1 << 16, 20000);
   EXPECT_GT(ns, 0.1);   // faster than 0.1 ns/load is implausible
   EXPECT_LT(ns, 1000.0);  // slower than 1 us/load means something broke
+}
+
+// --- chase oracle ------------------------------------------------------------
+// chase_simulated() answers in closed form where the geometry decides
+// every load; simulate_chase() walks the permutation load by load.  Run
+// on fresh hierarchies under separate registries, the two must agree bit
+// for bit: the average latency, every per-level hit and miss count, the
+// fills, the accesses and the cache.* metric snapshot.
+
+using Levels = std::vector<sim::CacheLevelSpec>;
+
+struct ChaseRun {
+  ChaseResult result;
+  std::vector<std::uint64_t> counts;  // hits, misses per level; accesses; fills
+  std::vector<std::pair<std::string, std::uint64_t>> metrics;  // cache.*
+};
+
+ChaseRun run_chase(ChaseResult (*chase)(sim::CacheHierarchy&,
+                                        const ChaseConfig&),
+                   const Levels& levels, double memory_latency,
+                   const ChaseConfig& cfg) {
+  ChaseRun run;
+  obs::Registry registry;
+  {
+    obs::ScopedRegistry scope(registry);
+    sim::CacheHierarchy cache(levels, memory_latency);
+    run.result = chase(cache, cfg);
+    for (std::size_t i = 0; i < cache.level_count(); ++i) {
+      run.counts.push_back(cache.level_stats(i).hits);
+      run.counts.push_back(cache.level_stats(i).misses);
+    }
+    run.counts.push_back(cache.accesses());
+    run.counts.push_back(cache.memory_fills());
+  }
+  for (const auto& sample : registry.snapshot().samples) {
+    if (sample.name.rfind("cache.", 0) == 0) {
+      run.metrics.emplace_back(sample.name, sample.count);
+    }
+  }
+  return run;
+}
+
+bool has_closed_form(const Levels& levels, double memory_latency,
+                     const ChaseConfig& cfg) {
+  obs::Registry registry;
+  obs::ScopedRegistry scope(registry);
+  sim::CacheHierarchy cache(levels, memory_latency);
+  const std::uint64_t lines = cfg.footprint_bytes / 64;
+  return cache
+      .closed_form_chase(lines, cfg.warmup_steps > 0 ? cfg.warmup_steps : lines,
+                         cfg.steps)
+      .has_value();
+}
+
+void expect_chase_matches_oracle(const Levels& levels, double memory_latency,
+                                 const ChaseConfig& cfg) {
+  const ChaseRun fast = run_chase(&chase_simulated, levels, memory_latency, cfg);
+  const ChaseRun oracle =
+      run_chase(&simulate_chase, levels, memory_latency, cfg);
+  EXPECT_EQ(fast.result.avg_latency_cycles, oracle.result.avg_latency_cycles);
+  EXPECT_EQ(fast.result.steps, oracle.result.steps);
+  EXPECT_EQ(fast.result.loads, oracle.result.loads);
+  EXPECT_EQ(fast.counts, oracle.counts);
+  EXPECT_EQ(fast.metrics, oracle.metrics);
+  EXPECT_FALSE(oracle.metrics.empty());
+}
+
+// Every level's size, the footprint and the warm-up divided by 2^shift.
+// Both the line count and the set counts shrink by the same factor, so
+// every level keeps its lines-per-set counts and the chase its class.
+std::pair<Levels, ChaseConfig> scaled(Levels levels, ChaseConfig cfg,
+                                      unsigned shift) {
+  for (auto& level : levels) {
+    level.size_bytes >>= shift;
+  }
+  cfg.footprint_bytes >>= shift;
+  cfg.warmup_steps >>= shift;
+  return {levels, cfg};
+}
+
+TEST(ChaseOracle, BenchSweepOnRealAndScaledGeometries) {
+  // Footprints up to 4 MiB run on the real geometries.  Past that, 2^-6
+  // keeps every set count whole (MI250's 64-set L1 becomes one set) and
+  // leaves the 1 GiB point's 2^18 lines room for its cold warm-up plus
+  // 20000 timed loads.
+  for (const auto& node : arch::all_systems()) {
+    const auto& sub = node.card.subdevice;
+    for (double footprint : micro::default_latency_footprints(node)) {
+      SCOPED_TRACE(node.system_name + " " + std::to_string(footprint));
+      const unsigned shift = footprint > 4.0 * 1024 * 1024 ? 6 : 0;
+      const auto [levels, cfg] = scaled(
+          sub.caches, micro::latency_chase_config(footprint, true), shift);
+      const std::uint64_t lines = cfg.footprint_bytes / 64;
+      EXPECT_TRUE(cfg.warmup_steps == lines ||
+                  cfg.warmup_steps + cfg.steps <= lines);
+      EXPECT_TRUE(has_closed_form(levels, sub.hbm.latency_cycles, cfg));
+      expect_chase_matches_oracle(levels, sub.hbm.latency_cycles, cfg);
+    }
+  }
+}
+
+TEST(ChaseOracle, RandomGeometriesMatchTheWalk) {
+  Rng rng(2024);
+  int closed = 0;
+  int fallback = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    Levels levels;
+    const std::size_t depth = 1 + rng.uniform_index(3);
+    double latency = rng.uniform(1.0, 20.0);
+    std::uint64_t capacity = 0;  // lines held by the largest level
+    for (std::size_t l = 0; l < depth; ++l) {
+      const std::uint64_t sets = rng.uniform() < 0.5
+                                     ? std::uint64_t{1} << rng.uniform_index(7)
+                                     : 1 + rng.uniform_index(96);
+      const std::uint64_t assoc = 1 + rng.uniform_index(16);
+      levels.push_back(sim::CacheLevelSpec{"C" + std::to_string(l),
+                                           sets * assoc * 64, 64, assoc,
+                                           latency});
+      capacity = std::max(capacity, sets * assoc);
+      latency += rng.uniform(0.5, 150.0);
+    }
+    const double memory_latency = latency + rng.uniform(0.5, 500.0);
+
+    const std::uint64_t lines = rng.uniform() < 0.8
+                                    ? 4 + rng.uniform_index(3 * capacity)
+                                    : 4 + rng.uniform_index(16384);
+    ChaseConfig cfg;
+    cfg.footprint_bytes = lines * 64;
+    cfg.seed = rng();
+    switch (rng.uniform_index(4)) {
+      case 0:  // one warm-up lap, explicit or by default
+        cfg.warmup_steps = rng.uniform() < 0.5 ? lines : 0;
+        cfg.steps = 1 + rng.uniform_index(13000);
+        break;
+      case 1:  // cold: the timed loads end within the first lap
+        cfg.warmup_steps = 1 + rng.uniform_index(lines - 1);
+        cfg.steps = 1 + rng.uniform_index(lines - cfg.warmup_steps);
+        break;
+      case 2:  // partial warm-up whose timed loads wrap the cycle
+        cfg.warmup_steps = 1 + rng.uniform_index(lines - 1);
+        cfg.steps = lines - cfg.warmup_steps + 1 + rng.uniform_index(lines);
+        break;
+      default:  // more than one lap of warm-up
+        cfg.warmup_steps = lines + 1 + rng.uniform_index(lines);
+        cfg.steps = 1 + rng.uniform_index(4 * lines);
+        break;
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ++(has_closed_form(levels, memory_latency, cfg) ? closed : fallback);
+    expect_chase_matches_oracle(levels, memory_latency, cfg);
+    if (HasFailure()) {
+      break;
+    }
+  }
+  // Both paths must have been exercised in earnest.
+  EXPECT_GT(closed, 300);
+  EXPECT_GT(fallback, 300);
+}
+
+TEST(ChaseOracle, MixedClassGeometryFallsBack) {
+  // 4 sets x 2 ways over 10 lines: two sets hold 3 lines and overflow,
+  // two hold 2 and fit, so the permutation decides which loads hit.
+  const Levels levels = {sim::CacheLevelSpec{"L1", 4 * 2 * 64, 64, 2, 7.25}};
+  obs::Registry registry;
+  {
+    obs::ScopedRegistry scope(registry);
+    sim::CacheHierarchy cache(levels, 100.5);
+    EXPECT_FALSE(cache.closed_form_chase(10, 10, 40).has_value());
+    EXPECT_EQ(cache.accesses(), 0u);
+    EXPECT_EQ(cache.memory_fills(), 0u);
+    EXPECT_EQ(cache.level_stats(0).hits, 0u);
+    EXPECT_EQ(cache.level_stats(0).misses, 0u);
+  }
+  ChaseConfig cfg;
+  cfg.footprint_bytes = 10 * 64;
+  cfg.steps = 40;
+  expect_chase_matches_oracle(levels, 100.5, cfg);
+}
+
+TEST(ChaseOracle, ClosedFormCoversEveryBenchChase) {
+  // fig1_latency's sweep on every system in both modes (table2_microbench
+  // probes three of its footprints), plus ablation_model's two 16 MiB
+  // chases on Aurora with and without the LLC.
+  int chases = 0;
+  int closed = 0;
+  for (const auto& node : arch::all_systems()) {
+    const auto& sub = node.card.subdevice;
+    for (bool coalesced : {false, true}) {
+      for (double footprint : micro::default_latency_footprints(node)) {
+        ++chases;
+        closed += has_closed_form(
+            sub.caches, sub.hbm.latency_cycles,
+            micro::latency_chase_config(footprint, coalesced));
+      }
+    }
+  }
+  const auto& aurora = arch::aurora().card.subdevice;
+  ChaseConfig ablation;
+  ablation.footprint_bytes = 16u << 20;
+  ablation.steps = 20000;
+  for (const Levels& levels : {aurora.caches, Levels{aurora.caches[0]}}) {
+    ++chases;
+    closed += has_closed_form(levels, aurora.hbm.latency_cycles, ablation);
+  }
+  EXPECT_EQ(chases, 138);
+  EXPECT_EQ(closed, chases);
+}
+
+// Set records are allocated on the first simulated load; the sequences
+// around that moment must still match the reference_access() oracle.
+
+std::vector<std::uint64_t> revisiting_trace(std::uint64_t seed,
+                                            std::size_t n) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> trace(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    trace[i] = i > 0 && rng.uniform() < 0.4
+                   ? trace[i - 1 - rng.uniform_index(std::min<std::size_t>(i, 32))]
+                   : rng.uniform_index(1 << 20);
+  }
+  return trace;
+}
+
+void expect_loads_match_reference(sim::CacheHierarchy& cache,
+                                  std::uint64_t seed) {
+  std::vector<sim::CacheLevelStats> before;
+  for (std::size_t i = 0; i < cache.level_count(); ++i) {
+    before.push_back(cache.level_stats(i));
+  }
+  for (const std::uint64_t addr : revisiting_trace(seed, 5000)) {
+    const double expected = cache.reference_access(addr);
+    ASSERT_EQ(cache.access(addr), expected) << "addr " << addr;
+  }
+  for (std::size_t i = 0; i < cache.level_count(); ++i) {
+    EXPECT_EQ(cache.level_stats(i).hits - before[i].hits,
+              cache.reference_level_stats(i).hits);
+    EXPECT_EQ(cache.level_stats(i).misses - before[i].misses,
+              cache.reference_level_stats(i).misses);
+  }
+}
+
+TEST(ChaseOracle, ResetBeforeFirstLoadMatchesReference) {
+  auto cache = tiny_hierarchy();
+  cache.reset();
+  cache.reset();
+  expect_loads_match_reference(cache, 31);
+}
+
+TEST(ChaseOracle, SimulatedLoadsAfterClosedFormMatchReference) {
+  auto cache = tiny_hierarchy();
+  ChaseConfig cfg;
+  cfg.footprint_bytes = 4096;
+  cfg.steps = 5000;
+  const std::uint64_t lines = cfg.footprint_bytes / 64;
+  ASSERT_TRUE(has_closed_form({cache.level_spec(0), cache.level_spec(1)},
+                              cache.memory_latency_cycles(), cfg));
+  static_cast<void>(chase_simulated(cache, cfg));
+  EXPECT_EQ(cache.accesses(), lines + cfg.steps);
+  expect_loads_match_reference(cache, 32);
 }
 
 // --- reductions --------------------------------------------------------------
