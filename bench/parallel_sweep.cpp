@@ -135,7 +135,8 @@ ParallelSweep::ParallelSweep(std::size_t threads) : threads_(threads) {
 
 std::size_t ParallelSweep::threads_from_config(const pvc::Config& config) {
   const long n = config.get_int("threads", 0);
-  pvc::ensure(n >= 0, "threads= must be >= 0 (0 = hardware concurrency)");
+  pvc::ensure(n >= 0, pvc::ErrorCode::InvalidArgument,
+              "threads= must be >= 0 (0 = hardware concurrency)");
   return static_cast<std::size_t>(n);
 }
 
@@ -159,6 +160,10 @@ std::size_t ParallelSweep::add_keyed(const std::string& key,
 }
 
 void ParallelSweep::run() {
+  pvc::ensure(!ran_, pvc::ErrorCode::InvalidArgument,
+              "ParallelSweep: run() called twice; a sweep is single-use, so "
+              "make one per batch");
+  ran_ = true;
   const std::size_t n = tasks_.size();
   if (n == 0 && deduped_ == 0) {
     return;

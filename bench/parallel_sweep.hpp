@@ -80,8 +80,10 @@ class SharedPool {
 };
 
 /// Runs a batch of independent tasks across worker threads with
-/// deterministic (task-index order) metric merging.  Not reusable: make
-/// one sweep per batch.
+/// deterministic (task-index order) metric merging.  Single-use: run()
+/// executes the batch once, and a second run() throws a pvc::Error
+/// (ErrorCode::InvalidArgument) instead of executing every task again.
+/// A bench with several sections makes one sweep per section.
 class ParallelSweep {
  public:
   /// `threads` = 0 selects std::thread::hardware_concurrency() (at least
@@ -89,7 +91,8 @@ class ParallelSweep {
   explicit ParallelSweep(std::size_t threads = 0);
 
   /// Thread count requested by the bench `threads=<n>` option; 0 (the
-  /// default) defers to hardware_concurrency.
+  /// default) defers to hardware_concurrency.  A negative value throws
+  /// ErrorCode::InvalidArgument naming `threads=`.
   [[nodiscard]] static std::size_t threads_from_config(
       const pvc::Config& config);
 
@@ -125,6 +128,7 @@ class ParallelSweep {
 
  private:
   std::size_t threads_;
+  bool ran_ = false;
   std::vector<std::function<void()>> tasks_;
   std::unordered_map<std::string, std::size_t> keyed_;
   std::size_t deduped_ = 0;

@@ -163,20 +163,23 @@ int run(int argc, char** argv) {
                   "mtbf_s", "interval_s", "bytes", "seconds", "wasted_s",
                   "energy_j", "detail"});
 
-  pvcbench::ParallelSweep sweep(
-      pvcbench::ParallelSweep::threads_from_config(config));
+  // Each section runs its own single-use sweep, so every simulation runs
+  // exactly once.
+  const std::size_t threads =
+      pvcbench::ParallelSweep::threads_from_config(config);
 
   // --- checkpoint write cost vs rank count ---------------------------------
   // One task per rank count; index-matched slots keep stdout and the
   // obs registry byte-identical for any threads= value
   // (tests/determinism_check.cmake).
   std::vector<CkptPoint> ckpt(rank_counts.size());
+  pvcbench::ParallelSweep ckpt_sweep(threads);
   for (std::size_t i = 0; i < rank_counts.size(); ++i) {
-    sweep.add([&, i] {
+    ckpt_sweep.add([&, i] {
       ckpt[i] = ckpt_point(node, fabric, rank_counts[i], sim_cap, ckpt_bytes);
     });
   }
-  sweep.run();
+  ckpt_sweep.run();
 
   Table ckpt_table("Checkpoint write (" + format_bytes_binary(ckpt_bytes) +
                    "/rank through the NICs) — " + node.system_name);
@@ -214,6 +217,7 @@ int run(int argc, char** argv) {
   }
 
   std::vector<DalyPoint> daly(mtbfs.size() * std::size(kIntervalFactors));
+  pvcbench::ParallelSweep daly_sweep(threads);
   for (std::size_t mi = 0; mi < mtbfs.size(); ++mi) {
     const double mtbf = mtbfs[mi];
     const double center =
@@ -223,7 +227,7 @@ int run(int argc, char** argv) {
     for (std::size_t fi = 0; fi < std::size(kIntervalFactors); ++fi) {
       const std::size_t slot = mi * std::size(kIntervalFactors) + fi;
       const double interval = center * kIntervalFactors[fi];
-      sweep.add([&, slot, mtbf, interval] {
+      daly_sweep.add([&, slot, mtbf, interval] {
         DalyPoint& pt = daly[slot];
         pt.mtbf_s = mtbf;
         pt.interval_s = interval;
@@ -235,7 +239,7 @@ int run(int argc, char** argv) {
       });
     }
   }
-  sweep.run();
+  daly_sweep.run();
 
   Table daly_table(
       "Daly C/R sweep (" + format_value(work_s, 0) + " s of work, C=" +
@@ -313,16 +317,17 @@ int run(int argc, char** argv) {
   const fault::RecoveryPolicy policies[] = {fault::RecoveryPolicy::Shrink,
                                             fault::RecoveryPolicy::Spare};
   std::vector<RecoveryRun> runs(4);
+  pvcbench::ParallelSweep recovery_sweep(threads);
   for (std::size_t pi = 0; pi < 2; ++pi) {
     for (std::size_t op = 0; op < 2; ++op) {
       const std::size_t slot = pi * 2 + op;
-      sweep.add([&, slot, pi, op] {
+      recovery_sweep.add([&, slot, pi, op] {
         runs[slot] = recovery_run(node, fabric, plan, job_ranks,
                                   /*allreduce=*/op == 1, policies[pi], spares);
       });
     }
   }
-  sweep.run();
+  recovery_sweep.run();
 
   Table rec_table("Recovery under '" +
                   config.get("chaos").value_or(kDefaultChaos) + "' at " +

@@ -3,7 +3,10 @@
 
 Runs every bench registered in bench/bench_entry.cpp as its own process
 from <build-dir>/bench, the way a user runs it: at defaults, and again
-at threads=1 for the benches that accept threads=.  Each leg runs until
+at threads=1 for the benches that accept threads=.  The two cluster
+benches also run at sim_ranks=6144 threads=1 (DES_LEGS), the size
+perfbench's cluster_des workload times: at the default 768 ranks their
+per-flow costs hide under process start-up.  Each leg runs until
 it has MAX_SAMPLES samples or has used LEG_BUDGET_S seconds (at least
 MIN_SAMPLES), and records the median, minimum and maximum wall time,
 the sample count and the peak resident set size over its samples.
@@ -37,6 +40,11 @@ MIN_SAMPLES = 3
 MAX_SAMPLES = 11
 LEG_BUDGET_S = 30.0
 CTEST_SAMPLES = 3
+# Extra legs: the cluster DES at the rank count perfbench times.
+DES_LEGS = [
+    ("scaling_multinode", ["sim_ranks=6144", "threads=1"]),
+    ("resilience_sweep", ["sim_ranks=6144", "threads=1"]),
+]
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -104,20 +112,22 @@ def measure_leg(argv: list, cwd: str):
 
 def measure_benches(build_dir: str) -> list:
     """One row per leg: every registered bench at defaults, then the
-    benches that take threads= at threads=1."""
+    benches that take threads= at threads=1, then DES_LEGS."""
+    names = registered_benches()
+    legs = [(name, args) for args in ([], ["threads=1"]) for name in names]
+    legs += DES_LEGS
     rows = []
     with tempfile.TemporaryDirectory() as cwd:
-        for args in ([], ["threads=1"]):
-            for name in registered_benches():
-                binary = os.path.join(build_dir, "bench", name)
-                leg = measure_leg([binary, *args], cwd)
-                if leg is None:
-                    continue
-                rows.append({"name": name, "args": " ".join(args), **leg})
-                print(f"  {name:20s} {' '.join(args):10s} "
-                      f"{leg['median_wall_s'] * 1e3:10.1f} ms "
-                      f"{leg['peak_rss_mib']:7.1f} MiB  (n={leg['samples']})",
-                      flush=True)
+        for name, args in legs:
+            binary = os.path.join(build_dir, "bench", name)
+            leg = measure_leg([binary, *args], cwd)
+            if leg is None:
+                continue
+            rows.append({"name": name, "args": " ".join(args), **leg})
+            print(f"  {name:20s} {' '.join(args):26s} "
+                  f"{leg['median_wall_s'] * 1e3:10.1f} ms "
+                  f"{leg['peak_rss_mib']:7.1f} MiB  (n={leg['samples']})",
+                  flush=True)
     return rows
 
 

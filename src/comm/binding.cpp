@@ -25,9 +25,10 @@ std::vector<CpuBinding> bind_ranks(const arch::NodeSpec& node, int ranks) {
     // socket 0, cards 3-5 on socket 1).
     b.socket = (b.card * sockets) / node.card_count;
     auto& cursor = next_free[static_cast<std::size_t>(b.socket)];
-    ensure(cursor < cores_per_socket,
-           "bind_ranks: socket " + std::to_string(b.socket) +
-               " out of free cores");
+    ensure(cursor < cores_per_socket, [&] {
+      return "bind_ranks: socket " + std::to_string(b.socket) +
+             " out of free cores";
+    });
     b.core = b.socket * cores_per_socket + cursor;
     ++cursor;
     out.push_back(b);

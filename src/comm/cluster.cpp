@@ -70,6 +70,17 @@ FabricMetrics& fabric_metrics() {
 
 }  // namespace detail
 
+namespace {
+
+/// "<what><value> out of range [0, <bound>)": the text of the per-message
+/// range checks, built only when one fails.
+std::string range_message(const char* what, int value, int bound) {
+  return what + std::to_string(value) + " out of range [0, " +
+         std::to_string(bound) + ")";
+}
+
+}  // namespace
+
 ClusterComm::ClusterComm(const arch::NodeSpec& node,
                          const sim::FabricSpec& fabric, int ranks,
                          int spare_nodes)
@@ -130,19 +141,20 @@ void ClusterComm::build_links() {
 }
 
 const GlobalBinding& ClusterComm::binding(int rank) const {
-  ensure(rank >= 0 && rank < size(), ErrorCode::InvalidArgument,
-         "ClusterComm::binding: rank " + std::to_string(rank) +
-             " out of range [0, " + std::to_string(size()) + ")");
+  ensure(rank >= 0 && rank < size(), ErrorCode::InvalidArgument, [&] {
+    return range_message("ClusterComm::binding: rank ", rank, size());
+  });
   return binding_[static_cast<std::size_t>(rank)];
 }
 
 std::size_t ClusterComm::nic_index(int node, int nic) const {
   ensure(node >= 0 && node < nodes_, ErrorCode::InvalidArgument,
-         "ClusterComm: node " + std::to_string(node) + " out of range [0, " +
-             std::to_string(nodes_) + ")");
+         [&] { return range_message("ClusterComm: node ", node, nodes_); });
   ensure(nic >= 0 && nic < fabric_.nic.per_node, ErrorCode::InvalidArgument,
-         "ClusterComm: NIC " + std::to_string(nic) + " out of range [0, " +
-             std::to_string(fabric_.nic.per_node) + ")");
+         [&] {
+           return range_message("ClusterComm: NIC ", nic,
+                                fabric_.nic.per_node);
+         });
   return static_cast<std::size_t>(node) * fabric_.nic.per_node + nic;
 }
 
@@ -399,8 +411,7 @@ void ClusterComm::kill_inflight(Pred&& pred) {
 
 void ClusterComm::set_node_down(int node, bool down) {
   ensure(node >= 0 && node < nodes_, ErrorCode::InvalidArgument,
-         "ClusterComm: node " + std::to_string(node) + " out of range [0, " +
-             std::to_string(nodes_) + ")");
+         [&] { return range_message("ClusterComm: node ", node, nodes_); });
   node_down_[static_cast<std::size_t>(node)] = down ? 1 : 0;
   for (std::size_t r = 0; r < binding_.size(); ++r) {
     if (binding_[r].node == node) {
@@ -421,15 +432,13 @@ void ClusterComm::set_node_down(int node, bool down) {
 
 bool ClusterComm::node_down(int node) const {
   ensure(node >= 0 && node < nodes_, ErrorCode::InvalidArgument,
-         "ClusterComm: node " + std::to_string(node) + " out of range [0, " +
-             std::to_string(nodes_) + ")");
+         [&] { return range_message("ClusterComm: node ", node, nodes_); });
   return node_down_[static_cast<std::size_t>(node)] != 0;
 }
 
 void ClusterComm::set_rank_failed(int rank) {
   ensure(rank >= 0 && rank < size(), ErrorCode::InvalidArgument,
-         "ClusterComm: rank " + std::to_string(rank) + " out of range [0, " +
-             std::to_string(size()) + ")");
+         [&] { return range_message("ClusterComm: rank ", rank, size()); });
   rank_state_[static_cast<std::size_t>(rank)] |= 2;
   kill_inflight([rank](const InFlight& f) {
     return f.src_rank == rank || f.dst_rank == rank;
@@ -438,8 +447,7 @@ void ClusterComm::set_rank_failed(int rank) {
 
 bool ClusterComm::rank_alive(int rank) const {
   ensure(rank >= 0 && rank < size(), ErrorCode::InvalidArgument,
-         "ClusterComm: rank " + std::to_string(rank) + " out of range [0, " +
-             std::to_string(size()) + ")");
+         [&] { return range_message("ClusterComm: rank ", rank, size()); });
   return rank_state_[static_cast<std::size_t>(rank)] == 0;
 }
 

@@ -14,6 +14,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace pvc {
 
@@ -114,6 +115,27 @@ inline void ensure(bool condition, ErrorCode code, const char* message,
                    std::source_location loc = std::source_location::current()) {
   if (!condition) {
     throw Error(code, message, loc);
+  }
+}
+
+/// Deferred-message variants: `make_message()` builds the message only
+/// when the check fails, so a range check on a per-message path formats
+/// no string while it passes.
+template <typename MakeMessage>
+  requires std::is_invocable_r_v<std::string, MakeMessage&>
+inline void ensure(bool condition, MakeMessage&& make_message,
+                   std::source_location loc = std::source_location::current()) {
+  if (!condition) {
+    throw Error(make_message(), loc);
+  }
+}
+
+template <typename MakeMessage>
+  requires std::is_invocable_r_v<std::string, MakeMessage&>
+inline void ensure(bool condition, ErrorCode code, MakeMessage&& make_message,
+                   std::source_location loc = std::source_location::current()) {
+  if (!condition) {
+    throw Error(code, make_message(), loc);
   }
 }
 

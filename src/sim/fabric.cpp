@@ -49,9 +49,10 @@ DragonflyTopology::DragonflyTopology(FabricTopologySpec spec, int nodes)
 }
 
 int DragonflyTopology::group_of(int node) const {
-  ensure(node >= 0 && node < nodes_, ErrorCode::InvalidArgument,
-         "DragonflyTopology::group_of: node " + std::to_string(node) +
-             " out of range [0, " + std::to_string(nodes_) + ")");
+  ensure(node >= 0 && node < nodes_, ErrorCode::InvalidArgument, [&] {
+    return "DragonflyTopology::group_of: node " + std::to_string(node) +
+           " out of range [0, " + std::to_string(nodes_) + ")";
+  });
   return node / spec_.nodes_per_group;
 }
 

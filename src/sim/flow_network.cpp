@@ -155,29 +155,23 @@ FlowId FlowNetwork::start_flow(std::vector<LinkId> route, double bytes,
   for (LinkId id : route) {
     ensure(id < links_.size(), "FlowNetwork: route uses unknown link");
   }
-  const FlowId id = next_flow_id_++;
-  Flow flow;
-  flow.id = id;
+  const std::uint32_t slot = take_slot();
+  Flow& flow = slots_[slot];
+  flow.seq = next_seq_++;
   flow.route = std::move(route);
   flow.remaining = bytes;
+  flow.rate = 0.0;
   flow.on_complete = std::move(on_complete);
+  flow.class_mask = 0;
+  flow.state = State::Latent;
+  const FlowId id = flow_id(slot);
   auto& metrics = net_metrics();
   metrics.flows_started->add(1);
 
   if (flow.route.empty() || bytes <= kEpsilonBytes) {
-    // Pure-latency operation.  The id stays in the latent registry until
-    // the completion event fires so abort_flow() can still cancel it.
-    latent_.push_back(id);
-    auto cb = std::move(flow.on_complete);
-    engine_->schedule_after(latency_s, [cb = std::move(cb), this, id] {
-      if (!unlatent(id)) {
-        return;  // aborted while pending
-      }
-      net_metrics().flows_completed->add(1);
-      if (cb) {
-        cb(engine_->now());
-      }
-    });
+    // Pure-latency operation: end_latency() completes it, unless
+    // abort_flow() cancels it first.
+    engine_->schedule_after(latency_s, [this, id] { end_latency(id); });
     return id;
   }
 
@@ -196,60 +190,99 @@ FlowId FlowNetwork::start_flow(std::vector<LinkId> route, double bytes,
   }
 
   if (latency_s > 0.0) {
-    latent_.push_back(id);
-    engine_->schedule_after(latency_s, [this, flow = std::move(flow)]() mutable {
-      if (!unlatent(flow.id)) {
-        return;  // aborted during the latency phase
-      }
-      activate(std::move(flow));
-    });
+    engine_->schedule_after(latency_s, [this, id] { end_latency(id); });
   } else {
-    activate(std::move(flow));
+    activate(slot);
   }
   return id;
 }
 
-bool FlowNetwork::unlatent(FlowId id) {
-  const auto it = std::find(latent_.begin(), latent_.end(), id);
-  if (it == latent_.end()) {
-    return false;
+std::uint32_t FlowNetwork::take_slot() {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  *it = latent_.back();
-  latent_.pop_back();
-  return true;
+  ++slots_[slot].generation;  // stales every id the slot handed out
+  return slot;
+}
+
+void FlowNetwork::release_slot(std::uint32_t slot) {
+  Flow& flow = slots_[slot];
+  flow.state = State::Free;
+  flow.on_complete = nullptr;
+  free_slots_.push_back(slot);
+}
+
+std::uint32_t FlowNetwork::live_slot(FlowId id) const noexcept {
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) {
+    return kNoSlot;
+  }
+  const Flow& flow = slots_[slot];
+  const bool live = flow.state == State::Latent || flow.state == State::Active;
+  return live && flow.generation == (id >> 32) ? slot : kNoSlot;
+}
+
+void FlowNetwork::end_latency(FlowId id) {
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot || slots_[slot].state != State::Latent) {
+    return;  // aborted during the latency phase
+  }
+  Flow& flow = slots_[slot];
+  if (!flow.route.empty() && flow.remaining > kEpsilonBytes) {
+    activate(slot);
+    return;
+  }
+  auto cb = std::move(flow.on_complete);
+  release_slot(slot);
+  net_metrics().flows_completed->add(1);
+  if (cb) {
+    cb(engine_->now());
+  }
 }
 
 bool FlowNetwork::abort_flow(FlowId id) {
-  const std::uint32_t slot = find_active_slot(id);
-  if (slot != kNoSlot) {
-    // Integrate progress at the current rates, unlink the flow, and drop
-    // its state (the callback must never fire); survivors re-share the
-    // freed capacity at this same instant.
-    advance_progress();
-    deactivate(slot);
-    slots_[slot] = Flow{};
-    mark_rates_dirty();
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot) {
+    return false;
+  }
+  if (slots_[slot].state == State::Latent) {
+    // Still in the latency phase: the pending end_latency() event finds
+    // the slot released (or re-taken, under a new generation) and bails.
+    release_slot(slot);
     ++flows_aborted_;
     return true;
   }
-  if (unlatent(id)) {
-    // Still in the latency phase: the scheduled activation/completion
-    // event will find the id gone and bail.
-    ++flows_aborted_;
-    return true;
-  }
-  return false;
+  // Integrate progress at the current rates and unlink the flow;
+  // survivors re-share the freed capacity at this same instant.  The
+  // slot leaves active_ (and its callback, which never fires, is
+  // dropped) in the compaction that instant's rate solve runs.
+  advance_progress();
+  unlink(slot);
+  slots_[slot].state = State::Retired;
+  ++retired_;
+  mark_rates_dirty();
+  ++flows_aborted_;
+  return true;
 }
 
-void FlowNetwork::activate(Flow flow) {
+void FlowNetwork::activate(std::uint32_t slot) {
   advance_progress();
 
   // Distinct route links with traversal multiplicity (routes are a
-  // handful of hops, so the quadratic dedup never sees real n).
-  flow.incident.clear();
-  for (LinkId l : flow.route) {
+  // handful of hops, so the quadratic dedup never sees real n).  One
+  // reservation per activation, none when a reused slot already has the
+  // capacity.
+  Flow& f = slots_[slot];
+  f.incident.clear();
+  f.incident.reserve(f.route.size());
+  for (LinkId l : f.route) {
     bool found = false;
-    for (auto& [lid, count] : flow.incident) {
+    for (auto& [lid, count] : f.incident) {
       if (lid == l) {
         ++count;
         found = true;
@@ -257,27 +290,19 @@ void FlowNetwork::activate(Flow flow) {
       }
     }
     if (!found) {
-      flow.incident.emplace_back(l, 1u);
+      f.incident.emplace_back(l, 1u);
     }
   }
+  f.state = State::Active;
 
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(flow));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(flow);
+  // Append; a flow that activates ahead of an older one (a shorter
+  // latency) leaves active_ out of creation order until
+  // restore_active_order() merges it back.
+  if (ordered_ == active_.size() &&
+      (active_.empty() || slots_[active_.back()].seq < f.seq)) {
+    ++ordered_;
   }
-  const Flow& f = slots_[slot];
-
-  // Keep active_ sorted by FlowId — the iteration (and completion
-  // callback) order the original ordered-map storage provided.
-  const auto it = std::lower_bound(
-      active_.begin(), active_.end(), f.id,
-      [this](std::uint32_t s, FlowId want) { return slots_[s].id < want; });
-  active_.insert(it, slot);
+  active_.push_back(slot);
 
   for (const auto& [l, count] : f.incident) {
     if (traversals_[l] == 0) {
@@ -296,8 +321,8 @@ void FlowNetwork::activate(Flow flow) {
   mark_rates_dirty();
 }
 
-void FlowNetwork::deactivate(std::uint32_t slot) {
-  Flow& f = slots_[slot];
+void FlowNetwork::unlink(std::uint32_t slot) {
+  const Flow& f = slots_[slot];
   for (const auto& [l, count] : f.incident) {
     traversals_[l] -= count;
     auto& incidence = link_flows_[l];
@@ -321,11 +346,45 @@ void FlowNetwork::deactivate(std::uint32_t slot) {
       --class_active_[c];
     }
   }
-  const auto it = std::lower_bound(
-      active_.begin(), active_.end(), f.id,
-      [this](std::uint32_t s, FlowId want) { return slots_[s].id < want; });
-  active_.erase(it);
-  free_slots_.push_back(slot);
+}
+
+void FlowNetwork::restore_active_order() {
+  if (ordered_ == active_.size()) {
+    return;
+  }
+  const auto by_seq = [this](std::uint32_t a, std::uint32_t b) {
+    return slots_[a].seq < slots_[b].seq;
+  };
+  const auto mid = active_.begin() + static_cast<std::ptrdiff_t>(ordered_);
+  std::sort(mid, active_.end(), by_seq);
+  merge_scratch_.clear();
+  auto from = active_.begin();
+  for (auto late = mid; late != active_.end(); ++late) {
+    const auto to = std::upper_bound(from, mid, *late, by_seq);
+    merge_scratch_.insert(merge_scratch_.end(), from, to);
+    merge_scratch_.push_back(*late);
+    from = to;
+  }
+  merge_scratch_.insert(merge_scratch_.end(), from, mid);
+  active_.swap(merge_scratch_);
+  ordered_ = active_.size();
+}
+
+template <typename Done>
+void FlowNetwork::compact_active(Done&& done) {
+  auto out = active_.begin();
+  for (const std::uint32_t slot : active_) {
+    if (slots_[slot].state == State::Retired) {
+      release_slot(slot);
+    } else if (done(slot)) {
+      finished_slots_.push_back(slot);
+    } else {
+      *out++ = slot;
+    }
+  }
+  active_.erase(out, active_.end());
+  ordered_ = active_.size();
+  retired_ = 0;
 }
 
 void FlowNetwork::advance_progress() {
@@ -333,7 +392,7 @@ void FlowNetwork::advance_progress() {
   const double dt = now - last_progress_time_;
   if (dt > 0.0 && !active_.empty()) {
     auto& metrics = net_metrics();
-    metrics.flow_seconds->add(dt * static_cast<double>(active_.size()));
+    metrics.flow_seconds->add(dt * static_cast<double>(active_flows()));
     // Per-class flow-seconds batch over the maintained active-flow
     // counts — one gauge bump per class instead of flows × classes.
     for (std::size_t c = 0; c < kLinkClassCount; ++c) {
@@ -351,6 +410,10 @@ void FlowNetwork::advance_progress() {
 }
 
 void FlowNetwork::recompute_rates() {
+  restore_active_order();
+  if (retired_ > 0) {
+    compact_active([](std::uint32_t) { return false; });
+  }
   if (active_.empty()) {
     return;
   }
@@ -369,7 +432,7 @@ void FlowNetwork::recompute_rates() {
   }
 
   unfrozen_.clear();
-  for (const std::uint32_t slot : active_) {  // ascending FlowId
+  for (const std::uint32_t slot : active_) {  // creation order
     Flow& flow = slots_[slot];
     flow.rate = 0.0;
     unfrozen_.push_back(&flow);
@@ -480,16 +543,15 @@ void FlowNetwork::on_completion_event() {
   completion_scheduled_ = false;
   advance_progress();
 
-  // Collect finished slots first (active_ iterates ascending FlowId, so
-  // completion callbacks keep firing in id order), then unlink them.
-  // Both collections are member scratch: this path runs once per
-  // completing flow.
+  // One stable pass collects the finished slots in creation order (so
+  // completion callbacks fire in that order) and drops them, with any
+  // flow aborted at this instant, from active_.  Both collections are
+  // member scratch: this path runs once per completion batch.
+  restore_active_order();
   finished_slots_.clear();
-  for (const std::uint32_t slot : active_) {
-    if (slots_[slot].remaining <= kEpsilonBytes) {
-      finished_slots_.push_back(slot);
-    }
-  }
+  compact_active([this](std::uint32_t slot) {
+    return slots_[slot].remaining <= kEpsilonBytes;
+  });
   if (finished_slots_.empty()) {
     // The event fired but integration finished nothing: the minimum
     // remaining/rate rounded below one ulp of now, so the completion
@@ -501,45 +563,35 @@ void FlowNetwork::on_completion_event() {
     // the clock — in any run that terminates without this rescue, the
     // condition never holds, so previously-valid timings are unchanged.
     const Time now_ts = engine_->now();
-    for (const std::uint32_t slot : active_) {
+    compact_active([this, now_ts](std::uint32_t slot) {
       const Flow& flow = slots_[slot];
-      if (flow.rate > 0.0 && now_ts + flow.remaining / flow.rate == now_ts) {
-        finished_slots_.push_back(slot);
-      }
-    }
+      return flow.rate > 0.0 && now_ts + flow.remaining / flow.rate == now_ts;
+    });
   }
-  finished_.clear();
-  finished_.reserve(finished_slots_.size());
+  finished_callbacks_.clear();
   for (const std::uint32_t slot : finished_slots_) {
-    deactivate(slot);
-    finished_.push_back(std::move(slots_[slot]));
+    unlink(slot);
+    finished_callbacks_.push_back(std::move(slots_[slot].on_complete));
+    release_slot(slot);
   }
   mark_rates_dirty();
 
-  net_metrics().flows_completed->add(finished_.size());
+  net_metrics().flows_completed->add(finished_callbacks_.size());
   const Time now = engine_->now();
-  for (auto& flow : finished_) {
-    if (flow.on_complete) {
-      flow.on_complete(now);
+  for (auto& on_complete : finished_callbacks_) {
+    if (on_complete) {
+      on_complete(now);
     }
   }
-  finished_.clear();
-}
-
-std::uint32_t FlowNetwork::find_active_slot(FlowId id) const {
-  const auto it = std::lower_bound(
-      active_.begin(), active_.end(), id,
-      [this](std::uint32_t s, FlowId want) { return slots_[s].id < want; });
-  if (it == active_.end() || slots_[*it].id != id) {
-    return kNoSlot;
-  }
-  return *it;
+  finished_callbacks_.clear();
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
   ensure_rates_current();
-  const std::uint32_t slot = find_active_slot(id);
-  return slot == kNoSlot ? 0.0 : slots_[slot].rate;
+  const std::uint32_t slot = live_slot(id);
+  return slot != kNoSlot && slots_[slot].state == State::Active
+             ? slots_[slot].rate
+             : 0.0;
 }
 
 double FlowNetwork::link_load(LinkId id) const {
@@ -557,7 +609,7 @@ std::vector<std::pair<FlowId, double>> FlowNetwork::current_rates() const {
   std::vector<std::pair<FlowId, double>> out;
   out.reserve(active_.size());
   for (const std::uint32_t slot : active_) {
-    out.emplace_back(slots_[slot].id, slots_[slot].rate);
+    out.emplace_back(flow_id(slot), slots_[slot].rate);
   }
   return out;
 }
@@ -565,6 +617,17 @@ std::vector<std::pair<FlowId, double>> FlowNetwork::current_rates() const {
 std::vector<std::pair<FlowId, double>> FlowNetwork::reference_rates() const {
   // The original from-scratch solver, kept verbatim as the oracle: fresh
   // buffers over every link, weights re-derived by walking each route.
+  // The active set is re-derived too: the transferring slots of
+  // active_, sorted into creation order here.
+  std::vector<std::uint32_t> live;
+  for (const std::uint32_t slot : active_) {
+    if (slots_[slot].state == State::Active) {
+      live.push_back(slot);
+    }
+  }
+  std::sort(live.begin(), live.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return slots_[a].seq < slots_[b].seq;
+  });
   std::vector<double> residual(links_.size());
   for (std::size_t i = 0; i < links_.size(); ++i) {
     residual[i] = links_[i].effective_capacity_bps();
@@ -572,13 +635,14 @@ std::vector<std::pair<FlowId, double>> FlowNetwork::reference_rates() const {
   std::vector<double> weight(links_.size(), 0.0);
 
   struct RefFlow {
+    FlowId id;
     const Flow* flow;
     double rate;
   };
   std::vector<RefFlow> all;
-  all.reserve(active_.size());
-  for (const std::uint32_t slot : active_) {  // ascending FlowId
-    all.push_back(RefFlow{&slots_[slot], 0.0});
+  all.reserve(live.size());
+  for (const std::uint32_t slot : live) {
+    all.push_back(RefFlow{flow_id(slot), &slots_[slot], 0.0});
     for (const LinkId l : slots_[slot].route) {
       weight[l] += 1.0;
     }
@@ -629,7 +693,7 @@ std::vector<std::pair<FlowId, double>> FlowNetwork::reference_rates() const {
   std::vector<std::pair<FlowId, double>> out;
   out.reserve(all.size());
   for (const RefFlow& rf : all) {
-    out.emplace_back(rf.flow->id, rf.rate);
+    out.emplace_back(rf.id, rf.rate);
   }
   return out;
 }

@@ -13,15 +13,29 @@
 // Routes may traverse the same link more than once (2-hop Xe-Link routes);
 // each traversal consumes an extra share of that link's capacity.
 //
-// Hot-path design (docs/PERFORMANCE.md): flows live in slot-indexed
-// storage with a free list (no per-flow node allocations), the solver
-// maintains per-link active-traversal counts and a compact active-link
-// list incrementally across flow add/remove/scale changes, and the
-// progressive-filling scratch buffers are members reused across calls.
-// Rate recomputation is batched: mutations mark the rates dirty and a
-// zero-delay resolve event (or the first rate query, whichever comes
-// first) runs progressive filling once per simulated instant, so N
-// flows starting at the same timestamp cost one solve instead of N.
+// Hot-path design (docs/PERFORMANCE.md, "Flow network"):
+//  * Slot-addressed flows.  A flow takes a slot of the slot-indexed
+//    storage (free list, no per-flow node allocations) when it starts.
+//    Its FlowId packs (generation << 32) | slot, like the engine's
+//    EventId, so abort_flow(), flow_rate() and the end of the latency
+//    phase find it with one generation compare.
+//  * Creation-order active list.  `active_` keeps the transferring flows
+//    in creation order, the order completion callbacks fire in.
+//    Activations append; the order is restored once per simulated
+//    instant, before the rate solve and before the completion scan.  A
+//    finished batch, and any flow aborted at that instant, leaves in
+//    one stable compaction.
+//  * Costs.  Starting, activating, aborting or completing one flow is
+//    O(1) plus its route.  The work that walks every active flow (the
+//    order merge, progress integration, the rate solve, the
+//    next-completion and completion scans) runs once per instant.
+//  * Incremental solver state.  Per-link active-traversal counts and a
+//    compact active-link list are maintained across flow changes, and
+//    the progressive-filling scratch buffers are reused across solves.
+//  * Batched solves.  Mutations mark the rates dirty and a zero-delay
+//    resolve event (or the first rate query, whichever comes first) runs
+//    progressive filling once per simulated instant, so N flows starting
+//    at the same timestamp cost one solve instead of N.
 // reference_rates() retains the original from-scratch solver as the
 // equivalence-test oracle.
 
@@ -37,6 +51,9 @@
 namespace pvc::sim {
 
 using LinkId = std::size_t;
+/// Handle of one flow.  Packs (generation << 32) | slot, like EventId:
+/// once the flow finishes or is aborted its id goes stale, even after a
+/// later flow reuses the slot.  0 is never a valid id.
 using FlowId = std::uint64_t;
 
 /// Coarse link taxonomy used for per-class metrics (obs registry names
@@ -106,8 +123,9 @@ class FlowNetwork {
   /// on_complete callback never fires (the caller reports the failure
   /// through its own typed-error channel — docs/ROBUSTNESS.md node
   /// faults).  Works in both the latency phase and the transfer phase.
-  /// Returns false when the id is unknown or already finished.  Remaining
-  /// active flows are re-shared immediately.
+  /// Returns false when the id is unknown, stale, or already finished.
+  /// Remaining active flows are re-shared immediately.  O(1) plus the
+  /// route length.
   bool abort_flow(FlowId id);
 
   /// Flows killed by abort_flow() so far (diagnostics).
@@ -117,10 +135,11 @@ class FlowNetwork {
 
   /// Number of flows currently transferring (excludes latency phase).
   [[nodiscard]] std::size_t active_flows() const noexcept {
-    return active_.size();
+    return active_.size() - retired_;
   }
 
-  /// Current fair-share rate of an active flow; 0 if unknown/finished.
+  /// Current fair-share rate of an active flow; 0 if unknown, stale,
+  /// finished, or still in its latency phase.
   [[nodiscard]] double flow_rate(FlowId id) const;
 
   /// Instantaneous load on a link: the sum of active flow rates crossing
@@ -129,7 +148,8 @@ class FlowNetwork {
   /// incidence list in O(flows on that link).
   [[nodiscard]] double link_load(LinkId id) const;
 
-  /// (id, rate) of every active flow, ascending id (test/introspection).
+  /// (id, rate) of every active flow, in creation order
+  /// (test/introspection).
   [[nodiscard]] std::vector<std::pair<FlowId, double>> current_rates() const;
 
   /// Max-min rates re-derived from scratch by the retained reference
@@ -141,8 +161,17 @@ class FlowNetwork {
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
+  /// Where a slot's flow is in its life.
+  enum class State : std::uint8_t {
+    Free,     ///< on the free list
+    Latent,   ///< latency phase: its end_latency() event is pending
+    Active,   ///< transferring, listed in active_
+    Retired,  ///< aborted while active: still listed in active_ (but
+              ///< unlinked from every link) until the next compaction
+  };
+
   struct Flow {
-    FlowId id = 0;
+    std::uint64_t seq = 0;  ///< creation order, the order of active_
     std::vector<LinkId> route;
     /// Distinct links of `route` with traversal multiplicity, computed
     /// once at activation; drives the incremental per-link bookkeeping.
@@ -150,6 +179,8 @@ class FlowNetwork {
     double remaining = 0.0;
     double rate = 0.0;
     std::function<void(Time)> on_complete;
+    std::uint32_t generation = 0;  ///< bumped each time the slot is taken
+    State state = State::Free;
     std::uint8_t class_mask = 0;  ///< distinct LinkClass bits of the route
   };
   /// One active flow crossing a link (slot + traversal count).
@@ -158,11 +189,27 @@ class FlowNetwork {
     std::uint32_t count = 0;
   };
 
-  void activate(Flow flow);
-  void deactivate(std::uint32_t slot);
-  /// Removes `id` from the latency-phase registry; false when absent
-  /// (the flow was aborted — its activation/completion event must bail).
-  [[nodiscard]] bool unlatent(FlowId id);
+  [[nodiscard]] std::uint32_t take_slot();
+  void release_slot(std::uint32_t slot);
+  [[nodiscard]] FlowId flow_id(std::uint32_t slot) const noexcept {
+    return (static_cast<FlowId>(slots_[slot].generation) << 32) | slot;
+  }
+  /// Slot of a latent or active flow; kNoSlot for a stale or unknown id.
+  [[nodiscard]] std::uint32_t live_slot(FlowId id) const noexcept;
+  /// The latency-phase event: completes a pure-latency flow or activates
+  /// a transfer; bails when the flow was aborted meanwhile.
+  void end_latency(FlowId id);
+  void activate(std::uint32_t slot);
+  /// Drops an active flow's link and class bookkeeping (active_ keeps
+  /// the slot until the next compaction).
+  void unlink(std::uint32_t slot);
+  /// Merges the activations appended since the last call back into
+  /// creation order: binary search per late flow, block moves between.
+  void restore_active_order();
+  /// One stable pass over active_: releases retired slots and moves the
+  /// slots `done` selects to finished_slots_, in creation order.
+  template <typename Done>
+  void compact_active(Done&& done);
   void advance_progress();
   void recompute_rates();
   /// Flags the fair-share rates stale and (once per simulated instant)
@@ -172,30 +219,32 @@ class FlowNetwork {
   void mark_rates_dirty();
   /// Runs the deferred recompute now if the rates are stale (rate
   /// queries between a mutation and its resolve event land here).
+  /// While the rates are current, active_ is in creation order and
+  /// holds no retired slot.
   void ensure_rates_current() const;
   void reschedule_completion();
   void on_completion_event();
-  [[nodiscard]] std::uint32_t find_active_slot(FlowId id) const;
 
   Engine* engine_;
   std::vector<Link> links_;
-  FlowId next_flow_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   Time last_progress_time_ = 0.0;
   EventId completion_event_ = 0;
   bool completion_scheduled_ = false;
   mutable bool rates_dirty_ = false;
   bool resolve_scheduled_ = false;
 
-  // Slot-indexed flow storage with a free list; `active_` holds the live
-  // slots sorted by ascending FlowId (the iteration order the original
-  // std::map-based model used, preserved for determinism).
+  // Slot-indexed flow storage with a free list.  `active_` holds the
+  // transferring slots; its first `ordered_` entries are in creation
+  // order (the iteration and completion-callback order the original
+  // std::map-keyed model used, preserved for determinism), the rest are
+  // activations appended since.  `retired_` counts aborted slots still
+  // listed there.
   std::vector<Flow> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> active_;
-  /// Flows still in their latency phase (activation or pure-latency
-  /// completion event pending).  abort_flow() removes the id here so the
-  /// pending event finds it gone and bails.
-  std::vector<FlowId> latent_;
+  std::size_t ordered_ = 0;
+  std::size_t retired_ = 0;
   std::uint64_t flows_aborted_ = 0;
 
   // Incrementally maintained per-link state.
@@ -212,13 +261,14 @@ class FlowNetwork {
   std::vector<Flow*> still_unfrozen_;
   std::vector<Flow*> frozen_scratch_;  ///< decide-phase output per level
 
-  // Completion-event scratch, reused across on_completion_event() calls
-  // (two heap allocations per completion event otherwise).
-  // on_completion_event() cannot re-enter itself (events fire only from
-  // the engine loop), so reuse is safe even when completion callbacks
-  // start or abort flows.
+  // Scratch reused across calls: the merge buffer of
+  // restore_active_order() and the completion batch of
+  // on_completion_event().  on_completion_event() cannot re-enter itself
+  // (events fire only from the engine loop), so reuse is safe even when
+  // completion callbacks start or abort flows.
+  std::vector<std::uint32_t> merge_scratch_;
   std::vector<std::uint32_t> finished_slots_;
-  std::vector<Flow> finished_;
+  std::vector<std::function<void(Time)>> finished_callbacks_;
 };
 
 }  // namespace pvc::sim

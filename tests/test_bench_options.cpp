@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,9 +16,12 @@
 
 #include <unistd.h>
 
+#include "arch/systems.hpp"
 #include "bench_entry.hpp"
 #include "core/error.hpp"
+#include "fault/checkpoint.hpp"
 #include "obs/metrics.hpp"
+#include "sim/fabric.hpp"
 
 namespace {
 
@@ -86,6 +90,70 @@ TEST(BenchRegistry, InProcessRerunIsByteIdentical) {
   fs::remove_all(dir);
 }
 
+/// The integer `count` column of metric `name` in a metrics= CSV.
+std::uint64_t metric_count(const std::string& metrics,
+                           const std::string& name) {
+  std::istringstream in(metrics);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(name + ",", 0) != 0) {
+      continue;
+    }
+    // metric,type,unit,value,count,...: the fifth field.
+    std::istringstream fields(line);
+    std::string field;
+    for (int i = 0; i < 5; ++i) {
+      std::getline(fields, field, ',');
+    }
+    return std::stoull(field);
+  }
+  ADD_FAILURE() << name << " missing from the metrics";
+  return 0;
+}
+
+TEST(BenchRegistry, ResilienceSweepRunsEachSectionOnce) {
+  // resilience_sweep once reused one sweep for its three sections, so
+  // every run() re-ran the sections before it: the checkpoint DES three
+  // times and the Daly Monte Carlo twice.  Its counters must read one
+  // pass.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pvc_bench_once_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const auto [csv, metrics] =
+      run_to_files("resilience_sweep", {"sim_ranks=48", "threads=2"}, dir);
+  fs::remove_all(dir);
+  EXPECT_FALSE(csv.empty());
+
+  // sim_ranks=48 prices 12 and 48 Aurora ranks on the DES, 16 GiB each.
+  constexpr std::uint64_t kCkptBytes = 16ull << 30;
+  EXPECT_EQ(metric_count(metrics, "fabric.ckpt.bytes"), (12 + 48) * kCkptBytes);
+
+  // One Daly grid at the bench defaults: the MTBF x interval-factor grid
+  // around the Daly optimum, C = the model's one-node write cost,
+  // R = 3C, seed 7 (the default chaos) + cell, 400 trials of 10000 s.
+  const auto node = pvc::arch::aurora();
+  const double write = pvc::fault::checkpoint_write_model_s(
+      pvc::sim::FabricSpec::for_node(node), node.total_subdevices(),
+      static_cast<double>(kCkptBytes));
+  pvc::obs::Registry grid;
+  {
+    pvc::obs::ScopedRegistry scope(grid);
+    std::uint64_t cell = 0;
+    for (const double mtbf : {250.0, 1000.0, 4000.0}) {
+      const double center = pvc::fault::daly_optimal_interval_s(write, mtbf);
+      for (const double factor : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+        (void)pvc::fault::simulate_checkpoint_restart(
+            10000.0, center * factor, write, 3.0 * write, mtbf, 7 + cell++,
+            400);
+      }
+    }
+  }
+  const std::uint64_t one_grid = grid.snapshot().count("fault.checkpoints");
+  EXPECT_GT(one_grid, 0u);
+  EXPECT_EQ(metric_count(metrics, "fault.checkpoints"), one_grid);
+  EXPECT_EQ(metric_count(metrics, "fault.restarts"),
+            grid.snapshot().count("fault.restarts"));
+}
+
 /// Runs `bench` with `args` and returns the pvc::Error it throws; fails
 /// the test when the run completes instead.
 pvc::Error run_expecting_error(const char* bench,
@@ -111,6 +179,19 @@ TEST(BenchOptions, NegativeSimRanksIsATypedError) {
     const pvc::Error e = run_expecting_error(bench, {"sim_ranks=-5"});
     EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << bench;
     EXPECT_NE(std::string(e.what()).find("sim_ranks"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BenchOptions, NegativeThreadsIsATypedError) {
+  // threads= sizes the sweep pool; a negative count is an error naming
+  // the option (checked on node-table, chaos and cluster benches).
+  for (const char* bench :
+       {"table3_p2p", "chaos_degradation", "scaling_multinode",
+        "resilience_sweep"}) {
+    const pvc::Error e = run_expecting_error(bench, {"threads=-1"});
+    EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << bench;
+    EXPECT_NE(std::string(e.what()).find("threads="), std::string::npos)
         << e.what();
   }
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "obs/metrics.hpp"
 #include "parallel_sweep.hpp"
 
@@ -92,6 +93,33 @@ TEST(ParallelSweep, FirstFailureByIndexPropagates) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "task one failed");
   }
+}
+
+TEST(ParallelSweep, SecondRunIsAnError) {
+  // A sweep is single-use.  A second run() used to execute every task
+  // again and merge its metrics twice; now it fails by name and runs
+  // nothing.
+  pvc::obs::Registry base;
+  pvc::obs::ScopedRegistry scope(base);
+  int executed = 0;
+  pvcbench::ParallelSweep sweep(1);
+  sweep.add([&executed] {
+    ++executed;
+    pvc::obs::Registry::active()
+        .counter("sweep.tasks", "calls", "tasks executed")
+        .add(1);
+  });
+  sweep.run();
+  try {
+    sweep.run();
+    FAIL() << "a second run() should throw";
+  } catch (const pvc::Error& e) {
+    EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument);
+    EXPECT_NE(std::string(e.what()).find("single-use"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(executed, 1);
+  EXPECT_EQ(base.snapshot().count("sweep.tasks"), 1u);
 }
 
 TEST(ParallelSweep, ThreadCountResolution) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -87,6 +88,52 @@ TEST(FlowAbort, UnknownOrFinishedIdReturnsFalse) {
   EXPECT_FALSE(net.abort_flow(id));      // already completed
   EXPECT_FALSE(net.abort_flow(id + 7));  // never existed
   EXPECT_EQ(net.flows_aborted(), 0u);
+}
+
+TEST(FlowAbort, StaleIdOfAReusedSlotIsRejected) {
+  // A finished flow's id goes stale when a new flow takes its slot: it
+  // must neither abort nor report the newcomer.
+  sim::Engine engine;
+  sim::FlowNetwork net(engine);
+  const sim::LinkId link = net.add_link("l", 100.0);
+  const sim::FlowId first = net.start_flow({link}, 100.0, 0.0, {});
+  engine.run();
+  double done = -1.0;
+  const sim::FlowId second = net.start_flow(
+      {link}, 100.0, 0.0, [&](sim::Time t) { done = t; });
+  ASSERT_NE(first, second);
+  ASSERT_EQ(static_cast<std::uint32_t>(first),
+            static_cast<std::uint32_t>(second));  // the same slot
+  EXPECT_FALSE(net.abort_flow(first));
+  EXPECT_EQ(net.flow_rate(first), 0.0);
+  EXPECT_EQ(net.flow_rate(second), 100.0);
+  engine.run();
+  EXPECT_DOUBLE_EQ(done, 2.0);
+  EXPECT_EQ(net.flows_aborted(), 0u);
+}
+
+TEST(FlowAbort, AbortedLatencyEventLeavesTheSlotsNextFlowAlone) {
+  // A flow aborted in its latency phase frees its slot at once; the
+  // next flow takes it.  The aborted flow's pending latency event must
+  // then bail instead of activating the newcomer early.
+  sim::Engine engine;
+  sim::FlowNetwork net(engine);
+  const sim::LinkId link = net.add_link("l", 100.0);
+  const sim::FlowId doomed = net.start_flow({link}, 100.0, 1.0, {});
+  ASSERT_TRUE(net.abort_flow(doomed));
+  double done = -1.0;
+  const sim::FlowId next = net.start_flow(
+      {link}, 100.0, 2.0, [&](sim::Time t) { done = t; });
+  ASSERT_EQ(static_cast<std::uint32_t>(doomed),
+            static_cast<std::uint32_t>(next));  // the same slot
+  engine.schedule_at(1.5, [&] {
+    EXPECT_EQ(net.active_flows(), 0u);  // still in its latency phase
+    EXPECT_EQ(net.flow_rate(next), 0.0);
+  });
+  engine.run();
+  EXPECT_DOUBLE_EQ(done, 3.0);  // activates at 2 s, 100 B at 100 B/s
+  EXPECT_FALSE(net.abort_flow(doomed));
+  EXPECT_EQ(net.flows_aborted(), 1u);
 }
 
 // --- whole-node faults on ClusterComm ---------------------------------------

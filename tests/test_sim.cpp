@@ -350,10 +350,12 @@ TEST(FlowNetwork, LinkLoadCountsMultiTraversalRoutes) {
 }
 
 TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
-  // Randomized flow churn (starts, completions, multi-traversal routes,
-  // link degradations/restores): after every mutation the incremental
+  // Randomized flow churn (starts with and without a latency phase,
+  // completions, aborts in either phase, multi-traversal routes, link
+  // degradations/restores): after every mutation the incremental
   // solver's rates must match the retained from-scratch reference
-  // solver, and link loads must respect capacities.
+  // solver, every id's flow_rate() must agree with them, and link loads
+  // must respect capacities.
   Engine engine;
   FlowNetwork net(engine);
   pvc::Rng rng(0xC0FFEEu);
@@ -363,14 +365,24 @@ TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
     links.push_back(
         net.add_link("l" + std::to_string(i), 50.0 * (1 + i % 3)));
   }
+  std::vector<FlowId> started;
+  int latent_aborts = 0;
+  int active_aborts = 0;
 
-  const auto check = [&net, &links] {
+  const auto check = [&net, &links, &started] {
+    const std::size_t transferring = net.active_flows();
     const auto inc = net.current_rates();
     const auto ref = net.reference_rates();
+    EXPECT_EQ(transferring, inc.size());
     ASSERT_EQ(inc.size(), ref.size());
     for (std::size_t i = 0; i < inc.size(); ++i) {
       EXPECT_EQ(inc[i].first, ref[i].first);
       EXPECT_DOUBLE_EQ(inc[i].second, ref[i].second);
+    }
+    for (const FlowId id : started) {
+      const auto it = std::find_if(inc.begin(), inc.end(),
+                                   [id](const auto& r) { return r.first == id; });
+      EXPECT_EQ(net.flow_rate(id), it == inc.end() ? 0.0 : it->second);
     }
     for (const LinkId id : links) {
       EXPECT_LE(net.link_load(id),
@@ -381,18 +393,33 @@ TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
   double t = 0.0;
   for (int step = 0; step < 300; ++step) {
     t += rng.uniform(0.0, 0.5);
-    engine.schedule_at(t, [&net, &links, &rng, &check] {
+    engine.schedule_at(t, [&] {
       const double pick = rng.uniform();
-      if (pick < 0.7) {
+      if (pick < 0.6) {
         // Random route of 1-3 hops, links drawn with replacement so the
-        // same link is regularly traversed more than once.
+        // same link is regularly traversed more than once.  Half the
+        // flows start at once, half after a latency phase that often
+        // outlasts the next mutation.
         std::vector<LinkId> route;
         const std::size_t hops = 1 + rng.uniform_index(3);
         for (std::size_t h = 0; h < hops; ++h) {
           route.push_back(links[rng.uniform_index(links.size())]);
         }
-        net.start_flow(std::move(route), rng.uniform(10.0, 500.0),
-                       rng.uniform(0.0, 0.1), {});
+        const double latency =
+            rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.0, 1.5);
+        started.push_back(net.start_flow(
+            std::move(route), rng.uniform(10.0, 500.0), latency, {}));
+      } else if (pick < 0.75 && !started.empty()) {
+        // Abort a random earlier flow: latent, active or long finished.
+        const FlowId victim = started[rng.uniform_index(started.size())];
+        const auto rates = net.current_rates();
+        const bool active =
+            std::any_of(rates.begin(), rates.end(),
+                        [victim](const auto& r) { return r.first == victim; });
+        if (net.abort_flow(victim)) {
+          ++(active ? active_aborts : latent_aborts);
+        }
+        EXPECT_FALSE(net.abort_flow(victim));
       } else {
         net.set_link_scale(links[rng.uniform_index(links.size())],
                            rng.uniform(0.25, 1.0));
@@ -403,6 +430,59 @@ TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
   engine.run();
   check();
   EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_GT(latent_aborts, 0);
+  EXPECT_GT(active_aborts, 0);
+  EXPECT_EQ(net.flows_aborted(),
+            static_cast<std::uint64_t>(latent_aborts + active_aborts));
+}
+
+TEST(FlowNetwork, SameInstantCompletionsFireInCreationOrder) {
+  // Flows finishing at one instant fire their callbacks in creation
+  // order, however they reached the active list.
+  {
+    // Activated out of order: the first flow waits out a 1 s latency,
+    // the second starts at once; both finish at t = 2 on private links.
+    Engine engine;
+    FlowNetwork net(engine);
+    const LinkId a = net.add_link("a", 100.0);
+    const LinkId b = net.add_link("b", 100.0);
+    std::vector<int> order;
+    net.start_flow({a}, 100.0, 1.0, [&](Time t) {
+      EXPECT_DOUBLE_EQ(t, 2.0);
+      order.push_back(1);
+    });
+    net.start_flow({b}, 200.0, 0.0, [&](Time t) {
+      EXPECT_DOUBLE_EQ(t, 2.0);
+      order.push_back(2);
+    });
+    engine.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  }
+  {
+    // A later flow in a lower slot: the first flow finishes at t = 1 and
+    // frees slot 0, which `late` (started from its callback) takes;
+    // `older` holds slot 1 since t = 0.  Both finish at t = 3.
+    Engine engine;
+    FlowNetwork net(engine);
+    const LinkId a = net.add_link("a", 100.0);
+    const LinkId b = net.add_link("b", 100.0);
+    std::vector<int> order;
+    FlowId late = 0;
+    net.start_flow({a}, 100.0, 0.0, [&](Time) {
+      late = net.start_flow({a}, 200.0, 0.0, [&](Time t) {
+        EXPECT_DOUBLE_EQ(t, 3.0);
+        order.push_back(2);
+      });
+    });
+    const FlowId older = net.start_flow({b}, 300.0, 0.0, [&](Time t) {
+      EXPECT_DOUBLE_EQ(t, 3.0);
+      order.push_back(1);
+    });
+    engine.run();
+    EXPECT_LT(static_cast<std::uint32_t>(late),
+              static_cast<std::uint32_t>(older));  // the lower slot
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  }
 }
 
 TEST(FlowNetwork, AbortInStartInstantReleasesBandwidth) {
