@@ -1,6 +1,7 @@
 // google-benchmark measurements of the simulator core itself: event
 // throughput, flow-network rate recomputation under contention, cache
-// model access rate, and whole-Table-II evaluation cost.  These guard
+// model access rate, the cluster DES, the checkpoint/restart Monte
+// Carlo, and whole-Table-II evaluation cost.  These guard
 // the simulator's own performance (a model that takes minutes to answer
 // is not usable as a design tool).
 
@@ -13,6 +14,7 @@
 #include "arch/systems.hpp"
 #include "comm/cluster.hpp"
 #include "comm/communicator.hpp"
+#include "fault/checkpoint.hpp"
 #include "micro/microbench.hpp"
 #include "runtime/node_sim.hpp"
 #include "sim/cache_model.hpp"
@@ -62,10 +64,11 @@ void BM_FlowNetworkContention(benchmark::State& state) {
   for (auto _ : state) {
     pvc::sim::Engine engine;
     pvc::sim::FlowNetwork net(engine);
-    const auto shared = net.add_link("shared", 1e9);
+    const auto shared = net.add_link(pvc::sim::LinkClass::Other, 1e9);
     std::vector<pvc::sim::LinkId> privates;
     for (int f = 0; f < flows; ++f) {
-      privates.push_back(net.add_link("p", 1e8 * (1 + f % 7)));
+      privates.push_back(
+          net.add_link(pvc::sim::LinkClass::Other, 1e8 * (1 + f % 7)));
     }
     for (int f = 0; f < flows; ++f) {
       net.start_flow({shared, privates[static_cast<std::size_t>(f)]},
@@ -238,6 +241,39 @@ void BM_ClusterCheckpoint(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ranks);
 }
 BENCHMARK(BM_ClusterCheckpoint)->Unit(benchmark::kMillisecond);
+
+// The Daly checkpoint/restart grid resilience_sweep prices at its
+// defaults on Aurora: three MTBFs x five interval factors around the
+// Daly optimum, 10000 s of work, C = the modelled one-node write of
+// 16 GiB per rank, R = 3C, seeds 7-21, 400 trials per cell.  The timed
+// region is everything that section pays per run: both estimators of
+// all 15 cells.
+void BM_CheckpointRestartGrid(benchmark::State& state) {
+  const auto node = pvc::arch::aurora();
+  const double write = pvc::fault::checkpoint_write_model_s(
+      pvc::sim::FabricSpec::for_node(node), node.total_subdevices(),
+      16.0 * 1024.0 * 1024.0 * 1024.0);
+  constexpr int kTrials = 400;
+  for (auto _ : state) {
+    double seconds = 0.0;
+    std::uint64_t seed = 7;
+    for (const double mtbf : {250.0, 1000.0, 4000.0}) {
+      const double center = pvc::fault::daly_optimal_interval_s(write, mtbf);
+      for (const double factor : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+        const double interval = center * factor;
+        seconds += pvc::fault::daly_expected_runtime_s(
+            10000.0, interval, write, 3.0 * write, mtbf);
+        seconds += pvc::fault::simulate_checkpoint_restart(
+                       10000.0, interval, write, 3.0 * write, mtbf, seed++,
+                       kTrials)
+                       .elapsed_s;
+      }
+    }
+    benchmark::DoNotOptimize(seconds);
+  }
+  state.SetItemsProcessed(state.iterations() * 15 * kTrials);
+}
+BENCHMARK(BM_CheckpointRestartGrid)->Unit(benchmark::kMillisecond);
 
 void BM_MeasurePeakFlops(benchmark::State& state) {
   const auto node = pvc::arch::aurora();

@@ -22,12 +22,17 @@
 //
 // sim_ranks= caps the rank counts whose checkpoint write the DES prices
 // (default 768); 0 prices every point with the model.  The recovery
-// section always runs on the DES.  threads= only spreads the sections'
-// independent runs over a sweep pool: output is byte-identical at every
-// value (tests/determinism_check.cmake).
+// section always runs on the DES.  work= must be finite and positive and
+// trials= in 1..INT_MAX, checked before any section runs; a Daly cell
+// past fault::simulate_checkpoint_restart's bounds (2^20 segments per
+// trial, 1e9 expected failures) fails naming them.  threads= only
+// spreads the sections' independent runs over a sweep pool: output is
+// byte-identical at every value (tests/determinism_check.cmake).
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -140,7 +145,19 @@ int run(int argc, char** argv) {
          "sim_ranks must be non-negative (got " + std::to_string(sim_cap) +
              "; 0 prices every point with the model)");
   const double work_s = config.get_double("work", 10000.0);
-  const int trials = static_cast<int>(config.get_int("trials", 400));
+  ensure(std::isfinite(work_s) && work_s > 0.0, ErrorCode::InvalidArgument,
+         [&] {
+           return "work= must be a finite, positive number of seconds "
+                  "(got " + config.get_string("work", "") + ")";
+         });
+  const long trials_arg = config.get_int("trials", 400);
+  ensure(trials_arg >= 1 && trials_arg <= std::numeric_limits<int>::max(),
+         ErrorCode::InvalidArgument, [&] {
+           return "trials= must be in 1.." +
+                  std::to_string(std::numeric_limits<int>::max()) +
+                  " (got " + std::to_string(trials_arg) + ")";
+         });
+  const int trials = static_cast<int>(trials_arg);
   const fault::FaultPlan plan =
       fault::FaultPlan::parse(config.get("chaos").value_or(kDefaultChaos));
   // The plan is armed only on the recovery job (spare nodes aside).

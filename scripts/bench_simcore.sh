@@ -22,7 +22,7 @@ if [[ ! -x "${bench}" ]]; then
 fi
 
 "${bench}" \
-  --benchmark_filter='BM_Engine|BM_FlowNetworkContention|BM_CacheChase|BM_TagMatchChurn|BM_Cluster' \
+  --benchmark_filter='BM_Engine|BM_FlowNetworkContention|BM_CacheChase|BM_TagMatchChurn|BM_Cluster|BM_CheckpointRestart' \
   --benchmark_min_time=0.5 \
   --benchmark_format=json \
   --benchmark_out="${out}" \

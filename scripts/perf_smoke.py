@@ -5,7 +5,8 @@ Re-runs each guarded suite from the given build dir and compares every
 matching benchmark against its committed baseline JSON at the repo
 root:
 
-  simcore    gbench_simcore   BM_Cluster*  vs BENCH_simcore.json
+  simcore    gbench_simcore   BM_Cluster*, vs BENCH_simcore.json
+                              BM_CheckpointRestart*
   workloads  gbench_workloads BM_*         vs BENCH_workloads.json
   e2e        every bench binary, each leg  vs BENCH_e2e.json
              of scripts/bench_e2e.py
@@ -37,7 +38,8 @@ import bench_e2e  # scripts/bench_e2e.py, beside this file
 # suite -> (bench binary under <build>/bench, baseline at repo root,
 #           --benchmark_filter regex)
 SUITES = {
-    "simcore": ("gbench_simcore", "BENCH_simcore.json", "BM_Cluster"),
+    "simcore": ("gbench_simcore", "BENCH_simcore.json",
+                "BM_Cluster|BM_CheckpointRestart"),
     "workloads": ("gbench_workloads", "BENCH_workloads.json", "BM_"),
 }
 

@@ -103,25 +103,23 @@ ClusterComm::ClusterComm(const arch::NodeSpec& node,
 }
 
 void ClusterComm::build_links() {
+  // Every cluster link is LinkClass::Other: the per-class net.* series
+  // break down NodeSim's intra-node links only.
+  constexpr sim::LinkClass kOther = sim::LinkClass::Other;
   const int per_node = fabric_.nic.per_node;
   nics_.resize(static_cast<std::size_t>(nodes_) * per_node);
   intra_.reserve(static_cast<std::size_t>(nodes_));
   uplinks_.reserve(static_cast<std::size_t>(nodes_));
   downlinks_.reserve(static_cast<std::size_t>(nodes_));
   for (int n = 0; n < nodes_; ++n) {
-    const std::string base = "node" + std::to_string(n);
-    intra_.push_back(network_.add_link(base + ".intra", fabric_.intra_node_bps));
-    uplinks_.push_back(
-        network_.add_link(base + ".uplink", fabric_.topo.local_link_bps));
+    intra_.push_back(network_.add_link(kOther, fabric_.intra_node_bps));
+    uplinks_.push_back(network_.add_link(kOther, fabric_.topo.local_link_bps));
     downlinks_.push_back(
-        network_.add_link(base + ".downlink", fabric_.topo.local_link_bps));
+        network_.add_link(kOther, fabric_.topo.local_link_bps));
     for (int i = 0; i < per_node; ++i) {
       NicState& nic = nics_[nic_index(n, i)];
-      const std::string nic_base = base + ".nic" + std::to_string(i);
-      nic.egress =
-          network_.add_link(nic_base + ".egress", fabric_.nic.injection_bps);
-      nic.ingress =
-          network_.add_link(nic_base + ".ingress", fabric_.nic.injection_bps);
+      nic.egress = network_.add_link(kOther, fabric_.nic.injection_bps);
+      nic.ingress = network_.add_link(kOther, fabric_.nic.injection_bps);
     }
   }
   // One aggregated global link per group pair (dragonfly all-to-all
@@ -131,9 +129,8 @@ void ClusterComm::build_links() {
   global_scale_.assign(static_cast<std::size_t>(groups) * groups, 1.0);
   for (int a = 0; a < groups; ++a) {
     for (int b = a + 1; b < groups; ++b) {
-      const sim::LinkId id = network_.add_link(
-          "global.g" + std::to_string(a) + "-g" + std::to_string(b),
-          fabric_.topo.global_link_bps);
+      const sim::LinkId id =
+          network_.add_link(kOther, fabric_.topo.global_link_bps);
       globals_[static_cast<std::size_t>(a) * groups + b] = id;
       globals_[static_cast<std::size_t>(b) * groups + a] = id;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "core/error.hpp"
@@ -68,9 +69,13 @@ long Config::get_int(const std::string& key, long fallback) const {
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const long out = std::strtol(v->c_str(), &end, 10);
   ensure(end != nullptr && *end == '\0' && !v->empty(),
          "Config: value for '" + key + "' is not an integer: " + *v);
+  ensure(errno != ERANGE, ErrorCode::InvalidArgument, [&] {
+    return "Config: value for '" + key + "' is out of range: " + *v;
+  });
   return out;
 }
 

@@ -30,7 +30,9 @@ class Config {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
   /// Typed getters with defaults.  Throw pvc::Error when a present value
-  /// fails to parse as the requested type.
+  /// fails to parse as the requested type; get_int() throws
+  /// ErrorCode::InvalidArgument, naming the key, for a value outside the
+  /// range of long.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;

@@ -3,12 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "core/units.hpp"
 #include "fault/metrics_internal.hpp"
 
 namespace pvc::fault {
+
+namespace {
+// Bounds of one simulate_checkpoint_restart() call (checkpoint.hpp).
+constexpr std::size_t kMaxSegments = std::size_t{1} << 20;
+constexpr double kMaxExpectedFailures = 1e9;
+}  // namespace
 
 double daly_optimal_interval_s(double checkpoint_s, double mtbf_s) {
   ensure(checkpoint_s > 0.0 && mtbf_s > 0.0, ErrorCode::InvalidArgument,
@@ -71,6 +80,12 @@ RestartStats simulate_checkpoint_restart(double work_s, double interval_s,
                                          double checkpoint_s, double restart_s,
                                          double mtbf_s, std::uint64_t seed,
                                          int trials) {
+  ensure(std::isfinite(work_s) && std::isfinite(interval_s) &&
+             std::isfinite(checkpoint_s) && std::isfinite(restart_s) &&
+             std::isfinite(mtbf_s),
+         ErrorCode::InvalidArgument,
+         "simulate_checkpoint_restart: work, interval, costs and MTBF must "
+         "be finite");
   ensure(work_s > 0.0 && interval_s > 0.0, ErrorCode::InvalidArgument,
          "simulate_checkpoint_restart: work and interval must be positive");
   ensure(checkpoint_s >= 0.0 && restart_s >= 0.0 && mtbf_s >= 0.0,
@@ -78,6 +93,48 @@ RestartStats simulate_checkpoint_restart(double work_s, double interval_s,
          "simulate_checkpoint_restart: costs must be non-negative");
   ensure(trials >= 1, ErrorCode::InvalidArgument,
          "simulate_checkpoint_restart: need at least one trial");
+
+  // The segment schedule is the same in every trial: only the failure
+  // times differ.  Lay out each segment's cost (work, plus the
+  // checkpoint write unless it is the final segment) once, with the
+  // same `done += segment` steps a trial would take.
+  std::vector<double> cost;
+  double done = 0.0;  // durable (checkpointed) work
+  while (done < work_s) {
+    ensure(cost.size() < kMaxSegments, ErrorCode::InvalidArgument, [&] {
+      return "simulate_checkpoint_restart: work " + format_value(work_s) +
+             " s at interval " + format_value(interval_s) +
+             " s needs more than 2^20 segments per trial";
+    });
+    const double segment = std::min(interval_s, work_s - done);
+    const bool final_segment = done + segment >= work_s;
+    cost.push_back(segment + (final_segment ? 0.0 : checkpoint_s));
+    done += segment;
+  }
+  // Every trial writes all checkpoints but the final segment's.
+  const std::uint64_t trial_ckpts = cost.size() - 1;
+  double ckpt_time = 0.0;
+  for (std::uint64_t i = 0; i < trial_ckpts; ++i) {
+    ckpt_time += checkpoint_s;
+  }
+  if (mtbf_s > 0.0) {
+    // Each attempt at a segment fails with probability 1 - e^{-cost/M},
+    // so a segment expects expm1(cost/M) failures; cost[0] is the
+    // longest.
+    const double expected_failures = static_cast<double>(trials) *
+                                     static_cast<double>(cost.size()) *
+                                     std::expm1(cost.front() / mtbf_s);
+    ensure(expected_failures <= kMaxExpectedFailures,
+           ErrorCode::InvalidArgument, [&] {
+             return "simulate_checkpoint_restart: interval " +
+                    format_value(interval_s) + " s plus checkpoint " +
+                    format_value(checkpoint_s) + " s against mtbf " +
+                    format_value(mtbf_s) + " s expects " +
+                    format_value(expected_failures) + " failures over " +
+                    std::to_string(trials) + " trials (limit 1e9)";
+           });
+  }
+
   Rng rng(seed ^ 0xda1e0fda11ull);
   const auto draw_failure = [&] {
     return -mtbf_s * std::log(1.0 - rng.uniform());
@@ -89,18 +146,13 @@ RestartStats simulate_checkpoint_restart(double work_s, double interval_s,
   double lost = 0.0;
   for (int trial = 0; trial < trials; ++trial) {
     double t = 0.0;
-    double done = 0.0;      // durable (checkpointed) work
-    double ckpt_time = 0.0;
     double wasted = 0.0;
-    std::uint64_t trial_ckpts = 0;
     std::uint64_t trial_fails = 0;
     double next_fail = mtbf_s > 0.0 ? draw_failure()
                                     : std::numeric_limits<double>::infinity();
-    while (done < work_s) {
-      const double segment = std::min(interval_s, work_s - done);
-      const bool final_segment = done + segment >= work_s;
-      const double cost = segment + (final_segment ? 0.0 : checkpoint_s);
-      if (next_fail < t + cost) {
+    for (std::size_t k = 0; k < cost.size();) {
+      const double end = t + cost[k];
+      if (next_fail < end) {
         // The failure lands before the segment (and its checkpoint)
         // become durable: everything since the last checkpoint is lost.
         wasted += next_fail - t;
@@ -109,12 +161,8 @@ RestartStats simulate_checkpoint_restart(double work_s, double interval_s,
         next_fail = t + draw_failure();
         continue;
       }
-      t += cost;
-      done += segment;
-      if (!final_segment) {
-        ckpt_time += checkpoint_s;
-        ++trial_ckpts;
-      }
+      t = end;
+      ++k;
     }
     total.elapsed_s += t;
     total.wasted_s += wasted;

@@ -11,7 +11,10 @@
 //    (J. T. Daly, FGCS 2006);
 //  * a seeded Monte-Carlo discrete model (simulate_checkpoint_restart)
 //    drawing exponential failure times, whose swept minimum must land
-//    within one grid step of τ* — the ResilienceDaly test;
+//    within one grid step of τ* — the ResilienceDaly test.  It lays the
+//    segment schedule out once per call (docs/PERFORMANCE.md,
+//    "Checkpoint/restart Monte Carlo"); CheckpointOracle.* holds it
+//    bit-identical to the per-trial walk it replaced;
 //  * the real flow-level write cost: ClusterComm::checkpoint_write()
 //    drains the bytes through the NIC links, and the closed-form
 //    checkpoint_write_model_s() here must track it.
@@ -66,6 +69,14 @@ struct RestartStats {
 /// last checkpoint.  `mtbf_s` 0 disables random failures.  Bumps the
 /// fault.checkpoints / fault.restarts / fault.lost_work_seconds
 /// metrics with the trial totals.
+///
+/// The segment schedule does not depend on the trial, so it is laid out
+/// once per call; a trial then only races each segment's cost against
+/// its next failure draw.  Two bounds keep a call finite, each an
+/// InvalidArgument: at most 2^20 segments per trial (naming work and
+/// interval), and at most 1e9 expected failures, trials × segments ×
+/// expm1(longest segment cost / MTBF) (naming interval and MTBF).
+/// Every input must be finite.
 [[nodiscard]] RestartStats simulate_checkpoint_restart(
     double work_s, double interval_s, double checkpoint_s, double restart_s,
     double mtbf_s, std::uint64_t seed, int trials);

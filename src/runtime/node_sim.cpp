@@ -103,27 +103,27 @@ int NodeSim::stack_of(int device) const {
 }
 
 void NodeSim::build_links() {
+  using sim::LinkClass;
   const auto& io = spec_.host_io;
-  host_h2d_ = network_.add_link("host/h2d-agg", io.h2d_total_bps);
-  host_d2h_ = network_.add_link("host/d2h-agg", io.d2h_total_bps);
-  host_bidir_ = network_.add_link("host/bidir-agg", io.bidir_total_bps);
+  host_h2d_ = network_.add_link(LinkClass::Host, io.h2d_total_bps);
+  host_d2h_ = network_.add_link(LinkClass::Host, io.d2h_total_bps);
+  host_bidir_ = network_.add_link(LinkClass::Host, io.bidir_total_bps);
 
   const auto& card = spec_.card;
   for (int c = 0; c < spec_.card_count; ++c) {
-    const std::string base = "card" + std::to_string(c);
     CardLinks links{};
-    links.pcie_h2d = network_.add_link(base + "/pcie-h2d", card.pcie.h2d_bps);
-    links.pcie_d2h = network_.add_link(base + "/pcie-d2h", card.pcie.d2h_bps);
+    links.pcie_h2d = network_.add_link(LinkClass::Pcie, card.pcie.h2d_bps);
+    links.pcie_d2h = network_.add_link(LinkClass::Pcie, card.pcie.d2h_bps);
     links.pcie_shared =
-        network_.add_link(base + "/pcie-shared", card.pcie.bidir_total_bps);
+        network_.add_link(LinkClass::Pcie, card.pcie.bidir_total_bps);
     if (card.subdevice_count == 2) {
       links.has_mdfi = true;
       links.mdfi_fwd =
-          network_.add_link(base + "/mdfi-fwd", card.local_link_uni_bps);
+          network_.add_link(LinkClass::Mdfi, card.local_link_uni_bps);
       links.mdfi_rev =
-          network_.add_link(base + "/mdfi-rev", card.local_link_uni_bps);
-      links.mdfi_shared = network_.add_link(base + "/mdfi-shared",
-                                            card.local_link_pair_total_bps);
+          network_.add_link(LinkClass::Mdfi, card.local_link_uni_bps);
+      links.mdfi_shared =
+          network_.add_link(LinkClass::Mdfi, card.local_link_pair_total_bps);
     }
     cards_.push_back(links);
   }
@@ -132,17 +132,16 @@ void NodeSim::build_links() {
       spec_.card_count > 1 && spec_.fabric.remote_uni_bps > 0.0;
   if (has_remote_fabric_) {
     for (int d = 0; d < device_count(); ++d) {
-      const std::string base = "dev" + std::to_string(d);
       remote_egress_.push_back(
-          network_.add_link(base + "/fabric-egress", spec_.fabric.remote_uni_bps));
-      remote_ingress_.push_back(network_.add_link(
-          base + "/fabric-ingress", spec_.fabric.remote_uni_bps));
+          network_.add_link(LinkClass::XeLink, spec_.fabric.remote_uni_bps));
+      remote_ingress_.push_back(
+          network_.add_link(LinkClass::XeLink, spec_.fabric.remote_uni_bps));
     }
   }
   if (spec_.fabric.aggregate_bps > 0.0) {
     has_fabric_agg_ = true;
-    fabric_agg_ = network_.add_link("fabric/aggregate",
-                                    spec_.fabric.aggregate_bps);
+    fabric_agg_ =
+        network_.add_link(LinkClass::FabricAgg, spec_.fabric.aggregate_bps);
   }
 }
 
@@ -248,8 +247,8 @@ sim::LinkId NodeSim::staging_link() {
     // rate is a penalised fraction of the slower PCIe direction.
     const double pcie_floor =
         std::min(spec_.card.pcie.h2d_bps, spec_.card.pcie.d2h_bps);
-    staging_link_ =
-        network_.add_link("host/staging", reroute_penalty_ * pcie_floor);
+    staging_link_ = network_.add_link(sim::LinkClass::Host,
+                                      reroute_penalty_ * pcie_floor);
     has_staging_link_ = true;
   }
   return staging_link_;
@@ -276,9 +275,7 @@ sim::LinkId NodeSim::pair_link(int a_device, int b_device) {
     return it->second;
   }
   const sim::LinkId id = network_.add_link(
-      "fabric/pair-" + std::to_string(key.first) + "-" +
-          std::to_string(key.second),
-      spec_.fabric.remote_pair_total_bps);
+      sim::LinkClass::XeLink, spec_.fabric.remote_pair_total_bps);
   pair_links_.emplace(key, id);
   return id;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
@@ -69,27 +70,6 @@ NetMetrics& net_metrics() {
 
 }  // namespace
 
-LinkClass classify_link(const std::string& name) {
-  if (name.find("pcie") != std::string::npos) {
-    return LinkClass::Pcie;
-  }
-  if (name.rfind("host/", 0) == 0) {
-    return LinkClass::Host;
-  }
-  if (name.find("mdfi") != std::string::npos) {
-    return LinkClass::Mdfi;
-  }
-  if (name.find("fabric-egress") != std::string::npos ||
-      name.find("fabric-ingress") != std::string::npos ||
-      name.find("/pair-") != std::string::npos) {
-    return LinkClass::XeLink;
-  }
-  if (name.find("fabric/aggregate") != std::string::npos) {
-    return LinkClass::FabricAgg;
-  }
-  return LinkClass::Other;
-}
-
 const char* link_class_name(LinkClass c) {
   switch (c) {
     case LinkClass::Pcie:
@@ -108,10 +88,9 @@ const char* link_class_name(LinkClass c) {
   return "?";
 }
 
-LinkId FlowNetwork::add_link(std::string name, double capacity_bps) {
+LinkId FlowNetwork::add_link(LinkClass cls, double capacity_bps) {
   ensure(capacity_bps > 0.0, "FlowNetwork: link capacity must be positive");
-  const LinkClass cls = classify_link(name);
-  links_.push_back(Link{std::move(name), capacity_bps, cls});
+  links_.push_back(Link{capacity_bps, cls});
   traversals_.push_back(0);
   link_flows_.emplace_back();
   link_pos_.push_back(kNoSlot);

@@ -42,7 +42,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -57,11 +56,13 @@ using LinkId = std::size_t;
 using FlowId = std::uint64_t;
 
 /// Coarse link taxonomy used for per-class metrics (obs registry names
-/// net.<class>.bytes / net.<class>.flow_seconds).  Classified from the
-/// link name NodeSim assigns when it builds the graph.
+/// net.<class>.bytes / net.<class>.flow_seconds).  The builder of the
+/// graph passes each link's class to add_link(): NodeSim labels its
+/// PCIe, host, MDFI, Xe-Link and fabric-ceiling links, and ClusterComm's
+/// NIC, router and global links are all Other.
 enum class LinkClass : std::uint8_t {
   Pcie,       ///< per-card PCIe h2d/d2h/shared links
-  Host,       ///< host root-complex aggregates
+  Host,       ///< host root-complex aggregates and the staging link
   Mdfi,       ///< same-card stack-to-stack links
   XeLink,     ///< remote fabric egress/ingress/pair links
   FabricAgg,  ///< node-wide fabric ceiling
@@ -71,12 +72,10 @@ enum class LinkClass : std::uint8_t {
 inline constexpr std::size_t kLinkClassCount =
     static_cast<std::size_t>(LinkClass::Other) + 1;
 
-[[nodiscard]] LinkClass classify_link(const std::string& name);
 [[nodiscard]] const char* link_class_name(LinkClass c);
 
 /// A capacitated unidirectional resource.
 struct Link {
-  std::string name;
   double capacity_bps = 0.0;  ///< bytes per second, healthy
   LinkClass cls = LinkClass::Other;
   /// Degradation factor in (0, 1]; 1 = healthy.  Fault windows (link
@@ -96,8 +95,9 @@ class FlowNetwork {
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
-  /// Adds a link with the given capacity (> 0) and returns its id.
-  LinkId add_link(std::string name, double capacity_bps);
+  /// Adds a link of class `cls` with the given capacity (> 0) and
+  /// returns its id.
+  LinkId add_link(LinkClass cls, double capacity_bps);
 
   [[nodiscard]] std::size_t link_count() const noexcept {
     return links_.size();

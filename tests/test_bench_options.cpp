@@ -196,6 +196,55 @@ TEST(BenchOptions, NegativeThreadsIsATypedError) {
   }
 }
 
+TEST(BenchOptions, ResilienceSweepChecksWorkAndTrialsFirst) {
+  // work= and trials= are checked before any section runs, each by
+  // name.  trials=4294967696 used to narrow to 400 and exit 0; the
+  // others failed from inside src/fault without naming the option, or
+  // (work=inf) hung.
+  const std::pair<const char*, const char*> cases[] = {
+      {"work=0", "work="},
+      {"work=-3", "work="},
+      {"work=nan", "work="},
+      {"work=inf", "work="},
+      {"trials=0", "trials="},
+      {"trials=-5", "trials="},
+      {"trials=2147483648", "trials="},
+      {"trials=4294967696", "trials="},
+      {"trials=99999999999999999999", "'trials'"},  // strtol: ERANGE
+  };
+  for (const auto& [arg, key] : cases) {
+    pvc::obs::Registry registry;
+    pvc::obs::ScopedRegistry scope(registry);
+    const pvc::Error e = run_expecting_error("resilience_sweep", {arg});
+    EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << arg;
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+        << arg << ": " << e.what();
+    // The checkpoint section, the first to run, counts its bytes.
+    EXPECT_EQ(registry.snapshot().count("fabric.ckpt.bytes"), 0u) << arg;
+  }
+}
+
+TEST(BenchOptions, ResilienceSweepRejectsUnboundedDalyCells) {
+  // Inputs whose Monte Carlo would never finish fail fast, naming what
+  // makes them unbounded: 1e12 s of work is ~1.6e11 segments per trial
+  // (limit 2^20), and a 1 s MTBF against a 50-800 s interval expects
+  // far more than 1e9 failures.
+  const std::pair<std::vector<std::string>, std::vector<const char*>>
+      cases[] = {
+          {{"sim_ranks=0", "work=1e12"}, {"work", "interval"}},
+          {{"sim_ranks=0", "chaos=seed:1;ckpt:bytes=1e9,interval=200,mtbf=1"},
+           {"interval", "mtbf"}},
+      };
+  for (const auto& [args, words] : cases) {
+    const pvc::Error e = run_expecting_error("resilience_sweep", args);
+    EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << args.back();
+    for (const char* word : words) {
+      EXPECT_NE(std::string(e.what()).find(word), std::string::npos)
+          << args.back() << ": " << e.what();
+    }
+  }
+}
+
 TEST(BenchOptions, RetiredShardOptionsAreUnknown) {
   // The cluster benches have one engine, so no option selects it.
   // Harnesses that still pass `shards=` key their fallback to plain

@@ -290,5 +290,27 @@ TEST(Config, RepeatedKeyIsRejectedByName) {
   }
 }
 
+TEST(Config, OutOfRangeIntegerIsRejectedByName) {
+  // strtol saturates an out-of-range value at LONG_MAX/LONG_MIN with
+  // ERANGE; get_int() must not hand the saturated value on.
+  Config cfg;
+  cfg.set("max=9223372036854775807");
+  EXPECT_EQ(cfg.get_int("max", 0), 9223372036854775807L);
+  for (const char* entry :
+       {"n=9223372036854775808", "n=-9223372036854775809",
+        "n=99999999999999999999"}) {
+    Config big;
+    big.set(entry);
+    try {
+      (void)big.get_int("n", 0);
+      ADD_FAILURE() << entry << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::InvalidArgument) << entry;
+      EXPECT_NE(std::string(e.what()).find("'n'"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pvc

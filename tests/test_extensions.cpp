@@ -88,7 +88,8 @@ TEST(FlowIntrospection, LinkLoadNeverExceedsCapacity) {
     std::vector<sim::LinkId> links;
     const int n_links = 2 + static_cast<int>(rng.uniform_index(6));
     for (int l = 0; l < n_links; ++l) {
-      links.push_back(net.add_link("l", 10.0 + rng.uniform(0.0, 90.0)));
+      links.push_back(
+          net.add_link(sim::LinkClass::Other, 10.0 + rng.uniform(0.0, 90.0)));
     }
     const int n_flows = 1 + static_cast<int>(rng.uniform_index(12));
     for (int f = 0; f < n_flows; ++f) {

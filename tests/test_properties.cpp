@@ -142,7 +142,8 @@ TEST(FlowProperty, BytesDeliveredEqualsBytesRequested) {
     const int n_links = 1 + static_cast<int>(rng.uniform_index(4));
     std::vector<sim::LinkId> links;
     for (int l = 0; l < n_links; ++l) {
-      links.push_back(net.add_link("l", 50.0 + rng.uniform(0.0, 200.0)));
+      links.push_back(
+          net.add_link(sim::LinkClass::Other, 50.0 + rng.uniform(0.0, 200.0)));
     }
     // Single-link sanity flow with exact expectation, plus noise flows.
     const double cap = net.link(links[0]).capacity_bps;
@@ -155,7 +156,7 @@ TEST(FlowProperty, BytesDeliveredEqualsBytesRequested) {
     double solo_done = -1.0;
     const double bytes = 100.0 + rng.uniform(0.0, 400.0);
     // A flow on a private link sees no contention: exact time = bytes/cap.
-    const auto solo = net.add_link("solo", cap);
+    const auto solo = net.add_link(sim::LinkClass::Other, cap);
     net.start_flow({solo}, bytes, 0.0, [&](sim::Time t) { solo_done = t; });
     engine.run();
     EXPECT_NEAR(solo_done, bytes / cap, 1e-9) << "trial " << trial;

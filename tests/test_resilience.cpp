@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "comm/cluster.hpp"
 #include "comm/collectives.hpp"
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "core/units.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/injector.hpp"
@@ -43,7 +46,7 @@ sim::FabricSpec aurora_fabric() {
 TEST(FlowAbort, ActiveFlowDiesWithoutCompleting) {
   sim::Engine engine;
   sim::FlowNetwork net(engine);
-  const sim::LinkId link = net.add_link("l", 100.0);
+  const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   bool completed = false;
   const sim::FlowId id =
       net.start_flow({link}, 500.0, 0.0, [&](sim::Time) { completed = true; });
@@ -56,7 +59,7 @@ TEST(FlowAbort, ActiveFlowDiesWithoutCompleting) {
 TEST(FlowAbort, AbortReleasesBandwidthToSurvivors) {
   sim::Engine engine;
   sim::FlowNetwork net(engine);
-  const sim::LinkId link = net.add_link("l", 100.0);
+  const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   double done_at = -1.0;
   const sim::FlowId victim = net.start_flow({link}, 1000.0, 0.0, {});
   net.start_flow({link}, 150.0, 0.0, [&](sim::Time t) { done_at = t; });
@@ -69,7 +72,7 @@ TEST(FlowAbort, AbortReleasesBandwidthToSurvivors) {
 TEST(FlowAbort, LatencyPhaseFlowNeverActivates) {
   sim::Engine engine;
   sim::FlowNetwork net(engine);
-  const sim::LinkId link = net.add_link("l", 100.0);
+  const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   bool completed = false;
   const sim::FlowId id =
       net.start_flow({link}, 100.0, 2.0, [&](sim::Time) { completed = true; });
@@ -82,7 +85,7 @@ TEST(FlowAbort, LatencyPhaseFlowNeverActivates) {
 TEST(FlowAbort, UnknownOrFinishedIdReturnsFalse) {
   sim::Engine engine;
   sim::FlowNetwork net(engine);
-  const sim::LinkId link = net.add_link("l", 100.0);
+  const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   const sim::FlowId id = net.start_flow({link}, 100.0, 0.0, {});
   engine.run();
   EXPECT_FALSE(net.abort_flow(id));      // already completed
@@ -95,7 +98,7 @@ TEST(FlowAbort, StaleIdOfAReusedSlotIsRejected) {
   // must neither abort nor report the newcomer.
   sim::Engine engine;
   sim::FlowNetwork net(engine);
-  const sim::LinkId link = net.add_link("l", 100.0);
+  const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   const sim::FlowId first = net.start_flow({link}, 100.0, 0.0, {});
   engine.run();
   double done = -1.0;
@@ -118,7 +121,7 @@ TEST(FlowAbort, AbortedLatencyEventLeavesTheSlotsNextFlowAlone) {
   // then bail instead of activating the newcomer early.
   sim::Engine engine;
   sim::FlowNetwork net(engine);
-  const sim::LinkId link = net.add_link("l", 100.0);
+  const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   const sim::FlowId doomed = net.start_flow({link}, 100.0, 1.0, {});
   ASSERT_TRUE(net.abort_flow(doomed));
   double done = -1.0;
@@ -550,6 +553,249 @@ TEST(Checkpoint, MonteCarloIsSeedDeterministicAndFailureFreeWithoutMtbf) {
   // 10 segments, 9 checkpoints (the final segment skips its write).
   EXPECT_DOUBLE_EQ(calm.checkpoints, 9.0);
   EXPECT_DOUBLE_EQ(calm.elapsed_s, 1000.0 + 9.0 * 5.0);
+}
+
+TEST(Checkpoint, MonteCarloRejectsUnboundedCalls) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_invalid = [](double work, double interval, double ckpt,
+                                 double restart, double mtbf, int trials,
+                                 const char* word) {
+    try {
+      (void)fault::simulate_checkpoint_restart(work, interval, ckpt, restart,
+                                               mtbf, 1, trials);
+      ADD_FAILURE() << "accepted work " << work << " interval " << interval;
+    } catch (const pvc::Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::InvalidArgument) << e.what();
+      EXPECT_NE(std::string(e.what()).find(word), std::string::npos)
+          << e.what();
+    }
+  };
+  // Non-finite inputs, before anything is laid out.
+  expect_invalid(inf, 10.0, 1.0, 1.0, 0.0, 1, "finite");
+  expect_invalid(100.0, inf, 1.0, 1.0, 0.0, 1, "finite");
+  expect_invalid(100.0, 10.0, nan, 1.0, 0.0, 1, "finite");
+  expect_invalid(100.0, 10.0, 1.0, inf, 0.0, 1, "finite");
+  expect_invalid(100.0, 10.0, 1.0, 1.0, inf, 1, "finite");
+  // At most 2^20 segments per trial: exactly 2^20 runs, one more is an
+  // error naming work and interval.
+  constexpr double kSegments = 1u << 20;
+  const auto full = fault::simulate_checkpoint_restart(kSegments, 1.0, 0.0,
+                                                       0.0, 0.0, 1, 1);
+  EXPECT_DOUBLE_EQ(full.checkpoints, kSegments - 1.0);
+  expect_invalid(kSegments + 1.0, 1.0, 0.0, 0.0, 0.0, 1, "work");
+  expect_invalid(kSegments + 1.0, 1.0, 0.0, 0.0, 0.0, 1, "interval");
+  // At most 1e9 expected failures: ten segments of cost M ln 2 expect
+  // one failure each, so 1e8 + 1 trials is just over the limit.
+  const double mtbf = 10.0 / std::log(2.0);
+  expect_invalid(100.0, 10.0, 0.0, 0.0, mtbf, 100000001, "mtbf");
+  expect_invalid(100.0, 10.0, 0.0, 0.0, mtbf, 100000001, "interval");
+  EXPECT_GT(fault::simulate_checkpoint_restart(100.0, 10.0, 0.0, 0.0, mtbf,
+                                               1, 1000)
+                .failures,
+            0.0);
+}
+
+// --- CheckpointOracle: the laid-out schedule vs the per-trial walk ----------
+
+/// What reference_checkpoint_restart() observed: the RestartStats and
+/// the totals simulate_checkpoint_restart() adds to fault.checkpoints,
+/// fault.restarts and fault.lost_work_seconds.
+struct ReferenceRestart {
+  fault::RestartStats stats;
+  std::uint64_t checkpoints = 0;
+  std::uint64_t failures = 0;
+  double lost = 0.0;
+};
+
+/// The C/R Monte Carlo as it was before the segment schedule was laid
+/// out once per call: every trial walks the `done`/`segment`/`cost`
+/// chain itself.  Kept verbatim as the oracle, except that it returns
+/// its metric totals instead of recording them.
+ReferenceRestart reference_checkpoint_restart(double work_s,
+                                              double interval_s,
+                                              double checkpoint_s,
+                                              double restart_s, double mtbf_s,
+                                              std::uint64_t seed, int trials) {
+  Rng rng(seed ^ 0xda1e0fda11ull);
+  const auto draw_failure = [&] {
+    return -mtbf_s * std::log(1.0 - rng.uniform());
+  };
+
+  fault::RestartStats total;
+  std::uint64_t checkpoints = 0;
+  std::uint64_t failures = 0;
+  double lost = 0.0;
+  for (int trial = 0; trial < trials; ++trial) {
+    double t = 0.0;
+    double done = 0.0;      // durable (checkpointed) work
+    double ckpt_time = 0.0;
+    double wasted = 0.0;
+    std::uint64_t trial_ckpts = 0;
+    std::uint64_t trial_fails = 0;
+    double next_fail = mtbf_s > 0.0 ? draw_failure()
+                                    : std::numeric_limits<double>::infinity();
+    while (done < work_s) {
+      const double segment = std::min(interval_s, work_s - done);
+      const bool final_segment = done + segment >= work_s;
+      const double cost = segment + (final_segment ? 0.0 : checkpoint_s);
+      if (next_fail < t + cost) {
+        // The failure lands before the segment (and its checkpoint)
+        // become durable: everything since the last checkpoint is lost.
+        wasted += next_fail - t;
+        t = next_fail + restart_s;
+        ++trial_fails;
+        next_fail = t + draw_failure();
+        continue;
+      }
+      t += cost;
+      done += segment;
+      if (!final_segment) {
+        ckpt_time += checkpoint_s;
+        ++trial_ckpts;
+      }
+    }
+    total.elapsed_s += t;
+    total.wasted_s += wasted;
+    total.checkpoint_s += ckpt_time;
+    total.checkpoints += static_cast<double>(trial_ckpts);
+    total.failures += static_cast<double>(trial_fails);
+    checkpoints += trial_ckpts;
+    failures += trial_fails;
+    lost += wasted;
+  }
+  const double n = static_cast<double>(trials);
+  total.elapsed_s /= n;
+  total.wasted_s /= n;
+  total.checkpoint_s /= n;
+  total.checkpoints /= n;
+  total.failures /= n;
+  return {total, checkpoints, failures, lost};
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Runs simulate_checkpoint_restart() under a fresh registry and checks
+/// every RestartStats field and metric total bit for bit against the
+/// oracle.
+void expect_matches_reference(double work, double interval, double ckpt,
+                              double restart, double mtbf,
+                              std::uint64_t seed, int trials) {
+  SCOPED_TRACE(::testing::Message()
+               << std::hexfloat << "W=" << work << " tau=" << interval
+               << " C=" << ckpt << " R=" << restart << " M=" << mtbf
+               << std::defaultfloat << " seed=" << seed
+               << " trials=" << trials);
+  const ReferenceRestart want = reference_checkpoint_restart(
+      work, interval, ckpt, restart, mtbf, seed, trials);
+  obs::Registry registry;
+  fault::RestartStats got;
+  {
+    obs::ScopedRegistry scope(registry);
+    got = fault::simulate_checkpoint_restart(work, interval, ckpt, restart,
+                                             mtbf, seed, trials);
+  }
+  EXPECT_TRUE(same_bits(got.elapsed_s, want.stats.elapsed_s));
+  EXPECT_TRUE(same_bits(got.wasted_s, want.stats.wasted_s));
+  EXPECT_TRUE(same_bits(got.checkpoint_s, want.stats.checkpoint_s));
+  EXPECT_TRUE(same_bits(got.checkpoints, want.stats.checkpoints));
+  EXPECT_TRUE(same_bits(got.failures, want.stats.failures));
+  if (obs::compiled_in()) {
+    const obs::Snapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.count("fault.checkpoints"), want.checkpoints);
+    EXPECT_EQ(snap.count("fault.restarts"), want.failures);
+    EXPECT_TRUE(same_bits(snap.value("fault.lost_work_seconds"), want.lost));
+  }
+}
+
+TEST(CheckpointOracle, BenchGridMatchesThePerTrialWalk) {
+  // resilience_sweep's Daly grid at its defaults, on both systems:
+  // 10000 s of work, C = one node's modelled 16 GiB/rank write, R = 3C,
+  // the three MTBFs x five interval factors around the Daly optimum,
+  // seeds 7-21 (the default chaos seed + cell), 400 trials.
+  for (const auto& node : {arch::aurora(), arch::dawn()}) {
+    SCOPED_TRACE(node.system_name);
+    const double write = fault::checkpoint_write_model_s(
+        sim::FabricSpec::for_node(node), node.total_subdevices(),
+        16.0 * 1024.0 * 1024.0 * 1024.0);
+    std::uint64_t seed = 7;
+    for (const double mtbf : {250.0, 1000.0, 4000.0}) {
+      const double center = fault::daly_optimal_interval_s(write, mtbf);
+      for (const double factor : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+        expect_matches_reference(10000.0, center * factor, write,
+                                 3.0 * write, mtbf, seed++, 400);
+      }
+    }
+  }
+}
+
+TEST(CheckpointOracle, RandomGeometriesMatchThePerTrialWalk) {
+  // 1000 seeded geometries, bounded so the walk finishes quickly (at
+  // most ~4000 segments, and an MTBF of at least a third of the longest
+  // segment), covering dyadic and non-dyadic intervals and write costs,
+  // C = 0, R = 0, M = 0, tau >= W, W a multiple of tau and W not one.
+  Rng rng(0xc4ec6b01u);
+  const auto dyadic = [&rng](int lo, int hi) {
+    return std::ldexp(1.0, lo + static_cast<int>(rng.uniform_index(
+                                    static_cast<std::uint64_t>(hi - lo + 1))));
+  };
+  int tau_at_least_w = 0;
+  int w_multiple_of_tau = 0;
+  int no_failures = 0;
+  for (int i = 0; i < 1000; ++i) {
+    double work = rng.uniform(1.0, 5000.0);
+    double interval = 0.0;
+    switch (rng.uniform_index(5)) {
+      case 0:  // dyadic interval
+        interval = dyadic(-2, 10);
+        break;
+      case 1:  // W an exact multiple of a dyadic interval
+        interval = dyadic(-1, 8);
+        work = interval * static_cast<double>(1 + rng.uniform_index(400));
+        break;
+      case 2:  // one segment: tau >= W, sometimes tau == W
+        interval = rng.uniform_index(4) == 0 ? work
+                                             : work * rng.uniform(1.0, 3.0);
+        break;
+      default:  // non-dyadic, W generally not a multiple of tau
+        interval = rng.uniform(0.3, 1000.0);
+        break;
+    }
+    if (work / interval > 4000.0) {
+      interval = work / 4000.0;
+    }
+    double ckpt = 0.0;
+    switch (rng.uniform_index(3)) {
+      case 0:
+        break;  // C = 0
+      case 1:
+        ckpt = dyadic(-4, 6);
+        break;
+      default:
+        ckpt = rng.uniform(0.01, 60.0);
+        break;
+    }
+    const double restart =
+        rng.uniform_index(4) == 0 ? 0.0 : rng.uniform(0.0, 120.0);
+    double mtbf = 0.0;
+    if (rng.uniform_index(5) != 0) {
+      const double longest = std::min(interval, work) + ckpt;
+      mtbf = longest * rng.uniform(1.0 / 3.0, 50.0);
+    }
+    const int trials = 1 + static_cast<int>(rng.uniform_index(6));
+    tau_at_least_w += interval >= work ? 1 : 0;
+    w_multiple_of_tau +=
+        interval < work && std::fmod(work, interval) == 0.0 ? 1 : 0;
+    no_failures += mtbf == 0.0 ? 1 : 0;
+    expect_matches_reference(work, interval, ckpt, restart, mtbf, rng(),
+                             trials);
+  }
+  // The generator really covers the corners it claims.
+  EXPECT_GT(tau_at_least_w, 50);
+  EXPECT_GT(w_multiple_of_tau, 50);
+  EXPECT_GT(no_failures, 50);
 }
 
 // --- injector lifetime token -------------------------------------------------

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "arch/systems.hpp"
 #include "core/error.hpp"
 #include "core/statistics.hpp"
@@ -211,6 +213,57 @@ TEST(NodeSim, H100PeerTransfersUseNvlinkRates) {
   EXPECT_EQ(sim.d2d_route_kind(0, 1), arch::RouteKind::XeLinkDirect);
   const double done = timed_transfer(sim, 0, 1, 500.0 * MB);
   EXPECT_NEAR(500.0 * MB / done, 450.0 * GBps, 20.0 * GBps);
+}
+
+/// How many distinct links of each class the transfers in flight load,
+/// sampled 1 ms in: after every route's latency phase, long before a
+/// 1 GB transfer drains.
+std::map<sim::LinkClass, int> loaded_link_classes(NodeSim& sim) {
+  sim.engine().run_until(1e-3);
+  std::map<sim::LinkClass, int> classes;
+  const sim::FlowNetwork& net = sim.network();
+  for (sim::LinkId l = 0; l < net.link_count(); ++l) {
+    if (net.link_load(l) > 0.0) {
+      ++classes[net.link(l).cls];
+    }
+  }
+  sim.run();
+  return classes;
+}
+
+TEST(NodeSim, EveryLinkKindCarriesItsClass) {
+  // The net.<class>.* series count what NodeSim labels each link with.
+  // Each route below loads a known set of links, so a link built with
+  // the wrong class moves one count from its class to another.
+  using C = sim::LinkClass;
+  using Classes = std::map<C, int>;
+  const auto classes_of = [](const auto& start) {
+    NodeSim sim(arch::aurora());
+    start(sim);
+    return loaded_link_classes(sim);
+  };
+  // H2D copy to stack 0: the host h2d and bidir aggregates, then the
+  // card's PCIe h2d and shared links.
+  EXPECT_EQ(classes_of([](NodeSim& s) { s.transfer_h2d(0, 1.0 * GB); }),
+            (Classes{{C::Host, 2}, {C::Pcie, 2}}));
+  // Same-card stack pair, each way: MDFI fwd or rev plus the shared
+  // MDFI link, then the node-wide fabric aggregate.
+  EXPECT_EQ(classes_of([](NodeSim& s) { s.transfer_d2d(0, 1, 1.0 * GB); }),
+            (Classes{{C::Mdfi, 2}, {C::FabricAgg, 1}}));
+  EXPECT_EQ(classes_of([](NodeSim& s) { s.transfer_d2d(1, 0, 1.0 * GB); }),
+            (Classes{{C::Mdfi, 2}, {C::FabricAgg, 1}}));
+  // Remote pair (one Xe-Link hop): egress, ingress and the pair link,
+  // then the fabric aggregate.
+  EXPECT_EQ(classes_of([](NodeSim& s) { s.transfer_d2d(0, 4, 1.0 * GB); }),
+            (Classes{{C::XeLink, 3}, {C::FabricAgg, 1}}));
+  // Host-staged reroute around a downed Xe-Link: D2H on card 0 (host
+  // d2h + bidir, PCIe d2h + shared), H2D on card 2 (host h2d, PCIe h2d
+  // + shared) and the host staging link.
+  EXPECT_EQ(classes_of([](NodeSim& s) {
+              s.set_xelink_down(0, 4, true);
+              s.transfer_d2d(0, 4, 1.0 * GB);
+            }),
+            (Classes{{C::Host, 4}, {C::Pcie, 4}}));
 }
 
 TEST(NodeSim, CardStackDecomposition) {

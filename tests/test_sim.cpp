@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -12,6 +13,7 @@
 #include "arch/systems.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sim/cache_model.hpp"
 #include "sim/compute_queue.hpp"
 #include "sim/engine.hpp"
@@ -198,17 +200,43 @@ TEST(Engine, PastSchedulingThrows) {
 TEST(FlowNetwork, SingleFlowTakesBytesOverCapacity) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);  // 100 B/s
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);  // 100 B/s
   double done_at = -1.0;
   net.start_flow({link}, 500.0, 0.0, [&](Time t) { done_at = t; });
   engine.run();
   EXPECT_DOUBLE_EQ(done_at, 5.0);
 }
 
+TEST(FlowNetwork, FlowOverAPcieLinkBumpsOnlyThePcieSeries) {
+  // A link's class comes from add_link(), and routes the flow's bytes
+  // and flow-seconds to that class's net.<class>.* series alone.
+  obs::Registry registry;
+  obs::ScopedRegistry scope(registry);
+  Engine engine;
+  FlowNetwork net(engine);
+  const LinkId link = net.add_link(LinkClass::Pcie, 100.0);
+  EXPECT_EQ(net.link(link).cls, LinkClass::Pcie);
+  net.start_flow({link}, 1000.0, 0.0, {});
+  engine.run();
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "built with -DPVC_METRICS=OFF";
+  }
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.count("net.bytes_total"), 1000u);
+  for (std::size_t c = 0; c < kLinkClassCount; ++c) {
+    const std::string cls = link_class_name(static_cast<LinkClass>(c));
+    const bool pcie = static_cast<LinkClass>(c) == LinkClass::Pcie;
+    EXPECT_EQ(snap.count("net." + cls + ".bytes"), pcie ? 1000u : 0u) << cls;
+    EXPECT_DOUBLE_EQ(snap.value("net." + cls + ".flow_seconds"),
+                     pcie ? 10.0 : 0.0)
+        << cls;
+  }
+}
+
 TEST(FlowNetwork, LatencyDelaysStart) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double done_at = -1.0;
   net.start_flow({link}, 100.0, 2.0, [&](Time t) { done_at = t; });
   engine.run();
@@ -218,7 +246,7 @@ TEST(FlowNetwork, LatencyDelaysStart) {
 TEST(FlowNetwork, TwoFlowsShareFairly) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   std::vector<double> done;
   net.start_flow({link}, 100.0, 0.0, [&](Time t) { done.push_back(t); });
   net.start_flow({link}, 100.0, 0.0, [&](Time t) { done.push_back(t); });
@@ -231,7 +259,7 @@ TEST(FlowNetwork, TwoFlowsShareFairly) {
 TEST(FlowNetwork, ShortFlowReleasesBandwidth) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double long_done = -1.0;
   net.start_flow({link}, 50.0, 0.0, {});  // finishes at t=1 (50 B at 50 B/s)
   net.start_flow({link}, 150.0, 0.0, [&](Time t) { long_done = t; });
@@ -243,8 +271,8 @@ TEST(FlowNetwork, ShortFlowReleasesBandwidth) {
 TEST(FlowNetwork, BottleneckLinkGovernsMultiLinkRoute) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId fast = net.add_link("fast", 1000.0);
-  const LinkId slow = net.add_link("slow", 10.0);
+  const LinkId fast = net.add_link(LinkClass::Other, 1000.0);
+  const LinkId slow = net.add_link(LinkClass::Other, 10.0);
   double done = -1.0;
   net.start_flow({fast, slow}, 100.0, 0.0, [&](Time t) { done = t; });
   engine.run();
@@ -254,7 +282,7 @@ TEST(FlowNetwork, BottleneckLinkGovernsMultiLinkRoute) {
 TEST(FlowNetwork, DoubleTraversalChargesTwice) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double done = -1.0;
   // Crossing the same link twice halves the end-to-end rate.
   net.start_flow({link, link}, 100.0, 0.0, [&](Time t) { done = t; });
@@ -265,8 +293,8 @@ TEST(FlowNetwork, DoubleTraversalChargesTwice) {
 TEST(FlowNetwork, MaxMinAllocationWithAsymmetricRoutes) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId shared = net.add_link("shared", 90.0);
-  const LinkId private_slow = net.add_link("private", 10.0);
+  const LinkId shared = net.add_link(LinkClass::Other, 90.0);
+  const LinkId private_slow = net.add_link(LinkClass::Other, 10.0);
   // Flow A is bottlenecked by its private link at 10 B/s; flow B should
   // then get the remaining 80 B/s of the shared link.
   double a_done = -1.0, b_done = -1.0;
@@ -290,7 +318,7 @@ TEST(FlowNetwork, EmptyRouteIsPureLatency) {
 TEST(FlowNetwork, LinkScaleDegradesInFlightFlow) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double done_at = -1.0;
   net.start_flow({link}, 100.0, 0.0, [&](Time t) { done_at = t; });
   // Halfway through (50 B moved), the link retrains to quarter speed:
@@ -304,7 +332,7 @@ TEST(FlowNetwork, LinkScaleDegradesInFlightFlow) {
 TEST(FlowNetwork, LinkScaleRestores) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   net.set_link_scale(link, 0.5);
   net.set_link_scale(link, 1.0);
   double done_at = -1.0;
@@ -316,7 +344,7 @@ TEST(FlowNetwork, LinkScaleRestores) {
 TEST(FlowNetwork, LinkScaleValidatesRange) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   EXPECT_THROW(net.set_link_scale(link, 0.0), pvc::Error);
   EXPECT_THROW(net.set_link_scale(link, -0.5), pvc::Error);
   EXPECT_THROW(net.set_link_scale(link, 1.5), pvc::Error);
@@ -325,8 +353,8 @@ TEST(FlowNetwork, LinkScaleValidatesRange) {
 TEST(FlowNetwork, InvalidInputsThrow) {
   Engine engine;
   FlowNetwork net(engine);
-  EXPECT_THROW(net.add_link("zero", 0.0), pvc::Error);
-  const LinkId link = net.add_link("l", 1.0);
+  EXPECT_THROW(net.add_link(LinkClass::Other, 0.0), pvc::Error);
+  const LinkId link = net.add_link(LinkClass::Other, 1.0);
   EXPECT_THROW(net.start_flow({link + 10}, 1.0, 0.0, {}), pvc::Error);
   EXPECT_THROW(net.start_flow({link}, -1.0, 0.0, {}), pvc::Error);
 }
@@ -334,7 +362,7 @@ TEST(FlowNetwork, InvalidInputsThrow) {
 TEST(FlowNetwork, LinkLoadCountsMultiTraversalRoutes) {
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   // Flow A crosses the link twice (2-hop Xe-Link pattern), flow B once:
   // three traversals share 100 B/s, so both flows run at 100/3 and the
   // link is exactly full counting A's multiplicity.
@@ -362,8 +390,7 @@ TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
 
   std::vector<LinkId> links;
   for (int i = 0; i < 6; ++i) {
-    links.push_back(
-        net.add_link("l" + std::to_string(i), 50.0 * (1 + i % 3)));
+    links.push_back(net.add_link(LinkClass::Other, 50.0 * (1 + i % 3)));
   }
   std::vector<FlowId> started;
   int latent_aborts = 0;
@@ -444,8 +471,8 @@ TEST(FlowNetwork, SameInstantCompletionsFireInCreationOrder) {
     // the second starts at once; both finish at t = 2 on private links.
     Engine engine;
     FlowNetwork net(engine);
-    const LinkId a = net.add_link("a", 100.0);
-    const LinkId b = net.add_link("b", 100.0);
+    const LinkId a = net.add_link(LinkClass::Other, 100.0);
+    const LinkId b = net.add_link(LinkClass::Other, 100.0);
     std::vector<int> order;
     net.start_flow({a}, 100.0, 1.0, [&](Time t) {
       EXPECT_DOUBLE_EQ(t, 2.0);
@@ -464,8 +491,8 @@ TEST(FlowNetwork, SameInstantCompletionsFireInCreationOrder) {
     // `older` holds slot 1 since t = 0.  Both finish at t = 3.
     Engine engine;
     FlowNetwork net(engine);
-    const LinkId a = net.add_link("a", 100.0);
-    const LinkId b = net.add_link("b", 100.0);
+    const LinkId a = net.add_link(LinkClass::Other, 100.0);
+    const LinkId b = net.add_link(LinkClass::Other, 100.0);
     std::vector<int> order;
     FlowId late = 0;
     net.start_flow({a}, 100.0, 0.0, [&](Time) {
@@ -493,7 +520,7 @@ TEST(FlowNetwork, AbortInStartInstantReleasesBandwidth) {
   // here once left the survivor at half rate.
   Engine engine;
   FlowNetwork net(engine);
-  const LinkId link = net.add_link("l", 100.0);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double done = -1.0;
   const FlowId doomed = net.start_flow({link}, 1000.0, 0.0, {});
   net.start_flow({link}, 100.0, 0.0, [&](Time t) { done = t; });
