@@ -38,25 +38,36 @@ inline int guarded_main(const char* name, int argc, char** argv,
   return 1;
 }
 
-/// Rejects unknown `key=value` options: every key the user passed must
-/// appear in `accepted`, or the bench exits with an error naming the
-/// offending key (a typo like `simranks=512` used to be silently
-/// ignored).  Call right after Config::from_args with the bench's full
-/// accepted-key list — test_docs.cpp cross-checks these lists against
-/// the keys each bench actually reads and the README option table.
+/// Rejects what the bench would otherwise ignore, each an
+/// InvalidArgument naming it: a positional token (no `=`, like `csv`
+/// for `csv=<path>`), and a `key=value` option whose key is not in
+/// `accepted` (a typo like `simranks=512`).  Call right after
+/// Config::from_args with the bench's full accepted-key list —
+/// test_docs.cpp cross-checks these lists against the keys each bench
+/// actually reads and the README option table.
 inline void require_known_keys(const pvc::Config& config,
                                std::initializer_list<const char*> accepted) {
+  const auto accepted_list = [&accepted] {
+    std::string list;
+    for (const char* a : accepted) {
+      list += list.empty() ? a : std::string(", ") + a;
+    }
+    return list;
+  };
+  for (const std::string& token : config.positional()) {
+    pvc::raise(pvc::ErrorCode::InvalidArgument,
+               "unexpected argument '" + token +
+                   "': options are key=value (accepted keys: " +
+                   accepted_list() + ")");
+  }
   for (const std::string& key : config.keys()) {
     const bool known =
         std::any_of(accepted.begin(), accepted.end(),
                     [&key](const char* a) { return key == a; });
     if (!known) {
-      std::string list;
-      for (const char* a : accepted) {
-        list += list.empty() ? a : std::string(", ") + a;
-      }
-      throw pvc::Error("unknown option '" + key + "' (accepted: " + list + ")",
-                       std::source_location::current());
+      pvc::raise(pvc::ErrorCode::InvalidArgument,
+                 "unknown option '" + key + "' (accepted: " +
+                     accepted_list() + ")");
     }
   }
 }

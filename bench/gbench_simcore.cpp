@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -71,7 +72,7 @@ void BM_FlowNetworkContention(benchmark::State& state) {
           net.add_link(pvc::sim::LinkClass::Other, 1e8 * (1 + f % 7)));
     }
     for (int f = 0; f < flows; ++f) {
-      net.start_flow({shared, privates[static_cast<std::size_t>(f)]},
+      net.start_flow(std::array{shared, privates[static_cast<std::size_t>(f)]},
                      1e6 * (1 + f % 13), 0.0, {});
     }
     engine.run();

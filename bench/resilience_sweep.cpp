@@ -23,10 +23,12 @@
 // sim_ranks= caps the rank counts whose checkpoint write the DES prices
 // (default 768); 0 prices every point with the model.  The recovery
 // section always runs on the DES.  work= must be finite and positive and
-// trials= in 1..INT_MAX, checked before any section runs; a Daly cell
-// past fault::simulate_checkpoint_restart's bounds (2^20 segments per
-// trial, 1e9 expected failures) fails naming them.  threads= only
-// spreads the sections' independent runs over a sweep pool: output is
+// trials= in 1..INT_MAX; then every Daly cell is checked against the
+// Monte Carlo's bounds (fault::check_restart_cell: 2^20 segments per
+// trial, 2^32 segments in all, 1e9 expected failures), naming the
+// options and the chaos ckpt clause that set it.  All of this happens
+// before any section runs or prints.  threads= only spreads the
+// sections' independent runs over a sweep pool: output is
 // byte-identical at every value (tests/determinism_check.cmake).
 
 #include <cmath>
@@ -100,6 +102,23 @@ struct DalyPoint {
   pvc::fault::RestartStats stats;
 };
 
+/// What placed one Daly cell, for check_restart_cell's errors: the
+/// options and, when the plan has one, the chaos ckpt clause.
+std::string daly_cell_context(const pvc::fault::FaultPlan& plan,
+                              double work_s, int trials, double mtbf_s,
+                              double factor, double center_s) {
+  using pvc::format_value;
+  const bool clause_interval =
+      plan.checkpoint && plan.checkpoint->interval_s > 0.0;
+  return std::string("resilience_sweep: ") +
+         (plan.checkpoint ? "the chaos ckpt clause, " : "") + "work=" +
+         format_value(work_s) + " s and trials=" + std::to_string(trials) +
+         " put a Daly cell at interval " + format_value(factor) + " x " +
+         (clause_interval ? "the ckpt interval " : "the Daly optimum ") +
+         format_value(center_s) + " s, mtbf " + format_value(mtbf_s) +
+         " s, out of bounds";
+}
+
 /// One fault-tolerant collective run of the recovery section.
 struct RecoveryRun {
   const char* op = "";
@@ -165,11 +184,43 @@ int run(int argc, char** argv) {
       plan,
       {kJobNodes, fabric.nic.per_node, kJobNodes * node.total_subdevices()},
       /*reads_checkpoint=*/true);
-  std::printf("%s", plan.summary().c_str());
 
   const double ckpt_bytes =
       plan.checkpoint ? plan.checkpoint->bytes_per_rank : kCkptBytes;
   const int base = node.total_subdevices();
+
+  // The Daly grid: MTBF x interval factor around the Daly optimum, or
+  // around the ckpt clause's interval and MTBF.  Every cell is checked
+  // against the Monte Carlo's bounds before any section runs.
+  const double write_cost = fault::checkpoint_write_model_s(
+      fabric, base, ckpt_bytes);
+  const double restart_s =
+      plan.checkpoint ? plan.checkpoint->restart_s : 3.0 * write_cost;
+  std::vector<double> mtbfs;
+  if (plan.checkpoint && plan.checkpoint->mtbf_s > 0.0) {
+    mtbfs.push_back(plan.checkpoint->mtbf_s);
+  } else {
+    mtbfs.assign(std::begin(kMtbfGrid), std::end(kMtbfGrid));
+  }
+  std::vector<DalyPoint> daly(mtbfs.size() * std::size(kIntervalFactors));
+  for (std::size_t mi = 0; mi < mtbfs.size(); ++mi) {
+    const double mtbf = mtbfs[mi];
+    const double center =
+        plan.checkpoint && plan.checkpoint->interval_s > 0.0
+            ? plan.checkpoint->interval_s
+            : fault::daly_optimal_interval_s(write_cost, mtbf);
+    for (std::size_t fi = 0; fi < std::size(kIntervalFactors); ++fi) {
+      DalyPoint& pt = daly[mi * std::size(kIntervalFactors) + fi];
+      pt.mtbf_s = mtbf;
+      pt.interval_s = center * kIntervalFactors[fi];
+      fault::check_restart_cell(
+          daly_cell_context(plan, work_s, trials, mtbf, kIntervalFactors[fi],
+                            center),
+          work_s, pt.interval_s, write_cost, restart_s, mtbf, trials);
+    }
+  }
+  std::printf("%s", plan.summary().c_str());
+
   std::vector<int> rank_counts;
   for (const int m : kNodeMultipliers) {
     rank_counts.push_back(m * base);
@@ -219,42 +270,19 @@ int run(int argc, char** argv) {
   std::printf("\n");
 
   // --- Daly checkpoint/restart sweep ---------------------------------------
-  const double write_cost = fault::checkpoint_write_model_s(
-      fabric, base, ckpt_bytes);
-  const double restart_s =
-      plan.checkpoint ? plan.checkpoint->restart_s : 3.0 * write_cost;
   const int job_nodes = kJobNodes;
   const double job_watts = node.power.node_cap_w * job_nodes;
 
-  std::vector<double> mtbfs;
-  if (plan.checkpoint && plan.checkpoint->mtbf_s > 0.0) {
-    mtbfs.push_back(plan.checkpoint->mtbf_s);
-  } else {
-    mtbfs.assign(std::begin(kMtbfGrid), std::end(kMtbfGrid));
-  }
-
-  std::vector<DalyPoint> daly(mtbfs.size() * std::size(kIntervalFactors));
   pvcbench::ParallelSweep daly_sweep(threads);
-  for (std::size_t mi = 0; mi < mtbfs.size(); ++mi) {
-    const double mtbf = mtbfs[mi];
-    const double center =
-        plan.checkpoint && plan.checkpoint->interval_s > 0.0
-            ? plan.checkpoint->interval_s
-            : fault::daly_optimal_interval_s(write_cost, mtbf);
-    for (std::size_t fi = 0; fi < std::size(kIntervalFactors); ++fi) {
-      const std::size_t slot = mi * std::size(kIntervalFactors) + fi;
-      const double interval = center * kIntervalFactors[fi];
-      daly_sweep.add([&, slot, mtbf, interval] {
-        DalyPoint& pt = daly[slot];
-        pt.mtbf_s = mtbf;
-        pt.interval_s = interval;
-        pt.analytic_s = fault::daly_expected_runtime_s(
-            work_s, interval, write_cost, restart_s, mtbf);
-        pt.stats = fault::simulate_checkpoint_restart(
-            work_s, interval, write_cost, restart_s, mtbf,
-            plan.seed + static_cast<std::uint64_t>(slot), trials);
-      });
-    }
+  for (std::size_t slot = 0; slot < daly.size(); ++slot) {
+    daly_sweep.add([&, slot] {
+      DalyPoint& pt = daly[slot];
+      pt.analytic_s = fault::daly_expected_runtime_s(
+          work_s, pt.interval_s, write_cost, restart_s, pt.mtbf_s);
+      pt.stats = fault::simulate_checkpoint_restart(
+          work_s, pt.interval_s, write_cost, restart_s, pt.mtbf_s,
+          plan.seed + static_cast<std::uint64_t>(slot), trials);
+    });
   }
   daly_sweep.run();
 

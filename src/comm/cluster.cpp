@@ -1,6 +1,7 @@
 #include "comm/cluster.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "comm/collectives.hpp"
@@ -194,6 +195,47 @@ int ClusterComm::healthy_nic(int node, int preferred) {
                                  std::to_string(node) + " is down");
 }
 
+sim::FabricRoute ClusterComm::fabric_route(int src_node, int dst_node) const {
+  const int gs = topology_.group_of(src_node);
+  const int gd = topology_.group_of(dst_node);
+  const bool degraded =
+      gs != gd &&
+      global_scale_[static_cast<std::size_t>(gs) * topology_.groups() + gd] <
+          kAdaptiveThreshold;
+  return topology_.route(src_node, dst_node, degraded);
+}
+
+std::size_t ClusterComm::fabric_links(int src_node, int src_nic, int dst_node,
+                                      int dst_nic,
+                                      const sim::FabricRoute& route,
+                                      FabricLinks& out) const {
+  const int gs = topology_.group_of(src_node);
+  const int gd = topology_.group_of(dst_node);
+  std::size_t n = 0;
+  out[n++] = nics_[nic_index(src_node, src_nic)].egress;
+  out[n++] = uplinks_[static_cast<std::size_t>(src_node)];
+  if (route.global_hops == 1) {
+    out[n++] = global_link(gs, gd);
+  } else if (route.global_hops == 2) {
+    out[n++] = global_link(gs, route.via_group);
+    out[n++] = global_link(route.via_group, gd);
+  }
+  out[n++] = downlinks_[static_cast<std::size_t>(dst_node)];
+  out[n++] = nics_[nic_index(dst_node, dst_nic)].ingress;
+  return n;
+}
+
+void ClusterComm::deliver(std::size_t idx, sim::Time t) {
+  ExchangeResult& result = *current_result_;
+  result.completion_s[idx] = t;
+  result.finish = std::max(result.finish, t);
+  ++delivered_;
+  auto& fm = detail::fabric_metrics();
+  fm.messages->add();
+  fm.bytes->add(static_cast<std::uint64_t>(current_messages_[idx].bytes));
+  erase_inflight(idx);
+}
+
 ClusterComm::ExchangeResult ClusterComm::exchange(
     std::span<const Message> messages) {
   auto& fm = detail::fabric_metrics();
@@ -205,22 +247,25 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
   const double post = engine_.now();
   const double gap = sim::nic_message_gap_s(fabric_);
 
-  // Expose the in-progress result to the fault paths (set_node_down /
-  // set_rank_failed fired by armed chaos events during engine_.run())
-  // so killed messages are reported per index.  The guard also clears
-  // the in-flight registry if an exception (e.g. LinkDown at post time)
-  // unwinds mid-exchange.
+  // Expose the in-progress result and the messages to the completion
+  // callbacks and the fault paths (set_node_down / set_rank_failed fired
+  // by armed chaos events during engine_.run()), so killed messages are
+  // reported per index.  The guard also clears the in-flight registry
+  // if an exception (e.g. LinkDown at post time) unwinds mid-exchange.
   struct ResultScope {
     ClusterComm* comm;
     ~ResultScope() {
       comm->current_result_ = nullptr;
+      comm->current_messages_ = {};
       comm->inflight_.clear();
       comm->inflight_pos_.clear();
     }
   } scope{this};
   current_result_ = &result;
+  current_messages_ = messages;
   inflight_.clear();
   inflight_pos_.assign(messages.size(), 0);
+  network_.reserve_flows(messages.size());
 
   for (std::size_t idx = 0; idx < messages.size(); ++idx) {
     const Message& msg = messages[idx];
@@ -240,20 +285,13 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
     }
     const GlobalBinding& src = binding_[static_cast<std::size_t>(msg.src)];
     const GlobalBinding& dst = binding_[static_cast<std::size_t>(msg.dst)];
-    auto on_complete = [this, &fm, idx, &result,
-                        bytes = msg.bytes](sim::Time t) {
-      result.completion_s[idx] = t;
-      result.finish = std::max(result.finish, t);
-      ++delivered_;
-      fm.messages->add();
-      fm.bytes->add(static_cast<std::uint64_t>(bytes));
-      erase_inflight(idx);
-    };
-    const auto post_flow = [&](std::vector<sim::LinkId> links,
+    // The callback captures {this, idx}, small enough for
+    // std::function's inline buffer: posting a message allocates nothing.
+    const auto post_flow = [&](std::span<const sim::LinkId> links,
                                double latency) {
-      const sim::FlowId flow =
-          network_.start_flow(std::move(links), msg.bytes, latency,
-                              on_complete);
+      const sim::FlowId flow = network_.start_flow(
+          links, msg.bytes, latency,
+          [this, idx](sim::Time t) { deliver(idx, t); });
       inflight_.push_back(
           InFlight{flow, idx, msg.src, msg.dst, src.node, dst.node});
       inflight_pos_[idx] = static_cast<std::uint32_t>(inflight_.size());
@@ -266,7 +304,7 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
     }
     if (src.node == dst.node) {
       fm.routes_intra_node->add();
-      post_flow({intra_[static_cast<std::size_t>(src.node)]},
+      post_flow({&intra_[static_cast<std::size_t>(src.node)], 1},
                 fabric_.intra_node_latency_s);
       continue;
     }
@@ -281,13 +319,7 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
     injection_log_.push_back({src.node, src_nic, post, start});
     fm.nic_stall_seconds->add(start - post);
 
-    const int gs = topology_.group_of(src.node);
-    const int gd = topology_.group_of(dst.node);
-    const bool degraded =
-        gs != gd &&
-        global_scale_[static_cast<std::size_t>(gs) * topology_.groups() +
-                      gd] < kAdaptiveThreshold;
-    const sim::FabricRoute route = topology_.route(src.node, dst.node, degraded);
+    const sim::FabricRoute route = fabric_route(src.node, dst.node);
     if (route.global_hops == 2) {
       fm.routes_nonminimal->add();
     } else {
@@ -296,22 +328,12 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
     fm.hops_local->add(static_cast<std::uint64_t>(route.local_hops));
     fm.hops_global->add(static_cast<std::uint64_t>(route.global_hops));
 
-    std::vector<sim::LinkId> links;
-    links.reserve(6);
-    links.push_back(nic.egress);
-    links.push_back(uplinks_[static_cast<std::size_t>(src.node)]);
-    if (route.global_hops == 1) {
-      links.push_back(global_link(gs, gd));
-    } else if (route.global_hops == 2) {
-      links.push_back(global_link(gs, route.via_group));
-      links.push_back(global_link(route.via_group, gd));
-    }
-    links.push_back(downlinks_[static_cast<std::size_t>(dst.node)]);
-    links.push_back(nics_[nic_index(dst.node, dst_nic)].ingress);
-
+    FabricLinks links;
+    const std::size_t hops =
+        fabric_links(src.node, src_nic, dst.node, dst_nic, route, links);
     const double latency = (start - post) + 2.0 * fabric_.nic.latency_s +
                            route.latency_s;
-    post_flow(std::move(links), latency);
+    post_flow({links.data(), hops}, latency);
   }
 
   engine_.run();
@@ -342,25 +364,11 @@ std::vector<sim::LinkId> ClusterComm::route_links(int src_rank,
   };
   const int src_nic = pick(src.node, src.nic);
   const int dst_nic = pick(dst.node, dst.nic);
-  const int gs = topology_.group_of(src.node);
-  const int gd = topology_.group_of(dst.node);
-  const bool degraded =
-      gs != gd &&
-      global_scale_[static_cast<std::size_t>(gs) * topology_.groups() + gd] <
-          kAdaptiveThreshold;
-  const sim::FabricRoute route = topology_.route(src.node, dst.node, degraded);
-  std::vector<sim::LinkId> links;
-  links.push_back(nics_[nic_index(src.node, src_nic)].egress);
-  links.push_back(uplinks_[static_cast<std::size_t>(src.node)]);
-  if (route.global_hops == 1) {
-    links.push_back(global_link(gs, gd));
-  } else if (route.global_hops == 2) {
-    links.push_back(global_link(gs, route.via_group));
-    links.push_back(global_link(route.via_group, gd));
-  }
-  links.push_back(downlinks_[static_cast<std::size_t>(dst.node)]);
-  links.push_back(nics_[nic_index(dst.node, dst_nic)].ingress);
-  return links;
+  FabricLinks links;
+  const std::size_t hops =
+      fabric_links(src.node, src_nic, dst.node, dst_nic,
+                   fabric_route(src.node, dst.node), links);
+  return {links.begin(), links.begin() + static_cast<std::ptrdiff_t>(hops)};
 }
 
 void ClusterComm::set_nic_down(int node, int nic, bool down) {
@@ -503,6 +511,7 @@ sim::Time ClusterComm::checkpoint_write(double bytes_per_rank) {
   const double post = engine_.now();
   const double gap = sim::nic_message_gap_s(fabric_);
   sim::Time finish = post;
+  network_.reserve_flows(binding_.size());
   for (std::size_t r = 0; r < binding_.size(); ++r) {
     if (rank_state_[r] != 0) {
       continue;  // dead ranks have nothing to save
@@ -514,9 +523,9 @@ sim::Time ClusterComm::checkpoint_write(double bytes_per_rank) {
     nic.next_free_s = start + gap;
     const double latency = (start - post) + fabric_.nic.latency_s +
                            fabric_.topo.local_hop_latency_s;
-    std::vector<sim::LinkId> route{nic.egress,
-                                   uplinks_[static_cast<std::size_t>(b.node)]};
-    network_.start_flow(std::move(route), bytes_per_rank, latency,
+    const std::array<sim::LinkId, 2> route{
+        nic.egress, uplinks_[static_cast<std::size_t>(b.node)]};
+    network_.start_flow(route, bytes_per_rank, latency,
                         [&finish](sim::Time t) {
                           finish = std::max(finish, t);
                         });

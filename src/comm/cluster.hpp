@@ -39,6 +39,7 @@
 // (fault/checkpoint.hpp) is injected through the same NIC links by
 // checkpoint_write().
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -230,7 +231,22 @@ class ClusterComm {
     int dst_node = 0;
   };
 
+  /// Links of an inter-node message: NIC egress, router uplink, up to
+  /// two global links, router downlink, NIC ingress.
+  using FabricLinks = std::array<sim::LinkId, 6>;
+
   void build_links();
+  /// Adaptive dragonfly route between two nodes: minimal, or Valiant
+  /// when the direct global link is degraded below kAdaptiveThreshold.
+  [[nodiscard]] sim::FabricRoute fabric_route(int src_node,
+                                              int dst_node) const;
+  /// Writes the links `route` takes from `src_nic` to `dst_nic` into
+  /// `out`; returns how many.
+  std::size_t fabric_links(int src_node, int src_nic, int dst_node,
+                           int dst_nic, const sim::FabricRoute& route,
+                           FabricLinks& out) const;
+  /// Completion of message `idx` of the current exchange.
+  void deliver(std::size_t idx, sim::Time t);
   /// O(1) removal of message `idx`'s InFlight entry (no-op if absent):
   /// swap-remove plus the position index.  A linear find here made
   /// every completion O(inflight), turning large exchanges quadratic.
@@ -275,6 +291,7 @@ class ClusterComm {
   /// message idx -> position+1 in inflight_ (0 = not in flight).
   std::vector<std::uint32_t> inflight_pos_;
   ExchangeResult* current_result_ = nullptr;  // non-null inside exchange()
+  std::span<const Message> current_messages_;  // set inside exchange()
 };
 
 /// 1-D ring halo exchange over the cluster: every rank sends

@@ -14,8 +14,9 @@
 namespace pvc::fault {
 
 namespace {
-// Bounds of one simulate_checkpoint_restart() call (checkpoint.hpp).
+// Bounds of one simulate_checkpoint_restart() call (check_restart_cell).
 constexpr std::size_t kMaxSegments = std::size_t{1} << 20;
+constexpr std::uint64_t kMaxSegmentSteps = std::uint64_t{1} << 32;
 constexpr double kMaxExpectedFailures = 1e9;
 }  // namespace
 
@@ -76,36 +77,79 @@ double resolved_interval_s(const CheckpointPlan& plan, double write_cost_s) {
   return daly_optimal_interval_s(write_cost_s, plan.mtbf_s);
 }
 
+std::size_t check_restart_cell(std::string_view context, double work_s,
+                               double interval_s, double checkpoint_s,
+                               double restart_s, double mtbf_s, int trials) {
+  const auto fail = [context](const std::string& why) {
+    raise(ErrorCode::InvalidArgument, std::string(context) + ": " + why);
+  };
+  if (!(std::isfinite(work_s) && std::isfinite(interval_s) &&
+        std::isfinite(checkpoint_s) && std::isfinite(restart_s) &&
+        std::isfinite(mtbf_s))) {
+    fail("work, interval, costs and MTBF must be finite");
+  }
+  if (!(work_s > 0.0 && interval_s > 0.0)) {
+    fail("work and interval must be positive");
+  }
+  if (!(checkpoint_s >= 0.0 && restart_s >= 0.0 && mtbf_s >= 0.0)) {
+    fail("costs must be non-negative");
+  }
+  if (trials < 1) {
+    fail("need at least one trial");
+  }
+  // Count the segments with the same `done += segment` steps the
+  // schedule takes.
+  std::size_t segments = 0;
+  for (double done = 0.0; done < work_s;
+       done += std::min(interval_s, work_s - done)) {
+    if (++segments > kMaxSegments) {
+      fail("work " + format_value(work_s) + " s at interval " +
+           format_value(interval_s) +
+           " s needs more than 2^20 segments per trial");
+    }
+  }
+  const std::uint64_t steps = static_cast<std::uint64_t>(trials) * segments;
+  if (steps > kMaxSegmentSteps) {
+    fail(std::to_string(trials) + " trials of " + std::to_string(segments) +
+         " segments (work " + format_value(work_s) + " s at interval " +
+         format_value(interval_s) + " s) walk " + std::to_string(steps) +
+         " segments, more than 2^32");
+  }
+  if (mtbf_s > 0.0) {
+    // Each attempt at a segment fails with probability 1 - e^{-cost/M},
+    // so a segment expects expm1(cost/M) failures; the first segment
+    // costs the most.
+    const double first = std::min(interval_s, work_s);
+    const double longest = first + (first >= work_s ? 0.0 : checkpoint_s);
+    const double expected_failures = static_cast<double>(steps) *
+                                     std::expm1(longest / mtbf_s);
+    if (expected_failures > kMaxExpectedFailures) {
+      fail("interval " + format_value(interval_s) + " s plus checkpoint " +
+           format_value(checkpoint_s) + " s against mtbf " +
+           format_value(mtbf_s) + " s expects " +
+           format_value(expected_failures) + " failures over " +
+           std::to_string(trials) + " trials (limit 1e9)");
+    }
+  }
+  return segments;
+}
+
 RestartStats simulate_checkpoint_restart(double work_s, double interval_s,
                                          double checkpoint_s, double restart_s,
                                          double mtbf_s, std::uint64_t seed,
                                          int trials) {
-  ensure(std::isfinite(work_s) && std::isfinite(interval_s) &&
-             std::isfinite(checkpoint_s) && std::isfinite(restart_s) &&
-             std::isfinite(mtbf_s),
-         ErrorCode::InvalidArgument,
-         "simulate_checkpoint_restart: work, interval, costs and MTBF must "
-         "be finite");
-  ensure(work_s > 0.0 && interval_s > 0.0, ErrorCode::InvalidArgument,
-         "simulate_checkpoint_restart: work and interval must be positive");
-  ensure(checkpoint_s >= 0.0 && restart_s >= 0.0 && mtbf_s >= 0.0,
-         ErrorCode::InvalidArgument,
-         "simulate_checkpoint_restart: costs must be non-negative");
-  ensure(trials >= 1, ErrorCode::InvalidArgument,
-         "simulate_checkpoint_restart: need at least one trial");
+  const std::size_t segments =
+      check_restart_cell("simulate_checkpoint_restart", work_s, interval_s,
+                         checkpoint_s, restart_s, mtbf_s, trials);
 
   // The segment schedule is the same in every trial: only the failure
   // times differ.  Lay out each segment's cost (work, plus the
   // checkpoint write unless it is the final segment) once, with the
   // same `done += segment` steps a trial would take.
   std::vector<double> cost;
+  cost.reserve(segments);
   double done = 0.0;  // durable (checkpointed) work
   while (done < work_s) {
-    ensure(cost.size() < kMaxSegments, ErrorCode::InvalidArgument, [&] {
-      return "simulate_checkpoint_restart: work " + format_value(work_s) +
-             " s at interval " + format_value(interval_s) +
-             " s needs more than 2^20 segments per trial";
-    });
     const double segment = std::min(interval_s, work_s - done);
     const bool final_segment = done + segment >= work_s;
     cost.push_back(segment + (final_segment ? 0.0 : checkpoint_s));
@@ -116,23 +160,6 @@ RestartStats simulate_checkpoint_restart(double work_s, double interval_s,
   double ckpt_time = 0.0;
   for (std::uint64_t i = 0; i < trial_ckpts; ++i) {
     ckpt_time += checkpoint_s;
-  }
-  if (mtbf_s > 0.0) {
-    // Each attempt at a segment fails with probability 1 - e^{-cost/M},
-    // so a segment expects expm1(cost/M) failures; cost[0] is the
-    // longest.
-    const double expected_failures = static_cast<double>(trials) *
-                                     static_cast<double>(cost.size()) *
-                                     std::expm1(cost.front() / mtbf_s);
-    ensure(expected_failures <= kMaxExpectedFailures,
-           ErrorCode::InvalidArgument, [&] {
-             return "simulate_checkpoint_restart: interval " +
-                    format_value(interval_s) + " s plus checkpoint " +
-                    format_value(checkpoint_s) + " s against mtbf " +
-                    format_value(mtbf_s) + " s expects " +
-                    format_value(expected_failures) + " failures over " +
-                    std::to_string(trials) + " trials (limit 1e9)";
-           });
   }
 
   Rng rng(seed ^ 0xda1e0fda11ull);

@@ -19,7 +19,9 @@
 //    drains the bytes through the NIC links, and the closed-form
 //    checkpoint_write_model_s() here must track it.
 
+#include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "fault/plan.hpp"
 #include "sim/fabric.hpp"
@@ -72,13 +74,22 @@ struct RestartStats {
 ///
 /// The segment schedule does not depend on the trial, so it is laid out
 /// once per call; a trial then only races each segment's cost against
-/// its next failure draw.  Two bounds keep a call finite, each an
-/// InvalidArgument: at most 2^20 segments per trial (naming work and
-/// interval), and at most 1e9 expected failures, trials × segments ×
-/// expm1(longest segment cost / MTBF) (naming interval and MTBF).
-/// Every input must be finite.
+/// its next failure draw.  check_restart_cell() bounds the call first.
 [[nodiscard]] RestartStats simulate_checkpoint_restart(
     double work_s, double interval_s, double checkpoint_s, double restart_s,
     double mtbf_s, std::uint64_t seed, int trials);
+
+/// Checks one simulate_checkpoint_restart() call without running it, so
+/// a caller can vet a whole grid before any of it runs.  Each failure is
+/// an InvalidArgument whose message starts with `context`: every input
+/// finite, work and interval positive, costs non-negative, at least one
+/// trial; at most 2^20 segments per trial (naming work and interval);
+/// at most 2^32 segment steps in all, trials × segments (naming trials,
+/// work and interval); and at most 1e9 expected failures, trials ×
+/// segments × expm1(longest segment cost / MTBF) (naming interval and
+/// MTBF).  Returns the segments per trial.
+std::size_t check_restart_cell(std::string_view context, double work_s,
+                               double interval_s, double checkpoint_s,
+                               double restart_s, double mtbf_s, int trials);
 
 }  // namespace pvc::fault

@@ -90,12 +90,14 @@ const char* link_class_name(LinkClass c) {
 
 LinkId FlowNetwork::add_link(LinkClass cls, double capacity_bps) {
   ensure(capacity_bps > 0.0, "FlowNetwork: link capacity must be positive");
+  ensure(links_.size() < kNoSlot, ErrorCode::InvalidArgument,
+         "FlowNetwork: more than 2^32 - 1 links (routes store 32-bit ids)");
   links_.push_back(Link{capacity_bps, cls});
   traversals_.push_back(0);
-  link_flows_.emplace_back();
   link_pos_.push_back(kNoSlot);
   residual_.push_back(0.0);
   weight_.push_back(0.0);
+  share_.push_back(0.0);
   return links_.size() - 1;
 }
 
@@ -126,28 +128,38 @@ double FlowNetwork::link_scale(LinkId id) const {
   return links_[id].scale;
 }
 
-FlowId FlowNetwork::start_flow(std::vector<LinkId> route, double bytes,
+FlowId FlowNetwork::start_flow(std::span<const LinkId> route, double bytes,
                                double latency_s,
                                std::function<void(Time)> on_complete) {
   ensure(bytes >= 0.0, "FlowNetwork: negative flow size");
   ensure(latency_s >= 0.0, "FlowNetwork: negative latency");
+  ensure(route.size() <= kMaxRouteLinks, ErrorCode::InvalidArgument, [&] {
+    return "FlowNetwork: a route of " + std::to_string(route.size()) +
+           " links is longer than the limit of " +
+           std::to_string(kMaxRouteLinks);
+  });
   for (LinkId id : route) {
     ensure(id < links_.size(), "FlowNetwork: route uses unknown link");
   }
   const std::uint32_t slot = take_slot();
   Flow& flow = slots_[slot];
   flow.seq = next_seq_++;
-  flow.route = std::move(route);
   flow.remaining = bytes;
   flow.rate = 0.0;
   flow.on_complete = std::move(on_complete);
   flow.class_mask = 0;
+  flow.hops = static_cast<std::uint8_t>(route.size());
+  for (std::size_t h = 0; h < route.size(); ++h) {
+    flow.route[h] = static_cast<std::uint32_t>(route[h]);
+    flow.class_mask |= static_cast<std::uint8_t>(
+        1u << static_cast<unsigned>(links_[route[h]].cls));
+  }
   flow.state = State::Latent;
   const FlowId id = flow_id(slot);
   auto& metrics = net_metrics();
   metrics.flows_started->add(1);
 
-  if (flow.route.empty() || bytes <= kEpsilonBytes) {
+  if (route.empty() || bytes <= kEpsilonBytes) {
     // Pure-latency operation: end_latency() completes it, unless
     // abort_flow() cancels it first.
     engine_->schedule_after(latency_s, [this, id] { end_latency(id); });
@@ -156,10 +168,6 @@ FlowId FlowNetwork::start_flow(std::vector<LinkId> route, double bytes,
 
   // Account offered bytes once per flow, and once per distinct link
   // class the route crosses.
-  for (LinkId l : flow.route) {
-    flow.class_mask |= static_cast<std::uint8_t>(
-        1u << static_cast<unsigned>(links_[l].cls));
-  }
   const auto payload = static_cast<std::uint64_t>(std::llround(bytes));
   metrics.bytes_total->add(payload);
   for (std::size_t c = 0; c < kLinkClassCount; ++c) {
@@ -174,6 +182,10 @@ FlowId FlowNetwork::start_flow(std::vector<LinkId> route, double bytes,
     activate(slot);
   }
   return id;
+}
+
+void FlowNetwork::reserve_flows(std::size_t flows) {
+  slots_.reserve(slots_.size() - free_slots_.size() + flows);
 }
 
 std::uint32_t FlowNetwork::take_slot() {
@@ -212,7 +224,7 @@ void FlowNetwork::end_latency(FlowId id) {
     return;  // aborted during the latency phase
   }
   Flow& flow = slots_[slot];
-  if (!flow.route.empty() && flow.remaining > kEpsilonBytes) {
+  if (flow.hops > 0 && flow.remaining > kEpsilonBytes) {
     activate(slot);
     return;
   }
@@ -252,26 +264,7 @@ bool FlowNetwork::abort_flow(FlowId id) {
 void FlowNetwork::activate(std::uint32_t slot) {
   advance_progress();
 
-  // Distinct route links with traversal multiplicity (routes are a
-  // handful of hops, so the quadratic dedup never sees real n).  One
-  // reservation per activation, none when a reused slot already has the
-  // capacity.
   Flow& f = slots_[slot];
-  f.incident.clear();
-  f.incident.reserve(f.route.size());
-  for (LinkId l : f.route) {
-    bool found = false;
-    for (auto& [lid, count] : f.incident) {
-      if (lid == l) {
-        ++count;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      f.incident.emplace_back(l, 1u);
-    }
-  }
   f.state = State::Active;
 
   // Append; a flow that activates ahead of an older one (a shorter
@@ -283,13 +276,12 @@ void FlowNetwork::activate(std::uint32_t slot) {
   }
   active_.push_back(slot);
 
-  for (const auto& [l, count] : f.incident) {
-    if (traversals_[l] == 0) {
+  // One step per traversal: a link crossed twice counts twice.
+  for (const std::uint32_t l : f.links()) {
+    if (traversals_[l]++ == 0) {
       link_pos_[l] = static_cast<std::uint32_t>(active_links_.size());
       active_links_.push_back(l);
     }
-    traversals_[l] += count;
-    link_flows_[l].push_back(Incidence{slot, count});
   }
   for (std::size_t c = 0; c < kLinkClassCount; ++c) {
     if (f.class_mask & (1u << c)) {
@@ -302,17 +294,8 @@ void FlowNetwork::activate(std::uint32_t slot) {
 
 void FlowNetwork::unlink(std::uint32_t slot) {
   const Flow& f = slots_[slot];
-  for (const auto& [l, count] : f.incident) {
-    traversals_[l] -= count;
-    auto& incidence = link_flows_[l];
-    for (auto& entry : incidence) {
-      if (entry.slot == slot) {
-        entry = incidence.back();
-        incidence.pop_back();
-        break;
-      }
-    }
-    if (traversals_[l] == 0) {
+  for (const std::uint32_t l : f.links()) {
+    if (--traversals_[l] == 0) {
       const std::uint32_t pos = link_pos_[l];
       active_links_[pos] = active_links_.back();
       link_pos_[active_links_[pos]] = pos;
@@ -335,16 +318,15 @@ void FlowNetwork::restore_active_order() {
     return slots_[a].seq < slots_[b].seq;
   };
   const auto mid = active_.begin() + static_cast<std::ptrdiff_t>(ordered_);
-  std::sort(mid, active_.end(), by_seq);
-  merge_scratch_.clear();
-  auto from = active_.begin();
-  for (auto late = mid; late != active_.end(); ++late) {
-    const auto to = std::upper_bound(from, mid, *late, by_seq);
-    merge_scratch_.insert(merge_scratch_.end(), from, to);
-    merge_scratch_.push_back(*late);
-    from = to;
+  // Activations that share an instant usually arrive in creation order
+  // (latency events at one timestamp fire in scheduling order), so the
+  // tail needs a sort only when a zero-latency start cut in.
+  if (!std::is_sorted(mid, active_.end(), by_seq)) {
+    std::sort(mid, active_.end(), by_seq);
   }
-  merge_scratch_.insert(merge_scratch_.end(), from, mid);
+  merge_scratch_.resize(active_.size());
+  std::merge(active_.begin(), mid, mid, active_.end(), merge_scratch_.begin(),
+             by_seq);
   active_.swap(merge_scratch_);
   ordered_ = active_.size();
 }
@@ -417,15 +399,18 @@ void FlowNetwork::recompute_rates() {
     unfrozen_.push_back(&flow);
   }
 
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   while (!unfrozen_.empty()) {
-    // Bottleneck link: smallest residual capacity per unit weight.
-    double best_share = std::numeric_limits<double>::infinity();
-    for (const LinkId l : active_links_) {
-      if (weight_[l] > 0.0) {
-        best_share = std::min(best_share, residual_[l] / weight_[l]);
-      }
+    // Bottleneck link: smallest residual capacity per unit weight.  Each
+    // link's share is divided once per level and kept for the decide
+    // phase below, which compares the same double.
+    double best_share = kInf;
+    for (const std::uint32_t l : active_links_) {
+      const double share = weight_[l] > 0.0 ? residual_[l] / weight_[l] : kInf;
+      share_[l] = share;
+      best_share = std::min(best_share, share);
     }
-    ensure(best_share < std::numeric_limits<double>::infinity(),
+    ensure(best_share < kInf,
            "FlowNetwork: active flow with no weighted links");
     best_share = std::max(best_share, 0.0);
 
@@ -437,13 +422,13 @@ void FlowNetwork::recompute_rates() {
     // accounts for).  Keeping the decision reads separate from the
     // apply writes makes the level a pure function of its starting
     // state, independent of the order flows are visited in.
+    const double bottleneck = best_share * (1.0 + 1e-12);
     still_unfrozen_.clear();
     frozen_scratch_.clear();
     for (Flow* flow : unfrozen_) {
       bool bottlenecked = false;
-      for (const LinkId l : flow->route) {
-        if (weight_[l] > 0.0 &&
-            residual_[l] / weight_[l] <= best_share * (1.0 + 1e-12)) {
+      for (const std::uint32_t l : flow->links()) {
+        if (share_[l] <= bottleneck) {
           bottlenecked = true;
           break;
         }
@@ -462,7 +447,7 @@ void FlowNetwork::recompute_rates() {
     // the subtraction count, never on flow order.
     for (Flow* flow : frozen_scratch_) {
       flow->rate = best_share;
-      for (const LinkId l : flow->route) {
+      for (const std::uint32_t l : flow->links()) {
         residual_[l] -= best_share;
         weight_[l] -= 1.0;
       }
@@ -577,8 +562,11 @@ double FlowNetwork::link_load(LinkId id) const {
   ensure(id < links_.size(), "FlowNetwork: bad link id");
   ensure_rates_current();
   double load = 0.0;
-  for (const Incidence& entry : link_flows_[id]) {
-    load += slots_[entry.slot].rate * static_cast<double>(entry.count);
+  for (const std::uint32_t slot : active_) {
+    const Flow& flow = slots_[slot];
+    const auto links = flow.links();
+    load += flow.rate *
+            static_cast<double>(std::count(links.begin(), links.end(), id));
   }
   return load;
 }
@@ -622,7 +610,7 @@ std::vector<std::pair<FlowId, double>> FlowNetwork::reference_rates() const {
   all.reserve(live.size());
   for (const std::uint32_t slot : live) {
     all.push_back(RefFlow{flow_id(slot), &slots_[slot], 0.0});
-    for (const LinkId l : slots_[slot].route) {
+    for (const std::uint32_t l : slots_[slot].links()) {
       weight[l] += 1.0;
     }
   }
@@ -647,7 +635,7 @@ std::vector<std::pair<FlowId, double>> FlowNetwork::reference_rates() const {
     bool froze_any = false;
     for (RefFlow* rf : unfrozen) {
       bool bottlenecked = false;
-      for (const LinkId l : rf->flow->route) {
+      for (const std::uint32_t l : rf->flow->links()) {
         if (weight[l] > 0.0 &&
             residual[l] / weight[l] <= best_share * (1.0 + 1e-12)) {
           bottlenecked = true;
@@ -657,7 +645,7 @@ std::vector<std::pair<FlowId, double>> FlowNetwork::reference_rates() const {
       if (bottlenecked) {
         rf->rate = best_share;
         froze_any = true;
-        for (const LinkId l : rf->flow->route) {
+        for (const std::uint32_t l : rf->flow->links()) {
           residual[l] -= best_share;
           weight[l] -= 1.0;
         }

@@ -19,19 +19,23 @@
 //    Its FlowId packs (generation << 32) | slot, like the engine's
 //    EventId, so abort_flow(), flow_rate() and the end of the latency
 //    phase find it with one generation compare.
+//  * Inline routes.  start_flow() copies the route into the flow's slot
+//    (at most kMaxRouteLinks 32-bit link ids), so a flow's life
+//    allocates nothing once the slot table has room.
 //  * Creation-order active list.  `active_` keeps the transferring flows
 //    in creation order, the order completion callbacks fire in.
 //    Activations append; the order is restored once per simulated
-//    instant, before the rate solve and before the completion scan.  A
-//    finished batch, and any flow aborted at that instant, leaves in
-//    one stable compaction.
+//    instant, before the rate solve and before the completion scan, by
+//    one linear merge.  A finished batch, and any flow aborted at that
+//    instant, leaves in one stable compaction.
 //  * Costs.  Starting, activating, aborting or completing one flow is
 //    O(1) plus its route.  The work that walks every active flow (the
 //    order merge, progress integration, the rate solve, the
 //    next-completion and completion scans) runs once per instant.
 //  * Incremental solver state.  Per-link active-traversal counts and a
-//    compact active-link list are maintained across flow changes, and
-//    the progressive-filling scratch buffers are reused across solves.
+//    compact active-link list follow each activation and unlink, one
+//    step per route traversal; the progressive-filling scratch buffers
+//    are reused across solves.
 //  * Batched solves.  Mutations mark the rates dirty and a zero-delay
 //    resolve event (or the first rate query, whichever comes first) runs
 //    progressive filling once per simulated instant, so N flows starting
@@ -42,6 +46,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,6 +55,9 @@
 namespace pvc::sim {
 
 using LinkId = std::size_t;
+/// Longest route start_flow() accepts (the flow record holds it inline);
+/// NodeSim's longest, the host-staged reroute, has 13 links.
+inline constexpr std::size_t kMaxRouteLinks = 16;
 /// Handle of one flow.  Packs (generation << 32) | slot, like EventId:
 /// once the flow finishes or is aborted its id goes stale, even after a
 /// later flow reuses the slot.  0 is never a valid id.
@@ -96,7 +104,7 @@ class FlowNetwork {
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
   /// Adds a link of class `cls` with the given capacity (> 0) and
-  /// returns its id.
+  /// returns its id.  At most 2^32 - 1 links: routes store 32-bit ids.
   LinkId add_link(LinkClass cls, double capacity_bps);
 
   [[nodiscard]] std::size_t link_count() const noexcept {
@@ -115,9 +123,14 @@ class FlowNetwork {
   /// Starts a flow of `bytes` over `route` after `latency_s` of setup
   /// latency.  `on_complete(now)` fires when the last byte arrives.
   /// An empty route models an instantaneous local operation (completes
-  /// after latency only).
-  FlowId start_flow(std::vector<LinkId> route, double bytes, double latency_s,
-                    std::function<void(Time)> on_complete);
+  /// after latency only).  The route is copied into the flow's record:
+  /// more than kMaxRouteLinks links is an InvalidArgument.
+  FlowId start_flow(std::span<const LinkId> route, double bytes,
+                    double latency_s, std::function<void(Time)> on_complete);
+
+  /// Makes room for `flows` more flows in flight at once, so starting a
+  /// batch of them grows the slot table at most once.
+  void reserve_flows(std::size_t flows);
 
   /// Aborts an in-flight flow: it stops consuming capacity and its
   /// on_complete callback never fires (the caller reports the failure
@@ -144,8 +157,8 @@ class FlowNetwork {
 
   /// Instantaneous load on a link: the sum of active flow rates crossing
   /// it (counting multiplicity).  Never exceeds the link's capacity —
-  /// the invariant the property tests check.  Served by the per-link
-  /// incidence list in O(flows on that link).
+  /// the invariant the property tests check.  Walks every active flow's
+  /// route (tests and introspection only).
   [[nodiscard]] double link_load(LinkId id) const;
 
   /// (id, rate) of every active flow, in creation order
@@ -172,21 +185,18 @@ class FlowNetwork {
 
   struct Flow {
     std::uint64_t seq = 0;  ///< creation order, the order of active_
-    std::vector<LinkId> route;
-    /// Distinct links of `route` with traversal multiplicity, computed
-    /// once at activation; drives the incremental per-link bookkeeping.
-    std::vector<std::pair<LinkId, std::uint32_t>> incident;
     double remaining = 0.0;
     double rate = 0.0;
     std::function<void(Time)> on_complete;
     std::uint32_t generation = 0;  ///< bumped each time the slot is taken
     State state = State::Free;
     std::uint8_t class_mask = 0;  ///< distinct LinkClass bits of the route
-  };
-  /// One active flow crossing a link (slot + traversal count).
-  struct Incidence {
-    std::uint32_t slot = 0;
-    std::uint32_t count = 0;
+    std::uint8_t hops = 0;        ///< route length
+    /// The route in traversal order; a link crossed twice appears twice.
+    std::array<std::uint32_t, kMaxRouteLinks> route{};
+    [[nodiscard]] std::span<const std::uint32_t> links() const noexcept {
+      return {route.data(), hops};
+    }
   };
 
   [[nodiscard]] std::uint32_t take_slot();
@@ -204,7 +214,8 @@ class FlowNetwork {
   /// the slot until the next compaction).
   void unlink(std::uint32_t slot);
   /// Merges the activations appended since the last call back into
-  /// creation order: binary search per late flow, block moves between.
+  /// creation order: sorts them only when they arrived out of order,
+  /// then one linear merge.
   void restore_active_order();
   /// One stable pass over active_: releases retired slots and moves the
   /// slots `done` selects to finished_slots_, in creation order.
@@ -248,15 +259,15 @@ class FlowNetwork {
   std::uint64_t flows_aborted_ = 0;
 
   // Incrementally maintained per-link state.
-  std::vector<std::uint32_t> traversals_;       ///< active traversal count
-  std::vector<std::vector<Incidence>> link_flows_;  ///< incidence lists
-  std::vector<LinkId> active_links_;            ///< links with traversals > 0
-  std::vector<std::uint32_t> link_pos_;         ///< index into active_links_
+  std::vector<std::uint32_t> traversals_;    ///< active traversal count
+  std::vector<std::uint32_t> active_links_;  ///< links with traversals > 0
+  std::vector<std::uint32_t> link_pos_;      ///< index into active_links_
   std::array<std::uint32_t, kLinkClassCount> class_active_ = {};
 
   // Progressive-filling scratch, reused across recompute_rates() calls.
   std::vector<double> residual_;
   std::vector<double> weight_;
+  std::vector<double> share_;  ///< residual / weight per level (+inf at 0)
   std::vector<Flow*> unfrozen_;
   std::vector<Flow*> still_unfrozen_;
   std::vector<Flow*> frozen_scratch_;  ///< decide-phase output per level

@@ -122,6 +122,10 @@ TEST(BenchRegistry, ResilienceSweepRunsEachSectionOnce) {
       run_to_files("resilience_sweep", {"sim_ranks=48", "threads=2"}, dir);
   fs::remove_all(dir);
   EXPECT_FALSE(csv.empty());
+  if (!pvc::obs::compiled_in()) {
+    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; the rest of this test "
+                    "counts the sections' runs through their metrics";
+  }
 
   // sim_ranks=48 prices 12 and 48 Aurora ranks on the DES, 16 GiB each.
   constexpr std::uint64_t kCkptBytes = 16ull << 30;
@@ -225,24 +229,59 @@ TEST(BenchOptions, ResilienceSweepChecksWorkAndTrialsFirst) {
 }
 
 TEST(BenchOptions, ResilienceSweepRejectsUnboundedDalyCells) {
-  // Inputs whose Monte Carlo would never finish fail fast, naming what
-  // makes them unbounded: 1e12 s of work is ~1.6e11 segments per trial
-  // (limit 2^20), and a 1 s MTBF against a 50-800 s interval expects
-  // far more than 1e9 failures.
+  // Inputs whose Monte Carlo would never finish fail before any section
+  // runs or prints, naming what makes them unbounded and, when a chaos
+  // ckpt clause set the cell, the clause: 1e12 s of work is ~1.6e11
+  // segments per trial (limit 2^20); a 1 s MTBF against a 50-800 s
+  // interval expects far more than 1e9 failures; and 2e9 trials of the
+  // 0.25 s cell's 4e4 segments walk 8e13 segments (limit 2^32) with
+  // almost no failures.
   const std::pair<std::vector<std::string>, std::vector<const char*>>
       cases[] = {
           {{"sim_ranks=0", "work=1e12"}, {"work", "interval"}},
-          {{"sim_ranks=0", "chaos=seed:1;ckpt:bytes=1e9,interval=200,mtbf=1"},
-           {"interval", "mtbf"}},
+          {{"chaos=seed:1;ckpt:bytes=1e9,interval=200,mtbf=1"},
+           {"interval", "mtbf", "ckpt"}},
+          {{"sim_ranks=0", "trials=2000000000",
+            "chaos=seed:1;ckpt:bytes=1e9,interval=1,mtbf=1e12"},
+           {"trials", "work", "interval", "2^32", "ckpt"}},
       };
   for (const auto& [args, words] : cases) {
+    testing::internal::CaptureStdout();
     const pvc::Error e = run_expecting_error("resilience_sweep", args);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(out.find("Checkpoint write"), std::string::npos)
+        << args.back() << " printed:\n" << out;
     EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << args.back();
     for (const char* word : words) {
       EXPECT_NE(std::string(e.what()).find(word), std::string::npos)
           << args.back() << ": " << e.what();
     }
   }
+}
+
+TEST(BenchOptions, PositionalArgumentsFailByName) {
+  // Every option is key=value.  A bare token, like `csv` for
+  // `csv=<path>`, used to be ignored: the bench exited 0 and wrote
+  // nothing.  Now every bench rejects it by name before writing.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pvc_bench_positional_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path csv = dir / "out.csv";
+  for (const pvcbench::BenchEntry& entry : pvcbench::bench_entries()) {
+    for (const char* token : {"csv", "foo"}) {
+      const pvc::Error e =
+          run_expecting_error(entry.name, {token, "csv=" + csv.string()});
+      EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument)
+          << entry.name << " " << token;
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + token + "'"),
+                std::string::npos)
+          << entry.name << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("key=value"), std::string::npos)
+          << entry.name << ": " << e.what();
+      EXPECT_FALSE(fs::exists(csv)) << entry.name << " " << token;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(BenchOptions, RetiredShardOptionsAreUnknown) {

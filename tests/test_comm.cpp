@@ -297,6 +297,10 @@ TEST(Communicator, TagMatchDepthHistogramReportsQueuePositions) {
   comm.irecv(1, 0, 10, 8.0);    // matches seq 0; nothing earlier  -> depth 0
   comm.irecv(1, 0, 99, 8.0);    // queues
   comm.isend(0, 1, 99, 8.0);    // immediate match, empty queue    -> depth 0
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; this test checks only "
+                    "the comm.tag_match_depth histogram";
+  }
   const auto snap = local.snapshot();
   const auto* depth = snap.find("comm.tag_match_depth");
   ASSERT_NE(depth, nullptr);

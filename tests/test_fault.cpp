@@ -311,14 +311,16 @@ TEST(Injector, DownedXeLinkReroutesTableIIIPairWithSlowdown) {
   // strictly slower than the healthy Xe-Link.
   EXPECT_GT(rerouted / healthy, 1.0);
 
-  const auto snapshot = obs::Registry::global().snapshot();
-  bool saw_reroute = false;
-  for (const auto& s : snapshot.samples) {
-    if (s.name == "net.reroutes" && s.value > 0.0) {
-      saw_reroute = true;
+  if (obs::compiled_in()) {
+    const auto snapshot = obs::Registry::global().snapshot();
+    bool saw_reroute = false;
+    for (const auto& s : snapshot.samples) {
+      if (s.name == "net.reroutes" && s.value > 0.0) {
+        saw_reroute = true;
+      }
     }
+    EXPECT_TRUE(saw_reroute);
   }
-  EXPECT_TRUE(saw_reroute);
 }
 
 TEST(Injector, ReroutePenaltyOverrideDeepensSlowdown) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "blas/gemm.hpp"
@@ -149,7 +150,7 @@ TEST(FlowProperty, BytesDeliveredEqualsBytesRequested) {
     const double cap = net.link(links[0]).capacity_bps;
     const int noise_flows = static_cast<int>(rng.uniform_index(5));
     for (int f = 0; f < noise_flows; ++f) {
-      net.start_flow({links[rng.uniform_index(
+      net.start_flow(std::array{links[rng.uniform_index(
                          static_cast<std::uint64_t>(n_links))]},
                      rng.uniform(10.0, 1000.0), rng.uniform(0.0, 1.0), {});
     }
@@ -157,7 +158,8 @@ TEST(FlowProperty, BytesDeliveredEqualsBytesRequested) {
     const double bytes = 100.0 + rng.uniform(0.0, 400.0);
     // A flow on a private link sees no contention: exact time = bytes/cap.
     const auto solo = net.add_link(sim::LinkClass::Other, cap);
-    net.start_flow({solo}, bytes, 0.0, [&](sim::Time t) { solo_done = t; });
+    net.start_flow(std::array{solo}, bytes, 0.0,
+                   [&](sim::Time t) { solo_done = t; });
     engine.run();
     EXPECT_NEAR(solo_done, bytes / cap, 1e-9) << "trial " << trial;
   }

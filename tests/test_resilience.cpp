@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -48,8 +49,8 @@ TEST(FlowAbort, ActiveFlowDiesWithoutCompleting) {
   sim::FlowNetwork net(engine);
   const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   bool completed = false;
-  const sim::FlowId id =
-      net.start_flow({link}, 500.0, 0.0, [&](sim::Time) { completed = true; });
+  const sim::FlowId id = net.start_flow(
+      std::array{link}, 500.0, 0.0, [&](sim::Time) { completed = true; });
   engine.schedule_after(1.0, [&] { EXPECT_TRUE(net.abort_flow(id)); });
   engine.run();
   EXPECT_FALSE(completed);
@@ -61,8 +62,9 @@ TEST(FlowAbort, AbortReleasesBandwidthToSurvivors) {
   sim::FlowNetwork net(engine);
   const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   double done_at = -1.0;
-  const sim::FlowId victim = net.start_flow({link}, 1000.0, 0.0, {});
-  net.start_flow({link}, 150.0, 0.0, [&](sim::Time t) { done_at = t; });
+  const sim::FlowId victim = net.start_flow(std::array{link}, 1000.0, 0.0, {});
+  net.start_flow(std::array{link}, 150.0, 0.0,
+                 [&](sim::Time t) { done_at = t; });
   engine.schedule_after(1.0, [&] { net.abort_flow(victim); });
   engine.run();
   // 50 B shared in the first second, the remaining 100 B at full rate.
@@ -74,8 +76,8 @@ TEST(FlowAbort, LatencyPhaseFlowNeverActivates) {
   sim::FlowNetwork net(engine);
   const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
   bool completed = false;
-  const sim::FlowId id =
-      net.start_flow({link}, 100.0, 2.0, [&](sim::Time) { completed = true; });
+  const sim::FlowId id = net.start_flow(
+      std::array{link}, 100.0, 2.0, [&](sim::Time) { completed = true; });
   engine.schedule_after(1.0, [&] { EXPECT_TRUE(net.abort_flow(id)); });
   engine.run();
   EXPECT_FALSE(completed);
@@ -86,7 +88,7 @@ TEST(FlowAbort, UnknownOrFinishedIdReturnsFalse) {
   sim::Engine engine;
   sim::FlowNetwork net(engine);
   const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
-  const sim::FlowId id = net.start_flow({link}, 100.0, 0.0, {});
+  const sim::FlowId id = net.start_flow(std::array{link}, 100.0, 0.0, {});
   engine.run();
   EXPECT_FALSE(net.abort_flow(id));      // already completed
   EXPECT_FALSE(net.abort_flow(id + 7));  // never existed
@@ -99,11 +101,11 @@ TEST(FlowAbort, StaleIdOfAReusedSlotIsRejected) {
   sim::Engine engine;
   sim::FlowNetwork net(engine);
   const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
-  const sim::FlowId first = net.start_flow({link}, 100.0, 0.0, {});
+  const sim::FlowId first = net.start_flow(std::array{link}, 100.0, 0.0, {});
   engine.run();
   double done = -1.0;
   const sim::FlowId second = net.start_flow(
-      {link}, 100.0, 0.0, [&](sim::Time t) { done = t; });
+      std::array{link}, 100.0, 0.0, [&](sim::Time t) { done = t; });
   ASSERT_NE(first, second);
   ASSERT_EQ(static_cast<std::uint32_t>(first),
             static_cast<std::uint32_t>(second));  // the same slot
@@ -122,11 +124,11 @@ TEST(FlowAbort, AbortedLatencyEventLeavesTheSlotsNextFlowAlone) {
   sim::Engine engine;
   sim::FlowNetwork net(engine);
   const sim::LinkId link = net.add_link(sim::LinkClass::Other, 100.0);
-  const sim::FlowId doomed = net.start_flow({link}, 100.0, 1.0, {});
+  const sim::FlowId doomed = net.start_flow(std::array{link}, 100.0, 1.0, {});
   ASSERT_TRUE(net.abort_flow(doomed));
   double done = -1.0;
   const sim::FlowId next = net.start_flow(
-      {link}, 100.0, 2.0, [&](sim::Time t) { done = t; });
+      std::array{link}, 100.0, 2.0, [&](sim::Time t) { done = t; });
   ASSERT_EQ(static_cast<std::uint32_t>(doomed),
             static_cast<std::uint32_t>(next));  // the same slot
   engine.schedule_at(1.5, [&] {
@@ -585,6 +587,23 @@ TEST(Checkpoint, MonteCarloRejectsUnboundedCalls) {
   EXPECT_DOUBLE_EQ(full.checkpoints, kSegments - 1.0);
   expect_invalid(kSegments + 1.0, 1.0, 0.0, 0.0, 0.0, 1, "work");
   expect_invalid(kSegments + 1.0, 1.0, 0.0, 0.0, 0.0, 1, "interval");
+  // At most 2^32 segments in all: 4096 segments x 2^20 trials is the
+  // limit (checked, not run), one more trial is an error naming trials,
+  // work and interval.
+  EXPECT_EQ(fault::check_restart_cell("cell", 4096.0, 1.0, 0.0, 0.0, 0.0,
+                                      1 << 20),
+            4096u);
+  for (const char* word : {"trials", "work", "interval", "2^32"}) {
+    expect_invalid(4096.0, 1.0, 0.0, 0.0, 0.0, (1 << 20) + 1, word);
+  }
+  try {
+    (void)fault::check_restart_cell("Daly cell 7", 100.0, 0.0, 0.0, 0.0, 0.0,
+                                    1);
+    ADD_FAILURE() << "accepted a zero interval";
+  } catch (const pvc::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("Daly cell 7: "), std::string::npos)
+        << e.what();
+  }
   // At most 1e9 expected failures: ten segments of cost M ln 2 expect
   // one failure each, so 1e8 + 1 trials is just over the limit.
   const double mtbf = 10.0 / std::log(2.0);
@@ -836,6 +855,10 @@ TEST(FaultMetrics, RecoveryAndCheckpointBumpTheFaultCounters) {
   (void)fault::ft_halo_exchange(cluster, 256.0 * KB,
                                 fault::RecoveryPolicy::Spare);
   (void)fault::simulate_checkpoint_restart(100.0, 10.0, 1.0, 2.0, 0.0, 1, 1);
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; this test checks only "
+                    "the fault.* and fabric.* counters";
+  }
 
   const auto snapshot = obs::Registry::global().snapshot();
   const auto value = [&](const char* name) {

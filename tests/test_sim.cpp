@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -202,7 +203,7 @@ TEST(FlowNetwork, SingleFlowTakesBytesOverCapacity) {
   FlowNetwork net(engine);
   const LinkId link = net.add_link(LinkClass::Other, 100.0);  // 100 B/s
   double done_at = -1.0;
-  net.start_flow({link}, 500.0, 0.0, [&](Time t) { done_at = t; });
+  net.start_flow(std::array{link}, 500.0, 0.0, [&](Time t) { done_at = t; });
   engine.run();
   EXPECT_DOUBLE_EQ(done_at, 5.0);
 }
@@ -216,7 +217,7 @@ TEST(FlowNetwork, FlowOverAPcieLinkBumpsOnlyThePcieSeries) {
   FlowNetwork net(engine);
   const LinkId link = net.add_link(LinkClass::Pcie, 100.0);
   EXPECT_EQ(net.link(link).cls, LinkClass::Pcie);
-  net.start_flow({link}, 1000.0, 0.0, {});
+  net.start_flow(std::array{link}, 1000.0, 0.0, {});
   engine.run();
   if (!obs::compiled_in()) {
     GTEST_SKIP() << "built with -DPVC_METRICS=OFF";
@@ -238,7 +239,7 @@ TEST(FlowNetwork, LatencyDelaysStart) {
   FlowNetwork net(engine);
   const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double done_at = -1.0;
-  net.start_flow({link}, 100.0, 2.0, [&](Time t) { done_at = t; });
+  net.start_flow(std::array{link}, 100.0, 2.0, [&](Time t) { done_at = t; });
   engine.run();
   EXPECT_DOUBLE_EQ(done_at, 3.0);
 }
@@ -248,8 +249,10 @@ TEST(FlowNetwork, TwoFlowsShareFairly) {
   FlowNetwork net(engine);
   const LinkId link = net.add_link(LinkClass::Other, 100.0);
   std::vector<double> done;
-  net.start_flow({link}, 100.0, 0.0, [&](Time t) { done.push_back(t); });
-  net.start_flow({link}, 100.0, 0.0, [&](Time t) { done.push_back(t); });
+  net.start_flow(std::array{link}, 100.0, 0.0,
+                 [&](Time t) { done.push_back(t); });
+  net.start_flow(std::array{link}, 100.0, 0.0,
+                 [&](Time t) { done.push_back(t); });
   engine.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_DOUBLE_EQ(done[0], 2.0);  // each gets 50 B/s
@@ -261,8 +264,9 @@ TEST(FlowNetwork, ShortFlowReleasesBandwidth) {
   FlowNetwork net(engine);
   const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double long_done = -1.0;
-  net.start_flow({link}, 50.0, 0.0, {});  // finishes at t=1 (50 B at 50 B/s)
-  net.start_flow({link}, 150.0, 0.0, [&](Time t) { long_done = t; });
+  // Finishes at t=1 (50 B at 50 B/s).
+  net.start_flow(std::array{link}, 50.0, 0.0, {});
+  net.start_flow(std::array{link}, 150.0, 0.0, [&](Time t) { long_done = t; });
   engine.run();
   // Long flow: 50 B in the first second (shared), then 100 B/s alone.
   EXPECT_DOUBLE_EQ(long_done, 2.0);
@@ -274,7 +278,7 @@ TEST(FlowNetwork, BottleneckLinkGovernsMultiLinkRoute) {
   const LinkId fast = net.add_link(LinkClass::Other, 1000.0);
   const LinkId slow = net.add_link(LinkClass::Other, 10.0);
   double done = -1.0;
-  net.start_flow({fast, slow}, 100.0, 0.0, [&](Time t) { done = t; });
+  net.start_flow(std::array{fast, slow}, 100.0, 0.0, [&](Time t) { done = t; });
   engine.run();
   EXPECT_DOUBLE_EQ(done, 10.0);
 }
@@ -285,7 +289,7 @@ TEST(FlowNetwork, DoubleTraversalChargesTwice) {
   const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double done = -1.0;
   // Crossing the same link twice halves the end-to-end rate.
-  net.start_flow({link, link}, 100.0, 0.0, [&](Time t) { done = t; });
+  net.start_flow(std::array{link, link}, 100.0, 0.0, [&](Time t) { done = t; });
   engine.run();
   EXPECT_DOUBLE_EQ(done, 2.0);
 }
@@ -298,9 +302,9 @@ TEST(FlowNetwork, MaxMinAllocationWithAsymmetricRoutes) {
   // Flow A is bottlenecked by its private link at 10 B/s; flow B should
   // then get the remaining 80 B/s of the shared link.
   double a_done = -1.0, b_done = -1.0;
-  net.start_flow({shared, private_slow}, 10.0, 0.0,
+  net.start_flow(std::array{shared, private_slow}, 10.0, 0.0,
                  [&](Time t) { a_done = t; });
-  net.start_flow({shared}, 80.0, 0.0, [&](Time t) { b_done = t; });
+  net.start_flow(std::array{shared}, 80.0, 0.0, [&](Time t) { b_done = t; });
   engine.run();
   EXPECT_DOUBLE_EQ(a_done, 1.0);
   EXPECT_DOUBLE_EQ(b_done, 1.0);
@@ -320,7 +324,7 @@ TEST(FlowNetwork, LinkScaleDegradesInFlightFlow) {
   FlowNetwork net(engine);
   const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double done_at = -1.0;
-  net.start_flow({link}, 100.0, 0.0, [&](Time t) { done_at = t; });
+  net.start_flow(std::array{link}, 100.0, 0.0, [&](Time t) { done_at = t; });
   // Halfway through (50 B moved), the link retrains to quarter speed:
   // the remaining 50 B crawl at 25 B/s and land at 0.5 + 2.0.
   engine.schedule_at(0.5, [&] { net.set_link_scale(link, 0.25); });
@@ -336,7 +340,7 @@ TEST(FlowNetwork, LinkScaleRestores) {
   net.set_link_scale(link, 0.5);
   net.set_link_scale(link, 1.0);
   double done_at = -1.0;
-  net.start_flow({link}, 100.0, 0.0, [&](Time t) { done_at = t; });
+  net.start_flow(std::array{link}, 100.0, 0.0, [&](Time t) { done_at = t; });
   engine.run();
   EXPECT_DOUBLE_EQ(done_at, 1.0);
 }
@@ -355,8 +359,36 @@ TEST(FlowNetwork, InvalidInputsThrow) {
   FlowNetwork net(engine);
   EXPECT_THROW(net.add_link(LinkClass::Other, 0.0), pvc::Error);
   const LinkId link = net.add_link(LinkClass::Other, 1.0);
-  EXPECT_THROW(net.start_flow({link + 10}, 1.0, 0.0, {}), pvc::Error);
-  EXPECT_THROW(net.start_flow({link}, -1.0, 0.0, {}), pvc::Error);
+  EXPECT_THROW(net.start_flow(std::array{link + 10}, 1.0, 0.0, {}),
+               pvc::Error);
+  EXPECT_THROW(net.start_flow(std::array{link}, -1.0, 0.0, {}), pvc::Error);
+}
+
+TEST(FlowNetwork, RouteLongerThanTheInlineLimitIsRejected) {
+  // A flow's record holds its route inline: 16 links run (here one link
+  // crossed 16 times, so the flow moves at 100/16 B/s), 17 fail with a
+  // typed error naming the length and the limit.
+  ASSERT_EQ(kMaxRouteLinks, 16u);
+  Engine engine;
+  FlowNetwork net(engine);
+  const LinkId link = net.add_link(LinkClass::Other, 100.0);
+  std::vector<LinkId> route(kMaxRouteLinks, link);
+  double done = -1.0;
+  net.start_flow(route, 100.0, 0.0, [&](Time t) { done = t; });
+  engine.run();
+  EXPECT_DOUBLE_EQ(done, 16.0);
+
+  route.push_back(link);
+  try {
+    (void)net.start_flow(route, 100.0, 0.0, {});
+    ADD_FAILURE() << "a 17-link route was accepted";
+  } catch (const pvc::Error& e) {
+    EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("17 links"), std::string::npos) << what;
+    EXPECT_NE(what.find("limit of 16"), std::string::npos) << what;
+  }
+  EXPECT_EQ(net.active_flows(), 0u);
 }
 
 TEST(FlowNetwork, LinkLoadCountsMultiTraversalRoutes) {
@@ -366,8 +398,8 @@ TEST(FlowNetwork, LinkLoadCountsMultiTraversalRoutes) {
   // Flow A crosses the link twice (2-hop Xe-Link pattern), flow B once:
   // three traversals share 100 B/s, so both flows run at 100/3 and the
   // link is exactly full counting A's multiplicity.
-  const FlowId a = net.start_flow({link, link}, 300.0, 0.0, {});
-  const FlowId b = net.start_flow({link}, 300.0, 0.0, {});
+  const FlowId a = net.start_flow(std::array{link, link}, 300.0, 0.0, {});
+  const FlowId b = net.start_flow(std::array{link}, 300.0, 0.0, {});
   engine.schedule_at(1.0, [&] {
     EXPECT_DOUBLE_EQ(net.flow_rate(a), 100.0 / 3.0);
     EXPECT_DOUBLE_EQ(net.flow_rate(b), 100.0 / 3.0);
@@ -379,11 +411,12 @@ TEST(FlowNetwork, LinkLoadCountsMultiTraversalRoutes) {
 
 TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
   // Randomized flow churn (starts with and without a latency phase,
-  // completions, aborts in either phase, multi-traversal routes, link
-  // degradations/restores): after every mutation the incremental
-  // solver's rates must match the retained from-scratch reference
-  // solver, every id's flow_rate() must agree with them, and link loads
-  // must respect capacities.
+  // completions, aborts in either phase, routes of 1-16 hops that cross
+  // links more than once, adjacent or not, link degradations/restores):
+  // after every mutation the incremental solver's rates must match the
+  // retained from-scratch reference solver, every id's flow_rate() must
+  // agree with them, and every link's load must equal a from-scratch
+  // sum of rate x traversals and respect its capacity.
   Engine engine;
   FlowNetwork net(engine);
   pvc::Rng rng(0xC0FFEEu);
@@ -393,10 +426,12 @@ TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
     links.push_back(net.add_link(LinkClass::Other, 50.0 * (1 + i % 3)));
   }
   std::vector<FlowId> started;
+  std::vector<std::vector<LinkId>> routes;  // index-matched with started
   int latent_aborts = 0;
   int active_aborts = 0;
+  int split_repeats = 0;  // routes crossing a link twice, not in a row
 
-  const auto check = [&net, &links, &started] {
+  const auto check = [&net, &links, &started, &routes] {
     const std::size_t transferring = net.active_flows();
     const auto inc = net.current_rates();
     const auto ref = net.reference_rates();
@@ -412,6 +447,15 @@ TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
       EXPECT_EQ(net.flow_rate(id), it == inc.end() ? 0.0 : it->second);
     }
     for (const LinkId id : links) {
+      double load = 0.0;
+      for (const auto& [flow, rate] : inc) {
+        const auto& route = routes[static_cast<std::size_t>(
+            std::find(started.begin(), started.end(), flow) -
+            started.begin())];
+        load += rate * static_cast<double>(
+                           std::count(route.begin(), route.end(), id));
+      }
+      EXPECT_DOUBLE_EQ(net.link_load(id), load);
       EXPECT_LE(net.link_load(id),
                 net.link(id).effective_capacity_bps() * (1.0 + 1e-9));
     }
@@ -423,19 +467,28 @@ TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
     engine.schedule_at(t, [&] {
       const double pick = rng.uniform();
       if (pick < 0.6) {
-        // Random route of 1-3 hops, links drawn with replacement so the
-        // same link is regularly traversed more than once.  Half the
-        // flows start at once, half after a latency phase that often
-        // outlasts the next mutation.
+        // Random route of 1-16 hops (the inline limit), links drawn with
+        // replacement so the same link is regularly traversed more than
+        // once, often with other links between, as in NodeSim's
+        // host-staged reroute.  Half the flows start at once, half after
+        // a latency phase that often outlasts the next mutation.
         std::vector<LinkId> route;
-        const std::size_t hops = 1 + rng.uniform_index(3);
+        const std::size_t hops = 1 + rng.uniform_index(kMaxRouteLinks);
         for (std::size_t h = 0; h < hops; ++h) {
           route.push_back(links[rng.uniform_index(links.size())]);
         }
+        for (std::size_t h = 2; h < route.size(); ++h) {
+          if (std::find(route.begin(), route.begin() + (h - 1), route[h]) !=
+              route.begin() + (h - 1)) {
+            ++split_repeats;
+            break;
+          }
+        }
         const double latency =
             rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.0, 1.5);
-        started.push_back(net.start_flow(
-            std::move(route), rng.uniform(10.0, 500.0), latency, {}));
+        started.push_back(
+            net.start_flow(route, rng.uniform(10.0, 500.0), latency, {}));
+        routes.push_back(std::move(route));
       } else if (pick < 0.75 && !started.empty()) {
         // Abort a random earlier flow: latent, active or long finished.
         const FlowId victim = started[rng.uniform_index(started.size())];
@@ -459,6 +512,7 @@ TEST(FlowNetwork, IncrementalMatchesReferenceUnderRandomChurn) {
   EXPECT_EQ(net.active_flows(), 0u);
   EXPECT_GT(latent_aborts, 0);
   EXPECT_GT(active_aborts, 0);
+  EXPECT_GT(split_repeats, 0);
   EXPECT_EQ(net.flows_aborted(),
             static_cast<std::uint64_t>(latent_aborts + active_aborts));
 }
@@ -474,11 +528,11 @@ TEST(FlowNetwork, SameInstantCompletionsFireInCreationOrder) {
     const LinkId a = net.add_link(LinkClass::Other, 100.0);
     const LinkId b = net.add_link(LinkClass::Other, 100.0);
     std::vector<int> order;
-    net.start_flow({a}, 100.0, 1.0, [&](Time t) {
+    net.start_flow(std::array{a}, 100.0, 1.0, [&](Time t) {
       EXPECT_DOUBLE_EQ(t, 2.0);
       order.push_back(1);
     });
-    net.start_flow({b}, 200.0, 0.0, [&](Time t) {
+    net.start_flow(std::array{b}, 200.0, 0.0, [&](Time t) {
       EXPECT_DOUBLE_EQ(t, 2.0);
       order.push_back(2);
     });
@@ -495,13 +549,13 @@ TEST(FlowNetwork, SameInstantCompletionsFireInCreationOrder) {
     const LinkId b = net.add_link(LinkClass::Other, 100.0);
     std::vector<int> order;
     FlowId late = 0;
-    net.start_flow({a}, 100.0, 0.0, [&](Time) {
-      late = net.start_flow({a}, 200.0, 0.0, [&](Time t) {
+    net.start_flow(std::array{a}, 100.0, 0.0, [&](Time) {
+      late = net.start_flow(std::array{a}, 200.0, 0.0, [&](Time t) {
         EXPECT_DOUBLE_EQ(t, 3.0);
         order.push_back(2);
       });
     });
-    const FlowId older = net.start_flow({b}, 300.0, 0.0, [&](Time t) {
+    const FlowId older = net.start_flow(std::array{b}, 300.0, 0.0, [&](Time t) {
       EXPECT_DOUBLE_EQ(t, 3.0);
       order.push_back(1);
     });
@@ -509,6 +563,49 @@ TEST(FlowNetwork, SameInstantCompletionsFireInCreationOrder) {
     EXPECT_LT(static_cast<std::uint32_t>(late),
               static_cast<std::uint32_t>(older));  // the lower slot
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  }
+  {
+    // Four activations at t = 1 in the order a, l0, n, l1, where l0 and
+    // l1 (started at t = 0) end a 1 s latency phase and a and n start
+    // at t = 1 with none.  Events at one timestamp fire in scheduling
+    // order.  The tail appended after a, [l0, n, l1], is itself out of
+    // creation order, so restoring it takes a sort before the merge.
+    // All four finish at t = 2 on private links.
+    Engine engine;
+    FlowNetwork net(engine);
+    std::array<LinkId, 4> link{};
+    for (LinkId& l : link) {
+      l = net.add_link(LinkClass::Other, 100.0);
+    }
+    std::vector<int> order;
+    const auto finish = [&order](int rank) {
+      return [&order, rank](Time t) {
+        EXPECT_DOUBLE_EQ(t, 2.0);
+        order.push_back(rank);
+      };
+    };
+    FlowId a = 0;
+    FlowId n = 0;
+    engine.schedule_at(1.0, [&] {
+      a = net.start_flow(std::array{link[2]}, 100.0, 0.0, finish(3));
+    });
+    const FlowId l0 =
+        net.start_flow(std::array{link[0]}, 100.0, 1.0, finish(1));
+    engine.schedule_at(1.0, [&] {
+      n = net.start_flow(std::array{link[3]}, 100.0, 0.0, finish(4));
+    });
+    const FlowId l1 =
+        net.start_flow(std::array{link[1]}, 100.0, 1.0, finish(2));
+    engine.schedule_at(1.5, [&] {
+      const auto rates = net.current_rates();
+      ASSERT_EQ(rates.size(), 4u);
+      const FlowId creation[] = {l0, l1, a, n};
+      for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(rates[i].first, creation[i]) << i;
+      }
+    });
+    engine.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   }
 }
 
@@ -522,8 +619,8 @@ TEST(FlowNetwork, AbortInStartInstantReleasesBandwidth) {
   FlowNetwork net(engine);
   const LinkId link = net.add_link(LinkClass::Other, 100.0);
   double done = -1.0;
-  const FlowId doomed = net.start_flow({link}, 1000.0, 0.0, {});
-  net.start_flow({link}, 100.0, 0.0, [&](Time t) { done = t; });
+  const FlowId doomed = net.start_flow(std::array{link}, 1000.0, 0.0, {});
+  net.start_flow(std::array{link}, 100.0, 0.0, [&](Time t) { done = t; });
   EXPECT_TRUE(net.abort_flow(doomed));
   // The incremental rates must already agree bit-for-bit with the
   // retained from-scratch reference solver: one survivor, full capacity.
