@@ -119,11 +119,16 @@ int run(int argc, char** argv) {
       ",at=0;drop:0.02;retries:max=8,backoff=5us";
   const std::string chaos = config.get("chaos").value_or(default_chaos);
   const std::vector<std::string> scenario_specs = split_scenarios(chaos);
+  // Every scenario is checked against the node before any plan prints,
+  // so a clause the bench would ignore or trip over late fails first.
   std::vector<pvc::fault::FaultPlan> plans;
   plans.reserve(scenario_specs.size());
   for (const std::string& s : scenario_specs) {
     plans.push_back(pvc::fault::FaultPlan::parse(s));
-    std::printf("%s\n", plans.back().summary().c_str());
+    pvc::fault::check_node_plan(plans.back(), spec);
+  }
+  for (const pvc::fault::FaultPlan& plan : plans) {
+    std::printf("%s\n", plan.summary().c_str());
   }
 
   const double message = 500.0 * MB;
@@ -181,7 +186,7 @@ int run(int argc, char** argv) {
   csv.set_header(
       {"scenario", "pair", "healthy_bps", "degraded_bps", "slowdown"});
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const std::string name = "s" + std::to_string(i);
+    const std::string name = std::string("s").append(std::to_string(i));
     const double lh = bps[scenarios[i].local_healthy];
     const double ld = bps[scenarios[i].local_degraded];
     const double rh = bps[scenarios[i].remote_healthy];

@@ -7,7 +7,6 @@ root:
 
   simcore    gbench_simcore   BM_Cluster*, vs BENCH_simcore.json
                               BM_CheckpointRestart*
-  workloads  gbench_workloads BM_*         vs BENCH_workloads.json
   e2e        every bench binary, each leg  vs BENCH_e2e.json
              of scripts/bench_e2e.py
 
@@ -40,7 +39,6 @@ import bench_e2e  # scripts/bench_e2e.py, beside this file
 SUITES = {
     "simcore": ("gbench_simcore", "BENCH_simcore.json",
                 "BM_Cluster|BM_CheckpointRestart"),
-    "workloads": ("gbench_workloads", "BENCH_workloads.json", "BM_"),
 }
 
 # Absolute slack on top of the tolerance for the e2e suite.

@@ -6,162 +6,7 @@
 #include "core/error.hpp"
 #include "core/units.hpp"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define PVC_X86_DISPATCH 1
-#endif
-
 namespace pvc::apps {
-
-namespace {
-
-#if defined(PVC_X86_DISPATCH)
-
-bool cpu_has_avx512f() {
-  static const bool has = __builtin_cpu_supports("avx512f");
-  return has;
-}
-
-// 16-wide flavour of the SSE2 row loop below.  All float arithmetic is
-// IEEE correctly rounded per lane and this TU is compiled with
-// -ffp-contract=off (see src/apps/CMakeLists.txt) so the compiler may
-// not fuse the mul/add pairs into FMAs inside this AVX-512 function —
-// every lane therefore computes the same bits as the scalar reference.
-// The four slot accumulators (reference lane k = (j-i-1) & 3) receive
-// the 16 contributions as four sequential quarter adds, preserving the
-// per-slot add order of the seed loop.
-__attribute__((target("avx512f"))) void accelerations_avx512(
-    const float* px, const float* py, const float* pz, const float* pm,
-    std::size_t n, float eps2, double* accx, double* accy, double* accz) {
-  const __m512 veps2 = _mm512_set1_ps(eps2);
-  const __m512 vone = _mm512_set1_ps(1.0f);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xi = px[i], yi = py[i], zi = pz[i];
-    const float mi = pm[i];
-    const __m512 vxi = _mm512_set1_ps(xi);
-    const __m512 vyi = _mm512_set1_ps(yi);
-    const __m512 vzi = _mm512_set1_ps(zi);
-    const __m512 vmi = _mm512_set1_ps(mi);
-    __m256d lx4 = _mm256_setzero_pd();
-    __m256d ly4 = _mm256_setzero_pd();
-    __m256d lz4 = _mm256_setzero_pd();
-    std::size_t j = i + 1;
-    for (; j + 16 <= n; j += 16) {
-      const __m512 dx = _mm512_sub_ps(_mm512_loadu_ps(px + j), vxi);
-      const __m512 dy = _mm512_sub_ps(_mm512_loadu_ps(py + j), vyi);
-      const __m512 dz = _mm512_sub_ps(_mm512_loadu_ps(pz + j), vzi);
-      const __m512 r2 = _mm512_add_ps(
-          _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(dx, dx),
-                                      _mm512_mul_ps(dy, dy)),
-                        _mm512_mul_ps(dz, dz)),
-          veps2);
-      const __m512 inv_r = _mm512_div_ps(vone, _mm512_sqrt_ps(r2));
-      const __m512 inv_r3 =
-          _mm512_mul_ps(_mm512_mul_ps(inv_r, inv_r), inv_r);
-      const __m512 sj = _mm512_mul_ps(_mm512_loadu_ps(pm + j), inv_r3);
-      const __m512 si = _mm512_mul_ps(vmi, inv_r3);
-
-      const __m512 cx = _mm512_mul_ps(sj, dx);
-      const __m512 cy = _mm512_mul_ps(sj, dy);
-      const __m512 cz = _mm512_mul_ps(sj, dz);
-      lx4 = _mm256_add_pd(lx4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cx, 0)));
-      lx4 = _mm256_add_pd(lx4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cx, 1)));
-      lx4 = _mm256_add_pd(lx4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cx, 2)));
-      lx4 = _mm256_add_pd(lx4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cx, 3)));
-      ly4 = _mm256_add_pd(ly4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cy, 0)));
-      ly4 = _mm256_add_pd(ly4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cy, 1)));
-      ly4 = _mm256_add_pd(ly4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cy, 2)));
-      ly4 = _mm256_add_pd(ly4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cy, 3)));
-      lz4 = _mm256_add_pd(lz4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cz, 0)));
-      lz4 = _mm256_add_pd(lz4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cz, 1)));
-      lz4 = _mm256_add_pd(lz4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cz, 2)));
-      lz4 = _mm256_add_pd(lz4, _mm256_cvtps_pd(_mm512_extractf32x4_ps(cz, 3)));
-
-      const __m512 jx = _mm512_mul_ps(si, dx);
-      const __m512 jy = _mm512_mul_ps(si, dy);
-      const __m512 jz = _mm512_mul_ps(si, dz);
-      _mm256_storeu_pd(
-          accx + j,
-          _mm256_sub_pd(_mm256_loadu_pd(accx + j),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jx, 0))));
-      _mm256_storeu_pd(
-          accx + j + 4,
-          _mm256_sub_pd(_mm256_loadu_pd(accx + j + 4),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jx, 1))));
-      _mm256_storeu_pd(
-          accx + j + 8,
-          _mm256_sub_pd(_mm256_loadu_pd(accx + j + 8),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jx, 2))));
-      _mm256_storeu_pd(
-          accx + j + 12,
-          _mm256_sub_pd(_mm256_loadu_pd(accx + j + 12),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jx, 3))));
-      _mm256_storeu_pd(
-          accy + j,
-          _mm256_sub_pd(_mm256_loadu_pd(accy + j),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jy, 0))));
-      _mm256_storeu_pd(
-          accy + j + 4,
-          _mm256_sub_pd(_mm256_loadu_pd(accy + j + 4),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jy, 1))));
-      _mm256_storeu_pd(
-          accy + j + 8,
-          _mm256_sub_pd(_mm256_loadu_pd(accy + j + 8),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jy, 2))));
-      _mm256_storeu_pd(
-          accy + j + 12,
-          _mm256_sub_pd(_mm256_loadu_pd(accy + j + 12),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jy, 3))));
-      _mm256_storeu_pd(
-          accz + j,
-          _mm256_sub_pd(_mm256_loadu_pd(accz + j),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jz, 0))));
-      _mm256_storeu_pd(
-          accz + j + 4,
-          _mm256_sub_pd(_mm256_loadu_pd(accz + j + 4),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jz, 1))));
-      _mm256_storeu_pd(
-          accz + j + 8,
-          _mm256_sub_pd(_mm256_loadu_pd(accz + j + 8),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jz, 2))));
-      _mm256_storeu_pd(
-          accz + j + 12,
-          _mm256_sub_pd(_mm256_loadu_pd(accz + j + 12),
-                        _mm256_cvtps_pd(_mm512_extractf32x4_ps(jz, 3))));
-    }
-    alignas(32) double lx[4], ly[4], lz[4];
-    _mm256_store_pd(lx, lx4);
-    _mm256_store_pd(ly, ly4);
-    _mm256_store_pd(lz, lz4);
-    for (; j < n; ++j) {
-      const float dx = px[j] - xi;
-      const float dy = py[j] - yi;
-      const float dz = pz[j] - zi;
-      const float r2 = dx * dx + dy * dy + dz * dz + eps2;
-      const float inv_r = 1.0f / std::sqrt(r2);
-      const float inv_r3 = inv_r * inv_r * inv_r;
-      const float sj = pm[j] * inv_r3;
-      const float si = mi * inv_r3;
-      const std::size_t k = (j - i - 1) & 3;
-      lx[k] += static_cast<double>(sj * dx);
-      ly[k] += static_cast<double>(sj * dy);
-      lz[k] += static_cast<double>(sj * dz);
-      accx[j] -= static_cast<double>(si * dx);
-      accy[j] -= static_cast<double>(si * dy);
-      accz[j] -= static_cast<double>(si * dz);
-    }
-    accx[i] += (lx[0] + lx[2]) + (lx[1] + lx[3]);
-    accy[i] += (ly[0] + ly[2]) + (ly[1] + ly[3]);
-    accz[i] += (lz[0] + lz[2]) + (lz[1] + lz[3]);
-  }
-}
-
-#endif  // PVC_X86_DISPATCH
-
-}  // namespace
 
 ParticleSystem make_cloud(std::size_t particles, double box,
                           std::uint64_t seed) {
@@ -215,9 +60,9 @@ ParticleSystem make_binary(double separation, double mass) {
   return ps;
 }
 
-void reference_accelerations(const ParticleSystem& ps, double eps,
-                             std::vector<float>& ax, std::vector<float>& ay,
-                             std::vector<float>& az) {
+void compute_accelerations(const ParticleSystem& ps, double eps,
+                           std::vector<float>& ax, std::vector<float>& ay,
+                           std::vector<float>& az) {
   const std::size_t n = ps.size();
   ax.assign(n, 0.0f);
   ay.assign(n, 0.0f);
@@ -258,141 +103,9 @@ void reference_accelerations(const ParticleSystem& ps, double eps,
   }
 }
 
-void compute_accelerations(const ParticleSystem& ps, double eps,
-                           std::vector<float>& ax, std::vector<float>& ay,
-                           std::vector<float>& az) {
-  const std::size_t n = ps.size();
-  ax.assign(n, 0.0f);
-  ay.assign(n, 0.0f);
-  az.assign(n, 0.0f);
-  const float eps2 = static_cast<float>(eps * eps);
-  static thread_local std::vector<double> accx, accy, accz;
-  accx.assign(n, 0.0);
-  accy.assign(n, 0.0);
-  accz.assign(n, 0.0);
-
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    accelerations_avx512(ps.x.data(), ps.y.data(), ps.z.data(),
-                         ps.mass.data(), n, eps2, accx.data(), accy.data(),
-                         accz.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ax[i] = static_cast<float>(accx[i]);
-      ay[i] = static_cast<float>(accy[i]);
-      az[i] = static_cast<float>(accz[i]);
-    }
-    return;
-  }
-#endif
-
-#if defined(__SSE2__)
-  // SSE2 sqrt/div/mul/add are IEEE correctly rounded per lane, so each
-  // vector lane computes bit-identical floats to the scalar reference;
-  // lane accumulators keep the per-lane add order, and the fixed fold
-  // below matches reference_accelerations exactly.
-  const __m128 veps2 = _mm_set1_ps(eps2);
-  const __m128 vone = _mm_set1_ps(1.0f);
-  const float* px = ps.x.data();
-  const float* py = ps.y.data();
-  const float* pz = ps.z.data();
-  const float* pm = ps.mass.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xi = px[i], yi = py[i], zi = pz[i];
-    const float mi = pm[i];
-    const __m128 vxi = _mm_set1_ps(xi);
-    const __m128 vyi = _mm_set1_ps(yi);
-    const __m128 vzi = _mm_set1_ps(zi);
-    const __m128 vmi = _mm_set1_ps(mi);
-    // Row lane accumulators: lanes (0,1) in *_lo, lanes (2,3) in *_hi.
-    __m128d lx_lo = _mm_setzero_pd(), lx_hi = _mm_setzero_pd();
-    __m128d ly_lo = _mm_setzero_pd(), ly_hi = _mm_setzero_pd();
-    __m128d lz_lo = _mm_setzero_pd(), lz_hi = _mm_setzero_pd();
-    std::size_t j = i + 1;
-    for (; j + 4 <= n; j += 4) {
-      const __m128 dx = _mm_sub_ps(_mm_loadu_ps(px + j), vxi);
-      const __m128 dy = _mm_sub_ps(_mm_loadu_ps(py + j), vyi);
-      const __m128 dz = _mm_sub_ps(_mm_loadu_ps(pz + j), vzi);
-      const __m128 r2 = _mm_add_ps(
-          _mm_add_ps(_mm_add_ps(_mm_mul_ps(dx, dx), _mm_mul_ps(dy, dy)),
-                     _mm_mul_ps(dz, dz)),
-          veps2);
-      const __m128 inv_r = _mm_div_ps(vone, _mm_sqrt_ps(r2));
-      const __m128 inv_r3 = _mm_mul_ps(_mm_mul_ps(inv_r, inv_r), inv_r);
-      const __m128 sj = _mm_mul_ps(_mm_loadu_ps(pm + j), inv_r3);
-      const __m128 si = _mm_mul_ps(vmi, inv_r3);
-
-      const __m128 cx = _mm_mul_ps(sj, dx);
-      const __m128 cy = _mm_mul_ps(sj, dy);
-      const __m128 cz = _mm_mul_ps(sj, dz);
-      lx_lo = _mm_add_pd(lx_lo, _mm_cvtps_pd(cx));
-      lx_hi = _mm_add_pd(lx_hi, _mm_cvtps_pd(_mm_movehl_ps(cx, cx)));
-      ly_lo = _mm_add_pd(ly_lo, _mm_cvtps_pd(cy));
-      ly_hi = _mm_add_pd(ly_hi, _mm_cvtps_pd(_mm_movehl_ps(cy, cy)));
-      lz_lo = _mm_add_pd(lz_lo, _mm_cvtps_pd(cz));
-      lz_hi = _mm_add_pd(lz_hi, _mm_cvtps_pd(_mm_movehl_ps(cz, cz)));
-
-      const __m128 jx = _mm_mul_ps(si, dx);
-      const __m128 jy = _mm_mul_ps(si, dy);
-      const __m128 jz = _mm_mul_ps(si, dz);
-      _mm_storeu_pd(accx.data() + j,
-                    _mm_sub_pd(_mm_loadu_pd(accx.data() + j), _mm_cvtps_pd(jx)));
-      _mm_storeu_pd(accx.data() + j + 2,
-                    _mm_sub_pd(_mm_loadu_pd(accx.data() + j + 2),
-                               _mm_cvtps_pd(_mm_movehl_ps(jx, jx))));
-      _mm_storeu_pd(accy.data() + j,
-                    _mm_sub_pd(_mm_loadu_pd(accy.data() + j), _mm_cvtps_pd(jy)));
-      _mm_storeu_pd(accy.data() + j + 2,
-                    _mm_sub_pd(_mm_loadu_pd(accy.data() + j + 2),
-                               _mm_cvtps_pd(_mm_movehl_ps(jy, jy))));
-      _mm_storeu_pd(accz.data() + j,
-                    _mm_sub_pd(_mm_loadu_pd(accz.data() + j), _mm_cvtps_pd(jz)));
-      _mm_storeu_pd(accz.data() + j + 2,
-                    _mm_sub_pd(_mm_loadu_pd(accz.data() + j + 2),
-                               _mm_cvtps_pd(_mm_movehl_ps(jz, jz))));
-    }
-    // Spill the vector lane accumulators and finish the ragged tail in
-    // scalar code on the same lane slots.
-    alignas(16) double lx[4], ly[4], lz[4];
-    _mm_store_pd(lx, lx_lo);
-    _mm_store_pd(lx + 2, lx_hi);
-    _mm_store_pd(ly, ly_lo);
-    _mm_store_pd(ly + 2, ly_hi);
-    _mm_store_pd(lz, lz_lo);
-    _mm_store_pd(lz + 2, lz_hi);
-    for (; j < n; ++j) {
-      const float dx = px[j] - xi;
-      const float dy = py[j] - yi;
-      const float dz = pz[j] - zi;
-      const float r2 = dx * dx + dy * dy + dz * dz + eps2;
-      const float inv_r = 1.0f / std::sqrt(r2);
-      const float inv_r3 = inv_r * inv_r * inv_r;
-      const float sj = pm[j] * inv_r3;
-      const float si = mi * inv_r3;
-      const std::size_t k = (j - i - 1) & 3;
-      lx[k] += static_cast<double>(sj * dx);
-      ly[k] += static_cast<double>(sj * dy);
-      lz[k] += static_cast<double>(sj * dz);
-      accx[j] -= static_cast<double>(si * dx);
-      accy[j] -= static_cast<double>(si * dy);
-      accz[j] -= static_cast<double>(si * dz);
-    }
-    accx[i] += (lx[0] + lx[2]) + (lx[1] + lx[3]);
-    accy[i] += (ly[0] + ly[2]) + (ly[1] + ly[3]);
-    accz[i] += (lz[0] + lz[2]) + (lz[1] + lz[3]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    ax[i] = static_cast<float>(accx[i]);
-    ay[i] = static_cast<float>(accy[i]);
-    az[i] = static_cast<float>(accz[i]);
-  }
-#else
-  reference_accelerations(ps, eps, ax, ay, az);
-#endif
-}
-
 void leapfrog_step(ParticleSystem& ps, double dt, double eps) {
   const std::size_t n = ps.size();
-  static thread_local std::vector<float> ax, ay, az;
+  std::vector<float> ax, ay, az;
   compute_accelerations(ps, eps, ax, ay, az);
   const float half_dt = static_cast<float>(0.5 * dt);
   const float fdt = static_cast<float>(dt);

@@ -7,16 +7,6 @@
 // run for real in tests (momentum conservation, two-body orbits, energy
 // drift bounds).
 //
-// Hot path (docs/PERFORMANCE.md): the force kernel walks the symmetric
-// i<j pair triangle once (Newton's third law halves the square-root
-// count of the seed's full i!=j sweep), evaluates the FP32 pair math
-// four pairs at a time over the SoA arrays, and accumulates into FP64
-// lane accumulators combined in a fixed order.  The pair schedule —
-// row-major i, ascending j, row-lane index (j-i-1)&3, lane fold
-// (l0+l2)+(l1+l3) — is the numeric contract; reference_accelerations()
-// implements it as plain scalar loops and randomized tests assert the
-// optimized path is bit-identical (WorkloadOracle.Hacc*).
-//
 // FOM model: N_p * N_steps / time.  A step costs GPU force time (FP32
 // rate x per-system achieved fraction) plus host-side tree/communication
 // work bound by CPU DDR bandwidth — the two terms the paper names
@@ -49,17 +39,13 @@ struct ParticleSystem {
 /// Two bodies on a circular mutual orbit (analytic test case).
 [[nodiscard]] ParticleSystem make_binary(double separation, double mass);
 
-/// Direct-sum accelerations with Plummer softening `eps` (optimized
-/// symmetric pair sweep; see header comment for the numeric contract).
+/// Direct-sum accelerations with Plummer softening `eps`.  One sweep of
+/// the symmetric i<j pair triangle (Newton's third law) in FP32, summed
+/// in FP64: row i's terms go to four lane accumulators by (j-i-1)&3,
+/// folded as (l0+l2)+(l1+l3).
 void compute_accelerations(const ParticleSystem& ps, double eps,
                            std::vector<float>& ax, std::vector<float>& ay,
                            std::vector<float>& az);
-
-/// Reference oracle: the same pair schedule as straightforward scalar
-/// loops.  Bit-identical to compute_accelerations (test-asserted).
-void reference_accelerations(const ParticleSystem& ps, double eps,
-                             std::vector<float>& ax, std::vector<float>& ay,
-                             std::vector<float>& az);
 
 /// One kick-drift-kick leapfrog step.
 void leapfrog_step(ParticleSystem& ps, double dt, double eps);

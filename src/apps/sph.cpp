@@ -5,194 +5,11 @@
 
 #include "core/error.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define PVC_X86_DISPATCH 1
-#endif
-
 namespace pvc::apps {
 
 namespace {
 /// 3-D M4 normalization: 1 / (pi h^3).
 double sigma3(double h) { return 1.0 / (std::numbers::pi * h * h * h); }
-
-#if defined(PVC_X86_DISPATCH)
-
-bool cpu_has_avx512f() {
-  static const bool has = __builtin_cpu_supports("avx512f");
-  return has;
-}
-
-// The neighbour sums are single sequential accumulators, so the wide
-// paths compute the per-pair terms (sqrt, the q = r/h divide, the
-// branchy M4 polynomial as masked blends) into buffers and leave the
-// accumulation to a scalar in-order loop.  Every vector expression
-// keeps the scalar source's left-to-right association and this file is
-// compiled with -ffp-contract=off, so each buffered term is
-// bit-identical to the seed's scalar value.
-
-/// Density terms m_j W(r_ij, h) for all j against particle (xi,yi,zi).
-__attribute__((target("avx512f"))) void sph_density_terms_avx512(
-    const float* px, const float* py, const float* pz, const float* pm,
-    std::size_t n, double xi, double yi, double zi, double h, double sig,
-    double sig025, double* terms) {
-  const __m512d vxi = _mm512_set1_pd(xi);
-  const __m512d vyi = _mm512_set1_pd(yi);
-  const __m512d vzi = _mm512_set1_pd(zi);
-  const __m512d vh = _mm512_set1_pd(h);
-  const __m512d vsig = _mm512_set1_pd(sig);
-  const __m512d vsig025 = _mm512_set1_pd(sig025);
-  const __m512d vone = _mm512_set1_pd(1.0);
-  const __m512d vtwo = _mm512_set1_pd(2.0);
-  const __m512d v15 = _mm512_set1_pd(1.5);
-  const __m512d v075 = _mm512_set1_pd(0.75);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d dx =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(px + j)), vxi);
-    const __m512d dy =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(py + j)), vyi);
-    const __m512d dz =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(pz + j)), vzi);
-    const __m512d r = _mm512_sqrt_pd(_mm512_add_pd(
-        _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
-        _mm512_mul_pd(dz, dz)));
-    const __m512d q = _mm512_div_pd(r, vh);
-    // q < 1: sig * (1 - 1.5 q^2 + 0.75 q^3), seed association.
-    const __m512d wa = _mm512_mul_pd(
-        vsig,
-        _mm512_add_pd(
-            _mm512_sub_pd(vone, _mm512_mul_pd(_mm512_mul_pd(v15, q), q)),
-            _mm512_mul_pd(_mm512_mul_pd(_mm512_mul_pd(v075, q), q), q)));
-    // 1 <= q < 2: sig/4 * (2 - q)^3.
-    const __m512d t = _mm512_sub_pd(vtwo, q);
-    const __m512d wb =
-        _mm512_mul_pd(_mm512_mul_pd(_mm512_mul_pd(vsig025, t), t), t);
-    const __mmask8 lt1 = _mm512_cmp_pd_mask(q, vone, _CMP_LT_OQ);
-    const __mmask8 lt2 = _mm512_cmp_pd_mask(q, vtwo, _CMP_LT_OQ);
-    const __m512d w =
-        _mm512_maskz_mov_pd(lt2, _mm512_mask_mov_pd(wb, lt1, wa));
-    _mm512_storeu_pd(
-        terms + j,
-        _mm512_mul_pd(_mm512_cvtps_pd(_mm256_loadu_ps(pm + j)), w));
-  }
-  for (; j < n; ++j) {
-    const double dx = static_cast<double>(px[j]) - xi;
-    const double dy = static_cast<double>(py[j]) - yi;
-    const double dz = static_cast<double>(pz[j]) - zi;
-    const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
-    const double q = r / h;
-    double w;
-    if (q >= 2.0) {
-      w = 0.0;
-    } else if (q < 1.0) {
-      w = sig * (1.0 - 1.5 * q * q + 0.75 * q * q * q);
-    } else {
-      const double t = 2.0 - q;
-      w = sig025 * t * t * t;
-    }
-    terms[j] = static_cast<double>(pm[j]) * w;
-  }
-}
-
-/// Pressure-force terms scale * (-d) per axis for all j against
-/// particle i.  Lanes the scalar loop skips (outside the support,
-/// r == 0, j == i — the latter implies r == 0) are zeroed; adding the
-/// resulting +0.0 to an accumulator that is never -0.0 is exact.
-__attribute__((target("avx512f"))) void sph_force_terms_avx512(
-    const float* px, const float* py, const float* pz, const float* pm,
-    const double* term, std::size_t n, double xi, double yi, double zi,
-    double pi_term, double h, double sh, double nsh075, double support,
-    double* tx, double* ty, double* tz) {
-  const __m512d vxi = _mm512_set1_pd(xi);
-  const __m512d vyi = _mm512_set1_pd(yi);
-  const __m512d vzi = _mm512_set1_pd(zi);
-  const __m512d vh = _mm512_set1_pd(h);
-  const __m512d vsh = _mm512_set1_pd(sh);
-  const __m512d vnsh075 = _mm512_set1_pd(nsh075);
-  const __m512d vsupport = _mm512_set1_pd(support);
-  const __m512d vpi = _mm512_set1_pd(pi_term);
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vone = _mm512_set1_pd(1.0);
-  const __m512d vtwo = _mm512_set1_pd(2.0);
-  const __m512d vn3 = _mm512_set1_pd(-3.0);
-  const __m512d v225 = _mm512_set1_pd(2.25);
-  const __m512d vneg1 = _mm512_set1_pd(-1.0);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d dx =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(px + j)), vxi);
-    const __m512d dy =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(py + j)), vyi);
-    const __m512d dz =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(pz + j)), vzi);
-    const __m512d r = _mm512_sqrt_pd(_mm512_add_pd(
-        _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
-        _mm512_mul_pd(dz, dz)));
-    const __m512d q = _mm512_div_pd(r, vh);
-    // q < 1: sh * (-3 q + 2.25 q^2), seed association.
-    const __m512d dwa = _mm512_mul_pd(
-        vsh, _mm512_add_pd(_mm512_mul_pd(vn3, q),
-                           _mm512_mul_pd(_mm512_mul_pd(v225, q), q)));
-    // 1 <= q < 2: -sh * 0.75 * (2 - q)^2.
-    const __m512d t = _mm512_sub_pd(vtwo, q);
-    const __m512d dwb = _mm512_mul_pd(_mm512_mul_pd(vnsh075, t), t);
-    const __mmask8 lt1 = _mm512_cmp_pd_mask(q, vone, _CMP_LT_OQ);
-    const __mmask8 lt2 = _mm512_cmp_pd_mask(q, vtwo, _CMP_LT_OQ);
-    const __m512d dw =
-        _mm512_maskz_mov_pd(lt2, _mm512_mask_mov_pd(dwb, lt1, dwa));
-    const __m512d m = _mm512_cvtps_pd(_mm256_loadu_ps(pm + j));
-    // scale = -m * (pi_term + term[j]) * dw / r, seed association
-    // (-1.0 * x flips only the sign bit, matching unary negation).
-    const __m512d scale = _mm512_div_pd(
-        _mm512_mul_pd(
-            _mm512_mul_pd(_mm512_mul_pd(vneg1, m),
-                          _mm512_add_pd(vpi, _mm512_loadu_pd(term + j))),
-            dw),
-        r);
-    const __mmask8 valid =
-        _mm512_cmp_pd_mask(r, vsupport, _CMP_LT_OQ) &
-        _mm512_cmp_pd_mask(r, vzero, _CMP_NEQ_OQ);
-    _mm512_storeu_pd(
-        tx + j, _mm512_maskz_mov_pd(
-                    valid, _mm512_mul_pd(scale, _mm512_mul_pd(vneg1, dx))));
-    _mm512_storeu_pd(
-        ty + j, _mm512_maskz_mov_pd(
-                    valid, _mm512_mul_pd(scale, _mm512_mul_pd(vneg1, dy))));
-    _mm512_storeu_pd(
-        tz + j, _mm512_maskz_mov_pd(
-                    valid, _mm512_mul_pd(scale, _mm512_mul_pd(vneg1, dz))));
-  }
-  for (; j < n; ++j) {
-    tx[j] = 0.0;
-    ty[j] = 0.0;
-    tz[j] = 0.0;
-    const double dx = static_cast<double>(px[j]) - xi;
-    const double dy = static_cast<double>(py[j]) - yi;
-    const double dz = static_cast<double>(pz[j]) - zi;
-    const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
-    if (r >= support || r == 0.0) {
-      continue;
-    }
-    const double q = r / h;
-    double dw;
-    if (q >= 2.0) {
-      dw = 0.0;
-    } else if (q < 1.0) {
-      dw = sh * (-3.0 * q + 2.25 * q * q);
-    } else {
-      const double t = 2.0 - q;
-      dw = nsh075 * t * t;
-    }
-    const double scale =
-        -static_cast<double>(pm[j]) * (pi_term + term[j]) * dw / r;
-    tx[j] = scale * (-dx);
-    ty[j] = scale * (-dy);
-    tz[j] = scale * (-dz);
-  }
-}
-
-#endif  // PVC_X86_DISPATCH
 }  // namespace
 
 double sph_kernel(double r, double h) {
@@ -222,7 +39,8 @@ double sph_kernel_derivative(double r, double h) {
   return -sigma3(h) / h * 0.75 * t * t;
 }
 
-std::vector<double> reference_sph_density(const ParticleSystem& ps, double h) {
+std::vector<double> sph_density(const ParticleSystem& ps, double h) {
+  ensure(h > 0.0, "sph_density: smoothing length must be positive");
   const std::size_t n = ps.size();
   std::vector<double> rho(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -239,73 +57,17 @@ std::vector<double> reference_sph_density(const ParticleSystem& ps, double h) {
   return rho;
 }
 
-std::vector<double> sph_density(const ParticleSystem& ps, double h) {
-  // Per-pair expressions are the sph_kernel math verbatim with the
-  // normalization (one division) and validity checks hoisted out of the
-  // O(N^2) sweep — bit-identical to reference_sph_density.
-  ensure(h > 0.0, "sph_density: smoothing length must be positive");
+SphForces sph_pressure_forces(const ParticleSystem& ps,
+                              const std::vector<double>& density, double h,
+                              double u, double gamma) {
   const std::size_t n = ps.size();
-  std::vector<double> rho(n, 0.0);
-  const double sig = 1.0 / (std::numbers::pi * h * h * h);
-  const double sig025 = sig * 0.25;
-  const float* px = ps.x.data();
-  const float* py = ps.y.data();
-  const float* pz = ps.z.data();
-  const float* pm = ps.mass.data();
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    static thread_local std::vector<double> terms;
-    terms.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sph_density_terms_avx512(px, py, pz, pm, n, px[i], py[i], pz[i], h, sig,
-                               sig025, terms.data());
-      double sum = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        sum += terms[j];
-      }
-      rho[i] = sum;
-    }
-    return rho;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = px[i], yi = py[i], zi = pz[i];
-    double sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double dx = static_cast<double>(px[j]) - xi;
-      const double dy = static_cast<double>(py[j]) - yi;
-      const double dz = static_cast<double>(pz[j]) - zi;
-      const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
-      const double q = r / h;
-      double w;
-      if (q >= 2.0) {
-        w = 0.0;
-      } else if (q < 1.0) {
-        w = sig * (1.0 - 1.5 * q * q + 0.75 * q * q * q);
-      } else {
-        const double t = 2.0 - q;
-        w = sig025 * t * t * t;
-      }
-      sum += static_cast<double>(pm[j]) * w;
-    }
-    rho[i] = sum;
-  }
-  return rho;
-}
-
-SphForces reference_sph_pressure_forces(const ParticleSystem& ps,
-                                        const std::vector<double>& density,
-                                        double h, double u, double gamma) {
-  const std::size_t n = ps.size();
-  ensure(density.size() == n,
-         "reference_sph_pressure_forces: density size mismatch");
-  ensure(u >= 0.0 && gamma > 1.0,
-         "reference_sph_pressure_forces: bad EOS parameters");
+  ensure(density.size() == n, "sph_pressure_forces: density size mismatch");
+  ensure(u >= 0.0 && gamma > 1.0, "sph_pressure_forces: bad EOS parameters");
+  ensure(h > 0.0, "sph_pressure_forces: smoothing length must be positive");
 
   std::vector<double> pressure(n);
   for (std::size_t i = 0; i < n; ++i) {
-    ensure(density[i] > 0.0,
-           "reference_sph_pressure_forces: non-positive density");
+    ensure(density[i] > 0.0, "sph_pressure_forces: non-positive density");
     pressure[i] = (gamma - 1.0) * density[i] * u;
   }
 
@@ -335,104 +97,6 @@ SphForces reference_sph_pressure_forces(const ParticleSystem& ps,
       forces.ay[i] += scale * (-dy);
       forces.az[i] += scale * (-dz);
     }
-  }
-  return forces;
-}
-
-SphForces sph_pressure_forces(const ParticleSystem& ps,
-                              const std::vector<double>& density, double h,
-                              double u, double gamma) {
-  // Same neighbour sum with the per-pair invariants hoisted: the
-  // p/rho^2 terms are precomputed per particle (the seed re-divided for
-  // every pair), the kernel-derivative normalization is a constant, and
-  // the support radius is computed once — each surviving pair evaluates
-  // the seed expressions verbatim, so the forces are bit-identical to
-  // reference_sph_pressure_forces.
-  const std::size_t n = ps.size();
-  ensure(density.size() == n, "sph_pressure_forces: density size mismatch");
-  ensure(u >= 0.0 && gamma > 1.0, "sph_pressure_forces: bad EOS parameters");
-  ensure(h > 0.0, "sph_pressure_forces: smoothing length must be positive");
-
-  std::vector<double> pressure(n);
-  std::vector<double> term(n);  // p_i / rho_i^2, hoisted out of the sweep
-  for (std::size_t i = 0; i < n; ++i) {
-    ensure(density[i] > 0.0, "sph_pressure_forces: non-positive density");
-    pressure[i] = (gamma - 1.0) * density[i] * u;
-    term[i] = pressure[i] / (density[i] * density[i]);
-  }
-
-  const double sig = 1.0 / (std::numbers::pi * h * h * h);
-  const double sh = sig / h;
-  const double nsh075 = -sig / h * 0.75;
-  const double support = 2.0 * h;
-  const float* px = ps.x.data();
-  const float* py = ps.y.data();
-  const float* pz = ps.z.data();
-  const float* pm = ps.mass.data();
-
-  SphForces forces;
-  forces.ax.assign(n, 0.0);
-  forces.ay.assign(n, 0.0);
-  forces.az.assign(n, 0.0);
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    static thread_local std::vector<double> tx, ty, tz;
-    tx.resize(n);
-    ty.resize(n);
-    tz.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sph_force_terms_avx512(px, py, pz, pm, term.data(), n, px[i], py[i],
-                             pz[i], term[i], h, sh, nsh075, support, tx.data(),
-                             ty.data(), tz.data());
-      double fx = 0.0, fy = 0.0, fz = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        fx += tx[j];
-        fy += ty[j];
-        fz += tz[j];
-      }
-      forces.ax[i] = fx;
-      forces.ay[i] = fy;
-      forces.az[i] = fz;
-    }
-    return forces;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = px[i], yi = py[i], zi = pz[i];
-    const double pi_term = term[i];
-    double fx = 0.0, fy = 0.0, fz = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) {
-        continue;
-      }
-      const double dx = static_cast<double>(px[j]) - xi;
-      const double dy = static_cast<double>(py[j]) - yi;
-      const double dz = static_cast<double>(pz[j]) - zi;
-      const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
-      if (r >= support || r == 0.0) {
-        continue;
-      }
-      const double q = r / h;
-      double dw;
-      if (q >= 2.0) {
-        // r < 2h but r/h rounded up to 2.0: the seed helper returns +0
-        // here, so reproduce it exactly (keeps the sign of zero right).
-        dw = 0.0;
-      } else if (q < 1.0) {
-        dw = sh * (-3.0 * q + 2.25 * q * q);
-      } else {
-        const double t = 2.0 - q;
-        dw = nsh075 * t * t;
-      }
-      const double scale =
-          -static_cast<double>(pm[j]) * (pi_term + term[j]) * dw / r;
-      fx += scale * (-dx);
-      fy += scale * (-dy);
-      fz += scale * (-dz);
-    }
-    forces.ax[i] = fx;
-    forces.ay[i] = fy;
-    forces.az[i] = fz;
   }
   return forces;
 }

@@ -7,12 +7,6 @@
 // density summation, and a basic pressure-force evaluation with the
 // symmetric (conservative) form.  Tested against the kernel's analytic
 // normalization and uniform-lattice densities.
-//
-// Hot path (docs/PERFORMANCE.md): the O(N^2) neighbour sums inline the
-// kernel math with the normalization constants, p/rho^2 terms, and
-// validity checks hoisted out of the sweeps; the seed loops survive as
-// reference_*() oracles with randomized bit-equivalence tests
-// (WorkloadOracle.Sph*).
 
 #include <cstddef>
 #include <vector>
@@ -44,13 +38,5 @@ struct SphForces {
                                             const std::vector<double>& density,
                                             double h, double u,
                                             double gamma = 5.0 / 3.0);
-
-/// Reference oracles: the seed per-pair-helper loops, kept verbatim.
-/// Bit-identical to sph_density / sph_pressure_forces (test-asserted).
-[[nodiscard]] std::vector<double> reference_sph_density(
-    const ParticleSystem& ps, double h);
-[[nodiscard]] SphForces reference_sph_pressure_forces(
-    const ParticleSystem& ps, const std::vector<double>& density, double h,
-    double u, double gamma = 5.0 / 3.0);
 
 }  // namespace pvc::apps

@@ -6,47 +6,11 @@
 #include "comm/metrics_internal.hpp"
 #include "core/error.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define PVC_X86_DISPATCH 1
-#endif
-
 namespace pvc::comm {
 namespace {
 
-#if defined(PVC_X86_DISPATCH)
-
-bool cpu_has_avx512f() {
-  static const bool has = __builtin_cpu_supports("avx512f");
-  return has;
-}
-
-/// dst[i] += src[i]: elementwise, so lane width cannot change the
-/// per-element rounding — bit-identical to the scalar loop.
-__attribute__((target("avx512f"))) void add_into_avx512(double* dst,
-                                                        const double* src,
-                                                        std::size_t count) {
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    _mm512_storeu_pd(
-        dst + i,
-        _mm512_add_pd(_mm512_loadu_pd(dst + i), _mm512_loadu_pd(src + i)));
-  }
-  for (; i < count; ++i) {
-    dst[i] += src[i];
-  }
-}
-
-#endif  // PVC_X86_DISPATCH
-
 /// Elementwise sum-into used by the reduction combines.
 void add_into(double* dst, const double* src, std::size_t count) {
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    add_into_avx512(dst, src, count);
-    return;
-  }
-#endif
   for (std::size_t i = 0; i < count; ++i) {
     dst[i] += src[i];
   }
@@ -67,29 +31,18 @@ void count_round() { detail::comm_metrics().collective_rounds->add(1); }
 
 }  // namespace
 
-// Every collective below drives its rounds out of the communicator's
-// CollectiveScratch arena: the request vector, the per-rank payload
-// rows, the alltoall pairing flags, and the reduce-tree edge list are
-// reused across rounds and calls, and completed request states are
-// recycled through Communicator::acquire_state().  A steady-state round
-// therefore performs no heap allocation.  The message schedule — tags,
-// byte counts, and posting order — is the reference schedule verbatim
-// (collectives_reference.cpp), so completion times and every comm.*
-// metric stay bit-identical (CollectiveOracle.* tests).
-
 sim::Time barrier(Communicator& comm) {
   count_collective();
   const int p = comm.size();
   if (p == 1) {
     return comm.node().engine().now();
   }
-  auto& requests = comm.collective_scratch().requests;
+  std::vector<Request> requests;
   sim::Time finish = 0.0;
   // Dissemination barrier: round k, rank r signals (r + 2^k) % p.
   for (int stride = 1; stride < p; stride *= 2) {
     count_round();
-    comm.recycle_requests(requests);
-    requests.reserve(2 * static_cast<std::size_t>(p));
+    requests.clear();
     for (int r = 0; r < p; ++r) {
       const int peer = (r + stride) % p;
       const int from = (r - stride % p + p) % p;
@@ -102,8 +55,7 @@ sim::Time barrier(Communicator& comm) {
   return finish;
 }
 
-/// The seed ring schedule, kept verbatim (CollectiveOracle
-/// bit-equivalence against reference_allreduce_sum).
+/// Ring all-reduce: p-1 reduce-scatter steps, then p-1 all-gather steps.
 static sim::Time allreduce_ring(Communicator& comm,
                                 std::vector<std::vector<double>>& rank_data,
                                 double element_bytes) {
@@ -129,26 +81,20 @@ static sim::Time allreduce_ring(Communicator& comm,
     return std::pair<std::size_t, std::size_t>(lo, hi);
   };
 
-  auto& scratch = comm.collective_scratch();
-  auto& requests = scratch.requests;
-  auto& incoming = scratch.incoming;
-  if (incoming.size() < static_cast<std::size_t>(p)) {
-    incoming.resize(static_cast<std::size_t>(p));
-  }
+  std::vector<Request> requests;
+  std::vector<std::vector<double>> incoming(static_cast<std::size_t>(p));
   sim::Time finish = 0.0;
 
   for (int phase = 0; phase < 2; ++phase) {
     for (int step = 0; step < p - 1; ++step) {
       count_round();
-      comm.recycle_requests(requests);
-      requests.reserve(2 * static_cast<std::size_t>(p));
+      requests.clear();
       for (int r = 0; r < p; ++r) {
         const int dst = (r + 1) % p;
         // Block index this rank transmits at this step of this phase
-        // (standard ring-allreduce schedule).  The reference staged a
-        // copy of the block; sending a span straight from rank_data is
-        // safe because every delivery completes inside wait_all, before
-        // the combine loop below mutates any block.
+        // (standard ring-allreduce schedule).  Sending a span straight
+        // from rank_data is safe because every delivery completes inside
+        // wait_all, before the combine loop below mutates any block.
         const int send_block =
             phase == 0 ? (r - step + p) % p : (r - step + 1 + p) % p;
         const auto [slo, shi] = block_range(send_block);
@@ -159,8 +105,7 @@ static sim::Time allreduce_ring(Communicator& comm,
                 rank_data[static_cast<std::size_t>(r)].data() + slo,
                 shi - slo)));
       }
-      // Receives: each rank receives its predecessor's block into its
-      // reused arena row.
+      // Receives: each rank receives its predecessor's block.
       for (int r = 0; r < p; ++r) {
         const int src = (r - 1 + p) % p;
         const int send_block_of_src =
@@ -215,17 +160,12 @@ static sim::Time allreduce_recursive_doubling(
   ensure((p & (p - 1)) == 0, ErrorCode::InvalidArgument,
          "allreduce_sum: recursive doubling needs a power-of-two rank count");
   const double bytes = static_cast<double>(n) * element_bytes;
-  auto& scratch = comm.collective_scratch();
-  auto& requests = scratch.requests;
-  auto& incoming = scratch.incoming;
-  if (incoming.size() < static_cast<std::size_t>(p)) {
-    incoming.resize(static_cast<std::size_t>(p));
-  }
+  std::vector<Request> requests;
+  std::vector<std::vector<double>> incoming(static_cast<std::size_t>(p));
   sim::Time finish = 0.0;
   for (int stride = 1; stride < p; stride *= 2) {
     count_round();
-    comm.recycle_requests(requests);
-    requests.reserve(2 * static_cast<std::size_t>(p));
+    requests.clear();
     // Sends straight from rank_data are safe: every delivery completes
     // inside wait_all, before the combine below mutates any vector.
     for (int r = 0; r < p; ++r) {
@@ -373,8 +313,7 @@ sim::Time halo_exchange_ring(Communicator& comm, double halo_bytes) {
     return comm.node().engine().now();
   }
   count_round();
-  auto& requests = comm.collective_scratch().requests;
-  comm.recycle_requests(requests);
+  std::vector<Request> requests;
   requests.reserve(4 * static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     const int up = (r + 1) % p;
@@ -395,8 +334,7 @@ sim::Time gather_to_root(Communicator& comm, double block_bytes) {
     return comm.node().engine().now();
   }
   count_round();
-  auto& requests = comm.collective_scratch().requests;
-  comm.recycle_requests(requests);
+  std::vector<Request> requests;
   requests.reserve(2 * static_cast<std::size_t>(p));
   for (int r = 1; r < p; ++r) {
     requests.push_back(comm.isend(r, 0, 300 + r, block_bytes));
@@ -412,12 +350,11 @@ sim::Time broadcast_from_root(Communicator& comm, double bytes) {
   if (p == 1) {
     return comm.node().engine().now();
   }
-  auto& requests = comm.collective_scratch().requests;
+  std::vector<Request> requests;
   sim::Time finish = 0.0;
   // Binomial tree: in round k, ranks < 2^k send to rank + 2^k.
   for (int stride = 1; stride < p; stride *= 2) {
-    comm.recycle_requests(requests);
-    requests.reserve(2 * static_cast<std::size_t>(p));
+    requests.clear();
     for (int r = 0; r < stride && r + stride < p; ++r) {
       requests.push_back(comm.isend(r, r + stride, 400 + stride, bytes));
       requests.push_back(comm.irecv(r + stride, r, 400 + stride, bytes));
@@ -437,28 +374,26 @@ sim::Time alltoall(Communicator& comm, double block_bytes) {
   if (p == 1) {
     return comm.node().engine().now();
   }
-  auto& scratch = comm.collective_scratch();
-  auto& requests = scratch.requests;
-  auto& paired = scratch.paired;
+  std::vector<Request> requests;
+  std::vector<bool> paired;
   sim::Time finish = 0.0;
   // Pairwise exchange: in round k, rank r trades with r XOR k when that
   // partner exists (works perfectly for power-of-two P; other ranks sit
   // the round out and use a shifted partner in the ring fallback).
   for (int round = 1; round < p; ++round) {
-    comm.recycle_requests(requests);
-    requests.reserve(2 * static_cast<std::size_t>(p));
-    paired.assign(static_cast<std::size_t>(p), 0);
+    requests.clear();
+    paired.assign(static_cast<std::size_t>(p), false);
     for (int r = 0; r < p; ++r) {
       int partner = r ^ round;
       if (partner >= p) {
         partner = (r + round) % p;  // ring fallback for ragged sizes
       }
-      if (partner == r || paired[static_cast<std::size_t>(r)] != 0 ||
-          paired[static_cast<std::size_t>(partner)] != 0) {
+      if (partner == r || paired[static_cast<std::size_t>(r)] ||
+          paired[static_cast<std::size_t>(partner)]) {
         continue;
       }
-      paired[static_cast<std::size_t>(r)] = 1;
-      paired[static_cast<std::size_t>(partner)] = 1;
+      paired[static_cast<std::size_t>(r)] = true;
+      paired[static_cast<std::size_t>(partner)] = true;
       requests.push_back(comm.isend(r, partner, 500 + round, block_bytes));
       requests.push_back(comm.isend(partner, r, 500 + round, block_bytes));
       requests.push_back(comm.irecv(r, partner, 500 + round, block_bytes));
@@ -487,20 +422,15 @@ sim::Time reduce_sum_to_root(Communicator& comm,
   if (p == 1) {
     return comm.node().engine().now();
   }
-  auto& scratch = comm.collective_scratch();
-  auto& requests = scratch.requests;
-  auto& edges = scratch.edges;
-  auto& incoming = scratch.incoming;
-  if (incoming.size() < static_cast<std::size_t>(p)) {
-    incoming.resize(static_cast<std::size_t>(p));
-  }
+  std::vector<Request> requests;
+  std::vector<std::pair<int, int>> edges;  // (sender, receiver)
+  std::vector<std::vector<double>> incoming(static_cast<std::size_t>(p));
   sim::Time finish = 0.0;
   const double bytes = static_cast<double>(n) * element_bytes;
   // Binomial tree: in round k (stride 2^k), rank r with r % 2^(k+1) ==
   // 2^k sends its partial to r - 2^k.
   for (int stride = 1; stride < p; stride *= 2) {
-    comm.recycle_requests(requests);
-    requests.reserve(2 * static_cast<std::size_t>(p));
+    requests.clear();
     edges.clear();
     for (int r = 0; r < p; ++r) {
       if (r % (2 * stride) == stride) {
@@ -533,8 +463,7 @@ sim::Time reduce_sum_to_root(Communicator& comm,
 }
 
 sim::Time sendrecv(Communicator& comm, int rank_a, int rank_b, double bytes) {
-  auto& requests = comm.collective_scratch().requests;
-  comm.recycle_requests(requests);
+  std::vector<Request> requests;
   requests.reserve(4);
   requests.push_back(comm.isend(rank_a, rank_b, 700, bytes));
   requests.push_back(comm.isend(rank_b, rank_a, 701, bytes));

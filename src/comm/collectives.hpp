@@ -4,14 +4,6 @@
 // Functionally correct (they really move and combine the payloads) and
 // timed through the flow network.  Used by the mini-apps' weak-scaled
 // phases and tested against analytic results.
-//
-// Hot path (docs/PERFORMANCE.md): each collective drives its rounds out
-// of the communicator's reusable scratch arena (request buffers,
-// payload rows, pairing flags) with request states recycled through an
-// internal pool, so a steady-state round allocates nothing.  The seed
-// allocate-per-round implementations survive as reference_*() oracles
-// with bit-equivalence tests over times, payloads, and comm.* metrics
-// (CollectiveOracle.*).
 
 #include <span>
 #include <vector>
@@ -28,8 +20,7 @@ sim::Time barrier(Communicator& comm);
 /// Allreduce algorithm selection (docs/SCALING.md).  Real MPI libraries
 /// switch algorithm by message size and rank count; `Auto` reproduces
 /// that switchover via allreduce_algorithm_for().  `Ring` remains the
-/// default so existing callers (and the CollectiveOracle bit-equivalence
-/// tests) keep the seed schedule verbatim.
+/// default so existing callers keep the seed schedule verbatim.
 enum class AllreduceAlgorithm {
   Auto,               ///< pick by total vector size and rank count
   Ring,               ///< 2(p-1) rounds of bytes/p blocks — bandwidth-bound
@@ -95,24 +86,6 @@ sim::Time reduce_sum_to_root(Communicator& comm,
 /// Paired exchange between two ranks (both directions concurrently);
 /// returns completion time.  The Table III bidirectional measurement.
 sim::Time sendrecv(Communicator& comm, int rank_a, int rank_b, double bytes);
-
-/// Reference oracles: the seed implementations, kept verbatim, which
-/// allocate their request vectors and staging/incoming buffers afresh
-/// every round.  Identical message schedule (tags, bytes, posting
-/// order), so completion times, payload results, and comm.* metrics are
-/// bit-identical to the arena-backed versions above (test-asserted);
-/// the gbench workload suite benchmarks them as the baseline.
-sim::Time reference_barrier(Communicator& comm);
-sim::Time reference_allreduce_sum(Communicator& comm,
-                                  std::vector<std::vector<double>>& rank_data,
-                                  double element_bytes = 8.0);
-sim::Time reference_halo_exchange_ring(Communicator& comm, double halo_bytes);
-sim::Time reference_gather_to_root(Communicator& comm, double block_bytes);
-sim::Time reference_broadcast_from_root(Communicator& comm, double bytes);
-sim::Time reference_alltoall(Communicator& comm, double block_bytes);
-sim::Time reference_reduce_sum_to_root(
-    Communicator& comm, std::vector<std::vector<double>>& rank_data,
-    double element_bytes = 8.0);
 
 // --- cluster-scale allreduce schedules (docs/SCALING.md) -------------------
 //

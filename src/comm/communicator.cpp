@@ -203,38 +203,13 @@ void Communicator::set_resilience(Resilience resilience) {
   resilience_ = resilience;
 }
 
-std::shared_ptr<Request::State> Communicator::acquire_state() {
-  if (state_pool_.empty()) {
-    return std::make_shared<Request::State>();
-  }
-  std::shared_ptr<Request::State> state = std::move(state_pool_.back());
-  state_pool_.pop_back();
-  state->done = false;
-  state->failed = false;
-  state->attempts = 0;
-  state->when = 0.0;
-  state->error.clear();
-  return state;
-}
-
-void Communicator::recycle_requests(std::vector<Request>& requests) {
-  for (auto& r : requests) {
-    // use_count 1 == the vector slot is the sole owner: not referenced
-    // by an in-flight Transfer and not copied out by a caller.
-    if (r.state_ != nullptr && r.state_.use_count() == 1) {
-      state_pool_.push_back(std::move(r.state_));
-    }
-  }
-  requests.clear();
-}
-
 Request Communicator::isend(int rank, int dst, int tag, double bytes,
                             std::span<const double> data) {
   ensure(rank >= 0 && rank < size() && dst >= 0 && dst < size(),
          "Communicator: isend rank out of range");
   ensure(bytes >= 0.0, "Communicator: negative message size");
   comm_metrics().sends_posted->add(1);
-  auto state = acquire_state();
+  auto state = std::make_shared<Request::State>();
   post_send(dst, PendingSend{rank, tag, bytes, data, state});
   return Request(std::move(state));
 }
@@ -245,7 +220,7 @@ Request Communicator::irecv(int rank, int src, int tag, double bytes,
          "Communicator: irecv rank out of range");
   ensure(bytes >= 0.0, "Communicator: negative message size");
   comm_metrics().recvs_posted->add(1);
-  auto state = acquire_state();
+  auto state = std::make_shared<Request::State>();
   post_recv(rank, PendingRecv{src, tag, bytes, data, state});
   return Request(std::move(state));
 }

@@ -148,27 +148,6 @@ class Communicator {
   /// Human-readable per-rank list of every unmatched send/recv.
   [[nodiscard]] std::string pending_diagnostics() const;
 
-  /// Reusable scratch arena for the collectives layer (collectives.cpp):
-  /// the request buffer, per-rank payload rows, pairing flags, and
-  /// reduce-tree edge list live on the communicator and are reused
-  /// across rounds and calls, so a steady-state collective round
-  /// performs no heap allocation (docs/PERFORMANCE.md).
-  struct CollectiveScratch {
-    std::vector<Request> requests;
-    std::vector<std::vector<double>> incoming;  // one payload row per rank
-    std::vector<std::uint8_t> paired;           // alltoall pairing flags
-    std::vector<std::pair<int, int>> edges;     // reduce (sender, receiver)
-  };
-  [[nodiscard]] CollectiveScratch& collective_scratch() noexcept {
-    return collective_scratch_;
-  }
-
-  /// Returns each completed request's shared state block to the internal
-  /// pool (reused by later isend/irecv calls) and clears the vector.
-  /// Only states with no other owner are recycled, so requests copied
-  /// out by callers stay valid.
-  void recycle_requests(std::vector<Request>& requests);
-
  private:
   struct PendingSend {
     int src_rank;
@@ -234,10 +213,6 @@ class Communicator {
   /// its (src_rank, tag) key, or queues it.  At most one pairing can
   /// fire per post (the queues are fully matched in between), and it is
   /// the pairing the seed's in-order rescans chose.
-  /// Pops a state block from the recycle pool (resetting it) or
-  /// allocates a fresh one; the allocation-free path for collectives.
-  [[nodiscard]] std::shared_ptr<Request::State> acquire_state();
-
   void post_send(int dst_rank, PendingSend&& send);
   void post_recv(int dst_rank, PendingRecv&& recv);
   void launch(int src_rank, int dst_rank, const PendingSend& send,
@@ -256,8 +231,6 @@ class Communicator {
   std::uint64_t delivered_ = 0;
   Resilience resilience_;
   FaultHook fault_hook_;
-  CollectiveScratch collective_scratch_;
-  std::vector<std::shared_ptr<Request::State>> state_pool_;
 };
 
 }  // namespace pvc::comm

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "arch/gpu_spec.hpp"
 #include "core/error.hpp"
 
 namespace pvc::fault {
@@ -194,6 +195,13 @@ void append_window(std::ostringstream& out, double at_s, double duration_s,
   } else {
     out << " for " << duration_s << " s";
   }
+}
+
+/// A parsed clause the bench cannot apply: InvalidArgument naming it.
+[[noreturn]] void reject_clause(const std::string& clause,
+                                const std::string& why) {
+  raise(ErrorCode::InvalidArgument,
+        "FaultPlan: clause '" + clause + "' " + why + " (docs/ROBUSTNESS.md)");
 }
 
 }  // namespace
@@ -475,11 +483,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
 
 void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
                         bool reads_checkpoint) {
-  const auto reject = [](const std::string& clause, const std::string& why) {
-    raise(ErrorCode::InvalidArgument,
-          "FaultPlan: clause '" + clause + "' " + why +
-              " (docs/ROBUSTNESS.md)");
-  };
   const std::pair<bool, const char*> node_level[] = {
       {!plan.linkdowns.empty(), "linkdown"},
       {!plan.flaps.empty(), "flap"},
@@ -495,13 +498,13 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
   };
   for (const auto& [present, clause] : node_level) {
     if (present) {
-      reject(clause,
-             "acts on a single node, and this bench runs cluster "
-             "simulations only");
+      reject_clause(clause,
+                    "acts on a single node, and this bench runs cluster "
+                    "simulations only");
     }
   }
   if (plan.checkpoint && !reads_checkpoint) {
-    reject("ckpt", "is never read by this bench");
+    reject_clause("ckpt", "is never read by this bench");
   }
 
   // `count` `what`s exist in `scope`; `index` must name one of them.
@@ -511,11 +514,12 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
     if (index < count) {
       return;
     }
-    reject(clause, largest.ranks == 0
-                       ? "targets a cluster, but these options arm none"
-                       : "names " + what + " " + std::to_string(index) +
-                             ", but " + scope + " has " +
-                             std::to_string(count) + " " + what + "s");
+    reject_clause(clause,
+                  largest.ranks == 0
+                      ? "targets a cluster, but these options arm none"
+                      : "names " + what + " " + std::to_string(index) +
+                            ", but " + scope + " has " +
+                            std::to_string(count) + " " + what + "s");
   };
   const std::string cluster = "the largest cluster this bench arms";
   const auto check_nic = [&](const char* name, int node, int nic) {
@@ -538,6 +542,67 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
   for (const auto& ev : plan.rank_fails) {
     require_exists("rankfail:rank=" + std::to_string(ev.rank), "rank",
                    ev.rank, largest.ranks, cluster);
+  }
+}
+
+void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node) {
+  const std::pair<bool, const char*> cluster_only[] = {
+      {!plan.nic_downs.empty(), "nicdown"},
+      {!plan.nic_degradations.empty(), "nicdegrade"},
+      {!plan.node_downs.empty(), "nodedown"},
+      {!plan.rank_fails.empty(), "rankfail"},
+      {plan.checkpoint.has_value(), "ckpt"},
+  };
+  for (const auto& [present, clause] : cluster_only) {
+    if (present) {
+      reject_clause(clause,
+                    "acts on a cluster, and this bench simulates one node");
+    }
+  }
+
+  const int devices = node.total_subdevices();
+  const std::string node_has = "the " + node.system_name + " node has ";
+  // `index` must name one of the node's `count` `what`s.
+  const auto require_exists = [&](const std::string& clause,
+                                  const std::string& what, int index,
+                                  int count) {
+    if (index >= 0 && index < count) {
+      return;
+    }
+    reject_clause(clause, "names " + what + " " + std::to_string(index) +
+                              ", but " + node_has + std::to_string(count) +
+                              " " + what + "s");
+  };
+  for (const auto& ev : plan.device_losses) {
+    require_exists("devlost:dev=" + std::to_string(ev.device), "subdevice",
+                   ev.device, devices);
+  }
+  for (const auto& ev : plan.throttles) {
+    require_exists("throttle:card=" + std::to_string(ev.card), "card",
+                   ev.card, node.card_count);
+  }
+  // An Xe-Link joins two subdevices on different cards; the two stacks
+  // of one card share MDFI instead.
+  const auto check_pair = [&](const char* name, int a, int b) {
+    const std::string clause = std::string(name) + ":a=" + std::to_string(a) +
+                               ",b=" + std::to_string(b);
+    require_exists(clause, "subdevice", a, devices);
+    require_exists(clause, "subdevice", b, devices);
+    const int per_card = node.card.subdevice_count;
+    if (a / per_card == b / per_card) {
+      reject_clause(clause, "puts both ends on card " +
+                                std::to_string(a / per_card) +
+                                ", and an Xe-Link joins different cards");
+    }
+  };
+  for (const auto& ev : plan.linkdowns) {
+    check_pair("linkdown", ev.a, ev.b);
+  }
+  for (const auto& fl : plan.flaps) {
+    check_pair("flap", fl.a, fl.b);
+  }
+  for (const auto& ev : plan.degradations) {
+    check_pair("degrade", ev.a, ev.b);
   }
 }
 

@@ -37,6 +37,10 @@
 #include <string_view>
 #include <vector>
 
+namespace pvc::arch {
+struct NodeSpec;
+}  // namespace pvc::arch
+
 namespace pvc::fault {
 
 /// Which USM kinds an injected allocation failure applies to.
@@ -217,5 +221,17 @@ struct ClusterExtent {
 /// and pass.
 void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
                         bool reads_checkpoint);
+
+/// Rejects a plan that a single-node bench (chaos_degradation) would
+/// silently ignore or fail on late, with ErrorCode::InvalidArgument
+/// naming the clause:
+///  * cluster-only clauses (nicdown, nicdegrade, nodedown, rankfail,
+///    ckpt), which need a ClusterComm the bench never builds;
+///  * devlost naming a subdevice, or throttle a card, that `node` lacks;
+///  * linkdown/flap/degrade unless `a` and `b` are subdevices of `node`
+///    on different cards (the stacks of one card share MDFI, not an
+///    Xe-Link).
+/// In-range clauses that never touch the measured traffic still pass.
+void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node);
 
 }  // namespace pvc::fault

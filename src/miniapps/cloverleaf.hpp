@@ -8,14 +8,6 @@
 // sweeps.  Small grids run for real in tests (mass conservation,
 // symmetry, shock monotonicity).
 //
-// Hot path (docs/PERFORMANCE.md): the per-cell accessor calls of the
-// seed kernels (out-of-line, one index multiply each) are replaced by
-// raw-pointer row sweeps — per-row base pointers hoisted out of the
-// inner loops, flat ascending traversal, and reused thread-local flux
-// buffers in advect().  Every kernel keeps its seed loop as a
-// `reference_*()` oracle; randomized grids assert the swept kernels
-// are bit-identical (WorkloadOracle.Clover*).
-//
 // FOM model: cells per second.  Each cell step streams a fixed number of
 // bytes through HBM, so the per-rank rate is achieved_bandwidth /
 // bytes_per_cell_step; the paper's 15360^2 (~47 GB) grid is weak-scaled
@@ -54,31 +46,6 @@ class CloverGrid {
   [[nodiscard]] double pressure(std::size_t i, std::size_t j) const;
   [[nodiscard]] double velocity_x(std::size_t i, std::size_t j) const;
   [[nodiscard]] double velocity_y(std::size_t i, std::size_t j) const;
-
-  // Raw storage for the swept kernels: row-major, cell fields have
-  // `cell_pitch()` doubles per row, node fields `node_pitch()`.
-  [[nodiscard]] double* density_data() noexcept { return density_.data(); }
-  [[nodiscard]] double* energy_data() noexcept { return energy_.data(); }
-  [[nodiscard]] double* pressure_data() noexcept { return pressure_.data(); }
-  [[nodiscard]] double* velocity_x_data() noexcept { return vel_x_.data(); }
-  [[nodiscard]] double* velocity_y_data() noexcept { return vel_y_.data(); }
-  [[nodiscard]] const double* density_data() const noexcept {
-    return density_.data();
-  }
-  [[nodiscard]] const double* energy_data() const noexcept {
-    return energy_.data();
-  }
-  [[nodiscard]] const double* pressure_data() const noexcept {
-    return pressure_.data();
-  }
-  [[nodiscard]] const double* velocity_x_data() const noexcept {
-    return vel_x_.data();
-  }
-  [[nodiscard]] const double* velocity_y_data() const noexcept {
-    return vel_y_.data();
-  }
-  [[nodiscard]] std::size_t cell_pitch() const noexcept { return nx_ + 2; }
-  [[nodiscard]] std::size_t node_pitch() const noexcept { return nx_ + 3; }
 
   /// Total mass over interior cells.
   [[nodiscard]] double total_mass() const;
@@ -124,20 +91,6 @@ void advect(CloverGrid& grid, double dt);
 
 /// One full hydro step; returns the dt taken.
 double hydro_step(CloverGrid& grid, double gamma = 1.4);
-
-// --- Reference oracles ------------------------------------------------------
-// The seed per-cell-accessor kernels, kept verbatim.  The swept kernels
-// above must produce bit-identical fields and return values
-// (test-asserted on randomized grids, WorkloadOracle.Clover*).
-
-double reference_update_pressure(CloverGrid& grid, double gamma = 1.4);
-[[nodiscard]] double reference_compute_timestep(const CloverGrid& grid,
-                                                double gamma, double cfl = 0.4);
-void reference_apply_artificial_viscosity(CloverGrid& grid, double c_q = 2.0);
-void reference_accelerate(CloverGrid& grid, double dt);
-void reference_pdv_update(CloverGrid& grid, double dt);
-void reference_advect(CloverGrid& grid, double dt);
-double reference_hydro_step(CloverGrid& grid, double gamma = 1.4);
 
 /// Initializes the Sod-style shock-tube problem: a dense, energetic
 /// region on the left half of the domain.

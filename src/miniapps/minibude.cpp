@@ -6,23 +6,8 @@
 #include "core/error.hpp"
 #include "core/units.hpp"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define PVC_X86_DISPATCH 1
-#endif
-
 namespace pvc::miniapps {
 namespace {
-
-#if defined(PVC_X86_DISPATCH)
-bool cpu_has_avx512f() {
-  static const bool has = __builtin_cpu_supports("avx512f");
-  return has;
-}
-#endif
 
 /// Applies a pose's rigid transform to a ligand atom (FP32).
 Atom transform(const Atom& atom, const Pose& pose) {
@@ -68,174 +53,6 @@ float pair_energy(const Atom& lig, const Atom& pro) {
   return energy;
 }
 
-/// Protein atoms in structure-of-arrays layout for the vectorized
-/// scoring loop; rebuilt per call from the deck (O(n_protein), amortized
-/// over poses x ligand atoms).
-struct ProteinSoA {
-  std::vector<float> x, y, z, radius, charge;
-
-  void fill(const std::vector<Atom>& protein) {
-    const std::size_t n = protein.size();
-    x.resize(n);
-    y.resize(n);
-    z.resize(n);
-    radius.resize(n);
-    charge.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      x[k] = protein[k].x;
-      y[k] = protein[k].y;
-      z[k] = protein[k].z;
-      radius[k] = protein[k].radius;
-      charge[k] = protein[k].charge;
-    }
-  }
-};
-
-ProteinSoA& protein_scratch(const std::vector<Atom>& protein) {
-  static thread_local ProteinSoA soa;
-  soa.fill(protein);
-  return soa;
-}
-
-#if defined(PVC_X86_DISPATCH)
-/// 16-wide flavour of the SSE2 row loop in score_row.  The 16 per-atom
-/// energies are drained into the single 4-float lane accumulator as four
-/// sequential quarter adds, so each lane slot (protein index & 3) sees
-/// its contributions in the same order as the scalar reference.  This TU
-/// is compiled with -ffp-contract=off, so no mul/add pair may fuse into
-/// an FMA inside this AVX-512 function.
-__attribute__((target("avx512f"))) float score_row_avx512(
-    const Atom& moved, const ProteinSoA& soa) {
-  const std::size_t n = soa.x.size();
-  alignas(16) float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-  std::size_t k = 0;
-  constexpr float kCutoff = 8.0f;
-  const __m512 mx = _mm512_set1_ps(moved.x);
-  const __m512 my = _mm512_set1_ps(moved.y);
-  const __m512 mz = _mm512_set1_ps(moved.z);
-  const __m512 mrad = _mm512_set1_ps(moved.radius);
-  const __m512 qlig = _mm512_set1_ps(332.0f * moved.charge);
-  const __m512 eps = _mm512_set1_ps(1e-6f);
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 hundred = _mm512_set1_ps(100.0f);
-  const __m512 cutoff = _mm512_set1_ps(kCutoff);
-  const __m512 point2 = _mm512_set1_ps(0.2f);
-  __m128 acc = _mm_setzero_ps();
-  for (; k + 16 <= n; k += 16) {
-    const __m512 dx = _mm512_sub_ps(mx, _mm512_loadu_ps(soa.x.data() + k));
-    const __m512 dy = _mm512_sub_ps(my, _mm512_loadu_ps(soa.y.data() + k));
-    const __m512 dz = _mm512_sub_ps(mz, _mm512_loadu_ps(soa.z.data() + k));
-    const __m512 r2 = _mm512_add_ps(
-        _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(dx, dx),
-                                    _mm512_mul_ps(dy, dy)),
-                      _mm512_mul_ps(dz, dz)),
-        eps);
-    const __m512 r = _mm512_sqrt_ps(r2);
-    const __m512 contact =
-        _mm512_add_ps(mrad, _mm512_loadu_ps(soa.radius.data() + k));
-
-    // Steric clash inside the contact distance.
-    const __mmask16 steric_mask = _mm512_cmp_ps_mask(r, contact, _CMP_LT_OQ);
-    const __m512 overlap = _mm512_div_ps(_mm512_sub_ps(contact, r), contact);
-    const __m512 steric =
-        _mm512_mul_ps(_mm512_mul_ps(hundred, overlap), overlap);
-    __m512 e = _mm512_maskz_mov_ps(steric_mask, steric);
-
-    // Electrostatics + desolvation inside the cutoff.
-    const __mmask16 cut_mask = _mm512_cmp_ps_mask(r, cutoff, _CMP_LT_OQ);
-    const __m512 scale = _mm512_sub_ps(one, _mm512_div_ps(r, cutoff));
-    const __m512 elec = _mm512_mul_ps(
-        _mm512_div_ps(
-            _mm512_mul_ps(qlig, _mm512_loadu_ps(soa.charge.data() + k)), r),
-        scale);
-    const __m512 desol = _mm512_mul_ps(_mm512_mul_ps(point2, scale), scale);
-    e = _mm512_add_ps(e, _mm512_maskz_mov_ps(cut_mask, elec));
-    e = _mm512_sub_ps(e, _mm512_maskz_mov_ps(cut_mask, desol));
-
-    acc = _mm_add_ps(acc, _mm512_extractf32x4_ps(e, 0));
-    acc = _mm_add_ps(acc, _mm512_extractf32x4_ps(e, 1));
-    acc = _mm_add_ps(acc, _mm512_extractf32x4_ps(e, 2));
-    acc = _mm_add_ps(acc, _mm512_extractf32x4_ps(e, 3));
-  }
-  _mm_store_ps(lane, acc);
-  for (; k < n; ++k) {
-    const Atom pro{soa.x[k], soa.y[k], soa.z[k], soa.radius[k],
-                   soa.charge[k]};
-    lane[k & 3] += pair_energy(moved, pro);
-  }
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-#endif  // PVC_X86_DISPATCH
-
-/// Scores one transformed ligand atom against the whole protein into the
-/// four lane accumulators (lane = protein index & 3).  Fast path: SSE2
-/// sqrt/div are IEEE correctly rounded, and the masked conditional adds
-/// reproduce pair_energy()'s branches exactly, so each lane matches the
-/// scalar reference bit for bit.
-float score_row(const Atom& moved, const ProteinSoA& soa) {
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    return score_row_avx512(moved, soa);
-  }
-#endif
-  const std::size_t n = soa.x.size();
-  alignas(16) float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-  std::size_t k = 0;
-#if defined(__SSE2__)
-  constexpr float kCutoff = 8.0f;
-  const __m128 mx = _mm_set1_ps(moved.x);
-  const __m128 my = _mm_set1_ps(moved.y);
-  const __m128 mz = _mm_set1_ps(moved.z);
-  const __m128 mrad = _mm_set1_ps(moved.radius);
-  // 332 * lig.charge is the seed's left-assoc prefix, hoisted.
-  const __m128 qlig = _mm_set1_ps(332.0f * moved.charge);
-  const __m128 eps = _mm_set1_ps(1e-6f);
-  const __m128 one = _mm_set1_ps(1.0f);
-  const __m128 hundred = _mm_set1_ps(100.0f);
-  const __m128 cutoff = _mm_set1_ps(kCutoff);
-  const __m128 point2 = _mm_set1_ps(0.2f);
-  __m128 acc = _mm_setzero_ps();
-  for (; k + 4 <= n; k += 4) {
-    const __m128 dx = _mm_sub_ps(mx, _mm_loadu_ps(soa.x.data() + k));
-    const __m128 dy = _mm_sub_ps(my, _mm_loadu_ps(soa.y.data() + k));
-    const __m128 dz = _mm_sub_ps(mz, _mm_loadu_ps(soa.z.data() + k));
-    const __m128 r2 = _mm_add_ps(
-        _mm_add_ps(_mm_add_ps(_mm_mul_ps(dx, dx), _mm_mul_ps(dy, dy)),
-                   _mm_mul_ps(dz, dz)),
-        eps);
-    const __m128 r = _mm_sqrt_ps(r2);
-    const __m128 contact =
-        _mm_add_ps(mrad, _mm_loadu_ps(soa.radius.data() + k));
-
-    // Steric clash inside the contact distance.
-    const __m128 steric_mask = _mm_cmplt_ps(r, contact);
-    const __m128 overlap = _mm_div_ps(_mm_sub_ps(contact, r), contact);
-    const __m128 steric =
-        _mm_mul_ps(_mm_mul_ps(hundred, overlap), overlap);
-    __m128 e = _mm_and_ps(steric_mask, steric);
-
-    // Electrostatics + desolvation inside the cutoff.
-    const __m128 cut_mask = _mm_cmplt_ps(r, cutoff);
-    const __m128 scale = _mm_sub_ps(one, _mm_div_ps(r, cutoff));
-    const __m128 elec = _mm_mul_ps(
-        _mm_div_ps(_mm_mul_ps(qlig, _mm_loadu_ps(soa.charge.data() + k)), r),
-        scale);
-    const __m128 desol = _mm_mul_ps(_mm_mul_ps(point2, scale), scale);
-    e = _mm_add_ps(e, _mm_and_ps(cut_mask, elec));
-    e = _mm_sub_ps(e, _mm_and_ps(cut_mask, desol));
-
-    acc = _mm_add_ps(acc, e);
-  }
-  _mm_store_ps(lane, acc);
-#endif
-  for (; k < n; ++k) {
-    const Atom pro{soa.x[k], soa.y[k], soa.z[k], soa.radius[k],
-                   soa.charge[k]};
-    lane[k & 3] += pair_energy(moved, pro);
-  }
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
 }  // namespace
 
 BudeDeck make_deck(std::size_t n_protein, std::size_t n_ligand,
@@ -272,7 +89,7 @@ BudeDeck make_deck(std::size_t n_protein, std::size_t n_ligand,
   return deck;
 }
 
-float reference_pose_energy(const BudeDeck& deck, const Pose& pose) {
+float pose_energy(const BudeDeck& deck, const Pose& pose) {
   float energy = 0.0f;
   for (const auto& latom : deck.ligand) {
     const Atom moved = transform(latom, pose);
@@ -285,37 +102,11 @@ float reference_pose_energy(const BudeDeck& deck, const Pose& pose) {
   return energy;
 }
 
-void reference_evaluate_poses(const BudeDeck& deck,
-                              std::span<float> energies) {
-  ensure(energies.size() == deck.poses.size(),
-         "reference_evaluate_poses: one energy slot per pose required");
-  for (std::size_t p = 0; p < deck.poses.size(); ++p) {
-    energies[p] = reference_pose_energy(deck, deck.poses[p]);
-  }
-}
-
-float pose_energy(const BudeDeck& deck, const Pose& pose) {
-  const ProteinSoA& soa = protein_scratch(deck.protein);
-  float energy = 0.0f;
-  for (const auto& latom : deck.ligand) {
-    const Atom moved = transform(latom, pose);
-    energy += score_row(moved, soa);
-  }
-  return energy;
-}
-
 void evaluate_poses(const BudeDeck& deck, std::span<float> energies) {
   ensure(energies.size() == deck.poses.size(),
          "evaluate_poses: one energy slot per pose required");
-  const ProteinSoA& soa = protein_scratch(deck.protein);
   for (std::size_t p = 0; p < deck.poses.size(); ++p) {
-    const Pose& pose = deck.poses[p];
-    float energy = 0.0f;
-    for (const auto& latom : deck.ligand) {
-      const Atom moved = transform(latom, pose);
-      energy += score_row(moved, soa);
-    }
-    energies[p] = energy;
+    energies[p] = pose_energy(deck, deck.poses[p]);
   }
 }
 

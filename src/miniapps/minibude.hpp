@@ -7,14 +7,6 @@
 // kernel is FP32 and embarrassingly parallel over poses — the exact
 // structure that makes the real miniBUDE flop-rate bound.
 //
-// Hot path (docs/PERFORMANCE.md): pose scoring accumulates each
-// transformed ligand atom's protein row into four float lanes (lane =
-// protein index & 3, folded (l0+l2)+(l1+l3)), which lets the fast path
-// run the pair potential four protein atoms at a time over an SoA copy
-// of the deck with branchless masked adds.  reference_pose_energy()
-// implements the same lane schedule in plain scalar code; randomized
-// decks assert bit-identical energies (WorkloadOracle.Bude*).
-//
 // FOM model: Billion interactions per second, where one interaction is a
 // (ligand atom, protein atom) pair for one pose.  The model divides the
 // achieved FP32 rate (governor frequency x calibrated application
@@ -62,17 +54,10 @@ struct BudeDeck {
 /// one slot per pose.
 void evaluate_poses(const BudeDeck& deck, std::span<float> energies);
 
-/// Energy of a single pose against the protein (same fast path as
-/// evaluate_poses; used by tests as the single-pose entry point).
+/// Energy of a single pose against the protein.  Each transformed
+/// ligand atom's protein row is summed into four float lanes (lane =
+/// protein index & 3), folded as (l0+l2)+(l1+l3).
 [[nodiscard]] float pose_energy(const BudeDeck& deck, const Pose& pose);
-
-/// Reference oracles: the lane-accumulation schedule in plain scalar
-/// code.  Bit-identical to pose_energy / evaluate_poses
-/// (test-asserted).
-[[nodiscard]] float reference_pose_energy(const BudeDeck& deck,
-                                          const Pose& pose);
-void reference_evaluate_poses(const BudeDeck& deck,
-                              std::span<float> energies);
 
 /// Interactions performed by a full deck evaluation.
 [[nodiscard]] double deck_interactions(const BudeDeck& deck);

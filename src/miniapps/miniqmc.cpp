@@ -8,117 +8,7 @@
 #include "core/error.hpp"
 #include "core/units.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define PVC_X86_DISPATCH 1
-#endif
-
 namespace pvc::miniapps {
-
-namespace {
-#if defined(PVC_X86_DISPATCH)
-
-bool cpu_has_avx512f() {
-  static const bool has = __builtin_cpu_supports("avx512f");
-  return has;
-}
-
-/// Batched Catmull-Rom evaluation: the clamp, truncation, index
-/// clamping, and cubic are all lane-exact images of the scalar batch
-/// loop (std::clamp emulated with the same comparison order, indices
-/// via 32-bit integer min/max, samples fetched with gathers), so with
-/// -ffp-contract=off on this file the outputs are bit-identical.
-/// `deriv` selects the derivative polynomial instead of the value.
-__attribute__((target("avx512f"))) void spline_batch_avx512(
-    const double* coeffs, std::size_t n, double cutoff, double inv_h,
-    const double* r, double* out, std::size_t count, bool deriv) {
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vcut = _mm512_set1_pd(cutoff);
-  const __m512d vinvh = _mm512_set1_pd(inv_h);
-  const __m512d vm05 = _mm512_set1_pd(-0.5);
-  const __m512d v05 = _mm512_set1_pd(0.5);
-  const __m512d v15 = _mm512_set1_pd(1.5);
-  const __m512d v25 = _mm512_set1_pd(2.5);
-  const __m512d v2 = _mm512_set1_pd(2.0);
-  const __m512d v3 = _mm512_set1_pd(3.0);
-  const __m256i vi_one = _mm256_set1_epi32(1);
-  const __m256i vi_n2 = _mm256_set1_epi32(static_cast<int>(n - 2));
-  const __m256i vi_n1 = _mm256_set1_epi32(static_cast<int>(n - 1));
-  std::size_t k = 0;
-  for (; k + 8 <= count; k += 8) {
-    const __m512d x = _mm512_loadu_pd(r + k);
-    // std::clamp(x, 0, cutoff): (x < lo) ? lo : (hi < x) ? hi : x.
-    __m512d cl = _mm512_mask_mov_pd(
-        x, _mm512_cmp_pd_mask(vcut, x, _CMP_LT_OQ), vcut);
-    cl = _mm512_mask_mov_pd(cl, _mm512_cmp_pd_mask(x, vzero, _CMP_LT_OQ),
-                            vzero);
-    const __m512d t_full = _mm512_mul_pd(cl, vinvh);
-    const __m256i vi = _mm512_cvttpd_epi32(t_full);
-    const __m256i vi1 = _mm256_min_epu32(vi, vi_n2);
-    const __m512d t = _mm512_sub_pd(t_full, _mm512_cvtepi32_pd(vi1));
-    const __m256i i0 =
-        _mm256_sub_epi32(_mm256_max_epu32(vi1, vi_one), vi_one);
-    const __m256i i3 = _mm256_min_epu32(
-        _mm256_add_epi32(vi1, _mm256_set1_epi32(2)), vi_n1);
-    const __m512d p0 = _mm512_i32gather_pd(i0, coeffs, 8);
-    const __m512d p1 = _mm512_i32gather_pd(vi1, coeffs, 8);
-    const __m512d p2 =
-        _mm512_i32gather_pd(_mm256_add_epi32(vi1, vi_one), coeffs, 8);
-    const __m512d p3 = _mm512_i32gather_pd(i3, coeffs, 8);
-    const __m512d a = _mm512_add_pd(
-        _mm512_sub_pd(_mm512_add_pd(_mm512_mul_pd(vm05, p0),
-                                    _mm512_mul_pd(v15, p1)),
-                      _mm512_mul_pd(v15, p2)),
-        _mm512_mul_pd(v05, p3));
-    const __m512d b = _mm512_sub_pd(
-        _mm512_add_pd(_mm512_sub_pd(p0, _mm512_mul_pd(v25, p1)),
-                      _mm512_mul_pd(v2, p2)),
-        _mm512_mul_pd(v05, p3));
-    const __m512d c =
-        _mm512_add_pd(_mm512_mul_pd(vm05, p0), _mm512_mul_pd(v05, p2));
-    if (deriv) {
-      _mm512_storeu_pd(
-          out + k,
-          _mm512_mul_pd(
-              _mm512_add_pd(
-                  _mm512_mul_pd(
-                      _mm512_add_pd(
-                          _mm512_mul_pd(_mm512_mul_pd(v3, a), t),
-                          _mm512_mul_pd(v2, b)),
-                      t),
-                  c),
-              vinvh));
-    } else {
-      _mm512_storeu_pd(
-          out + k,
-          _mm512_add_pd(
-              _mm512_mul_pd(
-                  _mm512_add_pd(
-                      _mm512_mul_pd(_mm512_add_pd(_mm512_mul_pd(a, t), b), t),
-                      c),
-                  t),
-              p1));
-    }
-  }
-  for (; k < count; ++k) {
-    const double t_full = std::clamp(r[k], 0.0, cutoff) * inv_h;
-    const auto i = static_cast<std::size_t>(t_full);
-    const std::size_t i1 = std::min(i, n - 2);
-    const double t = t_full - static_cast<double>(i1);
-    const double p0 = coeffs[i1 > 0 ? i1 - 1 : 0];
-    const double p1 = coeffs[i1];
-    const double p2 = coeffs[i1 + 1];
-    const double p3 = coeffs[std::min(i1 + 2, n - 1)];
-    const double a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3;
-    const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
-    const double c = -0.5 * p0 + 0.5 * p2;
-    out[k] = deriv ? ((3.0 * a * t + 2.0 * b) * t + c) * inv_h
-                   : ((a * t + b) * t + c) * t + p1;
-  }
-}
-
-#endif  // PVC_X86_DISPATCH
-}  // namespace
 
 CubicSpline::CubicSpline(std::vector<double> samples, double cutoff)
     : coeffs_(std::move(samples)), cutoff_(cutoff) {
@@ -159,66 +49,6 @@ double CubicSpline::derivative(double r) const {
   const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
   const double c = -0.5 * p0 + 0.5 * p2;
   return ((3.0 * a * t + 2.0 * b) * t + c) * inv_h_;
-}
-
-void CubicSpline::value_batch(std::span<const double> r,
-                              std::span<double> out) const {
-  ensure(r.size() == out.size(), "value_batch: size mismatch");
-  const double* coeffs = coeffs_.data();
-  const std::size_t n = coeffs_.size();
-  const double cutoff = cutoff_;
-  const double inv_h = inv_h_;
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    spline_batch_avx512(coeffs, n, cutoff, inv_h, r.data(), out.data(),
-                        r.size(), /*deriv=*/false);
-    return;
-  }
-#endif
-  for (std::size_t k = 0; k < r.size(); ++k) {
-    const double t_full = std::clamp(r[k], 0.0, cutoff) * inv_h;
-    const auto i = static_cast<std::size_t>(t_full);
-    const std::size_t i1 = std::min(i, n - 2);
-    const double t = t_full - static_cast<double>(i1);
-    const double p0 = coeffs[i1 > 0 ? i1 - 1 : 0];
-    const double p1 = coeffs[i1];
-    const double p2 = coeffs[i1 + 1];
-    const double p3 = coeffs[std::min(i1 + 2, n - 1)];
-    const double a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3;
-    const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
-    const double c = -0.5 * p0 + 0.5 * p2;
-    out[k] = ((a * t + b) * t + c) * t + p1;
-  }
-}
-
-void CubicSpline::derivative_batch(std::span<const double> r,
-                                   std::span<double> out) const {
-  ensure(r.size() == out.size(), "derivative_batch: size mismatch");
-  const double* coeffs = coeffs_.data();
-  const std::size_t n = coeffs_.size();
-  const double cutoff = cutoff_;
-  const double inv_h = inv_h_;
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    spline_batch_avx512(coeffs, n, cutoff, inv_h, r.data(), out.data(),
-                        r.size(), /*deriv=*/true);
-    return;
-  }
-#endif
-  for (std::size_t k = 0; k < r.size(); ++k) {
-    const double t_full = std::clamp(r[k], 0.0, cutoff) * inv_h;
-    const auto i = static_cast<std::size_t>(t_full);
-    const std::size_t i1 = std::min(i, n - 2);
-    const double t = t_full - static_cast<double>(i1);
-    const double p0 = coeffs[i1 > 0 ? i1 - 1 : 0];
-    const double p1 = coeffs[i1];
-    const double p2 = coeffs[i1 + 1];
-    const double p3 = coeffs[std::min(i1 + 2, n - 1)];
-    const double a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3;
-    const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
-    const double c = -0.5 * p0 + 0.5 * p2;
-    out[k] = ((3.0 * a * t + 2.0 * b) * t + c) * inv_h;
-  }
 }
 
 QmcEnsemble::QmcEnsemble(const QmcSystem& system, std::size_t walkers,
@@ -277,147 +107,6 @@ double pade_d2u(double r, double b) {
   const double d = 1.0 + b * r;
   return 2.0 * b * b * b / (d * d * d);
 }
-
-#if defined(PVC_X86_DISPATCH)
-
-// The Jastrow sums are order-pinned (each accumulator must see its
-// contributions in the seed's j order), so the wide path computes the
-// expensive per-pair terms — minimum-image round, sqrt, divides — into
-// buffers with AVX-512 and leaves the cheap accumulation to a scalar
-// in-order loop.  Combined with -ffp-contract=off on this file, every
-// buffered term is bit-identical to the seed's scalar value.
-
-/// std::round (half away from zero), lane-exact: t = trunc(q) and the
-/// residue q - t is exact, so adding copysign(1, q) where |q - t| >= 0.5
-/// reproduces the libm result bit-for-bit (including -0.0, kept by the
-/// masked add's passthrough lanes).
-__attribute__((target("avx512f"))) inline __m512d round_half_away(__m512d q) {
-  const __m512d t =
-      _mm512_roundscale_pd(q, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-  const __m512d f = _mm512_sub_pd(q, t);
-  const __mmask8 m = _mm512_cmp_pd_mask(_mm512_abs_pd(f),
-                                        _mm512_set1_pd(0.5), _CMP_GE_OQ);
-  const __m512d step = _mm512_castsi512_pd(_mm512_or_epi64(
-      _mm512_castpd_si512(_mm512_set1_pd(1.0)),
-      _mm512_and_epi64(_mm512_castpd_si512(q),
-                       _mm512_castpd_si512(_mm512_set1_pd(-0.0)))));
-  return _mm512_mask_add_pd(t, m, t, step);
-}
-
-/// Minimum-image displacement of electron (xe,ye,ze) against electrons
-/// [lo,hi); outputs written at index j - lo.
-__attribute__((target("avx512f"))) void pair_terms_avx512(
-    const float* px, const float* py, const float* pz, double xe, double ye,
-    double ze, std::size_t lo, std::size_t hi, double box, double b,
-    double nb2, double tb3, double* tgx, double* tgy, double* tgz,
-    double* tlap, double* tpot) {
-  const __m512d vxe = _mm512_set1_pd(xe);
-  const __m512d vye = _mm512_set1_pd(ye);
-  const __m512d vze = _mm512_set1_pd(ze);
-  const __m512d vbox = _mm512_set1_pd(box);
-  const __m512d vb = _mm512_set1_pd(b);
-  const __m512d vnb2 = _mm512_set1_pd(nb2);
-  const __m512d vtb3 = _mm512_set1_pd(tb3);
-  const __m512d vone = _mm512_set1_pd(1.0);
-  const __m512d vtwo = _mm512_set1_pd(2.0);
-  const __m512d vtiny = _mm512_set1_pd(1e-300);
-  std::size_t j = lo;
-  std::size_t k = 0;
-  for (; j + 8 <= hi; j += 8, k += 8) {
-    __m512d dx =
-        _mm512_sub_pd(vxe, _mm512_cvtps_pd(_mm256_loadu_ps(px + j)));
-    dx = _mm512_sub_pd(
-        dx, _mm512_mul_pd(vbox, round_half_away(_mm512_div_pd(dx, vbox))));
-    __m512d dy =
-        _mm512_sub_pd(vye, _mm512_cvtps_pd(_mm256_loadu_ps(py + j)));
-    dy = _mm512_sub_pd(
-        dy, _mm512_mul_pd(vbox, round_half_away(_mm512_div_pd(dy, vbox))));
-    __m512d dz =
-        _mm512_sub_pd(vze, _mm512_cvtps_pd(_mm256_loadu_ps(pz + j)));
-    dz = _mm512_sub_pd(
-        dz, _mm512_mul_pd(vbox, round_half_away(_mm512_div_pd(dz, vbox))));
-    const __m512d r = _mm512_add_pd(
-        _mm512_sqrt_pd(_mm512_add_pd(
-            _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
-            _mm512_mul_pd(dz, dz))),
-        vtiny);
-    const __m512d d = _mm512_add_pd(vone, _mm512_mul_pd(vb, r));
-    const __m512d dd = _mm512_mul_pd(d, d);
-    const __m512d du = _mm512_div_pd(vnb2, dd);
-    _mm512_storeu_pd(tgx + k, _mm512_div_pd(_mm512_mul_pd(du, dx), r));
-    _mm512_storeu_pd(tgy + k, _mm512_div_pd(_mm512_mul_pd(du, dy), r));
-    _mm512_storeu_pd(tgz + k, _mm512_div_pd(_mm512_mul_pd(du, dz), r));
-    _mm512_storeu_pd(
-        tlap + k,
-        _mm512_add_pd(_mm512_div_pd(vtb3, _mm512_mul_pd(dd, d)),
-                      _mm512_div_pd(_mm512_mul_pd(vtwo, du), r)));
-    _mm512_storeu_pd(tpot + k, _mm512_div_pd(vone, r));
-  }
-  for (; j < hi; ++j, ++k) {
-    double dx = xe - px[j];
-    dx -= box * std::round(dx / box);
-    double dy = ye - py[j];
-    dy -= box * std::round(dy / box);
-    double dz = ze - pz[j];
-    dz -= box * std::round(dz / box);
-    const double r = std::sqrt(dx * dx + dy * dy + dz * dz) + 1e-300;
-    const double d = 1.0 + b * r;
-    const double dd = d * d;
-    const double du = nb2 / dd;
-    tgx[k] = du * dx / r;
-    tgy[k] = du * dy / r;
-    tgz[k] = du * dz / r;
-    tlap[k] = tb3 / (dd * d) + 2.0 * du / r;
-    tpot[k] = 1.0 / r;
-  }
-}
-
-/// Pade-Jastrow u(r) = b / (1 + b r) for electrons [lo,hi), written at
-/// index j - lo (no distance epsilon — matches partial_log_psi).
-__attribute__((target("avx512f"))) void pade_u_avx512(
-    const float* px, const float* py, const float* pz, double xe, double ye,
-    double ze, std::size_t lo, std::size_t hi, double box, double b,
-    double* out) {
-  const __m512d vxe = _mm512_set1_pd(xe);
-  const __m512d vye = _mm512_set1_pd(ye);
-  const __m512d vze = _mm512_set1_pd(ze);
-  const __m512d vbox = _mm512_set1_pd(box);
-  const __m512d vb = _mm512_set1_pd(b);
-  const __m512d vone = _mm512_set1_pd(1.0);
-  std::size_t j = lo;
-  std::size_t k = 0;
-  for (; j + 8 <= hi; j += 8, k += 8) {
-    __m512d dx =
-        _mm512_sub_pd(vxe, _mm512_cvtps_pd(_mm256_loadu_ps(px + j)));
-    dx = _mm512_sub_pd(
-        dx, _mm512_mul_pd(vbox, round_half_away(_mm512_div_pd(dx, vbox))));
-    __m512d dy =
-        _mm512_sub_pd(vye, _mm512_cvtps_pd(_mm256_loadu_ps(py + j)));
-    dy = _mm512_sub_pd(
-        dy, _mm512_mul_pd(vbox, round_half_away(_mm512_div_pd(dy, vbox))));
-    __m512d dz =
-        _mm512_sub_pd(vze, _mm512_cvtps_pd(_mm256_loadu_ps(pz + j)));
-    dz = _mm512_sub_pd(
-        dz, _mm512_mul_pd(vbox, round_half_away(_mm512_div_pd(dz, vbox))));
-    const __m512d r = _mm512_sqrt_pd(_mm512_add_pd(
-        _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
-        _mm512_mul_pd(dz, dz)));
-    _mm512_storeu_pd(
-        out + k, _mm512_div_pd(vb, _mm512_add_pd(vone, _mm512_mul_pd(vb, r))));
-  }
-  for (; j < hi; ++j, ++k) {
-    double dx = xe - px[j];
-    dx -= box * std::round(dx / box);
-    double dy = ye - py[j];
-    dy -= box * std::round(dy / box);
-    double dz = ze - pz[j];
-    dz -= box * std::round(dz / box);
-    const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
-    out[k] = b / (1.0 + b * r);
-  }
-}
-
-#endif  // PVC_X86_DISPATCH
 }  // namespace
 
 QmcEnsemble::Gradient QmcEnsemble::grad_log_psi(const Walker& w,
@@ -458,94 +147,6 @@ double QmcEnsemble::laplacian_log_psi(const Walker& w, std::size_t e) const {
 }
 
 double QmcEnsemble::local_energy(const Walker& w) const {
-  // Fused sweep: one minimum-image distance per (e, j) pair feeds the
-  // gradient, laplacian, and (for j > e) the Coulomb sum.  Per-pair
-  // float/double expressions are verbatim copies of the seed passes, and
-  // each accumulator sees the same contributions in the same order, so
-  // the result is bit-identical to reference_local_energy().
-  const std::size_t n = system_.electrons;
-  const double box = system_.box;
-  const double b = system_.jastrow_b;
-  const double nb2 = -b * b;             // pade_du numerator
-  const double tb3 = 2.0 * b * b * b;    // pade_d2u numerator
-  const float* px = w.x.data();
-  const float* py = w.y.data();
-  const float* pz = w.z.data();
-  double kinetic = 0.0;
-  double potential = 0.0;
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    static thread_local std::vector<double> tgx, tgy, tgz, tlap, tpot;
-    tgx.resize(n);
-    tgy.resize(n);
-    tgz.resize(n);
-    tlap.resize(n);
-    tpot.resize(n);
-    for (std::size_t e = 0; e < n; ++e) {
-      const double xe = px[e];
-      const double ye = py[e];
-      const double ze = pz[e];
-      double gx = 0.0, gy = 0.0, gz = 0.0, lap = 0.0;
-      pair_terms_avx512(px, py, pz, xe, ye, ze, 0, e, box, b, nb2, tb3,
-                        tgx.data(), tgy.data(), tgz.data(), tlap.data(),
-                        tpot.data());
-      for (std::size_t k = 0; k < e; ++k) {
-        gx -= tgx[k];
-        gy -= tgy[k];
-        gz -= tgz[k];
-        lap -= tlap[k];
-      }
-      pair_terms_avx512(px, py, pz, xe, ye, ze, e + 1, n, box, b, nb2, tb3,
-                        tgx.data(), tgy.data(), tgz.data(), tlap.data(),
-                        tpot.data());
-      for (std::size_t k = 0; k < n - e - 1; ++k) {
-        gx -= tgx[k];
-        gy -= tgy[k];
-        gz -= tgz[k];
-        lap -= tlap[k];
-        potential += tpot[k];
-      }
-      kinetic += -0.5 * (lap + gx * gx + gy * gy + gz * gz);
-    }
-    return kinetic + potential;
-  }
-#endif
-  for (std::size_t e = 0; e < n; ++e) {
-    const double xe = px[e];
-    const double ye = py[e];
-    const double ze = pz[e];
-    double gx = 0.0, gy = 0.0, gz = 0.0, lap = 0.0;
-    const auto pair_term = [&](std::size_t j, bool coulomb) {
-      double dx = xe - px[j];
-      dx -= box * std::round(dx / box);
-      double dy = ye - py[j];
-      dy -= box * std::round(dy / box);
-      double dz = ze - pz[j];
-      dz -= box * std::round(dz / box);
-      const double r = std::sqrt(dx * dx + dy * dy + dz * dz) + 1e-300;
-      const double d = 1.0 + b * r;
-      const double dd = d * d;
-      const double du = nb2 / dd;
-      gx -= du * dx / r;
-      gy -= du * dy / r;
-      gz -= du * dz / r;
-      lap -= tb3 / (dd * d) + 2.0 * du / r;
-      if (coulomb) {
-        potential += 1.0 / r;
-      }
-    };
-    for (std::size_t j = 0; j < e; ++j) {
-      pair_term(j, false);
-    }
-    for (std::size_t j = e + 1; j < n; ++j) {
-      pair_term(j, true);  // pairs counted once, in the seed's i<j order
-    }
-    kinetic += -0.5 * (lap + gx * gx + gy * gy + gz * gz);
-  }
-  return kinetic + potential;
-}
-
-double QmcEnsemble::reference_local_energy(const Walker& w) const {
   double kinetic = 0.0;
   for (std::size_t e = 0; e < system_.electrons; ++e) {
     const Gradient g = grad_log_psi(w, e);
@@ -569,86 +170,7 @@ double QmcEnsemble::vmc_energy() const {
   return sum / static_cast<double>(walkers_.size());
 }
 
-double QmcEnsemble::reference_vmc_energy() const {
-  double sum = 0.0;
-  for (const auto& w : walkers_) {
-    sum += reference_local_energy(w);
-  }
-  return sum / static_cast<double>(walkers_.size());
-}
-
-double QmcEnsemble::partial_log_psi(const Walker& w, std::size_t e) const {
-  const std::size_t n = system_.electrons;
-  const double box = system_.box;
-  const double b = system_.jastrow_b;
-  const float* px = w.x.data();
-  const float* py = w.y.data();
-  const float* pz = w.z.data();
-  const double xe = px[e];
-  const double ye = py[e];
-  const double ze = pz[e];
-  double sum = 0.0;
-#if defined(PVC_X86_DISPATCH)
-  if (cpu_has_avx512f()) {
-    static thread_local std::vector<double> ubuf;
-    ubuf.resize(n);
-    pade_u_avx512(px, py, pz, xe, ye, ze, 0, e, box, b, ubuf.data());
-    for (std::size_t k = 0; k < e; ++k) {
-      sum += ubuf[k];
-    }
-    pade_u_avx512(px, py, pz, xe, ye, ze, e + 1, n, box, b, ubuf.data());
-    for (std::size_t k = 0; k < n - e - 1; ++k) {
-      sum += ubuf[k];
-    }
-    return -sum;
-  }
-#endif
-  const auto sweep = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      double dx = xe - px[j];
-      dx -= box * std::round(dx / box);
-      double dy = ye - py[j];
-      dy -= box * std::round(dy / box);
-      double dz = ze - pz[j];
-      dz -= box * std::round(dz / box);
-      const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
-      sum += b / (1.0 + b * r);
-    }
-  };
-  sweep(0, e);
-  sweep(e + 1, n);
-  return -sum;
-}
-
 double QmcEnsemble::diffusion_step() {
-  const double sigma = std::sqrt(system_.timestep);
-  std::uint64_t accepted = 0, proposed = 0;
-  for (auto& w : walkers_) {
-    for (std::size_t e = 0; e < system_.electrons; ++e) {
-      const double before = partial_log_psi(w, e);
-      const float ox = w.x[e], oy = w.y[e], oz = w.z[e];
-      w.x[e] += static_cast<float>(sigma * rng_.normal());
-      w.y[e] += static_cast<float>(sigma * rng_.normal());
-      w.z[e] += static_cast<float>(sigma * rng_.normal());
-      const double after = partial_log_psi(w, e);
-      ++proposed;
-      ++w.proposed;
-      const double log_ratio = 2.0 * (after - before);
-      if (log_ratio >= 0.0 || rng_.uniform() < std::exp(log_ratio)) {
-        ++accepted;
-        ++w.accepted;
-        w.log_psi += after - before;
-      } else {
-        w.x[e] = ox;
-        w.y[e] = oy;
-        w.z[e] = oz;
-      }
-    }
-  }
-  return static_cast<double>(accepted) / static_cast<double>(proposed);
-}
-
-double QmcEnsemble::reference_diffusion_step() {
   const double sigma = std::sqrt(system_.timestep);
   std::uint64_t accepted = 0, proposed = 0;
   for (auto& w : walkers_) {

@@ -9,17 +9,6 @@
 // incrementally — the structural skeleton of the QMCPACK diffusion
 // kernel, in mixed precision (FP32 values, FP64 accumulators).
 //
-// Hot path (docs/PERFORMANCE.md): local_energy() fuses the seed's three
-// per-electron passes (gradient, laplacian, Coulomb) into one
-// distance sweep — each pair computes its minimum-image separation and
-// square root once instead of 2.5 times — and diffusion_step() replaces
-// the per-move partial-log-psi lambda with a raw-pointer split-range
-// sweep.  Batched spline evaluation (value_batch/derivative_batch)
-// amortizes the table setup over whole walker populations.  The seed
-// loops survive as reference_*() oracles; randomized tests assert the
-// fused paths are bit-identical, including the diffusion RNG sequence
-// (WorkloadOracle.Qmc*).
-//
 // FOM: N_walkers * N_electrons^3 * 1e-11 / T_diffusion (Table V).  The
 // performance model splits a diffusion block into GPU work, leftover CPU
 // work, and PCIe traffic; the CPU term stretches when the ranks sharing
@@ -28,7 +17,6 @@
 // paper's headline example of a bottleneck microbenchmarks miss.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "arch/gpu_spec.hpp"
@@ -47,13 +35,6 @@ class CubicSpline {
 
   [[nodiscard]] double value(double r) const;
   [[nodiscard]] double derivative(double r) const;
-
-  /// Batched evaluation over a whole walker population's distances —
-  /// one call per sweep with the table geometry hoisted.  Element k of
-  /// `out` is bit-identical to value(r[k]) / derivative(r[k]).
-  void value_batch(std::span<const double> r, std::span<double> out) const;
-  void derivative_batch(std::span<const double> r,
-                        std::span<double> out) const;
 
   [[nodiscard]] double cutoff() const noexcept { return cutoff_; }
 
@@ -121,22 +102,7 @@ class QmcEnsemble {
   /// VMC energy estimate: mean local energy over the ensemble.
   [[nodiscard]] double vmc_energy() const;
 
-  // --- Reference oracles ----------------------------------------------------
-  // Seed implementations, kept verbatim: three separate passes per
-  // electron for the energy, a per-move partial-log-psi lambda for the
-  // diffusion step.  The fused paths above must match them bit for bit —
-  // including the walker state and RNG stream of diffusion_step
-  // (test-asserted, WorkloadOracle.Qmc*).
-
-  [[nodiscard]] double reference_local_energy(const Walker& w) const;
-  [[nodiscard]] double reference_vmc_energy() const;
-  double reference_diffusion_step();
-
  private:
-  /// Log-psi terms touching electron e only (distance-table style);
-  /// shared by the fused diffusion fast path.
-  [[nodiscard]] double partial_log_psi(const Walker& w, std::size_t e) const;
-
   QmcSystem system_;
   std::vector<Walker> walkers_;
   Rng rng_;

@@ -212,6 +212,9 @@ bool NodeSim::xelink_down(int a_device, int b_device) const {
 
 void NodeSim::set_xelink_degradation(int a_device, int b_device,
                                      double factor) {
+  ensure(a_device >= 0 && a_device < device_count() && b_device >= 0 &&
+             b_device < device_count() && a_device != b_device,
+         "NodeSim: bad Xe-Link device pair");
   ensure(has_remote_fabric_,
          "NodeSim: no remote fabric to degrade on " + spec_.system_name);
   network_.set_link_scale(pair_link(a_device, b_device), factor);

@@ -21,6 +21,7 @@
 #include "core/error.hpp"
 #include "fault/checkpoint.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/node_sim.hpp"
 #include "sim/fabric.hpp"
 
 namespace {
@@ -358,6 +359,76 @@ TEST(BenchOptions, ClusterChaosClausesActOrFail) {
             0);
   expect_rejected("resilience_sweep", {"chaos=nodedown:node=64,at=2us"},
                   "nodedown:node=64");
+}
+
+TEST(BenchOptions, NodeChaosClausesActOrFail) {
+  // chaos_degradation arms one Aurora node (12 subdevices on 6 cards).
+  // Appended to seed:1, the first eight clauses used to exit 0 with the
+  // CSV of seed:1 alone; the last four failed late inside NodeSim
+  // without naming the clause.  Each now fails before any output,
+  // naming the clause.
+  const std::pair<const char*, const char*> cases[] = {
+      {"nodedown:node=1,at=0", "nodedown"},
+      {"rankfail:rank=3", "rankfail"},
+      {"ckpt:bytes=1e6", "ckpt"},
+      {"nicdown:node=0,nic=0,at=0", "nicdown"},
+      {"nicdegrade:node=0,nic=0,factor=0.5", "nicdegrade"},
+      {"linkdown:a=0,b=1,at=0", "linkdown:a=0,b=1"},
+      {"degrade:a=0,b=1,at=0,factor=0.5", "degrade:a=0,b=1"},
+      {"degrade:a=0,b=99,at=0,factor=0.5", "degrade:a=0,b=99"},
+      {"devlost:dev=12", "devlost:dev=12"},
+      {"throttle:card=9,factor=0.5,at=0", "throttle:card=9"},
+      {"linkdown:a=0,b=99,at=0", "linkdown:a=0,b=99"},
+      {"flap:a=0,b=77,at=0,period=1ms,count=2", "flap:a=0,b=77"},
+  };
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pvc_node_chaos_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path csv = dir / "out.csv";
+  for (const auto& [clause, name] : cases) {
+    const std::string chaos = std::string("chaos=seed:1;") + clause;
+    testing::internal::CaptureStdout();
+    const pvc::Error e = run_expecting_error(
+        "chaos_degradation", {chaos, "csv=" + csv.string()});
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << clause;
+    EXPECT_NE(std::string(e.what()).find(std::string("'") + name),
+              std::string::npos)
+        << clause << ": " << e.what();
+    EXPECT_EQ(out, "") << clause;
+    EXPECT_FALSE(fs::exists(csv)) << clause;
+  }
+  // A clause in a later '|' scenario fails before the first one prints.
+  testing::internal::CaptureStdout();
+  const pvc::Error e = run_expecting_error(
+      "chaos_degradation", {"chaos=seed:1|seed:2;devlost:dev=12"});
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_NE(std::string(e.what()).find("devlost:dev=12"), std::string::npos)
+      << e.what();
+  fs::remove_all(dir);
+
+  // Still accepted: the default plan, drops plus a degraded Xe-Link on
+  // the remote pair Table III measures, and in-range clauses that miss
+  // the measured pairs.
+  const pvc::rt::NodeSim probe(pvc::arch::aurora());
+  const auto& topo = *probe.topology();
+  const auto plane = topo.plane_members(0);
+  const std::string remote = "a=" + std::to_string(topo.flat_index(plane[0])) +
+                             ",b=" + std::to_string(topo.flat_index(plane[1]));
+  const std::vector<std::string> accepted[] = {
+      {},
+      {"chaos=seed:1;drop:0.02|seed:2;degrade:" + remote +
+       ",factor=0.5,at=0;drop:0.01;retries:max=8,backoff=5us"},
+      {"chaos=seed:1;throttle:card=5,factor=0.5,at=0;devlost:dev=11"},
+  };
+  const pvcbench::BenchEntry* entry = pvcbench::find_bench("chaos_degradation");
+  ASSERT_NE(entry, nullptr);
+  for (const auto& args : accepted) {
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(pvcbench::run_bench_entry(*entry, args), 0)
+        << (args.empty() ? "defaults" : args.front());
+    testing::internal::GetCapturedStdout();
+  }
 }
 
 }  // namespace

@@ -322,9 +322,9 @@ TEST(ChaseOracle, RandomGeometriesMatchTheWalk) {
                                      ? std::uint64_t{1} << rng.uniform_index(7)
                                      : 1 + rng.uniform_index(96);
       const std::uint64_t assoc = 1 + rng.uniform_index(16);
-      levels.push_back(sim::CacheLevelSpec{"C" + std::to_string(l),
-                                           sets * assoc * 64, 64, assoc,
-                                           latency});
+      levels.push_back(sim::CacheLevelSpec{
+          std::string("C").append(std::to_string(l)), sets * assoc * 64, 64,
+          assoc, latency});
       capacity = std::max(capacity, sets * assoc);
       latency += rng.uniform(0.5, 150.0);
     }
