@@ -57,6 +57,8 @@ void print_system(const std::string& name,
        "Flop/s"},
   };
 
+  // "best of 3 runs" names the paper's policy (§IV-A).  The model runs
+  // each cell once: it is deterministic, so three runs would agree.
   pvc::Table table("Table II reproduction — " + name +
                    " (model vs paper, best of 3 runs)");
   table.set_header({"Microbenchmark", "One Stack", "One PVC",

@@ -12,11 +12,14 @@ MIN_SAMPLES), and records the median, minimum and maximum wall time,
 the sample count and the peak resident set size over its samples.
 Then it times `ctest -j<cpus>` over the build dir CTEST_SAMPLES times.
 
-A child's peak RSS includes the resident set of this launcher, which
-the kernel carries over the fork and exec, so the context records the
-same leg run on `true` as "launch_floor": a bench reading at that
-floor used at most that much, and a wall time near it is mostly
-process start-up.
+A child's peak RSS starts from the resident set of the process that
+forked it: launched from this ~15 MiB Python process, every leg read
+that floor.  So each leg runs through <build-dir>/tools/leg_launcher
+(bench/leg_launcher.cpp), a small binary that forks and execs the
+bench, times it and reads its ru_maxrss from wait4().  The context
+records the same leg run on `true` as "launch_floor": a bench reading
+at that floor used at most that much, and a wall time near it is
+mostly process start-up.
 
 The output (default BENCH_e2e.json) carries the build's CMake config
 as "pvc_build_type" in its context and passes through
@@ -71,19 +74,28 @@ def build_type(build_dir: str) -> str:
     return match.group(1) if match else "unknown"
 
 
-def run_once(argv: list, cwd: str) -> tuple:
-    """Runs argv to completion; returns (rc, wall_s, peak_rss_mib, stderr)."""
+def launcher_path(build_dir: str) -> str:
+    path = os.path.join(build_dir, "tools", "leg_launcher")
+    if not os.access(path, os.X_OK):
+        raise SystemExit(f"error: {path} not built "
+                         f"(cmake --build {build_dir} --target leg_launcher)")
+    return path
+
+
+def run_once(launcher: str, argv: list, cwd: str) -> tuple:
+    """Runs argv to completion through the launcher; returns
+    (rc, wall_s, peak_rss_mib, stderr)."""
     with tempfile.TemporaryFile() as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=cwd, stdout=subprocess.DEVNULL,
-                                stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
+        proc = subprocess.run([launcher, *argv], cwd=cwd,
+                              stdout=subprocess.PIPE, stderr=err)
         err.seek(0)
         stderr = err.read().decode(errors="replace")
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {launcher} failed on {' '.join(argv)}: "
+                         f"{stderr}")
+    rc, wall, maxrss_kib = proc.stdout.split()
     # ru_maxrss is in KiB on Linux.
-    return proc.returncode, wall, usage.ru_maxrss / 1024.0, stderr
+    return int(rc), float(wall), int(maxrss_kib) / 1024.0, stderr
 
 
 def summarize(walls: list) -> dict:
@@ -95,12 +107,12 @@ def summarize(walls: list) -> dict:
     }
 
 
-def measure_leg(argv: list, cwd: str):
+def measure_leg(launcher: str, argv: list, cwd: str):
     """Samples one bench invocation; None when it rejects its options."""
     walls, rss = [], []
     while len(walls) < MAX_SAMPLES and (len(walls) < MIN_SAMPLES or
                                         sum(walls) < LEG_BUDGET_S):
-        rc, wall, peak, stderr = run_once(argv, cwd)
+        rc, wall, peak, stderr = run_once(launcher, argv, cwd)
         if rc != 0:
             if not walls and "unknown option" in stderr:
                 return None
@@ -113,6 +125,7 @@ def measure_leg(argv: list, cwd: str):
 def measure_benches(build_dir: str) -> list:
     """One row per leg: every registered bench at defaults, then the
     benches that take threads= at threads=1, then DES_LEGS."""
+    launcher = launcher_path(build_dir)
     names = registered_benches()
     legs = [(name, args) for args in ([], ["threads=1"]) for name in names]
     legs += DES_LEGS
@@ -120,7 +133,7 @@ def measure_benches(build_dir: str) -> list:
     with tempfile.TemporaryDirectory() as cwd:
         for name, args in legs:
             binary = os.path.join(build_dir, "bench", name)
-            leg = measure_leg([binary, *args], cwd)
+            leg = measure_leg(launcher, [binary, *args], cwd)
             if leg is None:
                 continue
             rows.append({"name": name, "args": " ".join(args), **leg})
@@ -162,7 +175,8 @@ def main() -> int:
     with open(out) as f:
         context = json.load(f)["context"]
     with tempfile.TemporaryDirectory() as cwd:
-        floor = measure_leg([shutil.which("true")], cwd)
+        floor = measure_leg(launcher_path(build_dir), [shutil.which("true")],
+                            cwd)
     context.update({
         "launch_floor": floor,
         "host_cpus": jobs,

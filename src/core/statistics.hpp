@@ -3,8 +3,10 @@
 //
 // The paper runs each microbenchmark several times and reports the best
 // number "to avoid run-to-run variations" (§IV-A).  `BestOf` encodes that
-// policy; `Summary` provides the usual descriptive statistics for tests
-// and for the google-benchmark harnesses.
+// policy for measurements that vary; the model's own drivers are
+// deterministic and run each measurement once (src/micro/microbench.hpp).
+// `Summary` provides the usual descriptive statistics for tests and for
+// the google-benchmark harnesses.
 
 #include <cstddef>
 #include <span>

@@ -545,7 +545,8 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
   }
 }
 
-void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node) {
+void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node,
+                     std::span<const int> measured) {
   const std::pair<bool, const char*> cluster_only[] = {
       {!plan.nic_downs.empty(), "nicdown"},
       {!plan.nic_degradations.empty(), "nicdegrade"},
@@ -574,8 +575,17 @@ void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node) {
                               " " + what + "s");
   };
   for (const auto& ev : plan.device_losses) {
-    require_exists("devlost:dev=" + std::to_string(ev.device), "subdevice",
-                   ev.device, devices);
+    const std::string clause = "devlost:dev=" + std::to_string(ev.device);
+    require_exists(clause, "subdevice", ev.device, devices);
+    if (std::find(measured.begin(), measured.end(), ev.device) !=
+        measured.end()) {
+      reject_clause(clause,
+                    "loses subdevice " + std::to_string(ev.device) +
+                        ", an endpoint of a measured pair; a transfer "
+                        "posted to a lost subdevice fails, and one in "
+                        "flight ignores the loss, so neither gives a "
+                        "throughput");
+    }
   }
   for (const auto& ev : plan.throttles) {
     require_exists("throttle:card=" + std::to_string(ev.card), "card",

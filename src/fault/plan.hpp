@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -228,10 +229,14 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
 ///  * cluster-only clauses (nicdown, nicdegrade, nodedown, rankfail,
 ///    ckpt), which need a ClusterComm the bench never builds;
 ///  * devlost naming a subdevice, or throttle a card, that `node` lacks;
+///  * devlost naming one of `measured`, the endpoints of the transfers
+///    the bench times: a transfer posted to a lost subdevice fails, and
+///    one in flight ignores the loss, so neither gives a throughput;
 ///  * linkdown/flap/degrade unless `a` and `b` are subdevices of `node`
 ///    on different cards (the stacks of one card share MDFI, not an
 ///    Xe-Link).
 /// In-range clauses that never touch the measured traffic still pass.
-void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node);
+void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node,
+                     std::span<const int> measured);
 
 }  // namespace pvc::fault

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <vector>
 
 #include "core/error.hpp"
@@ -31,10 +32,16 @@ std::uint64_t chase_warmup(const ChaseConfig& config, std::size_t nodes) {
 }
 
 // `steps` loads that each take `latency`, summed the way the walk sums
-// them: per-block totals from access_run(), added in block order.  The
-// rounding therefore matches the walk bit for bit, even for latencies
-// that are not integers.
+// them: per-block totals from access_run(), added in block order.  For
+// a whole-cycle latency whose total stays below 2^53 every partial sum
+// is an exact integer, so the walk's sum is the product; any other
+// latency takes the loop, whose rounding matches the walk bit for bit.
 double blocked_total(double latency, std::uint64_t steps) {
+  constexpr double kExactIntegers = 9007199254740992.0;  // 2^53
+  const double product = latency * static_cast<double>(steps);
+  if (latency == std::trunc(latency) && std::fabs(product) < kExactIntegers) {
+    return product;
+  }
   const auto block_total = [latency](std::uint64_t n) {
     double total = 0.0;
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -4,7 +4,6 @@
 
 #include "blas/gemm.hpp"
 #include "core/error.hpp"
-#include "core/statistics.hpp"
 #include "core/units.hpp"
 #include "fft/fft.hpp"
 #include "kernels/fma_chain.hpp"
@@ -33,28 +32,24 @@ std::vector<int> active_devices(const arch::NodeSpec& node,
 double run_kernel_scope(const arch::NodeSpec& node, arch::Scope scope,
                         const rt::KernelDesc& kernel, double work_per_pass,
                         int passes) {
-  BestOf best(kRepeats);
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    rt::NodeSim sim(node);
-    sim.set_activity(arch::activity(node, scope));
-    const auto devices = active_devices(node, scope);
-    std::vector<rt::Queue> queues;
-    queues.reserve(devices.size());
-    for (int d : devices) {
-      queues.emplace_back(sim, d);
-    }
-    for (auto& q : queues) {
-      for (int p = 0; p < passes; ++p) {
-        q.submit(kernel);
-      }
-    }
-    const sim::Time end = sim.run();
-    ensure(end > 0.0, "microbench: zero elapsed time");
-    const double total_work = work_per_pass * static_cast<double>(passes) *
-                              static_cast<double>(devices.size());
-    best.record(total_work / end);
+  rt::NodeSim sim(node);
+  sim.set_activity(arch::activity(node, scope));
+  const auto devices = active_devices(node, scope);
+  std::vector<rt::Queue> queues;
+  queues.reserve(devices.size());
+  for (int d : devices) {
+    queues.emplace_back(sim, d);
   }
-  return best.best_max();
+  for (auto& q : queues) {
+    for (int p = 0; p < passes; ++p) {
+      q.submit(kernel);
+    }
+  }
+  const sim::Time end = sim.run();
+  ensure(end > 0.0, "microbench: zero elapsed time");
+  const double total_work = work_per_pass * static_cast<double>(passes) *
+                            static_cast<double>(devices.size());
+  return total_work / end;
 }
 
 }  // namespace
@@ -93,28 +88,23 @@ double measure_stream_bandwidth(const arch::NodeSpec& node,
 double measure_pcie_bandwidth(const arch::NodeSpec& node,
                               PcieDirection direction, arch::Scope scope) {
   const double message = 500.0 * MB;
-  BestOf best(kRepeats);
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    rt::NodeSim sim(node);
-    const auto devices = active_devices(node, scope);
-    double total_bytes = 0.0;
-    for (int d : devices) {
-      if (direction == PcieDirection::H2D ||
-          direction == PcieDirection::Bidirectional) {
-        sim.transfer_h2d(d, message);
-        total_bytes += message;
-      }
-      if (direction == PcieDirection::D2H ||
-          direction == PcieDirection::Bidirectional) {
-        sim.transfer_d2h(d, message);
-        total_bytes += message;
-      }
+  rt::NodeSim sim(node);
+  double total_bytes = 0.0;
+  for (int d : active_devices(node, scope)) {
+    if (direction == PcieDirection::H2D ||
+        direction == PcieDirection::Bidirectional) {
+      sim.transfer_h2d(d, message);
+      total_bytes += message;
     }
-    const sim::Time end = sim.run();
-    ensure(end > 0.0, "measure_pcie: zero elapsed time");
-    best.record(total_bytes / end);
+    if (direction == PcieDirection::D2H ||
+        direction == PcieDirection::Bidirectional) {
+      sim.transfer_d2h(d, message);
+      total_bytes += message;
+    }
   }
-  return best.best_max();
+  const sim::Time end = sim.run();
+  ensure(end > 0.0, "measure_pcie: zero elapsed time");
+  return total_bytes / end;
 }
 
 double measure_gemm(const arch::NodeSpec& node, arch::Precision p,

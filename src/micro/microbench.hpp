@@ -5,9 +5,10 @@
 // paper's workload at the requested scope (one stack / one PVC / full
 // node), runs the event calendar, and reports the achieved rate — the
 // same methodology as the paper's scripts, executed against the model.
-// Every driver repeats the measurement and keeps the best number
-// (§IV-A's best-of-N policy); the model is deterministic so the repeats
-// also serve as a reproducibility check.
+// Each number is one run of one NodeSim.  The paper keeps the best of
+// N runs to ride out run-to-run variation on real GPUs (§IV-A); the
+// model is deterministic, so a repeat would return the same bits
+// (MicroBench.MeasurementsAreBitReproducible checks that once).
 
 #include <vector>
 
@@ -17,9 +18,6 @@
 #include "kernels/pointer_chase.hpp"
 
 namespace pvc::micro {
-
-/// Number of repeats for the best-of-N policy.
-inline constexpr int kRepeats = 3;
 
 /// Transfer directions for the PCIe benchmark (§IV-A3).
 enum class PcieDirection { H2D, D2H, Bidirectional };

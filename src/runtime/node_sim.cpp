@@ -193,10 +193,21 @@ void NodeSim::ensure_device_usable(int device, const char* op) const {
   }
 }
 
-void NodeSim::set_xelink_down(int a_device, int b_device, bool down) {
+void NodeSim::check_xelink_pair(int a_device, int b_device) const {
   ensure(a_device >= 0 && a_device < device_count() && b_device >= 0 &&
              b_device < device_count() && a_device != b_device,
          "NodeSim: bad Xe-Link device pair");
+  if (card_of(a_device) == card_of(b_device)) {
+    raise(ErrorCode::InvalidArgument,
+          "NodeSim: subdevices " + std::to_string(a_device) + " and " +
+              std::to_string(b_device) + " are both stacks of card " +
+              std::to_string(card_of(a_device)) + " of " + spec_.system_name +
+              ", which MDFI joins; an Xe-Link joins different cards");
+  }
+}
+
+void NodeSim::set_xelink_down(int a_device, int b_device, bool down) {
+  check_xelink_pair(a_device, b_device);
   const auto key = std::minmax(a_device, b_device);
   const bool changed =
       down ? downed_xelinks_.insert(key).second
@@ -212,9 +223,7 @@ bool NodeSim::xelink_down(int a_device, int b_device) const {
 
 void NodeSim::set_xelink_degradation(int a_device, int b_device,
                                      double factor) {
-  ensure(a_device >= 0 && a_device < device_count() && b_device >= 0 &&
-             b_device < device_count() && a_device != b_device,
-         "NodeSim: bad Xe-Link device pair");
+  check_xelink_pair(a_device, b_device);
   ensure(has_remote_fabric_,
          "NodeSim: no remote fabric to degrade on " + spec_.system_name);
   network_.set_link_scale(pair_link(a_device, b_device), factor);

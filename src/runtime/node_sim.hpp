@@ -100,7 +100,9 @@ class NodeSim {
   /// Downs (or restores) the Xe-Link between two remote subdevices.
   /// New transfers on the pair reroute through host staging (PCIe D2H +
   /// H2D with a store-and-forward penalty); in-flight flows are left to
-  /// crawl at the degraded rate set by set_xelink_degradation.
+  /// crawl at the degraded rate set by set_xelink_degradation.  Two
+  /// stacks of one card share MDFI, not an Xe-Link: naming them throws
+  /// ErrorCode::InvalidArgument, as set_xelink_degradation does.
   void set_xelink_down(int a_device, int b_device, bool down);
   [[nodiscard]] bool xelink_down(int a_device, int b_device) const;
 
@@ -135,6 +137,9 @@ class NodeSim {
   };
 
   void build_links();
+  /// Throws unless `a_device` and `b_device` are distinct subdevices on
+  /// different cards: the two ends of an Xe-Link.
+  void check_xelink_pair(int a_device, int b_device) const;
   [[nodiscard]] std::vector<sim::LinkId> pcie_route(int device, bool h2d);
   sim::LinkId pair_link(int a_device, int b_device);
   sim::LinkId staging_link();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -361,6 +362,40 @@ TEST(BenchOptions, ClusterChaosClausesActOrFail) {
                   "nodedown:node=64");
 }
 
+TEST(BenchOptions, DevlostOnAMeasuredPairFailsByName) {
+  // chaos_degradation times one transfer on the local pair {0, 1} and
+  // one on the remote pair Table III measures.  Losing an endpoint of
+  // either from t=0 used to exit 1 from inside the sweep task with an
+  // untyped error, and a later window left the transfer in flight
+  // untouched (1.00x slower).  Now the clause fails by name before any
+  // scenario runs, whatever its window.
+  const pvc::rt::NodeSim probe(pvc::arch::aurora());
+  const auto& topo = *probe.topology();
+  const auto plane = topo.plane_members(0);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pvc_devlost_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path csv = dir / "out.csv";
+  for (const int dev : {0, 1, topo.flat_index(plane[0]),
+                        topo.flat_index(plane[1])}) {
+    const std::string clause = "devlost:dev=" + std::to_string(dev);
+    for (const char* window : {"", ",at=1ms,for=1ms"}) {
+      const std::string chaos = "chaos=seed:1;" + clause + window;
+      testing::internal::CaptureStdout();
+      const pvc::Error e = run_expecting_error(
+          "chaos_degradation", {chaos, "csv=" + csv.string()});
+      const std::string out = testing::internal::GetCapturedStdout();
+      EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << chaos;
+      EXPECT_NE(std::string(e.what()).find("'" + clause + "'"),
+                std::string::npos)
+          << chaos << ": " << e.what();
+      EXPECT_EQ(out, "") << chaos;
+      EXPECT_FALSE(fs::exists(csv)) << chaos;
+    }
+  }
+  fs::remove_all(dir);
+}
+
 TEST(BenchOptions, NodeChaosClausesActOrFail) {
   // chaos_degradation arms one Aurora node (12 subdevices on 6 cards).
   // Appended to seed:1, the first eight clauses used to exit 0 with the
@@ -429,6 +464,72 @@ TEST(BenchOptions, NodeChaosClausesActOrFail) {
         << (args.empty() ? "defaults" : args.front());
     testing::internal::GetCapturedStdout();
   }
+}
+
+// --- serial oracle -----------------------------------------------------------
+
+TEST(BenchOracle, UnseededCorpusOpsMatchAtDefaults) {
+  // perfbench/oracle/ holds each perfbench op's CSV from a serial run
+  // (threads=1).  An op id is the bench name, then its system= and
+  // sim_ranks= when it sets them (scaling_multinode.Aurora.768); any
+  // other suffix (.fault, .two) marks a seeded op whose chaos= plan
+  // perfbench generates, and this test leaves those out.  Every other
+  // option stays at the bench's default, so this also holds the default
+  // threads= to the serial bytes.  The corpus is only read.
+  const fs::path corpus = fs::path(PVC_SOURCE_DIR) / "perfbench" / "oracle";
+  std::vector<fs::path> files;
+  for (const auto& file : fs::directory_iterator(corpus)) {
+    if (file.path().extension() == ".csv") {
+      files.push_back(file.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pvc_bench_oracle_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path csv = dir / "out.csv";
+  int unseeded = 0;
+  int seeded = 0;
+  for (const fs::path& file : files) {
+    std::vector<std::string> parts;
+    std::istringstream id(file.stem().string());
+    for (std::string part; std::getline(id, part, '.');) {
+      parts.push_back(part);
+    }
+    std::vector<std::string> args;
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      const std::string& part = parts[i];
+      if (part == "Aurora" || part == "Dawn") {
+        args.push_back("system=" + part);
+      } else if (!part.empty() &&
+                 part.find_first_not_of("0123456789") == std::string::npos) {
+        args.push_back("sim_ranks=" + part);
+      } else {
+        args.clear();
+        break;
+      }
+    }
+    if (parts.size() > 1 && args.empty()) {
+      ++seeded;
+      continue;
+    }
+    ++unseeded;
+    SCOPED_TRACE(file.filename().string());
+    const pvcbench::BenchEntry* entry = pvcbench::find_bench(parts[0]);
+    ASSERT_NE(entry, nullptr);
+    args.push_back("csv=" + csv.string());
+    fs::remove(csv);
+    pvc::obs::Registry registry;
+    pvc::obs::ScopedRegistry scope(registry);
+    testing::internal::CaptureStdout();
+    const int rc = pvcbench::run_bench_entry(*entry, args);
+    testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(slurp(csv), slurp(file));
+  }
+  fs::remove_all(dir);
+  EXPECT_EQ(unseeded, 23);
+  EXPECT_EQ(seeded, 5);
 }
 
 }  // namespace

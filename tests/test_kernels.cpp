@@ -415,6 +415,51 @@ TEST(ChaseOracle, ClosedFormCoversEveryBenchChase) {
   EXPECT_EQ(closed, chases);
 }
 
+// chase_simulated() totals a whole-cycle latency with one multiply while
+// latency x steps stays below 2^53, and with the walk's blocked loop
+// above it.  Both chases run 20000 timed loads (four full blocks and a
+// partial one) on a 64-line footprint that a 16-set x 4-way L1 holds,
+// so every timed load takes the L1 latency.
+constexpr double kTwoTo53 = 9007199254740992.0;
+const ChaseConfig kL1ResidentChase = [] {
+  ChaseConfig cfg;
+  cfg.footprint_bytes = 64 * 64;
+  cfg.steps = 20000;
+  return cfg;
+}();
+
+Levels l1_with_latency(double latency) {
+  return {sim::CacheLevelSpec{"L1", 16 * 4 * 64, 64, 4, latency}};
+}
+
+TEST(ChaseOracle, IntegralTotalBelow2To53TakesTheProduct) {
+  const double latency = std::floor((kTwoTo53 - 1.0) / 20000.0);
+  ASSERT_LT(latency * 20000.0, kTwoTo53);
+  ASSERT_GT(latency * 20000.0, kTwoTo53 - 20000.0);
+  const Levels levels = l1_with_latency(latency);
+  ASSERT_TRUE(has_closed_form(levels, 2.0 * latency, kL1ResidentChase));
+  expect_chase_matches_oracle(levels, 2.0 * latency, kL1ResidentChase);
+  // Every partial sum is an exact integer, so the average is exact.
+  EXPECT_EQ(run_chase(&chase_simulated, levels, 2.0 * latency,
+                      kL1ResidentChase)
+                .result.avg_latency_cycles,
+            latency);
+}
+
+TEST(ChaseOracle, IntegralTotalFrom2To53TakesTheLoop) {
+  // 2^43 + 1 is odd, so once a block's partial sums pass 2^53 each add
+  // rounds; the walk's total then differs from the one-rounding product.
+  const double latency = 8796093022209.0;  // 2^43 + 1
+  ASSERT_GE(latency * 20000.0, kTwoTo53);
+  const Levels levels = l1_with_latency(latency);
+  ASSERT_TRUE(has_closed_form(levels, 2.0 * latency, kL1ResidentChase));
+  expect_chase_matches_oracle(levels, 2.0 * latency, kL1ResidentChase);
+  EXPECT_NE(run_chase(&simulate_chase, levels, 2.0 * latency,
+                      kL1ResidentChase)
+                .result.avg_latency_cycles,
+            latency * 20000.0 / 20000.0);
+}
+
 // Set records are allocated on the first simulated load; the sequences
 // around that moment must still match the reference_access() oracle.
 

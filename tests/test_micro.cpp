@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "arch/systems.hpp"
 #include "core/statistics.hpp"
 #include "core/units.hpp"
 #include "micro/microbench.hpp"
 #include "micro/paper_reference.hpp"
 #include "micro/table_results.hpp"
+#include "obs/metrics.hpp"
 
 namespace pvc::micro {
 namespace {
@@ -198,6 +203,90 @@ TEST(P2p, SingleDeviceCardHasNoLocalPairs) {
   const auto res = measure_p2p(arch::jlse_h100(), false);
   EXPECT_DOUBLE_EQ(res.local_uni_bps, 0.0);
   EXPECT_GT(res.remote_uni_bps, 0.0);  // NVLink pair
+}
+
+// --- one run per measurement -------------------------------------------------
+
+constexpr Scope kScopes[] = {Scope::OneSubdevice, Scope::OneCard,
+                             Scope::FullNode};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(MicroBench, MeasurementsAreBitReproducible) {
+  // Each driver runs one NodeSim once.  The paper keeps the best of N
+  // runs against run-to-run variation on real GPUs; the model has none,
+  // so a second call must return the same bits.
+  for (const auto& node : {arch::aurora(), arch::dawn()}) {
+    SCOPED_TRACE(node.system_name);
+    const auto twice = [](const std::string& what, auto&& measure) {
+      EXPECT_EQ(bits(measure()), bits(measure())) << what;
+    };
+    for (const Scope s : kScopes) {
+      const std::string scope = arch::scope_name(s);
+      for (const Precision p : {Precision::FP64, Precision::FP32}) {
+        twice("peak flops " + scope,
+              [&] { return measure_peak_flops(node, p, s); });
+      }
+      twice("stream " + scope,
+            [&] { return measure_stream_bandwidth(node, s); });
+      for (const PcieDirection d : {PcieDirection::H2D, PcieDirection::D2H,
+                                    PcieDirection::Bidirectional}) {
+        twice("PCIe " + scope,
+              [&] { return measure_pcie_bandwidth(node, d, s); });
+      }
+      for (const Precision p :
+           {Precision::FP64, Precision::FP32, Precision::FP16, Precision::BF16,
+            Precision::TF32, Precision::I8}) {
+        twice("GEMM " + scope, [&] { return measure_gemm(node, p, s); });
+      }
+      for (const bool two_d : {false, true}) {
+        twice("FFT " + scope, [&] { return measure_fft(node, two_d, s); });
+      }
+    }
+    for (const bool all_pairs : {false, true}) {
+      const P2pResult a = measure_p2p(node, all_pairs);
+      const P2pResult b = measure_p2p(node, all_pairs);
+      EXPECT_EQ(bits(a.local_uni_bps), bits(b.local_uni_bps));
+      EXPECT_EQ(bits(a.local_bidir_bps), bits(b.local_bidir_bps));
+      EXPECT_EQ(bits(a.remote_uni_bps), bits(b.remote_uni_bps));
+      EXPECT_EQ(bits(a.remote_bidir_bps), bits(b.remote_bidir_bps));
+    }
+    const auto sweep = default_latency_footprints(node);
+    const auto a = measure_latency_curve(node, true, sweep);
+    const auto b = measure_latency_curve(node, true, sweep);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(bits(a[i].latency_cycles), bits(b[i].latency_cycles))
+          << sweep[i];
+    }
+  }
+}
+
+TEST(MicroBench, Table2CountsEachMeasurementOnce) {
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; this test counts runs "
+                    "through their metrics";
+  }
+  const auto node = arch::aurora();
+  obs::Registry registry;
+  {
+    obs::ScopedRegistry scope(registry);
+    (void)compute_table2(node);
+  }
+  // Every row measures each scope once: 1 + 2 + 12 stacks on Aurora.
+  std::uint64_t stacks = 0;
+  for (const Scope s : kScopes) {
+    stacks += static_cast<std::uint64_t>(arch::active_subdevices(node, s));
+  }
+  ASSERT_EQ(stacks, 15u);
+  const auto snapshot = registry.snapshot();
+  // Per stack: the FP64 and FP32 FMA chains and the triad launch 4
+  // passes each; the six GEMMs and two FFTs launch 2 each.
+  EXPECT_EQ(snapshot.count("queue.kernels_submitted"),
+            (3 * 4 + 8 * 2) * stacks);
+  // Per stack: one H2D flow, one D2H flow, and one of each for the
+  // bidirectional row.
+  EXPECT_EQ(snapshot.count("net.flows_started"), 4 * stacks);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "arch/systems.hpp"
 #include "core/error.hpp"
@@ -271,6 +272,37 @@ TEST(NodeSim, CardStackDecomposition) {
   EXPECT_EQ(sim.card_of(5), 2);
   EXPECT_EQ(sim.stack_of(5), 1);
   EXPECT_THROW(sim.card_of(99), pvc::Error);
+}
+
+TEST(NodeSim, SameCardStacksHaveNoXeLink) {
+  // MDFI joins the two stacks of a card; an Xe-Link joins different
+  // cards.  Downing a same-card "Xe-Link" used to change no route, and
+  // degrading one added a pair link that no route uses.  Both now fail
+  // by name and leave the node as it was.
+  NodeSim sim(arch::aurora());
+  const std::size_t links = sim.network().link_count();
+  const auto expect_rejected = [](const std::string& pair, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << pair << " accepted";
+    } catch (const pvc::Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::InvalidArgument) << e.what();
+      const std::string what = e.what();
+      EXPECT_NE(what.find("subdevices " + pair), std::string::npos) << what;
+      EXPECT_NE(what.find("card 2"), std::string::npos) << what;
+    }
+  };
+  expect_rejected("4 and 5", [&] { sim.set_xelink_down(4, 5, true); });
+  expect_rejected("5 and 4", [&] { sim.set_xelink_down(5, 4, false); });
+  expect_rejected("4 and 5", [&] { sim.set_xelink_degradation(4, 5, 0.5); });
+  EXPECT_FALSE(sim.xelink_down(4, 5));
+  EXPECT_EQ(sim.network().link_count(), links);
+
+  // Stacks on different cards still take both faults.
+  sim.set_xelink_down(0, 4, true);
+  EXPECT_TRUE(sim.xelink_down(0, 4));
+  sim.set_xelink_degradation(1, 5, 0.5);
+  EXPECT_EQ(sim.network().link_count(), links + 1);
 }
 
 // --- queue -------------------------------------------------------------------
