@@ -3,9 +3,9 @@
 //
 // Communicator (communicator.hpp) binds ranks to the subdevices of ONE
 // NodeSim and routes messages over Xe-Link flows.  ClusterComm is its
-// cluster-scale sibling (ROADMAP item 1, docs/SCALING.md): ranks are
-// placed by bind_ranks_multinode() across an Aurora-style cluster, and
-// every inter-node message is injected through a Slingshot-like NIC
+// cluster-scale sibling (docs/SCALING.md): ranks are placed by
+// bind_ranks_multinode() across an Aurora-style cluster, and every
+// inter-node message is injected through a Slingshot-like NIC
 // queue — per-NIC injection bandwidth as a FlowNetwork link, per-NIC
 // message rate as a FIFO serialization gate — then routed over the
 // dragonfly group topology (sim/fabric.hpp): router uplink, at most one

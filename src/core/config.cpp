@@ -3,11 +3,23 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "core/error.hpp"
 
 namespace pvc {
+
+namespace {
+
+/// A present value that does not parse as its option's type.
+[[noreturn]] void reject(const std::string& key, const std::string& value,
+                         const char* what) {
+  raise(ErrorCode::InvalidArgument, "Config: value for '" + key + "' is " +
+                                        what + ": " + key + "=" + value);
+}
+
+}  // namespace
 
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
@@ -71,11 +83,12 @@ long Config::get_int(const std::string& key, long fallback) const {
   char* end = nullptr;
   errno = 0;
   const long out = std::strtol(v->c_str(), &end, 10);
-  ensure(end != nullptr && *end == '\0' && !v->empty(),
-         "Config: value for '" + key + "' is not an integer: " + *v);
-  ensure(errno != ERANGE, ErrorCode::InvalidArgument, [&] {
-    return "Config: value for '" + key + "' is out of range: " + *v;
-  });
+  if (v->empty() || *end != '\0') {
+    reject(key, *v, "not an integer");
+  }
+  if (errno == ERANGE) {
+    reject(key, *v, "out of range");
+  }
   return out;
 }
 
@@ -86,8 +99,12 @@ double Config::get_double(const std::string& key, double fallback) const {
   }
   char* end = nullptr;
   const double out = std::strtod(v->c_str(), &end);
-  ensure(end != nullptr && *end == '\0' && !v->empty(),
-         "Config: value for '" + key + "' is not a number: " + *v);
+  if (v->empty() || *end != '\0') {
+    reject(key, *v, "not a number");
+  }
+  if (!std::isfinite(out)) {
+    reject(key, *v, "not a finite number");
+  }
   return out;
 }
 
@@ -105,8 +122,7 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (lower == "0" || lower == "false" || lower == "no" || lower == "off") {
     return false;
   }
-  throw Error("Config: value for '" + key + "' is not a boolean: " + *v,
-              std::source_location::current());
+  reject(key, *v, "not a boolean");
 }
 
 }  // namespace pvc

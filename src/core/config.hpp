@@ -29,10 +29,10 @@ class Config {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
-  /// Typed getters with defaults.  Throw pvc::Error when a present value
-  /// fails to parse as the requested type; get_int() throws
-  /// ErrorCode::InvalidArgument, naming the key, for a value outside the
-  /// range of long.
+  /// Typed getters with defaults.  A present value that fails to parse
+  /// as the requested type throws ErrorCode::InvalidArgument naming the
+  /// key, as does an integer outside the range of long or a double that
+  /// is not finite (`nan`, `inf`).
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;

@@ -1,6 +1,8 @@
 #include "fault/checkpoint.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -18,6 +20,35 @@ namespace {
 constexpr std::size_t kMaxSegments = std::size_t{1} << 20;
 constexpr std::uint64_t kMaxSegmentSteps = std::uint64_t{1} << 32;
 constexpr double kMaxExpectedFailures = 1e9;
+
+/// Where the steps `t += c` of a run of equal segments can be taken in
+/// closed form: while t stays in its binade [2^e, 2^(e+1)), whose ulp is
+/// u = 2^(e-52), every step whose exact sum stays below 2^(e+1) rounds
+/// to t + r, with r = (2^e + c) - 2^e, provided c < 2^e.  The exception
+/// is a tie, c - r = ±u/2, where round-half-even follows the last bit
+/// of t.  `step` is r, or 0 where that binade is walked step by step
+/// (a tie, r = 0, c >= 2^e, or t zero, tiny, negative or infinite).
+struct BinadeStep {
+  double step = 0.0;
+  double top = 0.0;  ///< the largest double below 2^(e+1)
+};
+
+BinadeStep binade_step(double t, double c) {
+  const std::uint64_t biased = std::bit_cast<std::uint64_t>(t) >> 52;
+  if (biased <= 53 || biased >= 2047) {
+    return {};
+  }
+  const double base = std::bit_cast<double>(biased << 52);
+  if (!(c < base)) {
+    return {};
+  }
+  const double r = (base + c) - base;  // exact: a multiple of u below 2^e
+  const double half_ulp = std::bit_cast<double>((biased - 53) << 52);
+  if (r == 0.0 || std::abs(c - r) == half_ulp) {
+    return {};
+  }
+  return {r, std::bit_cast<double>(((biased + 1) << 52) - 1)};
+}
 }  // namespace
 
 double daly_optimal_interval_s(double checkpoint_s, double mtbf_s) {
@@ -161,10 +192,28 @@ RestartStats simulate_checkpoint_restart(double work_s, double interval_s,
   for (std::uint64_t i = 0; i < trial_ckpts; ++i) {
     ckpt_time += checkpoint_s;
   }
+  // The leading run of equal-cost segments (normally all but the final
+  // one), whose steps a trial takes a binade at a time.
+  const double c = cost.front();
+  const std::size_t run = static_cast<std::size_t>(
+      std::find_if(cost.begin(), cost.end(),
+                   [c](double x) { return x != c; }) -
+      cost.begin());
 
+  // Failure draws in stream order, computed 64 at a time: a draw
+  // depends only on its position in the stream, so batching them keeps
+  // every bit and takes the logs off the trial's critical path.
   Rng rng(seed ^ 0xda1e0fda11ull);
+  std::array<double, 64> draws{};
+  std::size_t next_draw = draws.size();
   const auto draw_failure = [&] {
-    return -mtbf_s * std::log(1.0 - rng.uniform());
+    if (next_draw == draws.size()) {
+      for (double& draw : draws) {
+        draw = -mtbf_s * std::log(1.0 - rng.uniform());
+      }
+      next_draw = 0;
+    }
+    return draws[next_draw++];
   };
 
   RestartStats total;
@@ -177,15 +226,43 @@ RestartStats simulate_checkpoint_restart(double work_s, double interval_s,
     std::uint64_t trial_fails = 0;
     double next_fail = mtbf_s > 0.0 ? draw_failure()
                                     : std::numeric_limits<double>::infinity();
+    const auto fail = [&] {
+      // The failure lands before the segment (and its checkpoint)
+      // become durable: everything since the last checkpoint is lost.
+      wasted += next_fail - t;
+      t = next_fail + restart_s;
+      ++trial_fails;
+      next_fail = t + draw_failure();
+    };
     for (std::size_t k = 0; k < cost.size();) {
+      if (k < run) {
+        // Take the j steps that stay in t's binade and end at or before
+        // the next failure at once.  lim - t and r are multiples of the
+        // binade's ulp by integers below 2^53, so truncating one rounded
+        // division gives their exact floor, and t + j r is exactly the
+        // sum the j steps would reach.
+        const BinadeStep binade = binade_step(t, c);
+        if (binade.step > 0.0) {
+          const bool fails_in_binade = next_fail <= binade.top;
+          const double lim = fails_in_binade ? next_fail : binade.top;
+          const std::uint64_t j = std::min<std::uint64_t>(
+              static_cast<std::uint64_t>((lim - t) / binade.step), run - k);
+          t += static_cast<double>(j) * binade.step;
+          k += j;
+          if (k == run) {
+            continue;
+          }
+          if (fails_in_binade) {
+            // Step j + 1 would end past next_fail: segment k fails.
+            fail();
+            continue;
+          }
+          // Otherwise one ordinary step crosses the binade's top.
+        }
+      }
       const double end = t + cost[k];
       if (next_fail < end) {
-        // The failure lands before the segment (and its checkpoint)
-        // become durable: everything since the last checkpoint is lost.
-        wasted += next_fail - t;
-        t = next_fail + restart_s;
-        ++trial_fails;
-        next_fail = t + draw_failure();
+        fail();
         continue;
       }
       t = end;

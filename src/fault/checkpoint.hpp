@@ -12,9 +12,11 @@
 //  * a seeded Monte-Carlo discrete model (simulate_checkpoint_restart)
 //    drawing exponential failure times, whose swept minimum must land
 //    within one grid step of τ* — the ResilienceDaly test.  It lays the
-//    segment schedule out once per call (docs/PERFORMANCE.md,
-//    "Checkpoint/restart Monte Carlo"); CheckpointOracle.* holds it
-//    bit-identical to the per-trial walk it replaced;
+//    segment schedule out once per call and crosses each binade of a
+//    run of equal segments with one exact division, so a trial costs
+//    O(binades + failures) (docs/PERFORMANCE.md, "Checkpoint/restart
+//    Monte Carlo"); CheckpointOracle.* holds it bit-identical to the
+//    segment-by-segment walk;
 //  * the real flow-level write cost: ClusterComm::checkpoint_write()
 //    drains the bytes through the NIC links, and the closed-form
 //    checkpoint_write_model_s() here must track it.
@@ -73,8 +75,11 @@ struct RestartStats {
 /// metrics with the trial totals.
 ///
 /// The segment schedule does not depend on the trial, so it is laid out
-/// once per call; a trial then only races each segment's cost against
-/// its next failure draw.  check_restart_cell() bounds the call first.
+/// once per call.  A trial races the segments' costs against its next
+/// failure draw; over the leading run of equal-cost segments it takes
+/// every step that stays in t's binade and ends by the next failure at
+/// once, with the bits the steps one by one would give.
+/// check_restart_cell() bounds the call first.
 [[nodiscard]] RestartStats simulate_checkpoint_restart(
     double work_s, double interval_s, double checkpoint_s, double restart_s,
     double mtbf_s, std::uint64_t seed, int trials);

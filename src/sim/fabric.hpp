@@ -1,5 +1,5 @@
 #pragma once
-// Node-interconnect fabric model (ROADMAP item 1, docs/SCALING.md).
+// Node-interconnect fabric model (docs/SCALING.md).
 //
 // The source paper stops at one node; this layer models what happens
 // when Aurora-style nodes are stitched into a Slingshot-like fabric, so

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -199,6 +200,30 @@ TEST(BenchOptions, NegativeThreadsIsATypedError) {
     EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << bench;
     EXPECT_NE(std::string(e.what()).find("threads="), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(BenchOptions, MalformedValuesAreTypedErrorsNamingTheKey) {
+  // A value that does not parse as its option's type, and a non-finite
+  // number, fail in Config with an InvalidArgument that quotes the key
+  // and the whole option.
+  const std::pair<const char*, const char*> cases[] = {
+      {"resilience_sweep", "trials=abc"},
+      {"resilience_sweep", "sim_ranks=12x"},
+      {"resilience_sweep", "work=10s"},
+      {"resilience_sweep", "work=-inf"},
+      {"resilience_sweep", "work=1e999"},
+      {"scaling_multinode", "sim_ranks="},
+      {"table3_p2p", "threads=abc"},
+      {"fig1_latency", "coalesced=maybe"},
+  };
+  for (const auto& [bench, arg] : cases) {
+    const pvc::Error e = run_expecting_error(bench, {arg});
+    EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << arg;
+    const std::string what = e.what();
+    const std::string key(arg, std::string_view(arg).find('='));
+    EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find(arg), std::string::npos) << what;
   }
 }
 

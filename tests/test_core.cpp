@@ -269,7 +269,12 @@ TEST(Config, TypedGettersValidate) {
   EXPECT_EQ(cfg.get_int("missing", 7), 7);
   cfg.set("bad=abc");
   EXPECT_THROW(cfg.get_int("bad", 0), Error);
+  EXPECT_THROW(cfg.get_double("bad", 0.0), Error);
   EXPECT_THROW(cfg.get_bool("bad", false), Error);
+  cfg.set("nan=nan");
+  cfg.set("inf=-inf");
+  EXPECT_THROW(cfg.get_double("nan", 0.0), Error);
+  EXPECT_THROW(cfg.get_double("inf", 0.0), Error);
 }
 
 TEST(Config, MalformedEntryThrows) {

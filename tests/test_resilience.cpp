@@ -817,6 +817,58 @@ TEST(CheckpointOracle, RandomGeometriesMatchThePerTrialWalk) {
   EXPECT_GT(no_failures, 50);
 }
 
+// The geometries below are ones the random generator never draws; each
+// exercises one case of the closed-form binade jump.
+
+TEST(CheckpointOracle, RoundingTiesMatchThePerTrialWalk) {
+  // A segment cost c half an ulp past a multiple of the ulp of one
+  // binade: there round-half-even follows the last bit of t, so the
+  // step t + c - t differs between neighbouring t and no single step
+  // spans the binade.
+  const auto step_depends_on_t = [](double c, double base) {
+    const double odd = std::nextafter(base, 2.0 * base);
+    return (base + c) - base != (odd + c) - odd;
+  };
+  // tau = 1 + 2^-41, C = 0: a tie in [4096, 8192), whose ulp is 2^-40.
+  const double tau = 1.0 + std::ldexp(1.0, -41);
+  ASSERT_TRUE(step_depends_on_t(tau, 4096.0));
+  expect_matches_reference(10000.0, tau, 0.0, 0.5, 50.0, 11, 20);
+  // tau = 0.75 + 2^-42, C = 0.25: c = 1 + 2^-42, a tie in [2048, 4096).
+  const double tau_c = 0.75 + std::ldexp(1.0, -42);
+  ASSERT_TRUE(step_depends_on_t(tau_c + 0.25, 2048.0));
+  expect_matches_reference(10000.0, tau_c, 0.25, 1.0, 200.0, 12, 20);
+}
+
+TEST(CheckpointOracle, StepsEndingOnABinadeTopMatchThePerTrialWalk) {
+  // 6361 divides 2^53 - 1, so 6361 steps of c = (2^53 - 1) / 6361 *
+  // 2^-40 end exactly on 8192 - 2^-40, the largest double below 2^13:
+  // the jump through [4096, 8192) divides exactly and stops on the
+  // binade's top, and one ordinary step crosses into [8192, 16384).
+  const double c = std::ldexp(
+      static_cast<double>(((std::uint64_t{1} << 53) - 1) / 6361), -40);
+  double t = 0.0;
+  for (int i = 0; i < 6361; ++i) {
+    t += c;
+  }
+  ASSERT_EQ(t, std::nextafter(8192.0, 0.0));
+  for (const double ckpt : {0.0, 0.25}) {
+    expect_matches_reference(10000.0, c - ckpt, ckpt, 2.0, 0.0, 13, 2);
+  }
+  // Dyadic tau and C adding up to a power of two: t lands exactly on
+  // every 2^(e+1), with and without failures.
+  expect_matches_reference(3000.0, 0.75, 0.25, 1.0, 0.0, 14, 2);
+  expect_matches_reference(3000.0, 0.75, 0.25, 1.0, 400.0, 15, 20);
+}
+
+TEST(CheckpointOracle, NoFailuresAtTheSegmentLimitMatchThePerTrialWalk) {
+  // M = 0 over 2^20 segments, the per-trial limit: every jump but the
+  // last stops on its binade's top.
+  constexpr double kSegments = 1u << 20;
+  expect_matches_reference(kSegments, 1.0, 0.0, 0.0, 0.0, 16, 2);
+  expect_matches_reference(kSegments, 1.0, 0.5, 0.0, 0.0, 17, 2);
+  expect_matches_reference(0.3 * 1e6, 0.3, 0.05, 0.0, 0.0, 18, 1);
+}
+
 // --- injector lifetime token -------------------------------------------------
 
 TEST(InjectorLifetime, HookFiringAfterDestructionFailsLoudly) {
