@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 
+#include "arch/systems.hpp"
 #include "core/config.hpp"
 #include "core/csv.hpp"
 #include "core/error.hpp"
@@ -38,13 +39,14 @@ inline int guarded_main(const char* name, int argc, char** argv,
   return 1;
 }
 
-/// Rejects what the bench would otherwise ignore, each an
-/// InvalidArgument naming it: a positional token (no `=`, like `csv`
-/// for `csv=<path>`), and a `key=value` option whose key is not in
-/// `accepted` (a typo like `simranks=512`).  Call right after
-/// Config::from_args with the bench's full accepted-key list —
-/// test_docs.cpp cross-checks these lists against the keys each bench
-/// actually reads and the README option table.
+/// Rejects what the bench would otherwise ignore or fail on only after
+/// its run, each an InvalidArgument naming it: a positional token (no
+/// `=`, like `csv` for `csv=<path>`), a `key=value` option whose key is
+/// not in `accepted` (a typo like `simranks=512`), and an empty `csv=`
+/// or `metrics=` path.  Call right after Config::from_args with the
+/// bench's full accepted-key list — test_docs.cpp cross-checks these
+/// lists against the keys each bench actually reads and the README
+/// option table.
 inline void require_known_keys(const pvc::Config& config,
                                std::initializer_list<const char*> accepted) {
   const auto accepted_list = [&accepted] {
@@ -69,6 +71,29 @@ inline void require_known_keys(const pvc::Config& config,
                  "unknown option '" + key + "' (accepted: " +
                      accepted_list() + ")");
     }
+  }
+  for (const std::string key : {"csv", "metrics"}) {
+    const auto path = config.get(key);
+    if (path && path->empty()) {
+      pvc::raise(pvc::ErrorCode::InvalidArgument,
+                 "Config: value for '" + key + "' is an empty path: " + key +
+                     "=");
+    }
+  }
+}
+
+/// The node that `system=` names, or `fallback` when it is absent; an
+/// unknown name is an InvalidArgument quoting the option.
+inline pvc::arch::NodeSpec system_from_config(const pvc::Config& config,
+                                              const std::string& fallback) {
+  const std::string name = config.get("system").value_or(fallback);
+  try {
+    return pvc::arch::system_by_name(name);
+  } catch (const pvc::Error&) {
+    pvc::raise(pvc::ErrorCode::InvalidArgument,
+               "Config: value for 'system' is not a known system (aurora, "
+               "dawn, jlse-h100, jlse-mi250, frontier): system=" +
+                   name);
   }
 }
 

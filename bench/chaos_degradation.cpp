@@ -95,8 +95,10 @@ std::vector<std::string> split_scenarios(const std::string& chaos) {
     const std::size_t bar = chaos.find('|', start);
     const std::string spec = chaos.substr(
         start, bar == std::string::npos ? std::string::npos : bar - start);
-    pvc::ensure(!spec.empty(),
-                "chaos_degradation: empty scenario in chaos= list");
+    pvc::ensure(!spec.empty(), pvc::ErrorCode::InvalidArgument, [&] {
+      return "chaos_degradation: empty scenario in 'chaos' list: chaos=" +
+             chaos;
+    });
     specs.push_back(spec);
     if (bar == std::string::npos) {
       return specs;

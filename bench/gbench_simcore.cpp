@@ -1,6 +1,6 @@
 // google-benchmark measurements of the simulator core itself: event
-// throughput, flow-network rate recomputation under contention, cache
-// model access rate, the cluster DES, the checkpoint/restart Monte
+// throughput, flow-network rate recomputation under contention, the
+// Figure 1 pointer chase, the cluster DES, the checkpoint/restart Monte
 // Carlo, and whole-Table-II evaluation cost.  These guard
 // the simulator's own performance (a model that takes minutes to answer
 // is not usable as a design tool).
@@ -14,10 +14,8 @@
 
 #include "arch/systems.hpp"
 #include "comm/cluster.hpp"
-#include "comm/communicator.hpp"
 #include "fault/checkpoint.hpp"
 #include "micro/microbench.hpp"
-#include "runtime/node_sim.hpp"
 #include "sim/cache_model.hpp"
 #include "sim/engine.hpp"
 #include "sim/fabric.hpp"
@@ -82,23 +80,6 @@ void BM_FlowNetworkContention(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowNetworkContention)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_CacheHierarchyAccess(benchmark::State& state) {
-  const auto node = pvc::arch::aurora();
-  pvc::sim::CacheHierarchy cache(node.card.subdevice.caches,
-                                 node.card.subdevice.hbm.latency_cycles);
-  std::uint64_t addr = 0;
-  for (auto _ : state) {
-    double latency = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-      addr = (addr * 2862933555777941757ull + 3037000493ull) % (1ull << 30);
-      latency += cache.access(addr);
-    }
-    benchmark::DoNotOptimize(latency);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_CacheHierarchyAccess);
-
 // The Figure 1 workload at footprints resident in L1, in the 192 MiB
 // LLC, and beyond it in HBM: one coalesced kernels::chase_simulated()
 // call per iteration, with the config micro::measure_latency_curve()
@@ -124,39 +105,6 @@ BENCHMARK(BM_CacheChase)
     ->Arg(16 << 20)   // LLC-resident (192 MiB LLC)
     ->Arg(384 << 20)  // beyond the LLC: HBM
     ->Unit(benchmark::kMicrosecond);
-
-// Message-matching churn: every rank bursts `range(0)` receives, then
-// the matching sends arrive in reverse tag order, so each send faces
-// the deepest possible unmatched queue.  Guards the tag-matching path
-// the P2P/collective sweeps (Table III) stress under load.
-void BM_TagMatchChurn(benchmark::State& state) {
-  const auto node = pvc::arch::aurora();
-  const int burst = static_cast<int>(state.range(0));
-  std::int64_t messages = 0;
-  for (auto _ : state) {
-    pvc::rt::NodeSim sim(node);
-    auto comm = pvc::comm::Communicator::explicit_scaling(sim);
-    const int ranks = comm.size();
-    for (int dst = 0; dst < ranks; ++dst) {
-      for (int i = 0; i < burst; ++i) {
-        comm.irecv(dst, /*src=*/i % ranks, /*tag=*/i, /*bytes=*/64.0);
-      }
-    }
-    for (int dst = 0; dst < ranks; ++dst) {
-      for (int i = burst - 1; i >= 0; --i) {
-        comm.isend(i % ranks, dst, /*tag=*/i, /*bytes=*/64.0);
-      }
-    }
-    messages += static_cast<std::int64_t>(ranks) * burst;
-    benchmark::DoNotOptimize(comm.unmatched_sends());
-  }
-  state.SetItemsProcessed(messages);
-}
-BENCHMARK(BM_TagMatchChurn)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 
 // One full DES cluster step at 768 ranks (64 Aurora nodes), the
 // scaling_multinode hot path.  The step is the x-pass of a 2D

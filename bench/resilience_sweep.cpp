@@ -156,8 +156,7 @@ int run(int argc, char** argv) {
   using namespace pvc;
   const auto config = Config::from_args(argc, argv);
   pvcbench::require_known_keys(config, {"chaos", "csv", "metrics", "sim_ranks", "system", "threads", "trials", "work"});
-  const std::string system = config.get("system").value_or("Aurora");
-  const arch::NodeSpec node = arch::system_by_name(system);
+  const arch::NodeSpec node = pvcbench::system_from_config(config, "Aurora");
   const sim::FabricSpec fabric = sim::FabricSpec::for_node(node);
   const long sim_cap = config.get_int("sim_ranks", 768);
   ensure(sim_cap >= 0, ErrorCode::InvalidArgument,

@@ -22,8 +22,7 @@ int run(int argc, char** argv) {
   using namespace pvc;
   const auto config = Config::from_args(argc, argv);
   pvcbench::require_known_keys(config, {"csv", "metrics", "system", "threads"});
-  const auto node =
-      arch::system_by_name(config.get_string("system", "aurora"));
+  const auto node = pvcbench::system_from_config(config, "aurora");
   const auto sizes = micro::default_message_sizes();
 
   Table table("Message-size sweep summary — " + node.system_name);

@@ -75,7 +75,9 @@ def build_type(build_dir: str) -> str:
 
 
 def launcher_path(build_dir: str) -> str:
-    path = os.path.join(build_dir, "tools", "leg_launcher")
+    # Absolute, like each bench binary's path: every leg runs in a
+    # scratch directory, so a relative build dir would not resolve.
+    path = os.path.abspath(os.path.join(build_dir, "tools", "leg_launcher"))
     if not os.access(path, os.X_OK):
         raise SystemExit(f"error: {path} not built "
                          f"(cmake --build {build_dir} --target leg_launcher)")
@@ -132,7 +134,7 @@ def measure_benches(build_dir: str) -> list:
     rows = []
     with tempfile.TemporaryDirectory() as cwd:
         for name, args in legs:
-            binary = os.path.join(build_dir, "bench", name)
+            binary = os.path.abspath(os.path.join(build_dir, "bench", name))
             leg = measure_leg(launcher, [binary, *args], cwd)
             if leg is None:
                 continue

@@ -487,7 +487,7 @@ NodeSpec system_by_name(const std::string& name) {
   if (lower == "frontier" || lower == "mi250x") {
     return frontier();
   }
-  throw Error("unknown system: " + name, std::source_location::current());
+  raise(ErrorCode::InvalidArgument, "unknown system: " + name);
 }
 
 Mi250xGcdReference mi250x_gcd_reference() { return Mi250xGcdReference{}; }

@@ -36,7 +36,8 @@ namespace pvc::arch {
 [[nodiscard]] std::vector<NodeSpec> all_systems();
 
 /// Looks up a system by name ("aurora", "dawn", "jlse-h100", "jlse-mi250",
-/// case-insensitive); throws pvc::Error for unknown names.
+/// "frontier", case-insensitive); throws pvc::Error with
+/// ErrorCode::InvalidArgument for unknown names.
 [[nodiscard]] NodeSpec system_by_name(const std::string& name);
 
 /// Measured MI250x single-GCD reference values from Frontier

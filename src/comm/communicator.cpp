@@ -123,46 +123,14 @@ struct Communicator::Transfer {
   }
 };
 
-void Communicator::SeqTree::append_live(std::uint64_t seq) {
-  // Node j covers the element range (j - lowbit(j), j].  Because seqs
-  // arrive in order, everything below the new node is already
-  // summarised, so the node value is the new element (1, live) plus the
-  // live count over the rest of its range.
-  const std::size_t j = static_cast<std::size_t>(seq) + 1;
-  const std::size_t low = j & (0 - j);
-  std::uint64_t node = 1;
-  if (low > 1) {
-    node += prefix(j - 1) - prefix(j - low);
-  }
-  tree_.push_back(node);
-}
-
-void Communicator::SeqTree::remove(std::uint64_t seq) {
-  for (std::size_t j = static_cast<std::size_t>(seq) + 1; j <= tree_.size();
-       j += j & (0 - j)) {
-    --tree_[j - 1];
-  }
-}
-
-std::uint64_t Communicator::SeqTree::live_below(std::uint64_t seq) const {
-  return prefix(static_cast<std::size_t>(seq));
-}
-
-std::uint64_t Communicator::SeqTree::prefix(std::size_t count) const {
-  std::uint64_t total = 0;
-  for (std::size_t j = count; j > 0; j -= j & (0 - j)) {
-    total += tree_[j - 1];
-  }
-  return total;
-}
-
 namespace {
 
-/// Hash-bucket key for one (source rank, tag) matching class.
-std::uint64_t match_key(int src_rank, int tag) noexcept {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank))
-          << 32) |
-         static_cast<std::uint32_t>(tag);
+/// The first queued operation of `ops` with this (source rank, tag).
+template <typename Op>
+auto first_match(std::vector<Op>& ops, int src_rank, int tag) {
+  return std::find_if(ops.begin(), ops.end(), [&](const Op& op) {
+    return op.src_rank == src_rank && op.tag == tag;
+  });
 }
 
 }  // namespace
@@ -227,57 +195,33 @@ Request Communicator::irecv(int rank, int src, int tag, double bytes,
 
 void Communicator::post_send(int dst_rank, PendingSend&& send) {
   MatchQueues& q = queues_[static_cast<std::size_t>(dst_rank)];
-  const std::uint64_t key = match_key(send.src_rank, send.tag);
-  if (const auto it = q.recvs.find(key); it != q.recvs.end()) {
-    ensure(send.bytes == it->second.front().op.bytes,
-           "Communicator: matched send/recv sizes differ");
-    // The seed scan would have appended this send behind every live one
-    // before matching it, so its queue position is the live send count.
-    comm_metrics().tag_match_depth->observe(
-        static_cast<std::uint64_t>(q.send_count));
-    QueuedRecv recv = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) {
-      q.recvs.erase(it);
-    }
-    --q.recv_count;
-    if (q.recv_count == 0) {
-      q.recv_seq = 0;
-    }
-    launch(send.src_rank, dst_rank, send, recv.op);
+  const auto recv = first_match(q.recvs, send.src_rank, send.tag);
+  if (recv == q.recvs.end()) {
+    q.sends.push_back(std::move(send));
     return;
   }
-  const std::uint64_t seq = q.send_seq++;
-  q.send_live.append_live(seq);
-  ++q.send_count;
-  q.sends[key].push_back(QueuedSend{std::move(send), seq});
+  ensure(send.bytes == recv->bytes,
+         "Communicator: matched send/recv sizes differ");
+  comm_metrics().tag_match_depth->observe(q.sends.size());
+  const PendingRecv matched = std::move(*recv);
+  q.recvs.erase(recv);
+  launch(send.src_rank, dst_rank, send, matched);
 }
 
 void Communicator::post_recv(int dst_rank, PendingRecv&& recv) {
   MatchQueues& q = queues_[static_cast<std::size_t>(dst_rank)];
-  const std::uint64_t key = match_key(recv.src_rank, recv.tag);
-  if (const auto it = q.sends.find(key); it != q.sends.end()) {
-    ensure(it->second.front().op.bytes == recv.bytes,
-           "Communicator: matched send/recv sizes differ");
-    QueuedSend send = std::move(it->second.front());
-    // The seed scan reported the matched send's queue position: the
-    // number of still-unmatched sends posted before it.
-    comm_metrics().tag_match_depth->observe(q.send_live.live_below(send.seq));
-    it->second.pop_front();
-    if (it->second.empty()) {
-      q.sends.erase(it);
-    }
-    q.send_live.remove(send.seq);
-    --q.send_count;
-    if (q.send_count == 0) {
-      q.send_live.clear();
-      q.send_seq = 0;
-    }
-    launch(send.op.src_rank, dst_rank, send.op, recv);
+  const auto send = first_match(q.sends, recv.src_rank, recv.tag);
+  if (send == q.sends.end()) {
+    q.recvs.push_back(std::move(recv));
     return;
   }
-  q.recvs[key].push_back(QueuedRecv{std::move(recv), q.recv_seq++});
-  ++q.recv_count;
+  ensure(send->bytes == recv.bytes,
+         "Communicator: matched send/recv sizes differ");
+  comm_metrics().tag_match_depth->observe(
+      static_cast<std::uint64_t>(send - q.sends.begin()));
+  const PendingSend matched = std::move(*send);
+  q.sends.erase(send);
+  launch(matched.src_rank, dst_rank, matched, recv);
 }
 
 void Communicator::launch(int src_rank, int dst_rank,
@@ -387,7 +331,7 @@ void Communicator::fail_transfer(const std::shared_ptr<Transfer>& transfer,
 std::size_t Communicator::unmatched_sends() const noexcept {
   std::size_t n = 0;
   for (const auto& q : queues_) {
-    n += q.send_count;
+    n += q.sends.size();
   }
   return n;
 }
@@ -395,7 +339,7 @@ std::size_t Communicator::unmatched_sends() const noexcept {
 std::size_t Communicator::unmatched_recvs() const noexcept {
   std::size_t n = 0;
   for (const auto& q : queues_) {
-    n += q.recv_count;
+    n += q.recvs.size();
   }
   return n;
 }
@@ -404,39 +348,15 @@ std::string Communicator::pending_diagnostics() const {
   std::ostringstream out;
   out << unmatched_sends() << " unmatched send(s), " << unmatched_recvs()
       << " unmatched recv(s)";
-  // Flatten the hash buckets back into post order (by seq) so the
-  // report reads exactly as the seed's FIFO queues did.
   for (int dst = 0; dst < size(); ++dst) {
     const MatchQueues& q = queues_[static_cast<std::size_t>(dst)];
-    std::vector<const QueuedSend*> pending_sends;
-    pending_sends.reserve(q.send_count);
-    for (const auto& [key, bucket] : q.sends) {
-      for (const auto& s : bucket) {
-        pending_sends.push_back(&s);
-      }
+    for (const PendingSend& s : q.sends) {
+      out << "; unmatched send: rank " << s.src_rank << " -> rank " << dst
+          << " tag " << s.tag << " (" << s.bytes << " bytes)";
     }
-    std::sort(pending_sends.begin(), pending_sends.end(),
-              [](const QueuedSend* a, const QueuedSend* b) {
-                return a->seq < b->seq;
-              });
-    for (const auto* s : pending_sends) {
-      out << "; unmatched send: rank " << s->op.src_rank << " -> rank " << dst
-          << " tag " << s->op.tag << " (" << s->op.bytes << " bytes)";
-    }
-    std::vector<const QueuedRecv*> pending_recvs;
-    pending_recvs.reserve(q.recv_count);
-    for (const auto& [key, bucket] : q.recvs) {
-      for (const auto& r : bucket) {
-        pending_recvs.push_back(&r);
-      }
-    }
-    std::sort(pending_recvs.begin(), pending_recvs.end(),
-              [](const QueuedRecv* a, const QueuedRecv* b) {
-                return a->seq < b->seq;
-              });
-    for (const auto* r : pending_recvs) {
-      out << "; unmatched recv: rank " << dst << " <- rank " << r->op.src_rank
-          << " tag " << r->op.tag << " (" << r->op.bytes << " bytes)";
+    for (const PendingRecv& r : q.recvs) {
+      out << "; unmatched recv: rank " << dst << " <- rank " << r.src_rank
+          << " tag " << r.tag << " (" << r.bytes << " bytes)";
     }
   }
   return out.str();

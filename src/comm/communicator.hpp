@@ -12,23 +12,19 @@
 // The harness is single-threaded: a driver posts operations for every
 // rank, then waits — the usual style for discrete-event MPI models.
 //
-// Matching hot path (docs/PERFORMANCE.md): unmatched operations live in
-// per-destination hash buckets keyed by (src_rank, tag), so posting
-// probes one bucket instead of rescanning every queued send × recv as
-// the seed did.  Between posts the queues are fully matched, so a new
-// operation can pair only with the earliest queued opposite of its own
-// key — exactly the pairing the seed's in-order rescans produced — and
-// a Fenwick tree over send sequence numbers reproduces the seed's
-// comm.tag_match_depth histogram bit for bit.
+// Matching: each destination rank keeps its unmatched sends and its
+// unmatched receives in two vectors, in post order.  A post scans the
+// opposite vector for the first operation with its (source rank, tag)
+// and pairs with it, or else appends itself, so messages of one key
+// match in post order (MPI's non-overtaking rule).  The queues stay a
+// few entries deep in every bench, so the scan is all matching needs.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -166,53 +162,17 @@ class Communicator {
   /// One matched message in flight, kept across retransmissions.
   struct Transfer;
 
-  /// Fenwick (binary-indexed) tree over per-destination send sequence
-  /// numbers.  live_below(seq) counts earlier-posted sends that are
-  /// still unmatched — the queue position the seed's linear scan
-  /// reported to comm.tag_match_depth.  Sequence numbers are appended
-  /// in order; all operations are O(log n).
-  class SeqTree {
-   public:
-    /// Registers the next sequence number (`seq` == appends so far).
-    void append_live(std::uint64_t seq);
-    /// Marks a live sequence number matched.
-    void remove(std::uint64_t seq);
-    /// Live sequence numbers strictly below `seq`.
-    [[nodiscard]] std::uint64_t live_below(std::uint64_t seq) const;
-    /// Drops all state; valid only once no sequence number is live.
-    void clear() noexcept { tree_.clear(); }
-
-   private:
-    [[nodiscard]] std::uint64_t prefix(std::size_t count) const;
-    std::vector<std::uint64_t> tree_;  // 1-based Fenwick; tree_[i-1] = node i
-  };
-
-  struct QueuedSend {
-    PendingSend op;
-    std::uint64_t seq;  // post order among this destination's sends
-  };
-  struct QueuedRecv {
-    PendingRecv op;
-    std::uint64_t seq;  // post order among this destination's recvs
-  };
-  /// Per-destination matching state: FIFO buckets hashed by
-  /// (src_rank, tag).  Sequence counters restart whenever the
-  /// respective side drains, so the Fenwick array is bounded by the
-  /// longest stretch of posts between drains, not the run total.
+  /// One destination's unmatched operations, each vector in post order.
   struct MatchQueues {
-    std::unordered_map<std::uint64_t, std::deque<QueuedSend>> sends;
-    std::unordered_map<std::uint64_t, std::deque<QueuedRecv>> recvs;
-    std::uint64_t send_seq = 0;
-    std::uint64_t recv_seq = 0;
-    std::size_t send_count = 0;
-    std::size_t recv_count = 0;
-    SeqTree send_live;
+    std::vector<PendingSend> sends;
+    std::vector<PendingRecv> recvs;
   };
 
-  /// Matches a freshly posted operation against the opposite bucket of
-  /// its (src_rank, tag) key, or queues it.  At most one pairing can
-  /// fire per post (the queues are fully matched in between), and it is
-  /// the pairing the seed's in-order rescans chose.
+  /// Pairs a freshly posted operation with the first queued opposite of
+  /// its (src_rank, tag) and launches the transfer, or queues it.  A
+  /// match observes comm.tag_match_depth: the matched send's queue
+  /// position, or the live send count when a send meets a waiting
+  /// receive (the position it would have queued at).
   void post_send(int dst_rank, PendingSend&& send);
   void post_recv(int dst_rank, PendingRecv&& recv);
   void launch(int src_rank, int dst_rank, const PendingSend& send,

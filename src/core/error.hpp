@@ -2,8 +2,10 @@
 // Error handling for pvcbench.
 //
 // Precondition violations and unrecoverable configuration errors throw
-// `pvc::Error`, carrying the source location of the failed check.  Hot
-// paths use `PVC_ASSERT` which compiles to nothing in release builds.
+// `pvc::Error`.  Its what() is the message alone, so an error reads the
+// same in every build tree; location() keeps the source location of the
+// failed check.  Hot paths use `PVC_ASSERT` which compiles to nothing in
+// release builds.
 //
 // Recoverable fault conditions (device loss, USM exhaustion, aborted or
 // timed-out transfers — the situations the fault-injection layer
@@ -57,18 +59,16 @@ enum class ErrorCode {
   return "?";
 }
 
-/// Exception thrown by `ensure()` on contract violations.
+/// Exception thrown by `ensure()` on contract violations.  what() is
+/// the message, prefixed by "[<code name>] " when the error is coded.
 class Error : public std::runtime_error {
  public:
   Error(const std::string& message, std::source_location loc)
-      : std::runtime_error(std::string(loc.file_name()) + ":" +
-                           std::to_string(loc.line()) + ": " + message),
-        location_(loc) {}
+      : std::runtime_error(message), location_(loc) {}
 
   Error(ErrorCode code, const std::string& message, std::source_location loc)
-      : std::runtime_error(std::string(loc.file_name()) + ":" +
-                           std::to_string(loc.line()) + ": [" +
-                           error_code_name(code) + "] " + message),
+      : std::runtime_error(std::string("[") + error_code_name(code) + "] " +
+                           message),
         location_(loc),
         code_(code) {}
 

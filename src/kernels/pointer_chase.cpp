@@ -16,7 +16,8 @@ namespace {
 // 4-byte indices — one 64-byte line per step — so per-step latency is
 // identical but the footprint they cover is shared across lanes.
 constexpr std::size_t kLine = 64;
-// The walk feeds the hierarchy this many loads per access_run() call.
+// The walk sums its loads' latencies in blocks of this many, then adds
+// the block totals in order.
 constexpr std::size_t kBlock = 4096;
 
 std::size_t chase_nodes(const ChaseConfig& config) {
@@ -32,7 +33,7 @@ std::uint64_t chase_warmup(const ChaseConfig& config, std::size_t nodes) {
 }
 
 // `steps` loads that each take `latency`, summed the way the walk sums
-// them: per-block totals from access_run(), added in block order.  For
+// them: per-block totals, added in block order.  For
 // a whole-cycle latency whose total stays below 2^53 every partial sum
 // is an exact integer, so the walk's sum is the product; any other
 // latency takes the loop, whose rounding matches the walk bit for bit.
@@ -91,23 +92,19 @@ ChaseResult simulate_chase(pvc::sim::CacheHierarchy& hierarchy,
   pvc::Rng rng(config.seed);
   pvc::sattolo_cycle(rng, next.data(), nodes);
 
-  // Addresses depend only on the permutation, not on access results, so
-  // the chase fills fixed-size blocks and drives the hierarchy through
-  // the bulk access_run() entry point — one call per block instead of
-  // one per load.
-  std::vector<std::uint64_t> block(kBlock);
   std::uint32_t idx = 0;
   const auto run_steps = [&](std::uint64_t steps) {
     double total = 0.0;
     std::uint64_t remaining = steps;
     while (remaining > 0) {
-      const std::size_t n =
-          static_cast<std::size_t>(std::min<std::uint64_t>(remaining, kBlock));
-      for (std::size_t b = 0; b < n; ++b) {
-        block[b] = static_cast<std::uint64_t>(idx) * kLine;
+      const std::uint64_t n = std::min<std::uint64_t>(remaining, kBlock);
+      double block_total = 0.0;
+      for (std::uint64_t b = 0; b < n; ++b) {
+        block_total +=
+            hierarchy.access(static_cast<std::uint64_t>(idx) * kLine);
         idx = next[idx];
       }
-      total += hierarchy.access_run({block.data(), n});
+      total += block_total;
       remaining -= n;
     }
     return total;

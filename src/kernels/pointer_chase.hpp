@@ -51,9 +51,9 @@ struct ChaseConfig {
                                           const ChaseConfig& config);
 
 /// The chase walked load by load: builds the permutation and drives
-/// `hierarchy` (reset first) through CacheHierarchy::access_run() in
-/// 4096-load blocks.  chase_simulated()'s fallback, and the oracle its
-/// closed form must match.
+/// `hierarchy` (reset first) through CacheHierarchy::access(), summing
+/// the latencies in 4096-load blocks.  chase_simulated()'s fallback,
+/// and the oracle its closed form must match.
 [[nodiscard]] ChaseResult simulate_chase(pvc::sim::CacheHierarchy& hierarchy,
                                          const ChaseConfig& config);
 

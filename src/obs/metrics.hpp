@@ -10,11 +10,8 @@
 // long did the governor hold 1.2 GHz?" are answerable without re-reading
 // the code.  See docs/OBSERVABILITY.md for every emitted metric name.
 //
-// Overheads:
-//  * compile time — building with -DPVC_METRICS=OFF defines
-//    PVC_METRICS_ENABLED=0 and every mutation inlines to nothing;
-//  * run time — obs::set_enabled(false) short-circuits mutations behind
-//    a single branch on a plain bool.
+// Overhead: obs::set_enabled(false) short-circuits mutations behind a
+// single branch on a plain bool.
 //
 // Concurrency: each simulation is single-threaded, but independent
 // simulations may run on worker threads (bench ParallelSweep).  Registry
@@ -34,17 +31,7 @@
 #include <string>
 #include <vector>
 
-// Compile-time kill switch (CMake option PVC_METRICS, default ON).
-#ifndef PVC_METRICS_ENABLED
-#define PVC_METRICS_ENABLED 1
-#endif
-
 namespace pvc::obs {
-
-/// True when the library was compiled with metrics support.
-[[nodiscard]] constexpr bool compiled_in() noexcept {
-  return PVC_METRICS_ENABLED != 0;
-}
 
 namespace detail {
 inline bool g_runtime_enabled = true;
@@ -52,7 +39,7 @@ inline bool g_runtime_enabled = true;
 
 /// Runtime collection switch; mutations are dropped while disabled.
 [[nodiscard]] inline bool enabled() noexcept {
-  return compiled_in() && detail::g_runtime_enabled;
+  return detail::g_runtime_enabled;
 }
 inline void set_enabled(bool on) noexcept { detail::g_runtime_enabled = on; }
 
@@ -64,13 +51,9 @@ enum class MetricType { Counter, Gauge, Histogram };
 class Counter {
  public:
   void add(std::uint64_t delta = 1) noexcept {
-#if PVC_METRICS_ENABLED
     if (detail::g_runtime_enabled) {
       value_ += delta;
     }
-#else
-    static_cast<void>(delta);
-#endif
   }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
@@ -83,22 +66,14 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept {
-#if PVC_METRICS_ENABLED
     if (detail::g_runtime_enabled) {
       value_ = v;
     }
-#else
-    static_cast<void>(v);
-#endif
   }
   void add(double delta) noexcept {
-#if PVC_METRICS_ENABLED
     if (detail::g_runtime_enabled) {
       value_ += delta;
     }
-#else
-    static_cast<void>(delta);
-#endif
   }
   [[nodiscard]] double value() const noexcept { return value_; }
 
@@ -116,7 +91,6 @@ class Histogram {
   static constexpr std::size_t kBuckets = 65;  // 0 plus one per bit
 
   void observe(std::uint64_t value, double weight = 1.0) noexcept {
-#if PVC_METRICS_ENABLED
     if (detail::g_runtime_enabled) {
       const std::size_t b = bucket_index(value);
       ++bucket_counts_[b];
@@ -125,10 +99,6 @@ class Histogram {
       value_sum_ += static_cast<double>(value) * weight;
       weight_sum_ += weight;
     }
-#else
-    static_cast<void>(value);
-    static_cast<void>(weight);
-#endif
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }

@@ -11,38 +11,17 @@
 // Figure 1's chase does not walk the model load by load.
 // closed_form_chase() derives its counters and latency from the set
 // geometry alone wherever that decides every load, which covers every
-// chase the benches run (docs/PERFORMANCE.md).  The per-load path
-// below serves kernels::simulate_chase() — the chase's fallback and
-// the closed form's test oracle — and direct access() callers.  Its
-// set records are allocated on the first simulated load, not in the
-// constructor, so a hierarchy that only ever answers in closed form
-// never pays for them.
-//
-// Per-load hot-path design: compared to the seed implementation this
-// version
-//  * extracts line/set/tag with shifts and masks (power-of-two set
-//    counts; the 192 MiB PVC LLC has 3·2^16 sets and falls back to a
-//    branchless Lemire fast-mod — no div/mod either way);
-//  * keeps each set in ONE interleaved record — 32-bit tags
-//    (line_addr >> floor(log2 sets), unique because lines in one set
-//    differ by a multiple of `sets`), packed LRU rank bytes, and a lazy
-//    reset() epoch stamp — in a 64-byte-aligned power-of-two stride, so
-//    a probe touches the record's 1-2 host cache lines instead of three
-//    separate arrays;
-//  * probes tags four-at-a-time (SSE2) and updates the rank bytes with
-//    branchless SWAR arithmetic instead of the seed's memmoves;
-//  * batches obs metrics: accesses tally into plain members and
-//    flush_metrics() pushes the deltas once per kernel instead of 3-5
-//    Counter::add calls per load (obs::BatchedCounter);
-//  * offers access_run(), whose known-up-front address block lets it
-//    software-prefetch each level's set record a fixed distance ahead —
-//    the big win once the model state spills the host caches.
-// reference_access() keeps the seed algorithm as a from-scratch oracle
-// (style of FlowNetwork::reference_rates()); the randomized-trace test
-// in tests/test_sim.cpp asserts bit-identical hit/miss/latency totals.
+// chase the benches run (docs/PERFORMANCE.md, "Cache model").
+// access() walks one load through the levels: each level keeps one
+// vector of line addresses, `associativity` per set with the set's
+// ways in MRU order, so a hit rotates its way to the front and a fill
+// shifts the LRU way out.  The vectors are allocated by the first
+// access(), never by the constructor, so a hierarchy that only answers
+// in closed form holds no tag array.  Loads tally their hits and misses
+// in plain members, and flush_metrics() pushes the deltas to the obs
+// registry once per kernel (obs::BatchedCounter).
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -51,13 +30,6 @@
 #include "obs/metrics.hpp"
 
 namespace pvc::sim {
-
-namespace detail {
-/// Deleter for the aligned set-record allocations.
-struct AlignedFree {
-  void operator()(void* p) const noexcept;
-};
-}  // namespace detail
 
 /// Static description of one cache level.
 struct CacheLevelSpec {
@@ -91,9 +63,9 @@ class CacheHierarchy {
   /// latency in cycles and updates the replacement state.
   double access(std::uint64_t addr);
 
-  /// Bulk entry point: performs one load per address and returns the
-  /// summed latency in cycles.  Equivalent to accumulating access()
-  /// over the block, without per-load call overhead.
+  /// Performs one load per address, in order, and returns their
+  /// latencies summed in that order.  perfbench's traced probes replay
+  /// the chase's blocks through it.
   double access_run(std::span<const std::uint64_t> addrs);
 
   /// Closed form of a cyclic pointer chase from an empty hierarchy:
@@ -101,7 +73,7 @@ class CacheHierarchy {
   /// any order that forms one cycle, `warmup` untimed loads and then
   /// `steps` timed ones.  Where the geometry decides every load, it
   /// credits exactly the level_stats(), accesses(), memory_fills() and
-  /// pending metric deltas that walking the cycle through access_run()
+  /// pending metric deltas that walking the cycle through access()
   /// would, and returns the latency every timed load sees.  The rule,
   /// with n = lines, W = warmup and S = steps:
   ///  * W < n and W + S <= n: every load is a first touch and misses
@@ -119,18 +91,11 @@ class CacheHierarchy {
                                                         std::uint64_t warmup,
                                                         std::uint64_t steps);
 
-  /// From-scratch oracle: the seed's MRU-ordered-ways implementation on
-  /// private shadow state (same geometry, separate tags/stats, no obs
-  /// metrics).  Feeding access() and reference_access() the same trace
-  /// must produce identical latencies and identical hit/miss totals —
-  /// asserted by the randomized-trace test in tests/test_sim.cpp.
-  double reference_access(std::uint64_t addr);
-
   /// Pushes the metric deltas accumulated since the previous flush into
   /// the obs registry counters (cache.accesses, cache.<level>.hits/
   /// .misses, cache.memory.fills).  Kernels call this once per run;
-  /// reset() and the destructor flush implicitly, so totals match the
-  /// seed's per-access instrumentation exactly.
+  /// reset() and the destructor flush implicitly, so the totals equal
+  /// one counter bump per load.
   void flush_metrics();
 
   /// Drops all cached lines and statistics (flushing metric deltas
@@ -142,9 +107,6 @@ class CacheHierarchy {
   }
   [[nodiscard]] const CacheLevelSpec& level_spec(std::size_t i) const;
   [[nodiscard]] const CacheLevelStats& level_stats(std::size_t i) const;
-  /// Oracle-side totals (reference_access() traffic only).
-  [[nodiscard]] const CacheLevelStats& reference_level_stats(
-      std::size_t i) const;
   [[nodiscard]] double memory_latency_cycles() const noexcept {
     return memory_latency_cycles_;
   }
@@ -158,66 +120,20 @@ class CacheHierarchy {
   struct Level {
     CacheLevelSpec spec;
     std::uint64_t sets = 0;
-    std::uint32_t assoc = 0;
-    std::uint32_t line_shift = 0;  // log2(line_bytes)
-    std::uint32_t set_shift = 0;   // floor(log2(sets)); tag = line >> this
-    bool sets_pow2 = false;
-    std::uint64_t set_mask = 0;    // sets - 1 when sets_pow2
-    std::uint64_t fastmod_m = 0;   // Lemire magic when !sets_pow2
-    // One interleaved record per set:
-    //   words [0, assoc):       tags; kInvalidTag marks an empty way
-    //   words [ranks_off, ...): rank bytes — exact-LRU rank per way
-    //                           (0 = MRU, assoc-1 = LRU victim, always
-    //                           a permutation of 0..assoc-1), padded
-    //                           with kRankPad to whole 64-bit words
-    //   word epoch_off:         lazy-reset stamp; a record stamped
-    //                           != epoch is empty and re-initialised on
-    //                           first touch, making reset() O(1)
-    // The stride is a power of two and the array is 64-byte aligned, so
-    // a probe touches the record's 1-2 host cache lines.  Arrays of
-    // 2 MiB and up are 2 MiB-aligned and madvise'd MADV_HUGEPAGE: the
-    // big levels (the 25 MB of PVC LLC records) are walked at random,
-    // so huge pages turn a guaranteed host-TLB miss per probe into a
-    // handful of entries that stay resident.  allocate_records()
-    // creates the array on the first simulated load.
-    std::unique_ptr<std::uint32_t[], detail::AlignedFree> storage;
-    std::uint32_t* records = nullptr;    // == storage.get(); null until
-                                         // the first simulated load
-    std::uint32_t stride_shift = 0;      // record size = 1<<this words
-    std::uint32_t ranks_off = 0;         // word offset of the rank bytes
-    std::uint32_t rank_words = 0;        // 64-bit words of rank bytes
-    std::uint32_t epoch_off = 0;         // word offset of the stamp
-    bool two_lines = false;              // record spans a second line
-    std::uint32_t epoch = 1;
+    // Line addresses, `associativity` ways per set, each set's ways in
+    // MRU order (way 0 most recent); kEmptyWay marks a way never
+    // filled.  Empty while no line is resident: access() fills it on
+    // first use, reset() clears it.
+    std::vector<std::uint64_t> tags;
     CacheLevelStats stats;
     // Global obs counters (cache.<level>.hits / .misses), shared by
     // every hierarchy instance with the same level name; deltas are
     // pushed by flush_metrics().
     obs::BatchedCounter hits_batch;
     obs::BatchedCounter misses_batch;
-    // reference_access() shadow state: the seed layout — tags in MRU
-    // order (way 0 most recent), 64-bit line addresses, kInvalidTag64
-    // for empty ways.  Allocated lazily on first oracle access.
-    std::vector<std::uint64_t> ref_tags;
-    CacheLevelStats ref_stats;
   };
 
-  static constexpr std::uint32_t kInvalidTag = ~0u;
-  static constexpr std::uint64_t kInvalidTag64 = ~0ull;
-  // Filler for rank bytes past `assoc`: above every real rank (so the
-  // victim scan skips it) and never promoted (no real rank exceeds it,
-  // which also keeps the SWAR byte lanes carry-free).
-  static constexpr std::uint8_t kRankPad = 127;
-
-  /// Allocates every level's zero-filled set records; a no-op once
-  /// they exist.  Called by the simulated entry points only.
-  void allocate_records();
-  /// One load through the optimized arrays (no accesses_ bump).
-  double access_one(std::uint64_t addr);
-  [[nodiscard]] static std::uint64_t set_of(const Level& level,
-                                            std::uint64_t line_addr) noexcept;
-  [[nodiscard]] std::uint32_t tag_of(const Level& level,
-                                     std::uint64_t line_addr) const;
+  static constexpr std::uint64_t kEmptyWay = ~0ull;
 
   std::vector<Level> levels_;
   double memory_latency_cycles_;
@@ -227,8 +143,6 @@ class CacheHierarchy {
   // counters (cache.accesses / cache.memory.fills).
   std::uint64_t flushed_accesses_ = 0;
   std::uint64_t flushed_memory_fills_ = 0;
-  std::uint64_t ref_accesses_ = 0;
-  bool records_allocated_ = false;
 };
 
 }  // namespace pvc::sim

@@ -125,10 +125,6 @@ TEST(BenchRegistry, ResilienceSweepRunsEachSectionOnce) {
       run_to_files("resilience_sweep", {"sim_ranks=48", "threads=2"}, dir);
   fs::remove_all(dir);
   EXPECT_FALSE(csv.empty());
-  if (!pvc::obs::compiled_in()) {
-    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; the rest of this test "
-                    "counts the sections' runs through their metrics";
-  }
 
   // sim_ranks=48 prices 12 and 48 Aurora ranks on the DES, 16 GiB each.
   constexpr std::uint64_t kCkptBytes = 16ull << 30;
@@ -204,9 +200,12 @@ TEST(BenchOptions, NegativeThreadsIsATypedError) {
 }
 
 TEST(BenchOptions, MalformedValuesAreTypedErrorsNamingTheKey) {
-  // A value that does not parse as its option's type, and a non-finite
-  // number, fail in Config with an InvalidArgument that quotes the key
-  // and the whole option.
+  // A value that does not parse as its option's type, a non-finite
+  // number, an unknown system, an empty output path and an empty chaos
+  // scenario fail with an InvalidArgument that quotes the key and the
+  // whole option, before the bench prints anything.  what() carries no
+  // source path, so the same bad option prints the same line in every
+  // build tree.
   const std::pair<const char*, const char*> cases[] = {
       {"resilience_sweep", "trials=abc"},
       {"resilience_sweep", "sim_ranks=12x"},
@@ -216,11 +215,19 @@ TEST(BenchOptions, MalformedValuesAreTypedErrorsNamingTheKey) {
       {"scaling_multinode", "sim_ranks="},
       {"table3_p2p", "threads=abc"},
       {"fig1_latency", "coalesced=maybe"},
+      {"sweep_msgsize", "system=foo"},
+      {"scaling_multinode", "system=Nope"},
+      {"table3_p2p", "csv="},
+      {"table3_p2p", "metrics="},
+      {"chaos_degradation", "chaos="},
   };
   for (const auto& [bench, arg] : cases) {
+    testing::internal::CaptureStdout();
     const pvc::Error e = run_expecting_error(bench, {arg});
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "") << arg;
     EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << arg;
     const std::string what = e.what();
+    EXPECT_EQ(what.rfind("[invalid_argument] ", 0), 0u) << what;
     const std::string key(arg, std::string_view(arg).find('='));
     EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
     EXPECT_NE(what.find(arg), std::string::npos) << what;

@@ -124,6 +124,37 @@ TEST(Communicator, HangReportNamesUnmatchedRankAndTag) {
   }
 }
 
+TEST(Communicator, HangReportListsUnmatchedOpsInPostOrder) {
+  // Per destination rank, the report lists the unmatched sends and then
+  // the unmatched receives, each in post order: same-key operations
+  // keep their order, and a match from the middle of a queue leaves the
+  // rest in place.
+  rt::NodeSim sim(arch::aurora());
+  auto comm = Communicator::explicit_scaling(sim);
+  comm.isend(0, 4, 7, 8.0);
+  comm.isend(2, 1, 3, 16.0);
+  comm.irecv(1, 0, 5, 8.0);
+  comm.isend(3, 1, 2, 8.0);
+  comm.isend(0, 1, 9, 8.0);
+  comm.irecv(4, 3, 7, 8.0);   // tag 7 from another source: no match
+  comm.isend(2, 1, 3, 32.0);  // queued behind the 16-byte send of its key
+  comm.irecv(1, 0, 5, 24.0);  // queued behind the 8-byte recv of its key
+  comm.irecv(1, 3, 2, 8.0);   // matches the middle send of rank 1's queue
+  comm.irecv(1, 2, 3, 16.0);  // matches the first send of its key
+  comm.isend(5, 4, 1, 8.0);
+  comm.irecv(1, 2, 4, 8.0);
+  EXPECT_EQ(comm.pending_diagnostics(),
+            "4 unmatched send(s), 4 unmatched recv(s)"
+            "; unmatched send: rank 0 -> rank 1 tag 9 (8 bytes)"
+            "; unmatched send: rank 2 -> rank 1 tag 3 (32 bytes)"
+            "; unmatched recv: rank 1 <- rank 0 tag 5 (8 bytes)"
+            "; unmatched recv: rank 1 <- rank 0 tag 5 (24 bytes)"
+            "; unmatched recv: rank 1 <- rank 2 tag 4 (8 bytes)"
+            "; unmatched send: rank 0 -> rank 4 tag 7 (8 bytes)"
+            "; unmatched send: rank 5 -> rank 4 tag 1 (8 bytes)"
+            "; unmatched recv: rank 4 <- rank 3 tag 7 (8 bytes)");
+}
+
 TEST(Communicator, DropRetriesWithBackoffThenDelivers) {
   rt::NodeSim sim(arch::aurora());
   auto comm = Communicator::explicit_scaling(sim);
@@ -261,8 +292,8 @@ TEST(Communicator, ExponentialBackoffClampsAtMaxBackoff) {
 
 TEST(Communicator, SameKeySendsMatchInPostOrder) {
   // Three sends with an identical (src, tag) key must pair with the
-  // receives in post order — MPI non-overtaking, preserved by the FIFO
-  // hash-bucket sub-queues.
+  // receives in post order — MPI non-overtaking, preserved by scanning
+  // each queue front to back.
   rt::NodeSim sim(arch::aurora());
   auto comm = Communicator::explicit_scaling(sim);
   std::vector<double> a{1.0}, b{2.0}, c{3.0};
@@ -297,10 +328,6 @@ TEST(Communicator, TagMatchDepthHistogramReportsQueuePositions) {
   comm.irecv(1, 0, 10, 8.0);    // matches seq 0; nothing earlier  -> depth 0
   comm.irecv(1, 0, 99, 8.0);    // queues
   comm.isend(0, 1, 99, 8.0);    // immediate match, empty queue    -> depth 0
-  if (!obs::compiled_in()) {
-    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; this test checks only "
-                    "the comm.tag_match_depth histogram";
-  }
   const auto snap = local.snapshot();
   const auto* depth = snap.find("comm.tag_match_depth");
   ASSERT_NE(depth, nullptr);
@@ -495,9 +522,6 @@ TEST(Collectives, RoundCountsMatchSchedule) {
         c.ranks == 12 ? Communicator::explicit_scaling(sim)
                       : Communicator(sim, {0, 1, 2, 3, 4, 5, 6, 7});
     EXPECT_EQ(c.run(comm), c.finish) << c.name;
-    if (!obs::compiled_in()) {
-      continue;  // the counts below come from the comm.* metrics
-    }
     const auto snap = reg.snapshot();
     EXPECT_EQ(snap.value("comm.collectives"), c.collectives) << c.name;
     EXPECT_EQ(snap.value("comm.collective_rounds"), c.rounds) << c.name;

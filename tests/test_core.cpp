@@ -60,8 +60,9 @@ TEST(Error, EnsureThrowsWithLocation) {
     ensure(false, "boom");
     FAIL() << "expected throw";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("test_core.cpp"),
+    // what() is the message alone; location() names the failed check.
+    EXPECT_STREQ(e.what(), "boom");
+    EXPECT_NE(std::string(e.location().file_name()).find("test_core.cpp"),
               std::string::npos);
   }
 }

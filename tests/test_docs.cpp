@@ -118,6 +118,9 @@ TEST(Documentation, AcceptedKeyListsMatchParsedKeysAndReadme) {
     if (source.find("threads_from_config") != std::string::npos) {
       parsed.insert("threads");
     }
+    if (source.find("system_from_config") != std::string::npos) {
+      parsed.insert("system");
+    }
     for (const auto& key : parsed) {
       EXPECT_TRUE(accepted.count(key))
           << name << " parses `" << key

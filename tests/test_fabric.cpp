@@ -304,9 +304,7 @@ TEST(ClusterCommFaults, DownedNicFailsOverToNextHealthySibling) {
       std::vector<ClusterComm::Message>{{0, 12, 1024.0}}));
   ASSERT_EQ(cluster.injection_log().size(), 1u);
   EXPECT_EQ(cluster.injection_log().front().nic, 1);
-  if (obs::compiled_in()) {
-    EXPECT_EQ(registry.snapshot().count("fabric.nic.failovers"), 1u);
-  }
+  EXPECT_EQ(registry.snapshot().count("fabric.nic.failovers"), 1u);
 
   cluster.set_nic_down(0, 0, false);
   static_cast<void>(cluster.exchange(
@@ -388,11 +386,9 @@ TEST(ClusterCommFaults, DegradedGlobalLinkTriggersValiantDetour) {
 
   static_cast<void>(cluster.exchange(
       std::vector<ClusterComm::Message>{{0, 12, 1024.0}, {0, 24, 1024.0}}));
-  if (obs::compiled_in()) {
-    const auto snap = registry.snapshot();
-    EXPECT_EQ(snap.count("fabric.routes.nonminimal"), 1u);  // only 0->12
-    EXPECT_EQ(snap.count("fabric.routes.minimal"), 1u);  // 0->24 untouched
-  }
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.count("fabric.routes.nonminimal"), 1u);  // only 0->12
+  EXPECT_EQ(snap.count("fabric.routes.minimal"), 1u);  // 0->24 untouched
 }
 
 TEST(ClusterCommFaults, InjectorArmsNicClausesOnTheClusterEngine) {
@@ -447,15 +443,13 @@ TEST(FabricMetrics, ExchangeBumpsTheFabricCounters) {
   static_cast<void>(cluster.exchange(std::vector<ClusterComm::Message>{
       {0, 5, 1024.0}, {0, 12, 2048.0}, {12, 0, 512.0}}));
   EXPECT_EQ(cluster.messages_delivered(), 3u);
-  if (obs::compiled_in()) {
-    const auto snap = registry.snapshot();
-    EXPECT_EQ(snap.count("fabric.messages"), 3u);
-    EXPECT_EQ(snap.value("fabric.bytes"), 1024.0 + 2048.0 + 512.0);
-    EXPECT_EQ(snap.count("fabric.routes.intra_node"), 1u);
-    EXPECT_EQ(snap.count("fabric.routes.minimal"), 2u);
-    EXPECT_EQ(snap.count("fabric.hops.local"), 4u);  // 2 per inter-node msg
-    EXPECT_EQ(snap.count("fabric.hops.global"), 0u);  // same group
-  }
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.count("fabric.messages"), 3u);
+  EXPECT_EQ(snap.value("fabric.bytes"), 1024.0 + 2048.0 + 512.0);
+  EXPECT_EQ(snap.count("fabric.routes.intra_node"), 1u);
+  EXPECT_EQ(snap.count("fabric.routes.minimal"), 2u);
+  EXPECT_EQ(snap.count("fabric.hops.local"), 4u);  // 2 per inter-node msg
+  EXPECT_EQ(snap.count("fabric.hops.global"), 0u);  // same group
 }
 
 // --- comm-layer switchover -------------------------------------------------

@@ -460,8 +460,9 @@ TEST(ChaseOracle, IntegralTotalFrom2To53TakesTheLoop) {
             latency * 20000.0 / 20000.0);
 }
 
-// Set records are allocated on the first simulated load; the sequences
-// around that moment must still match the reference_access() oracle.
+// A hierarchy whose history since reset() left no line resident must
+// answer every load exactly as a freshly built one does: after resets
+// before its first load, and after a chase answered in closed form.
 
 std::vector<std::uint64_t> revisiting_trace(std::uint64_t seed,
                                             std::size_t n) {
@@ -475,32 +476,33 @@ std::vector<std::uint64_t> revisiting_trace(std::uint64_t seed,
   return trace;
 }
 
-void expect_loads_match_reference(sim::CacheHierarchy& cache,
-                                  std::uint64_t seed) {
+void expect_loads_match_fresh_hierarchy(sim::CacheHierarchy& cache,
+                                        std::uint64_t seed) {
+  auto fresh = tiny_hierarchy();
   std::vector<sim::CacheLevelStats> before;
   for (std::size_t i = 0; i < cache.level_count(); ++i) {
     before.push_back(cache.level_stats(i));
   }
   for (const std::uint64_t addr : revisiting_trace(seed, 5000)) {
-    const double expected = cache.reference_access(addr);
+    const double expected = fresh.access(addr);
     ASSERT_EQ(cache.access(addr), expected) << "addr " << addr;
   }
   for (std::size_t i = 0; i < cache.level_count(); ++i) {
     EXPECT_EQ(cache.level_stats(i).hits - before[i].hits,
-              cache.reference_level_stats(i).hits);
+              fresh.level_stats(i).hits);
     EXPECT_EQ(cache.level_stats(i).misses - before[i].misses,
-              cache.reference_level_stats(i).misses);
+              fresh.level_stats(i).misses);
   }
 }
 
-TEST(ChaseOracle, ResetBeforeFirstLoadMatchesReference) {
+TEST(ChaseOracle, ResetBeforeFirstLoadMatchesFreshHierarchy) {
   auto cache = tiny_hierarchy();
   cache.reset();
   cache.reset();
-  expect_loads_match_reference(cache, 31);
+  expect_loads_match_fresh_hierarchy(cache, 31);
 }
 
-TEST(ChaseOracle, SimulatedLoadsAfterClosedFormMatchReference) {
+TEST(ChaseOracle, SimulatedLoadsAfterClosedFormMatchFreshHierarchy) {
   auto cache = tiny_hierarchy();
   ChaseConfig cfg;
   cfg.footprint_bytes = 4096;
@@ -510,7 +512,7 @@ TEST(ChaseOracle, SimulatedLoadsAfterClosedFormMatchReference) {
                               cache.memory_latency_cycles(), cfg));
   static_cast<void>(chase_simulated(cache, cfg));
   EXPECT_EQ(cache.accesses(), lines + cfg.steps);
-  expect_loads_match_reference(cache, 32);
+  expect_loads_match_fresh_hierarchy(cache, 32);
 }
 
 // --- reductions --------------------------------------------------------------

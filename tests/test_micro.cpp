@@ -263,10 +263,6 @@ TEST(MicroBench, MeasurementsAreBitReproducible) {
 }
 
 TEST(MicroBench, Table2CountsEachMeasurementOnce) {
-  if (!obs::compiled_in()) {
-    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; this test counts runs "
-                    "through their metrics";
-  }
   const auto node = arch::aurora();
   obs::Registry registry;
   {

@@ -30,17 +30,9 @@ struct EnabledGuard {
   ~EnabledGuard() { set_enabled(saved); }
 };
 
-#define SKIP_IF_COMPILED_OUT()                                  \
-  if (!compiled_in()) {                                         \
-    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; mutations "  \
-                    "compile to no-ops";                        \
-  }                                                             \
-  static_cast<void>(0)
-
 // --- primitives --------------------------------------------------------------
 
 TEST(Counter, AccumulatesMonotonically) {
-  SKIP_IF_COMPILED_OUT();
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
@@ -55,7 +47,6 @@ TEST(Counter, AccumulatesMonotonically) {
 }
 
 TEST(Gauge, SetOverwritesAddAccumulates) {
-  SKIP_IF_COMPILED_OUT();
   Gauge g;
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
@@ -88,7 +79,6 @@ TEST(Histogram, BucketBoundaries) {
 }
 
 TEST(Histogram, ObservationsLandInTheirBuckets) {
-  SKIP_IF_COMPILED_OUT();
   Histogram h;
   h.observe(0);
   h.observe(1);
@@ -102,7 +92,6 @@ TEST(Histogram, ObservationsLandInTheirBuckets) {
 }
 
 TEST(Histogram, WeightedObservations) {
-  SKIP_IF_COMPILED_OUT();
   Histogram h;
   h.observe(1200, 0.25);  // e.g. 0.25 s at 1200 MHz
   h.observe(1600, 0.75);
@@ -142,7 +131,6 @@ TEST(Registry, NamesAreSorted) {
 }
 
 TEST(Registry, SnapshotIsDeepCopy) {
-  SKIP_IF_COMPILED_OUT();
   Registry reg;
   Counter& c = reg.counter("deep.copy", "items", "test");
   Histogram& h = reg.histogram("deep.hist", "items", "test");
@@ -160,7 +148,6 @@ TEST(Registry, SnapshotIsDeepCopy) {
 }
 
 TEST(Registry, ResetValuesKeepsRegistrations) {
-  SKIP_IF_COMPILED_OUT();
   Registry reg;
   Counter& c = reg.counter("r.count", "items", "help text");
   reg.gauge("r.gauge", "J", "").set(3.0);
@@ -174,7 +161,6 @@ TEST(Registry, ResetValuesKeepsRegistrations) {
 }
 
 TEST(Registry, DisabledModeDropsMutations) {
-  SKIP_IF_COMPILED_OUT();
   EnabledGuard guard;
   Registry reg;
   Counter& c = reg.counter("off.count", "items", "");
@@ -209,7 +195,6 @@ Registry& exporter_fixture() {
 }
 
 TEST(Exporters, TableListsEveryMetric) {
-  SKIP_IF_COMPILED_OUT();
   const std::string text = to_table(exporter_fixture().snapshot()).to_string();
   EXPECT_NE(text.find("exp.count"), std::string::npos);
   EXPECT_NE(text.find("exp.gauge"), std::string::npos);
@@ -217,7 +202,6 @@ TEST(Exporters, TableListsEveryMetric) {
 }
 
 TEST(Exporters, CsvHasHeaderAndBucketRows) {
-  SKIP_IF_COMPILED_OUT();
   const std::string text = to_csv(exporter_fixture().snapshot()).to_string();
   EXPECT_NE(text.find("metric,type,unit,value,count,bucket_lo,bucket_hi"),
             std::string::npos);
@@ -226,7 +210,6 @@ TEST(Exporters, CsvHasHeaderAndBucketRows) {
 }
 
 TEST(Exporters, JsonMentionsEveryMetric) {
-  SKIP_IF_COMPILED_OUT();
   const std::string text = to_json(exporter_fixture().snapshot());
   EXPECT_NE(text.find("\"exp.count\""), std::string::npos);
   EXPECT_NE(text.find("\"buckets\""), std::string::npos);
@@ -235,7 +218,6 @@ TEST(Exporters, JsonMentionsEveryMetric) {
 // --- batched counters --------------------------------------------------------
 
 TEST(BatchedCounter, FlushPushesDeltasAndRebaseForgetsTheWatermark) {
-  SKIP_IF_COMPILED_OUT();
   Registry reg;
   Counter& target = reg.counter("batched.events", "events", "test");
   BatchedCounter batch(target);
@@ -257,7 +239,6 @@ TEST(BatchedCounter, FlushPushesDeltasAndRebaseForgetsTheWatermark) {
 }
 
 TEST(BatchedCounter, CacheFlushMatchesPerAccessTotals) {
-  SKIP_IF_COMPILED_OUT();
   // Batched cache metrics must land the same registry totals the seed's
   // per-access Counter::add calls produced: counters move only on
   // flush_metrics(), and the deltas equal the model's own statistics.
@@ -290,7 +271,6 @@ TEST(BatchedCounter, CacheFlushMatchesPerAccessTotals) {
 // --- layer integration -------------------------------------------------------
 
 TEST(Integration, MemcpyH2dCountsExactPayloadBytes) {
-  SKIP_IF_COMPILED_OUT();
   rt::NodeSim sim(arch::aurora());
   rt::Queue q(sim, 0);
   // Prime lazily-registered metrics so both snapshots see the same set.
@@ -314,7 +294,6 @@ TEST(Integration, MemcpyH2dCountsExactPayloadBytes) {
 }
 
 TEST(Integration, LayersPopulateTheGlobalRegistry) {
-  SKIP_IF_COMPILED_OUT();
   rt::NodeSim sim(arch::aurora());
   rt::Queue q(sim, 0);
   rt::KernelDesc k;

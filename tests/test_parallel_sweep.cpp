@@ -56,14 +56,12 @@ void expect_identical(const pvc::obs::Snapshot& a,
 
 TEST(ParallelSweep, MetricsSnapshotIdenticalAcrossThreadCounts) {
   const auto serial = run_sweep(1);
-  if (pvc::obs::compiled_in()) {
-    EXPECT_EQ(serial.count("sweep.tasks"), 8u);
-    double expected_sum = 0.0;  // fold in task-index order, like the merge
-    for (int t = 0; t < 8; ++t) {
-      expected_sum += (t == 0 ? 1e16 : 1.0);
-    }
-    EXPECT_EQ(serial.value("sweep.sum"), expected_sum);
+  EXPECT_EQ(serial.count("sweep.tasks"), 8u);
+  double expected_sum = 0.0;  // fold in task-index order, like the merge
+  for (int t = 0; t < 8; ++t) {
+    expected_sum += (t == 0 ? 1e16 : 1.0);
   }
+  EXPECT_EQ(serial.value("sweep.sum"), expected_sum);
   expect_identical(serial, run_sweep(2));
   expect_identical(serial, run_sweep(4));
   expect_identical(serial, run_sweep(16));  // more workers than tasks
@@ -81,9 +79,7 @@ TEST(ParallelSweep, TaskMetricsDoNotLeakIntoCallerMidRun) {
     reg.counter("leak.check", "calls", "").add(3);
   });
   sweep.run();
-  if (pvc::obs::compiled_in()) {
-    EXPECT_EQ(base.snapshot().count("leak.check"), 3u);
-  }
+  EXPECT_EQ(base.snapshot().count("leak.check"), 3u);
 }
 
 TEST(ParallelSweep, FirstFailureByIndexPropagates) {
@@ -123,9 +119,7 @@ TEST(ParallelSweep, SecondRunIsAnError) {
         << e.what();
   }
   EXPECT_EQ(executed, 1);
-  if (pvc::obs::compiled_in()) {
-    EXPECT_EQ(base.snapshot().count("sweep.tasks"), 1u);
-  }
+  EXPECT_EQ(base.snapshot().count("sweep.tasks"), 1u);
 }
 
 TEST(ParallelSweep, ThreadCountResolution) {
@@ -192,9 +186,7 @@ TEST(ParallelSweep, AddKeyedDeduplicatesIdenticalPoints) {
   sweep.run();
   EXPECT_EQ(a_runs, 1);  // the duplicate tasks never executed
   EXPECT_EQ(b_runs, 1);
-  if (pvc::obs::compiled_in()) {
-    EXPECT_EQ(base.snapshot().value("sweep.deduped_tasks"), 2.0);
-  }
+  EXPECT_EQ(base.snapshot().value("sweep.deduped_tasks"), 2.0);
 }
 
 TEST(ParallelSweep, AddKeyedMixesWithPlainAdd) {

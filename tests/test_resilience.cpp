@@ -721,12 +721,10 @@ void expect_matches_reference(double work, double interval, double ckpt,
   EXPECT_TRUE(same_bits(got.checkpoint_s, want.stats.checkpoint_s));
   EXPECT_TRUE(same_bits(got.checkpoints, want.stats.checkpoints));
   EXPECT_TRUE(same_bits(got.failures, want.stats.failures));
-  if (obs::compiled_in()) {
-    const obs::Snapshot snap = registry.snapshot();
-    EXPECT_EQ(snap.count("fault.checkpoints"), want.checkpoints);
-    EXPECT_EQ(snap.count("fault.restarts"), want.failures);
-    EXPECT_TRUE(same_bits(snap.value("fault.lost_work_seconds"), want.lost));
-  }
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.count("fault.checkpoints"), want.checkpoints);
+  EXPECT_EQ(snap.count("fault.restarts"), want.failures);
+  EXPECT_TRUE(same_bits(snap.value("fault.lost_work_seconds"), want.lost));
 }
 
 TEST(CheckpointOracle, BenchGridMatchesThePerTrialWalk) {
@@ -907,10 +905,6 @@ TEST(FaultMetrics, RecoveryAndCheckpointBumpTheFaultCounters) {
   (void)fault::ft_halo_exchange(cluster, 256.0 * KB,
                                 fault::RecoveryPolicy::Spare);
   (void)fault::simulate_checkpoint_restart(100.0, 10.0, 1.0, 2.0, 0.0, 1, 1);
-  if (!obs::compiled_in()) {
-    GTEST_SKIP() << "built with -DPVC_METRICS=OFF; this test checks only "
-                    "the fault.* and fabric.* counters";
-  }
 
   const auto snapshot = obs::Registry::global().snapshot();
   const auto value = [&](const char* name) {
