@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <system_error>
 
 #include "arch/systems.hpp"
 #include "core/config.hpp"
@@ -42,11 +44,12 @@ inline int guarded_main(const char* name, int argc, char** argv,
 /// Rejects what the bench would otherwise ignore or fail on only after
 /// its run, each an InvalidArgument naming it: a positional token (no
 /// `=`, like `csv` for `csv=<path>`), a `key=value` option whose key is
-/// not in `accepted` (a typo like `simranks=512`), and an empty `csv=`
-/// or `metrics=` path.  Call right after Config::from_args with the
-/// bench's full accepted-key list — test_docs.cpp cross-checks these
-/// lists against the keys each bench actually reads and the README
-/// option table.
+/// not in `accepted` (a typo like `simranks=512`), and a `csv=` or
+/// `metrics=` path that is empty, names a directory or lies in a
+/// directory that does not exist.  Call right after Config::from_args
+/// with the bench's full accepted-key list — test_docs.cpp cross-checks
+/// these lists against the keys each bench actually reads and the
+/// README option table.
 inline void require_known_keys(const pvc::Config& config,
                                std::initializer_list<const char*> accepted) {
   const auto accepted_list = [&accepted] {
@@ -74,10 +77,23 @@ inline void require_known_keys(const pvc::Config& config,
   }
   for (const std::string key : {"csv", "metrics"}) {
     const auto path = config.get(key);
-    if (path && path->empty()) {
+    if (!path) {
+      continue;
+    }
+    // Status probes only: nothing is opened or created before the run.
+    std::error_code ec;
+    const std::filesystem::path file(*path);
+    const std::filesystem::path parent = file.parent_path();
+    const char* problem =
+        path->empty() ? "is an empty path"
+        : std::filesystem::is_directory(file, ec) ? "names a directory"
+        : !parent.empty() && !std::filesystem::is_directory(parent, ec)
+            ? "is in a directory that does not exist"
+            : nullptr;
+    if (problem != nullptr) {
       pvc::raise(pvc::ErrorCode::InvalidArgument,
-                 "Config: value for '" + key + "' is an empty path: " + key +
-                     "=");
+                 "Config: value for '" + key + "' " + problem + ": " + key +
+                     "=" + *path);
     }
   }
 }

@@ -57,10 +57,10 @@ void print_system(const std::string& name,
        "Flop/s"},
   };
 
-  // "best of 3 runs" names the paper's policy (§IV-A).  The model runs
-  // each cell once: it is deterministic, so three runs would agree.
+  // The paper keeps the best of 3 runs (§IV-A).  The model runs each
+  // cell once: it is deterministic, so three runs would agree.
   pvc::Table table("Table II reproduction — " + name +
-                   " (model vs paper, best of 3 runs)");
+                   " (model vs paper, one deterministic run)");
   table.set_header({"Microbenchmark", "One Stack", "One PVC",
                     name == "Aurora" ? "Six PVC" : "Four PVC"});
   for (const auto& row : rows) {

@@ -9,14 +9,12 @@
 #include "arch/systems.hpp"
 #include "blas/gemm.hpp"
 #include "core/config.hpp"
-#include "core/log.hpp"
 #include "core/units.hpp"
 #include "runtime/node_sim.hpp"
 #include "runtime/queue.hpp"
 
 int main(int argc, char** argv) {
   using namespace pvc;
-  set_log_level(LogLevel::Info);
   const auto config = Config::from_args(argc, argv);
 
   // 1. Pick a system model (paper §III).

@@ -106,8 +106,6 @@ struct GpuCardSpec {
   double local_link_uni_bps = 0.0;
   double local_link_pair_total_bps = 0.0;  ///< bidirectional total
   double local_link_latency_s = 5e-6;
-
-  [[nodiscard]] bool has_subdevices() const { return subdevice_count > 1; }
 };
 
 /// Host CPUs of a node (miniQMC's bottleneck lives here, §V-B1).
@@ -115,14 +113,10 @@ struct CpuSpec {
   std::string model;
   int sockets = 2;
   int cores_per_socket = 0;
-  int threads_per_core = 2;
   double ddr_bandwidth_bps = 0.0;  ///< aggregate host memory bandwidth
   double ddr_capacity_bytes = 0.0;
 
   [[nodiscard]] int total_cores() const { return sockets * cores_per_socket; }
-  [[nodiscard]] int total_threads() const {
-    return total_cores() * threads_per_core;
-  }
 };
 
 /// Host-side aggregate I/O ceilings observed when every card transfers at

@@ -100,7 +100,6 @@ NodeSpec aurora() {
   n.cpu.model = "Intel Xeon Gold 5320 (x2)";
   n.cpu.sockets = 2;
   n.cpu.cores_per_socket = 52;
-  n.cpu.threads_per_core = 2;
   n.cpu.ddr_bandwidth_bps = 614.0 * GBps;  // 2 sockets x 8ch DDR5-4800
   n.cpu.ddr_capacity_bytes = 1024.0 * GB;
 
@@ -179,7 +178,6 @@ NodeSpec dawn() {
   n.cpu.model = "Intel Xeon Platinum 8468 (x2)";
   n.cpu.sockets = 2;
   n.cpu.cores_per_socket = 48;
-  n.cpu.threads_per_core = 2;
   n.cpu.ddr_bandwidth_bps = 614.0 * GBps;
   n.cpu.ddr_capacity_bytes = 1024.0 * GB;
 
@@ -280,7 +278,6 @@ NodeSpec jlse_h100() {
   n.cpu.model = "Intel Xeon Platinum 8468 (x2)";
   n.cpu.sockets = 2;
   n.cpu.cores_per_socket = 48;
-  n.cpu.threads_per_core = 2;
   n.cpu.ddr_bandwidth_bps = 614.0 * GBps;
   n.cpu.ddr_capacity_bytes = 512.0 * GB;
 
@@ -383,7 +380,6 @@ NodeSpec jlse_mi250() {
   n.cpu.model = "AMD EPYC 7713 (x2)";
   n.cpu.sockets = 2;
   n.cpu.cores_per_socket = 64;
-  n.cpu.threads_per_core = 2;
   n.cpu.ddr_bandwidth_bps = 409.0 * GBps;  // 2 x 8ch DDR4-3200
   n.cpu.ddr_capacity_bytes = 512.0 * GB;
 

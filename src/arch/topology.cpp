@@ -4,20 +4,6 @@
 
 namespace pvc::arch {
 
-std::string route_kind_name(RouteKind k) {
-  switch (k) {
-    case RouteKind::SameStack:
-      return "same-stack";
-    case RouteKind::LocalMdfi:
-      return "local-mdfi";
-    case RouteKind::XeLinkDirect:
-      return "xelink-direct";
-    case RouteKind::XeLinkTwoHop:
-      return "xelink-two-hop";
-  }
-  return "?";
-}
-
 XeLinkTopology::XeLinkTopology(int gpus, std::vector<bool> flipped_cards)
     : gpus_(gpus), flipped_(std::move(flipped_cards)) {
   ensure(gpus_ >= 1, "XeLinkTopology: need at least one GPU");
@@ -86,18 +72,6 @@ Route XeLinkTopology::route(StackId src, StackId dst) const {
   r.path = {src, dst_partner, dst};
   r.alternate = {src, src_partner, dst};
   return r;
-}
-
-int XeLinkTopology::xelink_hops(StackId src, StackId dst) const {
-  switch (route(src, dst).kind) {
-    case RouteKind::SameStack:
-    case RouteKind::LocalMdfi:
-      return 0;
-    case RouteKind::XeLinkDirect:
-    case RouteKind::XeLinkTwoHop:
-      return 1;  // exactly one Xe-Link hop; the second hop is MDFI
-  }
-  return 0;
 }
 
 int XeLinkTopology::flat_index(StackId s) const {

@@ -36,8 +36,6 @@ enum class RouteKind {
   XeLinkTwoHop   ///< different cards, different planes: two hops
 };
 
-[[nodiscard]] std::string route_kind_name(RouteKind k);
-
 /// A resolved route: the sequence of stacks visited (src first, dst
 /// last) and its classification.  Two-hop routes list the intermediate
 /// stack; `alternate` holds the other driver-selectable path when one
@@ -72,9 +70,6 @@ class XeLinkTopology {
 
   /// Resolves the route from src to dst.
   [[nodiscard]] Route route(StackId src, StackId dst) const;
-
-  /// Number of Xe-Link hops on the primary route (0 for same-card).
-  [[nodiscard]] int xelink_hops(StackId src, StackId dst) const;
 
   /// Flat index (gpu * 2 + stack) used by the comm layer.
   [[nodiscard]] int flat_index(StackId s) const;

@@ -4,7 +4,6 @@
 #include <array>
 #include <string>
 
-#include "comm/collectives.hpp"
 #include "comm/metrics_internal.hpp"
 #include "core/error.hpp"
 
@@ -600,37 +599,6 @@ sim::Time cluster_halo_exchange(ClusterComm& cluster, double halo_bytes) {
              " message(s) failed — a rank or node died (use the "
              "fault-tolerant driver in fault/recovery.hpp to recover)");
   return result.finish - t0;
-}
-
-sim::Time cluster_allreduce(ClusterComm& cluster, double bytes,
-                            sim::CollectiveAlgo algo) {
-  const int p = cluster.size();
-  const sim::Time t0 = cluster.engine().now();
-  if (p <= 1) {
-    return 0.0;
-  }
-  ensure(algo != sim::CollectiveAlgo::RecursiveDoubling ||
-             (p & (p - 1)) == 0,
-         ErrorCode::InvalidArgument,
-         "cluster_allreduce: recursive doubling needs a power-of-two "
-         "rank count");
-  // One authoritative schedule shared with the fault-tolerant driver
-  // and the tests: cluster_allreduce_round() (comm/collectives.cpp)
-  // rebuilds the exact per-round message lists the inline loops here
-  // used to emit.
-  sim::Time finish = t0;
-  const int rounds = cluster_allreduce_rounds(algo, p);
-  for (int round = 0; round < rounds; ++round) {
-    const std::vector<ClusterComm::Message> messages =
-        cluster_allreduce_round(algo, p, round, bytes);
-    const auto result = cluster.exchange(messages);
-    ensure(result.failures == 0, ErrorCode::RankFailed,
-           "cluster_allreduce: " + std::to_string(result.failures) +
-               " message(s) failed — a rank or node died (use the "
-               "fault-tolerant driver in fault/recovery.hpp to recover)");
-    finish = std::max(finish, result.finish);
-  }
-  return finish - t0;
 }
 
 }  // namespace pvc::comm

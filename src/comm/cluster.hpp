@@ -15,8 +15,8 @@
 //
 // The model is bulk-synchronous: exchange() posts a batch of messages
 // at the current simulated time, runs the calendar dry, and reports
-// per-message completions — the shape every halo/collective schedule in
-// bench/scaling_multinode needs.  Per-NIC injection gating keeps a
+// per-message completions — the shape of every halo and allreduce
+// round the cluster benches run.  Per-NIC injection gating keeps a
 // next-free cursor per NIC (O(1) per message); the retained from-scratch
 // recompute reference_injection_schedule() is the equivalence-test
 // oracle, same pattern as FlowNetwork::reference_rates().
@@ -32,10 +32,10 @@
 // completions never fire, no hangs) and subsequent messages to or from a
 // dead rank are refused at post time, reported per message in
 // ExchangeResult::failed.  Recovery is the caller's choice: the plain
-// cluster_halo_exchange()/cluster_allreduce() wrappers raise
-// ErrorCode::RankFailed, while fault/recovery.hpp rebuilds the schedule
-// over the survivors (shrink) or rebinds the dead node's ranks onto a
-// spare node (activate_spare + binding remap).  Checkpoint traffic
+// cluster_halo_exchange() wrapper raises ErrorCode::RankFailed, while
+// fault/recovery.hpp (the halo exchange and the allreduce) rebuilds the
+// schedule over the survivors (shrink) or rebinds the dead node's ranks
+// onto a spare node (activate_spare + binding remap).  Checkpoint traffic
 // (fault/checkpoint.hpp) is injected through the same NIC links by
 // checkpoint_write().
 
@@ -301,13 +301,5 @@ class ClusterComm {
 /// ErrorCode::RankFailed if any message fails (use fault/recovery.hpp
 /// for the fault-tolerant variant).
 sim::Time cluster_halo_exchange(ClusterComm& cluster, double halo_bytes);
-
-/// Allreduce of one `bytes`-sized vector per rank over the cluster,
-/// executed round by round as bulk exchanges with the given algorithm
-/// (timing model; payloads are not carried at cluster scale).  Returns
-/// elapsed simulated seconds.  RecursiveDoubling requires a
-/// power-of-two rank count.
-sim::Time cluster_allreduce(ClusterComm& cluster, double bytes,
-                            sim::CollectiveAlgo algo);
 
 }  // namespace pvc::comm

@@ -27,12 +27,6 @@ void LinePlot::add_series(PlotSeries series) {
   series_.push_back(std::move(series));
 }
 
-void LinePlot::set_size(std::size_t width, std::size_t height) {
-  ensure(width >= 20 && height >= 5, "LinePlot: size too small");
-  width_ = width;
-  height_ = height;
-}
-
 void LinePlot::render(std::ostream& out) const {
   ensure(!series_.empty(), "LinePlot: no series to render");
 
@@ -106,11 +100,6 @@ std::string LinePlot::to_string() const {
   std::ostringstream oss;
   render(oss);
   return oss.str();
-}
-
-void BarChart::set_width(std::size_t width) {
-  ensure(width >= 20, "BarChart: width too small");
-  width_ = width;
 }
 
 void BarChart::render(std::ostream& out) const {

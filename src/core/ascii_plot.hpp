@@ -33,7 +33,6 @@ class LinePlot {
 
   void set_log2_x(bool on) noexcept { log2_x_ = on; }
   void set_log10_y(bool on) noexcept { log10_y_ = on; }
-  void set_size(std::size_t width, std::size_t height);
 
   void render(std::ostream& out) const;
   [[nodiscard]] std::string to_string() const;
@@ -62,7 +61,6 @@ class BarChart {
   explicit BarChart(std::string title) : title_(std::move(title)) {}
 
   void add_bar(Bar bar) { bars_.push_back(std::move(bar)); }
-  void set_width(std::size_t width);
 
   void render(std::ostream& out) const;
   [[nodiscard]] std::string to_string() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/error.hpp"
 
@@ -34,16 +35,6 @@ Summary summarize(std::span<const double> samples) {
     s.stddev = std::sqrt(ss / static_cast<double>(s.count - 1));
   }
   return s;
-}
-
-double BestOf::best_min() const {
-  ensure(!samples_.empty(), "BestOf::best_min: no samples recorded");
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double BestOf::best_max() const {
-  ensure(!samples_.empty(), "BestOf::best_max: no samples recorded");
-  return *std::max_element(samples_.begin(), samples_.end());
 }
 
 double relative_error(double a, double b) {

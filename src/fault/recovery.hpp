@@ -1,11 +1,11 @@
 #pragma once
 // Fault-tolerant cluster collectives (docs/ROBUSTNESS.md).
 //
-// The plain cluster_halo_exchange()/cluster_allreduce() wrappers raise
-// ErrorCode::RankFailed the moment a message fails.  The drivers here
-// recover instead, the way ULFM-style MPI applications do: when an
-// exchange reports failures, the operation rolls back to its last
-// consistent state and restarts with a repaired communicator —
+// The plain cluster_halo_exchange() wrapper raises ErrorCode::RankFailed
+// the moment a message fails.  The drivers here recover instead, the
+// way ULFM-style MPI applications do: when an exchange reports
+// failures, the operation rolls back to its last consistent state and
+// restarts with a repaired communicator —
 //
 //  * RecoveryPolicy::Shrink — the survivors deterministically rebuild
 //    the ring / recursive-doubling / reduce-broadcast schedule over the
@@ -15,10 +15,11 @@
 //    bind_ranks_multinode remap), its ranks revive, and the original
 //    schedule reruns.
 //
-// Schedules are pure functions of (participants, algorithm, bytes): the
-// round builder ft_round_messages() drives the engine, and the
+// Schedules are pure functions of (participants, algorithm, bytes).
+// ft_round_messages() is the one cluster allreduce schedule: without
+// faults, ft_allreduce() is the plain cluster allreduce.  The
 // from-scratch reference_ft_schedule() oracle re-derives every round
-// independently — the ResilienceOracle tests assert bit-equality.
+// independently, and the FtSchedule tests assert bit-equality.
 
 #include <span>
 #include <vector>

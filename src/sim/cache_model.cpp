@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <utility>
 
 #include "core/error.hpp"
 
@@ -86,6 +87,14 @@ CacheHierarchy::CacheHierarchy(std::vector<CacheLevelSpec> specs,
            "CacheHierarchy: memory latency below last cache level");
   }
 }
+
+CacheHierarchy::CacheHierarchy(CacheHierarchy&& other) noexcept
+    : levels_(std::move(other.levels_)),
+      memory_latency_cycles_(other.memory_latency_cycles_),
+      accesses_(std::exchange(other.accesses_, 0)),
+      memory_fills_(std::exchange(other.memory_fills_, 0)),
+      flushed_accesses_(std::exchange(other.flushed_accesses_, 0)),
+      flushed_memory_fills_(std::exchange(other.flushed_memory_fills_, 0)) {}
 
 CacheHierarchy::~CacheHierarchy() { flush_metrics(); }
 

@@ -56,8 +56,10 @@ class CacheHierarchy {
   ~CacheHierarchy();
   CacheHierarchy(const CacheHierarchy&) = delete;
   CacheHierarchy& operator=(const CacheHierarchy&) = delete;
-  CacheHierarchy(CacheHierarchy&&) = default;
-  CacheHierarchy& operator=(CacheHierarchy&&) = default;
+  /// Takes the source's lines, totals and flush watermarks, leaving it
+  /// nothing to flush, so each load reaches the registry once.
+  CacheHierarchy(CacheHierarchy&& other) noexcept;
+  CacheHierarchy& operator=(CacheHierarchy&&) = delete;
 
   /// Performs one load at byte address `addr`; returns its absolute
   /// latency in cycles and updates the replacement state.

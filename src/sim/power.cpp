@@ -128,12 +128,4 @@ double PowerGovernor::stack_power(double dynamic_w_at_fmax,
   return domain_.static_w + dynamic_w_at_fmax * x;
 }
 
-double PowerGovernor::throttle_factor(double dynamic_w_at_fmax,
-                                      int active_stacks_per_card,
-                                      int active_cards) const {
-  return operating_frequency(dynamic_w_at_fmax, active_stacks_per_card,
-                             active_cards) /
-         domain_.f_max_hz;
-}
-
 }  // namespace pvc::sim

@@ -47,11 +47,6 @@ class PowerGovernor {
   [[nodiscard]] double stack_power(double dynamic_w_at_fmax,
                                    double f_hz) const;
 
-  /// Frequency divided by f_max — the throttling factor.
-  [[nodiscard]] double throttle_factor(double dynamic_w_at_fmax,
-                                       int active_stacks_per_card,
-                                       int active_cards) const;
-
   /// Records `seconds` of device time executed at `f_hz` into the obs
   /// registry: the power.time_at_freq_mhz histogram (weighted by
   /// seconds), per-stack energy in joules, and the throttled vs

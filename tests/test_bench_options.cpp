@@ -201,10 +201,11 @@ TEST(BenchOptions, NegativeThreadsIsATypedError) {
 
 TEST(BenchOptions, MalformedValuesAreTypedErrorsNamingTheKey) {
   // A value that does not parse as its option's type, a non-finite
-  // number, an unknown system, an empty output path and an empty chaos
-  // scenario fail with an InvalidArgument that quotes the key and the
-  // whole option, before the bench prints anything.  what() carries no
-  // source path, so the same bad option prints the same line in every
+  // number, an unknown system, an output path that is empty, names a
+  // directory or lies in a directory that does not exist, and an empty
+  // chaos scenario fail with an InvalidArgument that quotes the key and
+  // the whole option, before the bench prints anything.  what() carries
+  // no source path, so the same bad option prints the same line in every
   // build tree.
   const std::pair<const char*, const char*> cases[] = {
       {"resilience_sweep", "trials=abc"},
@@ -219,6 +220,8 @@ TEST(BenchOptions, MalformedValuesAreTypedErrorsNamingTheKey) {
       {"scaling_multinode", "system=Nope"},
       {"table3_p2p", "csv="},
       {"table3_p2p", "metrics="},
+      {"table3_p2p", "csv=."},
+      {"table3_p2p", "metrics=pvcbench-no-such-dir/m.csv"},
       {"chaos_degradation", "chaos="},
   };
   for (const auto& [bench, arg] : cases) {

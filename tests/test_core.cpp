@@ -149,22 +149,6 @@ TEST(Statistics, SummarizeEmptyAndSingle) {
   EXPECT_DOUBLE_EQ(s.stddev, 0.0);
 }
 
-TEST(Statistics, BestOfPolicy) {
-  BestOf best(3);
-  EXPECT_FALSE(best.done());
-  best.record(2.0);
-  best.record(1.0);
-  best.record(3.0);
-  EXPECT_TRUE(best.done());
-  EXPECT_DOUBLE_EQ(best.best_min(), 1.0);
-  EXPECT_DOUBLE_EQ(best.best_max(), 3.0);
-}
-
-TEST(Statistics, BestOfEmptyThrows) {
-  BestOf best(3);
-  EXPECT_THROW(best.best_min(), Error);
-}
-
 TEST(Statistics, RelativeError) {
   EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);
   EXPECT_NEAR(relative_error(1.0, 1.1), 0.1 / 1.1, 1e-12);

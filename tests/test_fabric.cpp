@@ -16,8 +16,8 @@
 #include "core/error.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "fault/recovery.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/node_sim.hpp"
 #include "sim/fabric.hpp"
 
 namespace pvc {
@@ -266,25 +266,16 @@ TEST(ClusterComm, DesConfirmsSwitchoverOrdering) {
   // rounds; for a large vector the ring's small blocks win.
   const auto node = arch::aurora();
   const auto fabric = aurora_fabric();
-  const auto timed = [&](double bytes, sim::CollectiveAlgo algo) {
+  const auto timed = [&](double bytes, comm::AllreduceAlgorithm algo) {
     ClusterComm cluster(node, fabric, 16);
-    return comm::cluster_allreduce(cluster, bytes, algo);
+    return fault::ft_allreduce(cluster, bytes, algo,
+                               fault::RecoveryPolicy::Shrink)
+        .elapsed_s;
   };
-  EXPECT_LT(timed(8.0, sim::CollectiveAlgo::RecursiveDoubling),
-            timed(8.0, sim::CollectiveAlgo::Ring));
-  EXPECT_LT(timed(64.0e6, sim::CollectiveAlgo::Ring),
-            timed(64.0e6, sim::CollectiveAlgo::RecursiveDoubling));
-}
-
-TEST(ClusterComm, RecursiveDoublingRejectsRaggedRankCounts) {
-  ClusterComm cluster(arch::aurora(), aurora_fabric(), 12);
-  try {
-    static_cast<void>(comm::cluster_allreduce(
-        cluster, 8.0, sim::CollectiveAlgo::RecursiveDoubling));
-    FAIL() << "expected InvalidArgument";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
-  }
+  EXPECT_LT(timed(8.0, comm::AllreduceAlgorithm::RecursiveDoubling),
+            timed(8.0, comm::AllreduceAlgorithm::Ring));
+  EXPECT_LT(timed(64.0e6, comm::AllreduceAlgorithm::Ring),
+            timed(64.0e6, comm::AllreduceAlgorithm::RecursiveDoubling));
 }
 
 // --- NIC faults ------------------------------------------------------------
@@ -343,8 +334,9 @@ TEST(ClusterCommFaults, CollectiveInProgressHitsAllNicsDownPromptly) {
   fault::Injector injector(fault::FaultPlan::parse(spec));
   injector.arm(cluster);
   try {
-    static_cast<void>(
-        cluster_allreduce(cluster, 64.0 * 1024.0, sim::CollectiveAlgo::Ring));
+    static_cast<void>(fault::ft_allreduce(cluster, 64.0 * 1024.0,
+                                          comm::AllreduceAlgorithm::Ring,
+                                          fault::RecoveryPolicy::Shrink));
     FAIL() << "expected LinkDown mid-collective";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::LinkDown);
@@ -477,49 +469,6 @@ TEST(AllreduceSwitchover, AlgorithmSelectionBoundaries) {
   EXPECT_STREQ(
       comm::allreduce_algorithm_name(AllreduceAlgorithm::RecursiveDoubling),
       "recursive-doubling");
-}
-
-TEST(AllreduceSwitchover, AllAlgorithmsProduceIdenticalSums) {
-  // Integer-valued payloads make every combine order exact, so the
-  // three algorithms must agree bit for bit.
-  const auto node = arch::aurora();
-  const auto run = [&](comm::AllreduceAlgorithm algo) {
-    rt::NodeSim sim(node);
-    // Recursive doubling needs a power-of-two count: 8 of the 12 stacks.
-    comm::Communicator c(sim, std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7});
-    std::vector<std::vector<double>> data(8, std::vector<double>(33));
-    for (int r = 0; r < 8; ++r) {
-      for (std::size_t i = 0; i < data[r].size(); ++i) {
-        data[static_cast<std::size_t>(r)][i] =
-            static_cast<double>(r * 100 + static_cast<int>(i));
-      }
-    }
-    static_cast<void>(comm::allreduce_sum(c, data, 8.0, algo));
-    return data;
-  };
-  const auto ring = run(comm::AllreduceAlgorithm::Ring);
-  const auto doubling = run(comm::AllreduceAlgorithm::RecursiveDoubling);
-  const auto tree = run(comm::AllreduceAlgorithm::ReduceBroadcast);
-  const auto automatic = run(comm::AllreduceAlgorithm::Auto);
-  EXPECT_EQ(ring, doubling);
-  EXPECT_EQ(ring, tree);
-  EXPECT_EQ(ring, automatic);
-}
-
-TEST(AllreduceSwitchover, RecursiveDoublingThrowsOnRaggedCommunicator) {
-  rt::NodeSim sim(arch::aurora());
-  comm::Communicator c = comm::Communicator::explicit_scaling(sim);
-  std::vector<std::vector<double>> data(12, std::vector<double>(4, 1.0));
-  try {
-    static_cast<void>(comm::allreduce_sum(
-        c, data, 8.0, comm::AllreduceAlgorithm::RecursiveDoubling));
-    FAIL() << "expected InvalidArgument";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
-  }
-  // Auto never picks it for 12 ranks, so this succeeds.
-  static_cast<void>(
-      comm::allreduce_sum(c, data, 8.0, comm::AllreduceAlgorithm::Auto));
 }
 
 }  // namespace

@@ -313,7 +313,7 @@ TEST(Integration, LayersPopulateTheGlobalRegistry) {
   caches.flush_metrics();  // batched deltas land on flush (docs/PERFORMANCE.md)
 
   comm::Communicator comm = comm::Communicator::explicit_scaling(sim);
-  comm::barrier(comm);
+  comm::halo_exchange_ring(comm, 64.0);
 
   const Snapshot snap = Registry::global().snapshot();
   EXPECT_GT(snap.count("queue.kernels_submitted"), 0u);
@@ -347,7 +347,7 @@ TEST(Documentation, ObservabilityDocListsEveryRegisteredMetric) {
       arch::aurora().card.subdevice.hbm.latency_cycles);
   aurora_caches.access(0);
   comm::Communicator comm = comm::Communicator::explicit_scaling(sim);
-  comm::barrier(comm);
+  comm::halo_exchange_ring(comm, 64.0);
 
   std::ifstream in(PVC_SOURCE_DIR "/docs/OBSERVABILITY.md");
   ASSERT_TRUE(in.good()) << "docs/OBSERVABILITY.md missing";

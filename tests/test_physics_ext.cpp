@@ -1,5 +1,5 @@
-// Tests for the physics extensions: OpenMC eigenvalue iteration, SPH
-// kernels, and the added collectives.
+// Tests for the physics extensions: OpenMC eigenvalue iteration and SPH
+// kernels.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,7 @@
 
 #include "apps/openmc_mini.hpp"
 #include "apps/sph.hpp"
-#include "arch/systems.hpp"
-#include "comm/collectives.hpp"
-#include "comm/communicator.hpp"
 #include "core/error.hpp"
-#include "core/units.hpp"
 
 namespace pvc {
 namespace {
@@ -139,65 +135,6 @@ TEST(Sph, PressureForcesPushApartAndCancel) {
   // Newton's third law (equal masses): momentum change cancels.
   EXPECT_NEAR(forces.ax[0] + forces.ax[1], 0.0, 1e-9);
   EXPECT_NEAR(forces.ay[0], 0.0, 1e-12);
-}
-
-// --- added collectives ------------------------------------------------------------
-
-TEST(CollectivesExt, AlltoallCompletesAndScalesWithBlock) {
-  rt::NodeSim sim(arch::dawn());
-  auto comm = comm::Communicator::explicit_scaling(sim);
-  const sim::Time small = comm::alltoall(comm, 1.0 * MB);
-  rt::NodeSim sim2(arch::dawn());
-  auto comm2 = comm::Communicator::explicit_scaling(sim2);
-  const sim::Time big = comm::alltoall(comm2, 64.0 * MB);
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(big, 4.0 * small);  // dominated by wire time
-}
-
-TEST(CollectivesExt, ReduceSumToRootCombinesPayloads) {
-  rt::NodeSim sim(arch::aurora());
-  auto comm = comm::Communicator::explicit_scaling(sim);
-  const int p = comm.size();
-  std::vector<std::vector<double>> data(static_cast<std::size_t>(p));
-  double expected = 0.0;
-  for (int r = 0; r < p; ++r) {
-    data[static_cast<std::size_t>(r)] = {static_cast<double>(r + 1)};
-    expected += static_cast<double>(r + 1);
-  }
-  const sim::Time t = comm::reduce_sum_to_root(comm, data);
-  EXPECT_GT(t, 0.0);
-  EXPECT_DOUBLE_EQ(data[0][0], expected);
-}
-
-TEST(CollectivesExt, ReduceMatchesAllreduceResult) {
-  rt::NodeSim sim(arch::dawn());
-  auto comm = comm::Communicator::explicit_scaling(sim);
-  const int p = comm.size();
-  std::vector<std::vector<double>> a(static_cast<std::size_t>(p)),
-      b(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (int i = 0; i < 5; ++i) {
-      const double v = std::sin(r * 5 + i);
-      a[static_cast<std::size_t>(r)].push_back(v);
-      b[static_cast<std::size_t>(r)].push_back(v);
-    }
-  }
-  comm::reduce_sum_to_root(comm, a);
-  rt::NodeSim sim2(arch::dawn());
-  auto comm2 = comm::Communicator::explicit_scaling(sim2);
-  comm::allreduce_sum(comm2, b);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_NEAR(a[0][static_cast<std::size_t>(i)],
-                b[0][static_cast<std::size_t>(i)], 1e-9);
-  }
-}
-
-TEST(CollectivesExt, SendrecvMatchesBidirectionalRate) {
-  rt::NodeSim sim(arch::aurora());
-  auto comm = comm::Communicator::explicit_scaling(sim);
-  const sim::Time t = comm::sendrecv(comm, 0, 1, 500.0 * MB);
-  // Both directions across the MDFI pair: ~1 GB over 284 GB/s.
-  EXPECT_NEAR(1000.0 * MB / t, 284.0 * GBps, 10.0 * GBps);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -786,6 +787,26 @@ TEST(CacheHierarchy, ResetClearsState) {
   cache.reset();
   EXPECT_EQ(cache.accesses(), 0u);
   EXPECT_DOUBLE_EQ(cache.access(0), 1000.0);
+}
+
+TEST(CacheHierarchy, MoveHandsOverTotalsWithoutFlushingThemTwice) {
+  // Two loads, then a move: the moved-to hierarchy carries both, and the
+  // moved-from one has nothing left to flush when it is destroyed.
+  obs::Registry registry;
+  obs::ScopedRegistry scope(registry);
+  {
+    auto a = small_hierarchy();
+    a.access(0);
+    a.access(0);
+    CacheHierarchy b = std::move(a);
+    EXPECT_EQ(b.accesses(), 2u);
+    EXPECT_EQ(b.memory_fills(), 1u);
+  }
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.count("cache.accesses"), 2u);
+  EXPECT_EQ(snap.count("cache.memory.fills"), 1u);
+  EXPECT_EQ(snap.count("cache.l1.hits"), 1u);
+  EXPECT_EQ(snap.count("cache.l1.misses"), 1u);
 }
 
 TEST(CacheHierarchy, ValidatesGeometry) {
