@@ -51,8 +51,6 @@ CommMetrics& comm_metrics() {
     c.transfer_failures =
         &reg.counter("comm.transfer_failures", "messages",
                      "messages abandoned after exhausting their retries");
-    c.wait_timeouts = &reg.counter("comm.wait_timeouts", "calls",
-                                   "wait() calls that hit the wait timeout");
     c.hangs_detected = &reg.counter(
         "comm.hangs_detected", "calls",
         "wait() calls that drained the calendar with the request pending");
@@ -109,8 +107,6 @@ struct Communicator::Transfer {
   int src_dev;
   int dst_dev;
   double bytes;
-  std::span<const double> src_data;
-  std::span<double> dst_data;
   std::shared_ptr<Request::State> send_state;
   std::shared_ptr<Request::State> recv_state;
   int attempt = 0;  // transmissions started so far
@@ -159,9 +155,6 @@ int Communicator::device_of(int rank) const {
 }
 
 void Communicator::set_resilience(Resilience resilience) {
-  ensure(resilience.wait_timeout_s > 0.0,
-         ErrorCode::InvalidArgument,
-         "Communicator: wait_timeout_s must be positive");
   ensure(resilience.max_retries >= 0, ErrorCode::InvalidArgument,
          "Communicator: max_retries must be non-negative");
   ensure(resilience.retry_backoff_s >= 0.0, ErrorCode::InvalidArgument,
@@ -171,25 +164,23 @@ void Communicator::set_resilience(Resilience resilience) {
   resilience_ = resilience;
 }
 
-Request Communicator::isend(int rank, int dst, int tag, double bytes,
-                            std::span<const double> data) {
+Request Communicator::isend(int rank, int dst, int tag, double bytes) {
   ensure(rank >= 0 && rank < size() && dst >= 0 && dst < size(),
          "Communicator: isend rank out of range");
   ensure(bytes >= 0.0, "Communicator: negative message size");
   comm_metrics().sends_posted->add(1);
   auto state = std::make_shared<Request::State>();
-  post_send(dst, PendingSend{rank, tag, bytes, data, state});
+  post_send(dst, PendingSend{rank, tag, bytes, state});
   return Request(std::move(state));
 }
 
-Request Communicator::irecv(int rank, int src, int tag, double bytes,
-                            std::span<double> data) {
+Request Communicator::irecv(int rank, int src, int tag, double bytes) {
   ensure(rank >= 0 && rank < size() && src >= 0 && src < size(),
          "Communicator: irecv rank out of range");
   ensure(bytes >= 0.0, "Communicator: negative message size");
   comm_metrics().recvs_posted->add(1);
   auto state = std::make_shared<Request::State>();
-  post_recv(rank, PendingRecv{src, tag, bytes, data, state});
+  post_recv(rank, PendingRecv{src, tag, bytes, state});
   return Request(std::move(state));
 }
 
@@ -233,8 +224,6 @@ void Communicator::launch(int src_rank, int dst_rank,
   transfer->src_dev = device_of(src_rank);
   transfer->dst_dev = device_of(dst_rank);
   transfer->bytes = send.bytes;
-  transfer->src_data = send.data;
-  transfer->dst_data = recv.data;
   transfer->send_state = send.state;
   transfer->recv_state = recv.state;
   start_transfer(transfer);
@@ -257,8 +246,9 @@ void Communicator::start_transfer(const std::shared_ptr<Transfer>& transfer) {
                           on_transfer_complete(transfer, verdict, t);
                         });
   } catch (const Error& e) {
-    // E.g. ErrorCode::DeviceLost on a retransmission attempt: surface it
-    // through the request rather than unwinding the event calendar.
+    // E.g. ErrorCode::LinkDown between two cards of a node without a
+    // remote fabric: surface it through the request rather than
+    // unwinding the event calendar.
     fail_transfer(transfer, transfer->describe() + " aborted on attempt " +
                                 std::to_string(transfer->attempt) + ": " +
                                 e.what());
@@ -275,11 +265,6 @@ void Communicator::on_transfer_complete(
     sim::Time now) {
   auto& metrics = comm_metrics();
   if (verdict == TransferVerdict::Deliver) {
-    if (!transfer->src_data.empty() &&
-        transfer->src_data.size() == transfer->dst_data.size()) {
-      std::copy(transfer->src_data.begin(), transfer->src_data.end(),
-                transfer->dst_data.begin());
-    }
     transfer->send_state->done = true;
     transfer->send_state->when = now;
     transfer->recv_state->done = true;
@@ -366,30 +351,20 @@ void Communicator::wait(Request& request) {
   ensure(request.valid(), ErrorCode::InvalidArgument,
          "Communicator::wait: default-constructed (empty) request");
   auto& engine = node_->engine();
-  const double timeout = resilience_.wait_timeout_s;
-  const sim::Time deadline =
-      std::isinf(timeout) ? 1e300 : engine.now() + timeout;
   while (!request.done()) {
     if (request.failed()) {
       raise(ErrorCode::TransferAborted,
             "Communicator::wait: " + request.error());
     }
-    // Step one event at a time so completing early never catapults the
-    // clock to the deadline.
-    if (engine.step(deadline)) {
+    // Step one event at a time so the clock stops at the completion.
+    if (engine.step()) {
       continue;
     }
-    if (engine.idle()) {
-      comm_metrics().hangs_detected->add(1);
-      raise(ErrorCode::Generic,
-            "Communicator::wait: hang detected — the event calendar "
-            "drained with the request still pending; " +
-                pending_diagnostics());
-    }
-    comm_metrics().wait_timeouts->add(1);
-    raise(ErrorCode::Timeout,
-          "Communicator::wait: no completion within " +
-              std::to_string(timeout) + " s (simulated); " +
+    comm_metrics().hangs_detected->add(1);
+    raise(ErrorCode::Generic,
+          "Communicator::wait: hang detected — no event is left to run "
+          "before the simulation horizon, with the request still "
+          "pending; " +
               pending_diagnostics());
   }
 }

@@ -6,8 +6,8 @@
 // requests, and wait/wait-all.  One rank per subdevice ("explicit
 // scaling").  Transfers are fluid flows routed through the node's link
 // graph, so local-stack vs remote-Xe-Link pairs and multi-pair contention
-// behave as in Table III.  Payloads are optionally carried for real, so
-// the collectives built on top are functionally correct, not just timed.
+// behave as in Table III.  A message is a byte count: the model times
+// transfers and carries no data.
 //
 // The harness is single-threaded: a driver posts operations for every
 // rank, then waits — the usual style for discrete-event MPI models.
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -67,13 +66,11 @@ class Request {
 /// hook (fault::Injector, docs/ROBUSTNESS.md).  Drop models a lost
 /// transfer (detected at the expected completion time, retried after a
 /// backoff); Corrupt models a checksum mismatch (retransmitted
-/// immediately, the clean payload lands on the successful attempt).
+/// immediately; the message completes on the first clean attempt).
 enum class TransferVerdict : std::uint8_t { Deliver, Drop, Corrupt };
 
-/// Retry/timeout policy for transfers and wait().
+/// Retry policy for dropped and corrupted transfers.
 struct Resilience {
-  /// Simulated-time budget of one wait() call; infinity = no timeout.
-  double wait_timeout_s = std::numeric_limits<double>::infinity();
   /// Retransmissions allowed per message before it is marked failed.
   int max_retries = 4;
   /// Delay before the first drop retransmission; doubles per attempt
@@ -101,26 +98,22 @@ class Communicator {
   [[nodiscard]] rt::NodeSim& node() noexcept { return *node_; }
 
   /// Nonblocking send of `bytes` from `rank` to `dst` with `tag`.
-  /// `data` may be empty; when both sides supply equal-sized payloads the
-  /// bytes are delivered on completion.
-  Request isend(int rank, int dst, int tag, double bytes,
-                std::span<const double> data = {});
+  Request isend(int rank, int dst, int tag, double bytes);
 
-  /// Nonblocking receive into `data` (may be empty for timing-only use).
-  Request irecv(int rank, int src, int tag, double bytes,
-                std::span<double> data = {});
+  /// Nonblocking receive of `bytes` on `rank` from `src` with `tag`; the
+  /// matching send must carry the same byte count.
+  Request irecv(int rank, int src, int tag, double bytes);
 
   /// Runs the simulation until `request` completes.  Throws pvc::Error
   /// with ErrorCode::TransferAborted when the transfer exhausted its
-  /// retries, ErrorCode::Timeout when the Resilience wait timeout
-  /// elapses first, and a hang report naming every unmatched send/recv
-  /// per rank when the event calendar drains with the request still
-  /// pending.
+  /// retries, and a hang report naming every unmatched send/recv per
+  /// rank when no event is left to run before sim::Engine::kHorizon
+  /// with the request still pending.
   void wait(Request& request);
   void wait_all(std::span<Request> requests);
 
-  /// Retry/timeout policy; the fault injector overrides it from the
-  /// chaos plan (docs/ROBUSTNESS.md).
+  /// Retry policy; the fault injector overrides it from the chaos plan
+  /// (docs/ROBUSTNESS.md).
   void set_resilience(Resilience resilience);
   [[nodiscard]] const Resilience& resilience() const noexcept {
     return resilience_;
@@ -149,14 +142,12 @@ class Communicator {
     int src_rank;
     int tag;
     double bytes;
-    std::span<const double> data;
     std::shared_ptr<Request::State> state;
   };
   struct PendingRecv {
     int src_rank;  // required match; no ANY_SOURCE
     int tag;
     double bytes;
-    std::span<double> data;
     std::shared_ptr<Request::State> state;
   };
   /// One matched message in flight, kept across retransmissions.

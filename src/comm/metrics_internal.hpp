@@ -20,7 +20,6 @@ struct CommMetrics {
   obs::Counter* corruptions;
   obs::Counter* retries;
   obs::Counter* transfer_failures;
-  obs::Counter* wait_timeouts;
   obs::Counter* hangs_detected;
 };
 

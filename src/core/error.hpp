@@ -7,8 +7,8 @@
 // failed check.  Hot paths use `PVC_ASSERT` which compiles to nothing in
 // release builds.
 //
-// Recoverable fault conditions (device loss, USM exhaustion, aborted or
-// timed-out transfers — the situations the fault-injection layer
+// Recoverable fault conditions (USM exhaustion, downed routes, aborted
+// transfers, dead ranks — the situations the fault-injection layer
 // provokes, see docs/ROBUSTNESS.md) additionally carry an ErrorCode so
 // callers can branch on *what* failed, mirroring how Level-Zero returns
 // ze_result_t codes next to the message.
@@ -21,16 +21,14 @@
 namespace pvc {
 
 /// What failed.  Modeled on the ze_result_t codes the paper's software
-/// stack surfaces (ZE_RESULT_ERROR_DEVICE_LOST, _OUT_OF_DEVICE_MEMORY,
-/// ...); Generic covers plain contract violations from ensure().
+/// stack surfaces (ZE_RESULT_ERROR_OUT_OF_DEVICE_MEMORY, ...); Generic
+/// covers plain contract violations from ensure().
 enum class ErrorCode {
   Generic,            ///< contract violation / unclassified
   InvalidArgument,    ///< bad argument to an API entry point
-  DeviceLost,         ///< target stack marked lost (ZE_RESULT_ERROR_DEVICE_LOST)
-  OutOfHostMemory,    ///< host DDR pool exhausted or injected failure
-  OutOfDeviceMemory,  ///< HBM pool exhausted or injected failure
+  OutOfHostMemory,    ///< host DDR pool exhausted
+  OutOfDeviceMemory,  ///< HBM pool exhausted
   LinkDown,           ///< route unavailable and no fallback exists
-  Timeout,            ///< wait exceeded its simulated-time deadline
   TransferAborted,    ///< transfer failed after exhausting retries
   RankFailed,         ///< peer rank (or its whole node) is dead
 };
@@ -41,16 +39,12 @@ enum class ErrorCode {
       return "generic";
     case ErrorCode::InvalidArgument:
       return "invalid_argument";
-    case ErrorCode::DeviceLost:
-      return "device_lost";
     case ErrorCode::OutOfHostMemory:
       return "out_of_host_memory";
     case ErrorCode::OutOfDeviceMemory:
       return "out_of_device_memory";
     case ErrorCode::LinkDown:
       return "link_down";
-    case ErrorCode::Timeout:
-      return "timeout";
     case ErrorCode::TransferAborted:
       return "transfer_aborted";
     case ErrorCode::RankFailed:

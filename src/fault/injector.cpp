@@ -46,30 +46,11 @@ FaultMetrics& fault_metrics() {
 
 }  // namespace detail
 
-namespace {
-
-[[nodiscard]] bool kind_matches(UsmKindFilter filter, rt::MemKind kind) {
-  switch (filter) {
-    case UsmKindFilter::Any:
-      return true;
-    case UsmKindFilter::Host:
-      return kind == rt::MemKind::Host;
-    case UsmKindFilter::Device:
-      return kind == rt::MemKind::Device;
-    case UsmKindFilter::Shared:
-      return kind == rt::MemKind::Shared;
-  }
-  return false;
-}
-
-}  // namespace
-
 Injector::Injector(FaultPlan plan)
     : plan_(std::move(plan)),
-      // Distinct splitmix-derived streams per hook; the constants only
-      // need to differ so the streams decorrelate.
-      comm_rng_(plan_.seed ^ 0xc0117e57ull),
-      mem_rng_(plan_.seed ^ 0xa110c8edull) {}
+      // The message-verdict stream: a splitmix-derived offset of the
+      // plan seed, fixed so a seed keeps its verdicts.
+      comm_rng_(plan_.seed ^ 0xc0117e57ull) {}
 
 void Injector::schedule(rt::NodeSim& node, double at_s,
                         std::function<void()> fire) {
@@ -113,46 +94,6 @@ void Injector::arm(rt::NodeSim& node) {
       });
     }
   }
-
-  for (const auto& ev : plan_.throttles) {
-    schedule(node, ev.at_s,
-             [&node, ev] { node.set_throttle(ev.card, ev.factor); });
-    if (!ev.permanent) {
-      schedule(node, ev.at_s + ev.duration_s,
-               [&node, ev] { node.set_throttle(ev.card, 1.0); });
-    }
-  }
-
-  for (const auto& ev : plan_.device_losses) {
-    schedule(node, ev.at_s,
-             [&node, ev] { node.set_device_lost(ev.device, true); });
-    if (!ev.permanent) {
-      schedule(node, ev.at_s + ev.duration_s,
-               [&node, ev] { node.set_device_lost(ev.device, false); });
-    }
-  }
-
-  if (plan_.usm_fail_probability > 0.0) {
-    node.memory().set_failure_hook(
-        [tok = std::weak_ptr<Injector*>(token_)](rt::MemKind kind,
-                                                 int /*device*/,
-                                                 double /*bytes*/) {
-          const auto locked = tok.lock();
-          ensure(locked != nullptr,
-                 "fault::Injector destroyed while its USM failure hook was "
-                 "still installed — detach() the NodeSim (or keep the "
-                 "injector alive) before destroying it (docs/ROBUSTNESS.md)");
-          Injector* self = *locked;
-          if (!kind_matches(self->plan_.usm_fail_kind, kind)) {
-            return false;
-          }
-          return self->mem_rng_.uniform() < self->plan_.usm_fail_probability;
-        });
-  }
-}
-
-void Injector::detach(rt::NodeSim& node) {
-  node.memory().set_failure_hook({});
 }
 
 void Injector::detach(comm::Communicator& comm) {
@@ -239,9 +180,6 @@ void Injector::attach(comm::Communicator& comm) {
   }
   if (plan_.max_backoff_s) {
     policy.max_backoff_s = *plan_.max_backoff_s;
-  }
-  if (plan_.wait_timeout_s) {
-    policy.wait_timeout_s = *plan_.wait_timeout_s;
   }
   comm.set_resilience(policy);
 

@@ -4,23 +4,19 @@
 // The injector is the bridge between the declarative plan and the
 // fault hooks the lower layers expose (docs/ROBUSTNESS.md):
 //
-//  * timed events (link outages/flaps, retraining windows, throttle
-//    excursions, device loss) become calendar entries on the node's
-//    engine, firing NodeSim::set_xelink_down / set_xelink_degradation /
-//    set_throttle / set_device_lost at their window edges;
-//  * `usmfail` installs a MemoryManager failure hook drawing from a
-//    seeded Rng stream;
-//  * `drop`/`corrupt` install a Communicator fault hook on a second,
-//    independent Rng stream, and `retries`/`timeout` override its
-//    Resilience policy.
+//  * timed events (link outages/flaps, retraining windows) become
+//    calendar entries on the node's engine, firing
+//    NodeSim::set_xelink_down / set_xelink_degradation at their window
+//    edges;
+//  * `drop`/`corrupt` install a Communicator fault hook drawing from a
+//    seeded Rng stream, and `retries` overrides its Resilience policy;
+//  * the cluster clauses (`nicdown`, `nicdegrade`, `nodedown`,
+//    `rankfail`) become calendar entries on a ClusterComm's engine.
 //
-// Separate streams keep the two probabilistic hooks decoupled: adding
-// allocations never perturbs message verdicts, so runs stay
-// reproducible under workload refactors.  The injector owns the
-// streams, so it must outlive the NodeSim/Communicator it is armed on —
-// or be detach()ed first.  The probabilistic hooks hold a weak
-// registration token: a hook firing after its injector died raises a
-// loud pvc::Error instead of dereferencing a dangling pointer.
+// The injector owns the stream, so it must outlive the Communicator it
+// is attached to — or be detach()ed first.  The message hook holds a
+// weak registration token: a hook firing after its injector died raises
+// a loud pvc::Error instead of dereferencing a dangling pointer.
 
 #include <memory>
 
@@ -42,9 +38,8 @@ class Injector {
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
-  /// Schedules every timed event on `node`'s engine, applies the
-  /// reroute-penalty override, and installs the USM failure hook.
-  /// Call once, before running the workload.
+  /// Schedules every timed event on `node`'s engine and applies the
+  /// reroute-penalty override.  Call once, before running the workload.
   void arm(rt::NodeSim& node);
 
   /// Schedules the cluster-scale events (`nicdown`, `nicdegrade`,
@@ -57,11 +52,8 @@ class Injector {
   /// Installs the message-verdict hook and Resilience overrides.
   void attach(comm::Communicator& comm);
 
-  /// Uninstalls the USM failure hook from `node`.  Call when `node`
+  /// Uninstalls the message-verdict hook from `comm`.  Call when `comm`
   /// outlives this injector.
-  void detach(rt::NodeSim& node);
-
-  /// Uninstalls the message-verdict hook from `comm`.
   void detach(comm::Communicator& comm);
 
   /// Calendar entries scheduled by arm() (diagnostics).
@@ -74,10 +66,9 @@ class Injector {
 
   FaultPlan plan_;
   Rng comm_rng_;
-  Rng mem_rng_;
   int events_armed_ = 0;
-  /// Lifetime token the probabilistic hooks weakly capture; dies with
-  /// the injector, turning use-after-destruction into a typed error.
+  /// Lifetime token the message hook weakly captures; dies with the
+  /// injector, turning use-after-destruction into a typed error.
   std::shared_ptr<Injector*> token_ = std::make_shared<Injector*>(this);
 };
 

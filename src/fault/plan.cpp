@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "arch/gpu_spec.hpp"
 #include "core/error.hpp"
+#include "sim/engine.hpp"
 
 namespace pvc::fault {
 
@@ -44,15 +46,52 @@ namespace {
             " (grammar: docs/ROBUSTNESS.md)");
 }
 
-[[nodiscard]] double parse_double(std::string_view clause,
-                                  std::string_view text) {
+/// `text` as a finite double; std::from_chars also reads `nan` and
+/// `inf`, which would slip past every range check below.
+[[nodiscard]] std::optional<double> finite_double(std::string_view text) {
   double value = 0.0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    bad_clause(clause, "'" + std::string(text) + "' is not a number");
+  if (ec != std::errc{} || ptr != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
   }
   return value;
+}
+
+[[nodiscard]] double parse_double(std::string_view clause,
+                                  std::string_view text) {
+  const std::optional<double> value = finite_double(text);
+  if (!value) {
+    bad_clause(clause, "'" + std::string(text) + "' is not a finite number");
+  }
+  return *value;
+}
+
+/// `123`, `1.5ms`, `2us`, `30ns`, `0.25s` in seconds.
+[[nodiscard]] double parse_duration(std::string_view clause,
+                                    std::string_view text) {
+  std::string_view number = text;
+  double scale = 1.0;
+  if (number.ends_with("ns")) {
+    scale = 1e-9;
+    number.remove_suffix(2);
+  } else if (number.ends_with("us")) {
+    scale = 1e-6;
+    number.remove_suffix(2);
+  } else if (number.ends_with("ms")) {
+    scale = 1e-3;
+    number.remove_suffix(2);
+  } else if (number.ends_with("s")) {
+    number.remove_suffix(1);
+  }
+  const std::optional<double> value = finite_double(number);
+  if (!value) {
+    bad_clause(clause, "'" + std::string(text) +
+                           "' is not a finite duration (want e.g. 1.5ms, "
+                           "2us, 0.25s)");
+  }
+  return *value * scale;
 }
 
 [[nodiscard]] int parse_int(std::string_view clause, std::string_view text) {
@@ -165,6 +204,16 @@ class Args {
   return f;
 }
 
+/// Rejects a fault edge at `t_s` that the calendar would never reach:
+/// Engine::run and Engine::step stop at Engine::kHorizon, so such a
+/// clause would be armed and then do nothing.
+void check_within_horizon(std::string_view clause, double t_s) {
+  if (t_s > sim::Engine::kHorizon) {
+    bad_clause(clause, "it acts past the 1e300 s simulation horizon, "
+                       "where no event runs");
+  }
+}
+
 struct Window {
   double at_s = 0.0;
   double duration_s = 0.0;
@@ -173,9 +222,9 @@ struct Window {
 
 [[nodiscard]] Window parse_window(std::string_view clause, Args& args) {
   Window w;
-  w.at_s = parse_duration_s(args.optional("at", "0"));
+  w.at_s = parse_duration(clause, args.optional("at", "0"));
   if (args.has("for")) {
-    w.duration_s = parse_duration_s(args.required("for"));
+    w.duration_s = parse_duration(clause, args.required("for"));
     if (w.duration_s <= 0.0) {
       bad_clause(clause, "'for' duration must be positive");
     }
@@ -184,6 +233,7 @@ struct Window {
   if (w.at_s < 0.0) {
     bad_clause(clause, "'at' time must be non-negative");
   }
+  check_within_horizon(clause, w.permanent ? w.at_s : w.at_s + w.duration_s);
   return w;
 }
 
@@ -214,47 +264,6 @@ const char* recovery_policy_name(RecoveryPolicy policy) {
       return "spare";
   }
   return "?";
-}
-
-const char* usm_kind_filter_name(UsmKindFilter filter) {
-  switch (filter) {
-    case UsmKindFilter::Any:
-      return "any";
-    case UsmKindFilter::Host:
-      return "host";
-    case UsmKindFilter::Device:
-      return "device";
-    case UsmKindFilter::Shared:
-      return "shared";
-  }
-  return "?";
-}
-
-double parse_duration_s(std::string_view text) {
-  text = trim(text);
-  ensure(!text.empty(), ErrorCode::InvalidArgument,
-         "FaultPlan: empty duration");
-  double scale = 1.0;
-  if (text.ends_with("ns")) {
-    scale = 1e-9;
-    text.remove_suffix(2);
-  } else if (text.ends_with("us")) {
-    scale = 1e-6;
-    text.remove_suffix(2);
-  } else if (text.ends_with("ms")) {
-    scale = 1e-3;
-    text.remove_suffix(2);
-  } else if (text.ends_with("s")) {
-    text.remove_suffix(1);
-  }
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  ensure(ec == std::errc{} && ptr == text.data() + text.size(),
-         ErrorCode::InvalidArgument,
-         "FaultPlan: bad duration '" + std::string(text) +
-             "' (want e.g. 1.5ms, 2us, 0.25s)");
-  return value * scale;
 }
 
 FaultPlan FaultPlan::parse(std::string_view spec) {
@@ -289,10 +298,10 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       FlapSpec fl;
       fl.a = parse_int(clause, args.required("a"));
       fl.b = parse_int(clause, args.required("b"));
-      fl.period_s = parse_duration_s(args.required("period"));
+      fl.period_s = parse_duration(clause, args.required("period"));
       fl.duty = parse_double(clause, args.optional("duty", "0.5"));
       fl.count = parse_int(clause, args.optional("count", "1"));
-      fl.at_s = parse_duration_s(args.optional("at", "0"));
+      fl.at_s = parse_duration(clause, args.optional("at", "0"));
       args.finish();
       if (fl.period_s <= 0.0) {
         bad_clause(clause, "'period' must be positive");
@@ -306,6 +315,9 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       if (fl.at_s < 0.0) {
         bad_clause(clause, "'at' time must be non-negative");
       }
+      // The last up edge, as Injector::arm schedules it.
+      check_within_horizon(clause, fl.at_s + (fl.count - 1) * fl.period_s +
+                                       fl.duty * fl.period_s);
       plan.flaps.push_back(fl);
     } else if (name == "degrade") {
       Args args(clause, body, "");
@@ -319,27 +331,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       ev.permanent = w.permanent;
       args.finish();
       plan.degradations.push_back(ev);
-    } else if (name == "throttle") {
-      Args args(clause, body, "");
-      ThrottleEvent ev;
-      ev.card = parse_int(clause, args.required("card"));
-      ev.factor = parse_factor(clause, args.required("factor"));
-      const Window w = parse_window(clause, args);
-      ev.at_s = w.at_s;
-      ev.duration_s = w.duration_s;
-      ev.permanent = w.permanent;
-      args.finish();
-      plan.throttles.push_back(ev);
-    } else if (name == "devlost") {
-      Args args(clause, body, "dev");
-      DeviceLostEvent ev;
-      ev.device = parse_int(clause, args.required("dev"));
-      const Window w = parse_window(clause, args);
-      ev.at_s = w.at_s;
-      ev.duration_s = w.duration_s;
-      ev.permanent = w.permanent;
-      args.finish();
-      plan.device_losses.push_back(ev);
     } else if (name == "nicdown") {
       Args args(clause, body, "");
       NicDownEvent ev;
@@ -386,7 +377,7 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       Args args(clause, body, "rank");
       RankFailEvent ev;
       ev.rank = parse_int(clause, args.required("rank"));
-      ev.at_s = parse_duration_s(args.optional("at", "0"));
+      ev.at_s = parse_duration(clause, args.optional("at", "0"));
       args.finish();
       if (ev.rank < 0) {
         bad_clause(clause, "'rank' must be non-negative");
@@ -394,14 +385,15 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       if (ev.at_s < 0.0) {
         bad_clause(clause, "'at' time must be non-negative");
       }
+      check_within_horizon(clause, ev.at_s);
       plan.rank_fails.push_back(ev);
     } else if (name == "ckpt") {
       Args args(clause, body, "bytes");
       CheckpointPlan ck;
       ck.bytes_per_rank = parse_double(clause, args.required("bytes"));
-      ck.interval_s = parse_duration_s(args.optional("interval", "0"));
-      ck.restart_s = parse_duration_s(args.optional("restart", "0"));
-      ck.mtbf_s = parse_duration_s(args.optional("mtbf", "0"));
+      ck.interval_s = parse_duration(clause, args.optional("interval", "0"));
+      ck.restart_s = parse_duration(clause, args.optional("restart", "0"));
+      ck.mtbf_s = parse_duration(clause, args.optional("mtbf", "0"));
       args.finish();
       if (ck.bytes_per_rank <= 0.0) {
         bad_clause(clause, "'bytes' must be positive");
@@ -417,23 +409,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
     } else if (name == "corrupt") {
       Args args(clause, body, "p");
       plan.corrupt_probability = parse_probability(clause, args.required("p"));
-      args.finish();
-    } else if (name == "usmfail") {
-      Args args(clause, body, "p");
-      plan.usm_fail_probability =
-          parse_probability(clause, args.required("p"));
-      const std::string_view kind = args.optional("kind", "any");
-      if (kind == "any") {
-        plan.usm_fail_kind = UsmKindFilter::Any;
-      } else if (kind == "host") {
-        plan.usm_fail_kind = UsmKindFilter::Host;
-      } else if (kind == "device") {
-        plan.usm_fail_kind = UsmKindFilter::Device;
-      } else if (kind == "shared") {
-        plan.usm_fail_kind = UsmKindFilter::Shared;
-      } else {
-        bad_clause(clause, "kind must be any|host|device|shared");
-      }
       args.finish();
     } else if (name == "reroute") {
       Args args(clause, body, "penalty");
@@ -451,23 +426,18 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
         bad_clause(clause, "'max' must be non-negative");
       }
       if (args.has("backoff")) {
-        plan.retry_backoff_s = parse_duration_s(args.required("backoff"));
+        plan.retry_backoff_s =
+            parse_duration(clause, args.required("backoff"));
         if (*plan.retry_backoff_s < 0.0) {
           bad_clause(clause, "'backoff' must be non-negative");
         }
       }
       if (args.has("maxbackoff")) {
-        plan.max_backoff_s = parse_duration_s(args.required("maxbackoff"));
+        plan.max_backoff_s =
+            parse_duration(clause, args.required("maxbackoff"));
         if (*plan.max_backoff_s < 0.0) {
           bad_clause(clause, "'maxbackoff' must be non-negative");
         }
-      }
-      args.finish();
-    } else if (name == "timeout") {
-      Args args(clause, body, "wait");
-      plan.wait_timeout_s = parse_duration_s(args.required("wait"));
-      if (*plan.wait_timeout_s <= 0.0) {
-        bad_clause(clause, "'wait' timeout must be positive");
       }
       args.finish();
     } else {
@@ -487,14 +457,10 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
       {!plan.linkdowns.empty(), "linkdown"},
       {!plan.flaps.empty(), "flap"},
       {!plan.degradations.empty(), "degrade"},
-      {!plan.throttles.empty(), "throttle"},
-      {!plan.device_losses.empty(), "devlost"},
       {plan.drop_probability > 0.0, "drop"},
       {plan.corrupt_probability > 0.0, "corrupt"},
-      {plan.usm_fail_probability > 0.0, "usmfail"},
       {plan.reroute_penalty.has_value(), "reroute"},
       {plan.max_retries.has_value(), "retries"},
-      {plan.wait_timeout_s.has_value(), "timeout"},
   };
   for (const auto& [present, clause] : node_level) {
     if (present) {
@@ -545,8 +511,7 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
   }
 }
 
-void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node,
-                     std::span<const int> measured) {
+void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node) {
   const std::pair<bool, const char*> cluster_only[] = {
       {!plan.nic_downs.empty(), "nicdown"},
       {!plan.nic_degradations.empty(), "nicdegrade"},
@@ -562,42 +527,19 @@ void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node,
   }
 
   const int devices = node.total_subdevices();
-  const std::string node_has = "the " + node.system_name + " node has ";
-  // `index` must name one of the node's `count` `what`s.
-  const auto require_exists = [&](const std::string& clause,
-                                  const std::string& what, int index,
-                                  int count) {
-    if (index >= 0 && index < count) {
-      return;
-    }
-    reject_clause(clause, "names " + what + " " + std::to_string(index) +
-                              ", but " + node_has + std::to_string(count) +
-                              " " + what + "s");
-  };
-  for (const auto& ev : plan.device_losses) {
-    const std::string clause = "devlost:dev=" + std::to_string(ev.device);
-    require_exists(clause, "subdevice", ev.device, devices);
-    if (std::find(measured.begin(), measured.end(), ev.device) !=
-        measured.end()) {
-      reject_clause(clause,
-                    "loses subdevice " + std::to_string(ev.device) +
-                        ", an endpoint of a measured pair; a transfer "
-                        "posted to a lost subdevice fails, and one in "
-                        "flight ignores the loss, so neither gives a "
-                        "throughput");
-    }
-  }
-  for (const auto& ev : plan.throttles) {
-    require_exists("throttle:card=" + std::to_string(ev.card), "card",
-                   ev.card, node.card_count);
-  }
   // An Xe-Link joins two subdevices on different cards; the two stacks
   // of one card share MDFI instead.
   const auto check_pair = [&](const char* name, int a, int b) {
     const std::string clause = std::string(name) + ":a=" + std::to_string(a) +
                                ",b=" + std::to_string(b);
-    require_exists(clause, "subdevice", a, devices);
-    require_exists(clause, "subdevice", b, devices);
+    for (const int device : {a, b}) {
+      if (device < 0 || device >= devices) {
+        reject_clause(clause, "names subdevice " + std::to_string(device) +
+                                  ", but the " + node.system_name +
+                                  " node has " + std::to_string(devices) +
+                                  " subdevices");
+      }
+    }
     const int per_card = node.card.subdevice_count;
     if (a / per_card == b / per_card) {
       reject_clause(clause, "puts both ends on card " +
@@ -618,13 +560,12 @@ void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node,
 
 bool FaultPlan::empty() const {
   return linkdowns.empty() && flaps.empty() && degradations.empty() &&
-         throttles.empty() && device_losses.empty() && nic_downs.empty() &&
-         nic_degradations.empty() && node_downs.empty() &&
-         rank_fails.empty() && !checkpoint.has_value() &&
-         drop_probability == 0.0 && corrupt_probability == 0.0 &&
-         usm_fail_probability == 0.0 && !reroute_penalty.has_value() &&
+         nic_downs.empty() && nic_degradations.empty() &&
+         node_downs.empty() && rank_fails.empty() &&
+         !checkpoint.has_value() && drop_probability == 0.0 &&
+         corrupt_probability == 0.0 && !reroute_penalty.has_value() &&
          !max_retries.has_value() && !retry_backoff_s.has_value() &&
-         !max_backoff_s.has_value() && !wait_timeout_s.has_value();
+         !max_backoff_s.has_value();
 }
 
 std::string FaultPlan::summary() const {
@@ -643,16 +584,6 @@ std::string FaultPlan::summary() const {
   for (const auto& ev : degradations) {
     out << "  degrade " << ev.a << "<->" << ev.b << " to " << ev.factor
         << "x";
-    append_window(out, ev.at_s, ev.duration_s, ev.permanent);
-    out << "\n";
-  }
-  for (const auto& ev : throttles) {
-    out << "  throttle card " << ev.card << " to " << ev.factor << "x";
-    append_window(out, ev.at_s, ev.duration_s, ev.permanent);
-    out << "\n";
-  }
-  for (const auto& ev : device_losses) {
-    out << "  devlost subdevice " << ev.device;
     append_window(out, ev.at_s, ev.duration_s, ev.permanent);
     out << "\n";
   }
@@ -691,10 +622,6 @@ std::string FaultPlan::summary() const {
   if (corrupt_probability > 0.0) {
     out << "  corrupt p=" << corrupt_probability << "\n";
   }
-  if (usm_fail_probability > 0.0) {
-    out << "  usmfail p=" << usm_fail_probability << " kind "
-        << usm_kind_filter_name(usm_fail_kind) << "\n";
-  }
   if (reroute_penalty) {
     out << "  reroute penalty " << *reroute_penalty << "\n";
   }
@@ -707,9 +634,6 @@ std::string FaultPlan::summary() const {
       out << " maxbackoff " << *max_backoff_s << " s";
     }
     out << "\n";
-  }
-  if (wait_timeout_s) {
-    out << "  wait timeout " << *wait_timeout_s << " s\n";
   }
   if (empty()) {
     out << "  (no faults)\n";

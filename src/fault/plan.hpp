@@ -3,28 +3,25 @@
 //
 // A plan is a declarative schedule of adverse events for one simulated
 // run — link outages and retraining windows on the Xe-Link fabric,
-// thermal-throttle excursions, lost subdevices, USM allocation
-// failures, and per-message drop/corrupt probabilities — plus overrides
-// for the communicator's retry/timeout policy.  Everything is
-// deterministic: probabilistic clauses draw from seeded xoshiro256**
-// streams, so the same spec and seed reproduce a run bit-identically.
+// per-message drop/corrupt probabilities, and NIC, node and rank
+// failures on a cluster — plus overrides for the communicator's retry
+// policy.  Everything is deterministic: the probabilistic clauses draw
+// from a seeded xoshiro256** stream, so the same spec and seed
+// reproduce a run bit-identically.
 //
 // Grammar (full reference in docs/ROBUSTNESS.md): clauses separated by
 // ';', each `name` or `name:k=v,k=v,...`; single-value clauses accept
-// the shorthand `name:value`.  Durations take s/ms/us/ns suffixes.
+// the shorthand `name:value`.  Durations take s/ms/us/ns suffixes;
+// numbers and durations must be finite.
 //
 //   seed:42
 //   linkdown:a=0,b=2,at=1ms[,for=5ms]         (no `for` = permanent)
 //   flap:a=0,b=2,period=2ms,duty=0.5,count=4[,at=0]
 //   degrade:a=0,b=2,factor=0.25,at=1ms[,for=5ms]
-//   throttle:card=0,factor=0.6,at=1ms[,for=2ms]
-//   devlost:dev=3,at=1ms[,for=4ms]
 //   drop:0.1            | drop:p=0.1
 //   corrupt:0.05        | corrupt:p=0.05
-//   usmfail:p=0.01[,kind=device]              (kind: any|host|device|shared)
 //   reroute:0.2         | reroute:penalty=0.2
 //   retries:max=4[,backoff=2us][,maxbackoff=1s]
-//   timeout:1ms         | timeout:wait=1ms
 //   nicdown:node=0,nic=3,at=1ms[,for=5ms]     (cluster runs only)
 //   nicdegrade:node=0,nic=3,factor=0.5,at=1ms[,for=5ms]
 //   nodedown:node=3,at=1ms[,for=5ms]          (cluster runs only)
@@ -33,7 +30,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,11 +39,6 @@ struct NodeSpec;
 }  // namespace pvc::arch
 
 namespace pvc::fault {
-
-/// Which USM kinds an injected allocation failure applies to.
-enum class UsmKindFilter : std::uint8_t { Any, Host, Device, Shared };
-
-[[nodiscard]] const char* usm_kind_filter_name(UsmKindFilter filter);
 
 /// Xe-Link outage window between two remote subdevices.
 struct LinkDownEvent {
@@ -74,23 +65,6 @@ struct DegradeEvent {
   int a = 0;
   int b = 0;
   double factor = 1.0;  // (0, 1]
-  double at_s = 0.0;
-  double duration_s = 0.0;
-  bool permanent = true;
-};
-
-/// Thermal-throttle excursion on one card's governed clock.
-struct ThrottleEvent {
-  int card = 0;
-  double factor = 1.0;  // (0, 1]
-  double at_s = 0.0;
-  double duration_s = 0.0;
-  bool permanent = true;
-};
-
-/// Subdevice lost (ze_result-style DEVICE_LOST) until restored.
-struct DeviceLostEvent {
-  int device = 0;
   double at_s = 0.0;
   double duration_s = 0.0;
   bool permanent = true;
@@ -157,8 +131,6 @@ struct FaultPlan {
   std::vector<LinkDownEvent> linkdowns;
   std::vector<FlapSpec> flaps;
   std::vector<DegradeEvent> degradations;
-  std::vector<ThrottleEvent> throttles;
-  std::vector<DeviceLostEvent> device_losses;
   std::vector<NicDownEvent> nic_downs;
   std::vector<NicDegradeEvent> nic_degradations;
   std::vector<NodeDownEvent> node_downs;
@@ -171,10 +143,6 @@ struct FaultPlan {
   double drop_probability = 0.0;
   double corrupt_probability = 0.0;
 
-  /// Per-allocation USM failure probability, in [0, 1].
-  double usm_fail_probability = 0.0;
-  UsmKindFilter usm_fail_kind = UsmKindFilter::Any;
-
   /// Host-staging reroute penalty override; unset = NodeSim default.
   std::optional<double> reroute_penalty;
 
@@ -182,7 +150,6 @@ struct FaultPlan {
   std::optional<int> max_retries;
   std::optional<double> retry_backoff_s;
   std::optional<double> max_backoff_s;
-  std::optional<double> wait_timeout_s;
 
   /// Parses a `chaos=` spec.  Throws pvc::Error with
   /// ErrorCode::InvalidArgument on malformed input, naming the clause.
@@ -195,10 +162,6 @@ struct FaultPlan {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Parses `123`, `1.5ms`, `2us`, `30ns`, `0.25s` into seconds.  Exposed
-/// for tests; throws ErrorCode::InvalidArgument on malformed input.
-[[nodiscard]] double parse_duration_s(std::string_view text);
-
 /// Size of the largest cluster a bench arms a plan on.  All zero when
 /// the bench's options arm no cluster at all.
 struct ClusterExtent {
@@ -210,16 +173,16 @@ struct ClusterExtent {
 /// Rejects a plan that a cluster-only bench (scaling_multinode,
 /// resilience_sweep) would silently ignore, with ErrorCode::InvalidArgument
 /// naming the clause:
-///  * node-level clauses (linkdown, flap, degrade, throttle, devlost,
-///    drop, corrupt, usmfail, reroute, retries, timeout), which need a
-///    NodeSim or Communicator the bench never builds;
+///  * node-level clauses (linkdown, flap, degrade, drop, corrupt,
+///    reroute, retries), which need a NodeSim or Communicator the bench
+///    never builds;
 ///  * `ckpt`, unless `reads_checkpoint`;
 ///  * nodedown/nicdown/nicdegrade/rankfail clauses naming a node, NIC or
 ///    rank outside `largest`.  Injector::arm(ClusterComm&) still skips
 ///    such events per cluster, so a plan valid on the largest cluster
 ///    stays valid on every smaller slice of the sweep.
-/// Zero-probability drop/corrupt/usmfail clauses parse to the empty plan
-/// and pass.
+/// Zero-probability drop/corrupt clauses parse to the empty plan and
+/// pass.
 void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
                         bool reads_checkpoint);
 
@@ -228,15 +191,9 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
 /// naming the clause:
 ///  * cluster-only clauses (nicdown, nicdegrade, nodedown, rankfail,
 ///    ckpt), which need a ClusterComm the bench never builds;
-///  * devlost naming a subdevice, or throttle a card, that `node` lacks;
-///  * devlost naming one of `measured`, the endpoints of the transfers
-///    the bench times: a transfer posted to a lost subdevice fails, and
-///    one in flight ignores the loss, so neither gives a throughput;
 ///  * linkdown/flap/degrade unless `a` and `b` are subdevices of `node`
 ///    on different cards (the stacks of one card share MDFI, not an
 ///    Xe-Link).
-/// In-range clauses that never touch the measured traffic still pass.
-void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node,
-                     std::span<const int> measured);
+void check_node_plan(const FaultPlan& plan, const arch::NodeSpec& node);
 
 }  // namespace pvc::fault

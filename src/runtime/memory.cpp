@@ -13,7 +13,6 @@ namespace {
 
 struct MemMetrics {
   obs::Counter* allocations;
-  obs::Counter* injected_failures;
   obs::Counter* bytes_by_kind[3];  // indexed by MemKind
 };
 
@@ -33,9 +32,6 @@ MemMetrics& mem_metrics() {
     MemMetrics mm;
     mm.allocations = &reg.counter("mem.allocations", "allocations",
                                   "USM allocations granted");
-    mm.injected_failures = &reg.counter(
-        "mem.injected_failures", "allocations",
-        "USM allocations failed by the fault-injection hook");
     for (MemKind k : {MemKind::Host, MemKind::Device, MemKind::Shared}) {
       mm.bytes_by_kind[static_cast<int>(k)] = &reg.counter(
           "mem." + mem_kind_name(k) + ".bytes_allocated", "bytes",
@@ -100,12 +96,6 @@ Buffer MemoryManager::allocate(MemKind kind, int device, double bytes) {
   const ErrorCode oom_code = kind == MemKind::Host
                                  ? ErrorCode::OutOfHostMemory
                                  : ErrorCode::OutOfDeviceMemory;
-  if (failure_hook_ && failure_hook_(kind, device, bytes)) {
-    metrics.injected_failures->add(1);
-    raise(oom_code, "MemoryManager: injected USM allocation failure (" +
-                        mem_kind_name(kind) + ", " + format_bytes_si(bytes) +
-                        "); see docs/ROBUSTNESS.md");
-  }
   metrics.allocations->add(1);
   metrics.bytes_by_kind[static_cast<int>(kind)]->add(
       static_cast<std::uint64_t>(std::llround(bytes)));

@@ -8,7 +8,6 @@
 // and each carries the placement information transfers need.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,16 +65,8 @@ class MemoryManager {
   /// index for Device/Shared kinds (Shared reserves on the device, where
   /// pages migrate under use); ignored for Host.  Throws pvc::Error with
   /// ErrorCode::OutOfHostMemory / OutOfDeviceMemory when the pool would
-  /// overflow or the installed failure hook fires.
+  /// overflow.
   [[nodiscard]] Buffer allocate(MemKind kind, int device, double bytes);
-
-  /// Fault-injection hook (docs/ROBUSTNESS.md): consulted before each
-  /// allocation; returning true makes allocate() throw the coded
-  /// out-of-memory error as if the pool were exhausted.  Pass nullptr
-  /// to disarm.
-  using FailureHook = std::function<bool(MemKind kind, int device,
-                                         double bytes)>;
-  void set_failure_hook(FailureHook hook) { failure_hook_ = std::move(hook); }
 
   [[nodiscard]] double host_used() const noexcept { return host_used_; }
   [[nodiscard]] double host_capacity() const noexcept {
@@ -97,7 +88,6 @@ class MemoryManager {
   double device_capacity_;
   double host_used_ = 0.0;
   std::vector<double> device_used_;
-  FailureHook failure_hook_;
 };
 
 }  // namespace pvc::rt

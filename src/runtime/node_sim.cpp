@@ -12,9 +12,6 @@ namespace {
 struct NodeFaultMetrics {
   obs::Counter* reroutes;
   obs::Counter* xelink_down_events;
-  obs::Counter* throttle_changes;
-  obs::Counter* device_lost_events;
-  obs::Counter* device_lost_rejections;
 };
 
 NodeFaultMetrics& node_fault_metrics() {
@@ -36,15 +33,6 @@ NodeFaultMetrics& node_fault_metrics() {
         "transfers rerouted around a downed Xe-Link via host staging");
     n.xelink_down_events = &reg.counter(
         "fault.xelink_events", "events", "Xe-Link down/up state changes");
-    n.throttle_changes = &reg.counter(
-        "fault.throttle_changes", "events",
-        "per-card thermal-throttle factor changes");
-    n.device_lost_events = &reg.counter(
-        "fault.device_lost_events", "events",
-        "subdevice lost/restored state changes");
-    n.device_lost_rejections = &reg.counter(
-        "fault.device_lost_rejections", "calls",
-        "operations rejected with ErrorCode::DeviceLost");
     return n;
   }();
   return m;
@@ -79,8 +67,6 @@ NodeSim::NodeSim(arch::NodeSpec spec)
   }
 
   build_links();
-  device_lost_.assign(static_cast<std::size_t>(device_count()), false);
-  throttle_.assign(static_cast<std::size_t>(spec_.card_count), 1.0);
 }
 
 int NodeSim::device_count() const noexcept {
@@ -170,29 +156,6 @@ std::vector<sim::LinkId> NodeSim::pcie_route(int device, bool h2d) {
   return route;
 }
 
-void NodeSim::set_device_lost(int device, bool lost) {
-  ensure(device >= 0 && device < device_count(), "NodeSim: bad device index");
-  if (device_lost_[static_cast<std::size_t>(device)] != lost) {
-    device_lost_[static_cast<std::size_t>(device)] = lost;
-    node_fault_metrics().device_lost_events->add(1);
-  }
-}
-
-bool NodeSim::device_lost(int device) const {
-  ensure(device >= 0 && device < device_count(), "NodeSim: bad device index");
-  return device_lost_[static_cast<std::size_t>(device)];
-}
-
-void NodeSim::ensure_device_usable(int device, const char* op) const {
-  ensure(device >= 0 && device < device_count(), "NodeSim: bad device index");
-  if (device_lost_[static_cast<std::size_t>(device)]) {
-    node_fault_metrics().device_lost_rejections->add(1);
-    raise(ErrorCode::DeviceLost,
-          std::string("NodeSim: ") + op + " on lost subdevice " +
-              std::to_string(device) + " of " + spec_.system_name);
-  }
-}
-
 void NodeSim::check_xelink_pair(int a_device, int b_device) const {
   ensure(a_device >= 0 && a_device < device_count() && b_device >= 0 &&
              b_device < device_count() && a_device != b_device,
@@ -227,21 +190,6 @@ void NodeSim::set_xelink_degradation(int a_device, int b_device,
   ensure(has_remote_fabric_,
          "NodeSim: no remote fabric to degrade on " + spec_.system_name);
   network_.set_link_scale(pair_link(a_device, b_device), factor);
-}
-
-void NodeSim::set_throttle(int card, double factor) {
-  ensure(card >= 0 && card < spec_.card_count, "NodeSim: bad card index");
-  ensure(factor > 0.0 && factor <= 1.0,
-         "NodeSim: throttle factor must be in (0, 1]");
-  if (throttle_[static_cast<std::size_t>(card)] != factor) {
-    throttle_[static_cast<std::size_t>(card)] = factor;
-    node_fault_metrics().throttle_changes->add(1);
-  }
-}
-
-double NodeSim::throttle(int card) const {
-  ensure(card >= 0 && card < spec_.card_count, "NodeSim: bad card index");
-  return throttle_[static_cast<std::size_t>(card)];
 }
 
 void NodeSim::set_reroute_penalty(double factor) {
@@ -310,7 +258,6 @@ std::function<void(sim::Time)> NodeSim::traced(
 
 sim::FlowId NodeSim::transfer_h2d(int device, double bytes,
                                   std::function<void(sim::Time)> done) {
-  ensure_device_usable(device, "transfer_h2d");
   return network_.start_flow(pcie_route(device, /*h2d=*/true), bytes,
                              spec_.card.pcie.latency_s,
                              traced("h2d", device, std::move(done)));
@@ -318,7 +265,6 @@ sim::FlowId NodeSim::transfer_h2d(int device, double bytes,
 
 sim::FlowId NodeSim::transfer_d2h(int device, double bytes,
                                   std::function<void(sim::Time)> done) {
-  ensure_device_usable(device, "transfer_d2h");
   return network_.start_flow(pcie_route(device, /*h2d=*/false), bytes,
                              spec_.card.pcie.latency_s,
                              traced("d2h", device, std::move(done)));
@@ -346,8 +292,6 @@ arch::RouteKind NodeSim::d2d_route_kind(int src_device,
 sim::FlowId NodeSim::transfer_d2d(int src_device, int dst_device,
                                   double bytes,
                                   std::function<void(sim::Time)> done) {
-  ensure_device_usable(src_device, "transfer_d2d");
-  ensure_device_usable(dst_device, "transfer_d2d");
   const arch::RouteKind kind = d2d_route_kind(src_device, dst_device);
 
   if (kind == arch::RouteKind::SameStack) {

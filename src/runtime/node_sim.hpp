@@ -89,14 +89,6 @@ class NodeSim {
 
   // --- fault state (armed by fault::Injector, docs/ROBUSTNESS.md) ----------
 
-  /// Marks a subdevice lost ("ze_result device lost"): transfers and
-  /// kernel submissions touching it throw ErrorCode::DeviceLost until
-  /// restored.
-  void set_device_lost(int device, bool lost);
-  [[nodiscard]] bool device_lost(int device) const;
-  /// Throws ErrorCode::DeviceLost (naming `op`) when `device` is lost.
-  void ensure_device_usable(int device, const char* op) const;
-
   /// Downs (or restores) the Xe-Link between two remote subdevices.
   /// New transfers on the pair reroute through host staging (PCIe D2H +
   /// H2D with a store-and-forward penalty); in-flight flows are left to
@@ -109,11 +101,6 @@ class NodeSim {
   /// Scales the pair link between two remote subdevices to `factor` ×
   /// healthy capacity (link retraining windows); factor in (0, 1].
   void set_xelink_degradation(int a_device, int b_device, double factor);
-
-  /// Thermal-throttle excursion: kernels priced on `card`'s stacks run
-  /// at `factor` × the governed clock (factor in (0, 1]; 1 = healthy).
-  void set_throttle(int card, double factor);
-  [[nodiscard]] double throttle(int card) const;
 
   /// Bandwidth penalty of the host-staging fallback route, as a factor
   /// of the slower PCIe direction (default 0.2: store-and-forward
@@ -174,9 +161,7 @@ class NodeSim {
   std::map<std::pair<int, int>, sim::LinkId> pair_links_;
 
   // Fault state (docs/ROBUSTNESS.md).
-  std::vector<bool> device_lost_;
   std::set<std::pair<int, int>> downed_xelinks_;
-  std::vector<double> throttle_;  // per card, (0, 1], 1 = healthy
   double reroute_penalty_ = 0.2;
   sim::LinkId staging_link_ = 0;
   bool has_staging_link_ = false;

@@ -11,7 +11,6 @@ namespace {
 
 struct QueueMetrics {
   obs::Counter* kernels_submitted;
-  obs::Counter* throttled_kernels;
   obs::Counter* h2d_transfers;
   obs::Counter* d2h_transfers;
   obs::Counter* p2p_transfers;
@@ -36,9 +35,6 @@ QueueMetrics& queue_metrics() {
     QueueMetrics q;
     q.kernels_submitted = &reg.counter("queue.kernels_submitted", "kernels",
                                        "kernel launches enqueued");
-    q.throttled_kernels = &reg.counter(
-        "queue.throttled_kernels", "kernels",
-        "kernels priced during a thermal-throttle excursion window");
     q.h2d_transfers = &reg.counter("queue.h2d_transfers", "transfers",
                                    "host-to-device copies enqueued");
     q.d2h_transfers = &reg.counter("queue.d2h_transfers", "transfers",
@@ -89,18 +85,9 @@ void Queue::maybe_start_next() {
 }
 
 void Queue::submit(const KernelDesc& kernel) {
-  node_->ensure_device_usable(device_, "Queue::submit");
   queue_metrics().kernels_submitted->add(1);
-  double duration =
+  const double duration =
       kernel_duration(node_->spec(), kernel, node_->activity());
-  // Thermal-throttle excursion (docs/ROBUSTNESS.md): kernels priced
-  // while the card's excursion window is open run at a fraction of the
-  // governed clock.
-  const double throttle = node_->throttle(node_->card_of(device_));
-  if (throttle < 1.0) {
-    duration /= throttle;
-    queue_metrics().throttled_kernels->add(1);
-  }
   enqueue_async([this, duration,
                  name = kernel.name](std::function<void(sim::Time)> done) {
     auto traced_done = [this, name, duration,

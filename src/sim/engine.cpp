@@ -170,10 +170,10 @@ bool Engine::pop_and_run(Time limit) {
   return false;
 }
 
-bool Engine::step(Time limit) { return pop_and_run(limit); }
+bool Engine::step() { return pop_and_run(kHorizon); }
 
 Time Engine::run() {
-  while (pop_and_run(1e300)) {
+  while (pop_and_run(kHorizon)) {
   }
   return now_;
 }

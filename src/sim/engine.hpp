@@ -54,6 +54,11 @@ class Engine {
   /// True while `id` is scheduled and neither fired nor cancelled.
   [[nodiscard]] bool pending(EventId id) const noexcept;
 
+  /// Latest time at which run() and step() execute an event.  An event
+  /// scheduled past it stays pending and never runs, so inputs that
+  /// would schedule one (fault::FaultPlan::parse) reject such times.
+  static constexpr Time kHorizon = 1e300;
+
   /// Runs events until the calendar is empty.  Returns final time.
   Time run();
 
@@ -61,12 +66,12 @@ class Engine {
   /// `until` (if it is later).  Returns new now().
   Time run_until(Time until);
 
-  /// Executes at most one event with timestamp <= `limit`.  Returns
-  /// whether one ran; false means the calendar is drained or every
-  /// remaining event lies beyond `limit`.  Unlike run_until(), the
-  /// clock is never advanced past the executed event — waits with
-  /// deadlines (comm::Communicator::wait) step the calendar with this.
-  bool step(Time limit = 1e300);
+  /// Executes at most one event with timestamp <= kHorizon.  Returns
+  /// whether one ran; false means no live event lies at or before
+  /// kHorizon.  Unlike run_until(), the clock is never advanced past the
+  /// executed event — comm::Communicator::wait steps the calendar with
+  /// this.
+  bool step();
 
   /// Number of events executed so far (diagnostic).
   [[nodiscard]] std::uint64_t events_executed() const noexcept {

@@ -341,7 +341,8 @@ TEST(BenchOptions, RetiredShardOptionsAreUnknown) {
 TEST(BenchOptions, ClusterChaosClausesActOrFail) {
   // Both cluster benches arm their plan only on ClusterComm jobs: a
   // clause they never apply, or one naming a node, NIC or rank outside
-  // the largest cluster they arm, is an error naming the clause.
+  // the largest cluster they arm, is an error naming the clause, raised
+  // before the bench prints or writes anything.
   const std::pair<const char*, const char*> common[] = {
       {"rankfail:rank=999999", "rankfail"},
       {"nodedown:node=99999,at=0", "nodedown"},
@@ -359,13 +360,26 @@ TEST(BenchOptions, ClusterChaosClausesActOrFail) {
       {"reroute:0.5", "reroute"},
       {"retries:max=2", "retries"},
       {"timeout:1ms", "timeout"},
+      // Scheduled at NaN, this failed on both benches only after output
+      // had printed, with an uncoded engine error naming no clause.
+      {"rankfail:rank=5,at=nan", "rankfail:rank=5,at=nan"},
   };
-  const auto expect_rejected = [](const char* bench,
-                                  std::vector<std::string> args,
-                                  const char* clause) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pvc_cluster_chaos_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path csv = dir / "out.csv";
+  const auto expect_rejected = [&csv](const char* bench,
+                                      std::vector<std::string> args,
+                                      const char* clause) {
+    const std::string chaos = args.back();
+    args.push_back("csv=" + csv.string());
+    testing::internal::CaptureStdout();
     const pvc::Error e = run_expecting_error(bench, args);
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "")
+        << bench << " " << chaos;
+    EXPECT_FALSE(fs::exists(csv)) << bench << " " << chaos;
     EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument)
-        << bench << " " << args.back();
+        << bench << " " << chaos;
     EXPECT_NE(std::string(e.what()).find(clause), std::string::npos)
         << bench << ": " << e.what();
   };
@@ -395,48 +409,17 @@ TEST(BenchOptions, ClusterChaosClausesActOrFail) {
             0);
   expect_rejected("resilience_sweep", {"chaos=nodedown:node=64,at=2us"},
                   "nodedown:node=64");
-}
-
-TEST(BenchOptions, DevlostOnAMeasuredPairFailsByName) {
-  // chaos_degradation times one transfer on the local pair {0, 1} and
-  // one on the remote pair Table III measures.  Losing an endpoint of
-  // either from t=0 used to exit 1 from inside the sweep task with an
-  // untyped error, and a later window left the transfer in flight
-  // untouched (1.00x slower).  Now the clause fails by name before any
-  // scenario runs, whatever its window.
-  const pvc::rt::NodeSim probe(pvc::arch::aurora());
-  const auto& topo = *probe.topology();
-  const auto plane = topo.plane_members(0);
-  const fs::path dir = fs::temp_directory_path() /
-                       ("pvc_devlost_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  const fs::path csv = dir / "out.csv";
-  for (const int dev : {0, 1, topo.flat_index(plane[0]),
-                        topo.flat_index(plane[1])}) {
-    const std::string clause = "devlost:dev=" + std::to_string(dev);
-    for (const char* window : {"", ",at=1ms,for=1ms"}) {
-      const std::string chaos = "chaos=seed:1;" + clause + window;
-      testing::internal::CaptureStdout();
-      const pvc::Error e = run_expecting_error(
-          "chaos_degradation", {chaos, "csv=" + csv.string()});
-      const std::string out = testing::internal::GetCapturedStdout();
-      EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << chaos;
-      EXPECT_NE(std::string(e.what()).find("'" + clause + "'"),
-                std::string::npos)
-          << chaos << ": " << e.what();
-      EXPECT_EQ(out, "") << chaos;
-      EXPECT_FALSE(fs::exists(csv)) << chaos;
-    }
-  }
   fs::remove_all(dir);
 }
 
 TEST(BenchOptions, NodeChaosClausesActOrFail) {
   // chaos_degradation arms one Aurora node (12 subdevices on 6 cards).
-  // Appended to seed:1, the first eight clauses used to exit 0 with the
-  // CSV of seed:1 alone; the last four failed late inside NodeSim
-  // without naming the clause.  Each now fails before any output,
-  // naming the clause.
+  // Appended to seed:1, all but the last two clauses used to exit 0 with
+  // the CSV of seed:1 alone (drop:nan printing neither the clause nor
+  // "(no faults)"); the last two failed late inside NodeSim without
+  // naming the clause.  Each now fails before any output, naming the
+  // clause; throttle, devlost, usmfail and timeout, which changed no
+  // measured transfer, as unknown clauses.
   const std::pair<const char*, const char*> cases[] = {
       {"nodedown:node=1,at=0", "nodedown"},
       {"rankfail:rank=3", "rankfail"},
@@ -446,8 +429,11 @@ TEST(BenchOptions, NodeChaosClausesActOrFail) {
       {"linkdown:a=0,b=1,at=0", "linkdown:a=0,b=1"},
       {"degrade:a=0,b=1,at=0,factor=0.5", "degrade:a=0,b=1"},
       {"degrade:a=0,b=99,at=0,factor=0.5", "degrade:a=0,b=99"},
-      {"devlost:dev=12", "devlost:dev=12"},
-      {"throttle:card=9,factor=0.5,at=0", "throttle:card=9"},
+      {"drop:nan", "drop:nan"},
+      {"throttle:card=0,factor=0.5,at=0", "throttle"},
+      {"devlost:dev=5,at=0", "devlost"},
+      {"usmfail:p=0.9", "usmfail"},
+      {"timeout:1ms", "timeout"},
       {"linkdown:a=0,b=99,at=0", "linkdown:a=0,b=99"},
       {"flap:a=0,b=77,at=0,period=1ms,count=2", "flap:a=0,b=77"},
   };
@@ -471,15 +457,14 @@ TEST(BenchOptions, NodeChaosClausesActOrFail) {
   // A clause in a later '|' scenario fails before the first one prints.
   testing::internal::CaptureStdout();
   const pvc::Error e = run_expecting_error(
-      "chaos_degradation", {"chaos=seed:1|seed:2;devlost:dev=12"});
+      "chaos_degradation", {"chaos=seed:1|seed:2;linkdown:a=0,b=99,at=0"});
   EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
-  EXPECT_NE(std::string(e.what()).find("devlost:dev=12"), std::string::npos)
+  EXPECT_NE(std::string(e.what()).find("linkdown:a=0,b=99"), std::string::npos)
       << e.what();
   fs::remove_all(dir);
 
-  // Still accepted: the default plan, drops plus a degraded Xe-Link on
-  // the remote pair Table III measures, and in-range clauses that miss
-  // the measured pairs.
+  // Still accepted: the default plan, and drops plus a degraded Xe-Link
+  // on the remote pair Table III measures.
   const pvc::rt::NodeSim probe(pvc::arch::aurora());
   const auto& topo = *probe.topology();
   const auto plane = topo.plane_members(0);
@@ -489,7 +474,6 @@ TEST(BenchOptions, NodeChaosClausesActOrFail) {
       {},
       {"chaos=seed:1;drop:0.02|seed:2;degrade:" + remote +
        ",factor=0.5,at=0;drop:0.01;retries:max=8,backoff=5us"},
-      {"chaos=seed:1;throttle:card=5,factor=0.5,at=0;devlost:dev=11"},
   };
   const pvcbench::BenchEntry* entry = pvcbench::find_bench("chaos_degradation");
   ASSERT_NE(entry, nullptr);
@@ -499,6 +483,49 @@ TEST(BenchOptions, NodeChaosClausesActOrFail) {
         << (args.empty() ? "defaults" : args.front());
     testing::internal::GetCapturedStdout();
   }
+}
+
+TEST(BenchOptions, EveryNodeChaosClauseMovesTheCsv) {
+  // Every clause chaos_degradation accepts changes what it measures:
+  // added to a plan, it changes the CSV.  One that could not would run
+  // as a silent no-op.  The link clauses act on the remote pair Table III
+  // measures; drop and corrupt on both pairs' messages, and retries on
+  // how the dropped ones are retransmitted.
+  const pvc::rt::NodeSim probe(pvc::arch::aurora());
+  const auto& topo = *probe.topology();
+  const auto plane = topo.plane_members(0);
+  const std::string pair = "a=" + std::to_string(topo.flat_index(plane[0])) +
+                           ",b=" + std::to_string(topo.flat_index(plane[1]));
+  const std::string linkdown = "seed:1;linkdown:" + pair + ",at=0";
+  const std::string lossy = "seed:3;drop:0.5";
+  const std::string retried = lossy + ";retries:max=8,backoff=1ms";
+  const std::pair<std::string, std::string> cases[] = {
+      {"seed:1", linkdown},
+      {"seed:1",
+       "seed:1;flap:" + pair + ",period=2ms,duty=0.5,count=4,at=0"},
+      {"seed:1", "seed:1;degrade:" + pair + ",factor=0.5,at=0"},
+      {linkdown, linkdown + ";reroute:0.5"},
+      {"seed:3", lossy},
+      {"seed:3", "seed:3;corrupt:0.5"},
+      {lossy, retried},
+      {retried, retried + ",maxbackoff=2ms"},
+  };
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pvc_node_clause_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const auto csv_of = [&dir](const std::string& chaos) {
+    testing::internal::CaptureStdout();
+    const std::string csv =
+        run_to_files("chaos_degradation", {"chaos=" + chaos}, dir).first;
+    testing::internal::GetCapturedStdout();
+    return csv;
+  };
+  for (const auto& [without, with] : cases) {
+    const std::string before = csv_of(without);
+    EXPECT_FALSE(before.empty()) << without;
+    EXPECT_NE(before, csv_of(with)) << with << " vs " << without;
+  }
+  fs::remove_all(dir);
 }
 
 // --- serial oracle -----------------------------------------------------------

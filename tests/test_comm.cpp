@@ -1,5 +1,5 @@
-// Unit tests for src/comm: point-to-point matching, payload delivery,
-// collectives, rank binding.
+// Unit tests for src/comm: point-to-point matching, delivery and
+// retries, collectives, rank binding.
 
 #include <gtest/gtest.h>
 
@@ -28,13 +28,11 @@ TEST(Communicator, ExplicitScalingBindsOneRankPerStack) {
 TEST(Communicator, SendRecvDeliversPayload) {
   rt::NodeSim sim(arch::aurora());
   auto comm = Communicator::explicit_scaling(sim);
-  std::vector<double> src{1.0, 2.0, 3.0};
-  std::vector<double> dst(3, 0.0);
-  auto s = comm.isend(0, 1, 42, 24.0, src);
-  auto r = comm.irecv(1, 0, 42, 24.0, dst);
+  auto s = comm.isend(0, 1, 42, 24.0);
+  auto r = comm.irecv(1, 0, 42, 24.0);
   comm.wait(s);
   comm.wait(r);
-  EXPECT_EQ(dst, src);
+  EXPECT_TRUE(r.done());
   EXPECT_EQ(comm.messages_delivered(), 1u);
   EXPECT_DOUBLE_EQ(s.complete_time(), r.complete_time());
 }
@@ -42,27 +40,26 @@ TEST(Communicator, SendRecvDeliversPayload) {
 TEST(Communicator, RecvBeforeSendAlsoMatches) {
   rt::NodeSim sim(arch::aurora());
   auto comm = Communicator::explicit_scaling(sim);
-  std::vector<double> dst(1, 0.0);
-  std::vector<double> src{9.0};
-  auto r = comm.irecv(2, 3, 7, 8.0, dst);
-  auto s = comm.isend(3, 2, 7, 8.0, src);
+  auto r = comm.irecv(2, 3, 7, 8.0);
+  auto s = comm.isend(3, 2, 7, 8.0);
   comm.wait(r);
-  EXPECT_DOUBLE_EQ(dst[0], 9.0);
+  EXPECT_TRUE(r.done());
   EXPECT_TRUE(s.done());
+  EXPECT_EQ(comm.messages_delivered(), 1u);
 }
 
 TEST(Communicator, TagsKeepMessagesApart) {
+  // Each tag carries its own size, so a receive matched to the other
+  // tag's send would throw "matched send/recv sizes differ".
   rt::NodeSim sim(arch::aurora());
   auto comm = Communicator::explicit_scaling(sim);
-  std::vector<double> a{1.0}, b{2.0}, ra(1), rb(1);
-  auto s1 = comm.isend(0, 1, 100, 8.0, a);
-  auto s2 = comm.isend(0, 1, 200, 8.0, b);
-  auto r2 = comm.irecv(1, 0, 200, 8.0, rb);
-  auto r1 = comm.irecv(1, 0, 100, 8.0, ra);
+  auto s1 = comm.isend(0, 1, 100, 8.0);
+  auto s2 = comm.isend(0, 1, 200, 16.0);
+  auto r2 = comm.irecv(1, 0, 200, 16.0);
+  auto r1 = comm.irecv(1, 0, 100, 8.0);
   std::vector<Request> all{s1, s2, r1, r2};
   comm.wait_all(all);
-  EXPECT_DOUBLE_EQ(ra[0], 1.0);
-  EXPECT_DOUBLE_EQ(rb[0], 2.0);
+  EXPECT_EQ(comm.messages_delivered(), 2u);
 }
 
 TEST(Communicator, UnmatchedRequestDeadlocks) {
@@ -166,13 +163,12 @@ TEST(Communicator, DropRetriesWithBackoffThenDelivers) {
   comm.set_fault_hook([](int, int, int, double, int attempt) {
     return attempt <= 2 ? TransferVerdict::Drop : TransferVerdict::Deliver;
   });
-  std::vector<double> src{7.0}, dst(1, 0.0);
-  auto s = comm.isend(0, 1, 1, 8.0, src);
-  auto r = comm.irecv(1, 0, 1, 8.0, dst);
+  auto s = comm.isend(0, 1, 1, 8.0);
+  auto r = comm.irecv(1, 0, 1, 8.0);
   comm.wait(r);
   comm.wait(s);
   EXPECT_EQ(r.attempts(), 3);
-  EXPECT_DOUBLE_EQ(dst[0], 7.0);
+  EXPECT_TRUE(r.done());
 
   // The same message without drops finishes sooner: each drop costs a
   // full transfer round plus the exponential backoff.
@@ -216,32 +212,10 @@ TEST(Communicator, CorruptRetransmitsAndCleanPayloadLands) {
   comm.set_fault_hook([](int, int, int, double, int attempt) {
     return attempt == 1 ? TransferVerdict::Corrupt : TransferVerdict::Deliver;
   });
-  std::vector<double> src{4.0}, dst(1, 0.0);
-  auto s = comm.isend(0, 1, 2, 8.0, src);
-  auto r = comm.irecv(1, 0, 2, 8.0, dst);
+  auto s = comm.isend(0, 1, 2, 8.0);
+  auto r = comm.irecv(1, 0, 2, 8.0);
   comm.wait(r);
   EXPECT_EQ(r.attempts(), 2);
-  EXPECT_DOUBLE_EQ(dst[0], 4.0);
-  EXPECT_TRUE(s.done());
-}
-
-TEST(Communicator, WaitTimeoutThrowsCodedError) {
-  rt::NodeSim sim(arch::aurora());
-  auto comm = Communicator::explicit_scaling(sim);
-  Resilience policy;
-  policy.wait_timeout_s = 1e-9;  // far below any transfer's latency
-  comm.set_resilience(policy);
-  auto s = comm.isend(0, 1, 1, 1.0 * pvc::MB);
-  auto r = comm.irecv(1, 0, 1, 1.0 * pvc::MB);
-  try {
-    comm.wait(r);
-    FAIL() << "expected Timeout";
-  } catch (const pvc::Error& e) {
-    EXPECT_EQ(e.code(), pvc::ErrorCode::Timeout);
-  }
-  // The transfer itself is healthy: a timeout-free wait finishes it.
-  comm.set_resilience(Resilience{});
-  comm.wait(r);
   EXPECT_TRUE(r.done());
   EXPECT_TRUE(s.done());
 }
@@ -251,9 +225,6 @@ TEST(Communicator, ResiliencePolicyIsValidated) {
   auto comm = Communicator::explicit_scaling(sim);
   Resilience bad;
   bad.max_retries = -1;
-  EXPECT_THROW(comm.set_resilience(bad), pvc::Error);
-  bad = Resilience{};
-  bad.wait_timeout_s = 0.0;
   EXPECT_THROW(comm.set_resilience(bad), pvc::Error);
   bad = Resilience{};
   bad.retry_backoff_s = -1e-6;
@@ -293,22 +264,19 @@ TEST(Communicator, ExponentialBackoffClampsAtMaxBackoff) {
 TEST(Communicator, SameKeySendsMatchInPostOrder) {
   // Three sends with an identical (src, tag) key must pair with the
   // receives in post order — MPI non-overtaking, preserved by scanning
-  // each queue front to back.
+  // each queue front to back.  Each send has its own size, so a receive
+  // matched out of order would throw "matched send/recv sizes differ".
   rt::NodeSim sim(arch::aurora());
   auto comm = Communicator::explicit_scaling(sim);
-  std::vector<double> a{1.0}, b{2.0}, c{3.0};
-  auto s1 = comm.isend(0, 1, 5, 8.0, a);
-  auto s2 = comm.isend(0, 1, 5, 8.0, b);
-  auto s3 = comm.isend(0, 1, 5, 8.0, c);
-  std::vector<double> r1(1), r2(1), r3(1);
-  auto q1 = comm.irecv(1, 0, 5, 8.0, r1);
-  auto q2 = comm.irecv(1, 0, 5, 8.0, r2);
-  auto q3 = comm.irecv(1, 0, 5, 8.0, r3);
+  auto s1 = comm.isend(0, 1, 5, 8.0);
+  auto s2 = comm.isend(0, 1, 5, 16.0);
+  auto s3 = comm.isend(0, 1, 5, 24.0);
+  auto q1 = comm.irecv(1, 0, 5, 8.0);
+  auto q2 = comm.irecv(1, 0, 5, 16.0);
+  auto q3 = comm.irecv(1, 0, 5, 24.0);
   std::vector<Request> all{s1, s2, s3, q1, q2, q3};
   comm.wait_all(all);
-  EXPECT_DOUBLE_EQ(r1[0], 1.0);
-  EXPECT_DOUBLE_EQ(r2[0], 2.0);
-  EXPECT_DOUBLE_EQ(r3[0], 3.0);
+  EXPECT_EQ(comm.messages_delivered(), 3u);
 }
 
 TEST(Communicator, TagMatchDepthHistogramReportsQueuePositions) {

@@ -1,7 +1,8 @@
 // Documentation consistency: the README option table vs what the bench
 // sources actually parse, the docs/ cross-links the README promises,
-// the ARCHITECTURE.md subsystem map vs the src/ tree, and the fabric
-// metric names vs docs/OBSERVABILITY.md.  Pattern of
+// the ARCHITECTURE.md subsystem map vs the src/ tree, the chaos clause
+// table vs the FaultPlan parser, and the fabric metric names vs
+// docs/OBSERVABILITY.md.  Pattern of
 // Documentation.ObservabilityDocListsEveryRegisteredMetric
 // (tests/test_obs.cpp).
 
@@ -16,6 +17,7 @@
 
 #include "arch/systems.hpp"
 #include "comm/cluster.hpp"
+#include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fabric.hpp"
 
@@ -183,6 +185,32 @@ TEST(Documentation, RobustnessDocCoversTheNicFaultClauses) {
         << "docs/ROBUSTNESS.md does not document the `" << clause
         << "` chaos clause";
   }
+}
+
+TEST(Documentation, RobustnessClauseTableParses) {
+  // Every spec in the `chaos=` grammar table, optional `[...]` parts
+  // included, is one the parser accepts, so the table documents no
+  // clause that fails as unknown.
+  const std::string robustness = slurp(kRoot / "docs" / "ROBUSTNESS.md");
+  const std::string header = "| Clause | Keys | Effect |";
+  std::size_t pos = robustness.find(header);
+  ASSERT_NE(pos, std::string::npos) << "docs/ROBUSTNESS.md lost its table";
+  std::istringstream rows(robustness.substr(pos));
+  std::string row;
+  std::getline(rows, row);  // header
+  std::getline(rows, row);  // |---|---|---|
+  int specs = 0;
+  while (std::getline(rows, row) && row.rfind("| `", 0) == 0) {
+    const std::size_t end = row.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << row;
+    std::string spec = row.substr(3, end - 3);
+    std::erase(spec, '[');
+    std::erase(spec, ']');
+    EXPECT_NO_THROW((void)pvc::fault::FaultPlan::parse(spec)) << spec;
+    ++specs;
+  }
+  // seed plus the seven node and five cluster clauses.
+  EXPECT_EQ(specs, 13);
 }
 
 TEST(Documentation, ScalingDocCoversTheResilienceBenchOptions) {

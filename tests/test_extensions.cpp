@@ -1,6 +1,6 @@
 // Tests for the extension features: trace recording, flow-network
-// introspection, message-size sweeps, FFT plans, roofline analysis and
-// power reporting.
+// introspection, message-size sweeps, roofline analysis and power
+// reporting.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "core/rng.hpp"
 #include "core/statistics.hpp"
 #include "core/units.hpp"
-#include "fft/plan.hpp"
 #include "micro/message_sweep.hpp"
 #include "report/roofline.hpp"
 #include "runtime/node_sim.hpp"
@@ -155,78 +154,6 @@ TEST(MessageSweep, AvailablePathsPerSystem) {
   EXPECT_THROW(micro::sweep_path(arch::jlse_h100(),
                                  micro::TransferPath::LocalPair,
                                  {1.0 * MiB}),
-               Error);
-}
-
-// --- FFT plans ---------------------------------------------------------------------
-
-class FftPlanLengths : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FftPlanLengths, MatchesDirectFft) {
-  const std::size_t n = GetParam();
-  Rng rng(n);
-  std::vector<fft::cplx> in(n), via_plan(n), direct(n);
-  for (auto& v : in) {
-    v = fft::cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-  }
-  const fft::FftPlan plan(n, false);
-  EXPECT_EQ(plan.size(), n);
-  plan.execute(in, via_plan);
-  fft::fft(in, direct, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(std::abs(via_plan[i] - direct[i]), 0.0, 1e-9 * n);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Lengths, FftPlanLengths,
-                         ::testing::Values(2u, 8u, 64u, 1024u, 3u, 20u, 100u,
-                                           97u, 2000u));
-
-TEST(FftPlan, InversePlanRoundTrips) {
-  const std::size_t n = 48;
-  Rng rng(5);
-  std::vector<fft::cplx> in(n), freq(n), back(n);
-  for (auto& v : in) {
-    v = fft::cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-  }
-  const fft::FftPlan forward(n, false);
-  const fft::FftPlan inverse(n, true);
-  EXPECT_TRUE(forward.uses_bluestein());
-  forward.execute(in, freq);
-  inverse.execute(freq, back);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(std::abs(back[i] / static_cast<double>(n) - in[i]), 0.0,
-                1e-10 * n);
-  }
-}
-
-TEST(FftPlan, BatchedExecutionMatchesLoop) {
-  const std::size_t n = 256, batch = 5;
-  Rng rng(6);
-  std::vector<fft::cplx> data(n * batch), expected(n * batch);
-  for (auto& v : data) {
-    v = fft::cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-  }
-  expected = data;
-  const fft::FftPlan plan(n, false);
-  plan.execute_batched(data, batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    std::vector<fft::cplx> out(n);
-    fft::fft(std::span<const fft::cplx>(expected.data() + b * n, n), out,
-             false);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(std::abs(data[b * n + i] - out[i]), 0.0, 1e-9 * n);
-    }
-  }
-}
-
-TEST(FftPlan, RejectsBadUsage) {
-  EXPECT_THROW(fft::FftPlan(1, false), Error);
-  const fft::FftPlan plan(8, false);
-  std::vector<fft::cplx> a(8), b(4);
-  EXPECT_THROW(plan.execute(a, b), Error);
-  EXPECT_THROW(plan.execute(std::span<const fft::cplx>(a.data(), 8),
-                            std::span<fft::cplx>(a.data(), 8)),
                Error);
 }
 

@@ -1,11 +1,12 @@
 // Unit tests for src/fault: chaos-spec parsing, the injector's timed
-// windows and probabilistic hooks, graceful degradation (host-staging
-// reroute, throttle, device loss, USM failure), and determinism of the
-// whole subsystem under a fixed seed.
+// windows and message-verdict hook, graceful degradation (host-staging
+// reroute, link degradation and flaps), and determinism of the whole
+// subsystem under a fixed seed.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/systems.hpp"
@@ -18,7 +19,6 @@
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/node_sim.hpp"
-#include "runtime/queue.hpp"
 
 namespace pvc::fault {
 namespace {
@@ -26,13 +26,34 @@ namespace {
 // --- plan parsing ------------------------------------------------------------
 
 TEST(FaultPlan, ParsesDurationsWithSuffixes) {
-  EXPECT_DOUBLE_EQ(parse_duration_s("1.5ms"), 1.5e-3);
-  EXPECT_DOUBLE_EQ(parse_duration_s("2us"), 2e-6);
-  EXPECT_DOUBLE_EQ(parse_duration_s("30ns"), 30e-9);
-  EXPECT_DOUBLE_EQ(parse_duration_s("0.25s"), 0.25);
-  EXPECT_DOUBLE_EQ(parse_duration_s("3"), 3.0);
-  EXPECT_THROW(parse_duration_s("fast"), pvc::Error);
-  EXPECT_THROW(parse_duration_s(""), pvc::Error);
+  const auto at_s = [](const std::string& at) {
+    const auto plan = FaultPlan::parse("rankfail:rank=0,at=" + at);
+    return plan.rank_fails.at(0).at_s;
+  };
+  EXPECT_DOUBLE_EQ(at_s("1.5ms"), 1.5e-3);
+  EXPECT_DOUBLE_EQ(at_s("2us"), 2e-6);
+  EXPECT_DOUBLE_EQ(at_s("30ns"), 30e-9);
+  EXPECT_DOUBLE_EQ(at_s("0.25s"), 0.25);
+  EXPECT_DOUBLE_EQ(at_s("3"), 3.0);
+  // std::from_chars reads nan and inf; a duration must be finite.  Each
+  // error is an InvalidArgument that quotes the clause and the value,
+  // suffix included.
+  for (const char* text :
+       {"fast", "", "nan", "inf", "-inf", "infinity", "nanms", "1xs"}) {
+    const std::string spec = std::string("rankfail:rank=0,at=") + text;
+    try {
+      (void)FaultPlan::parse(spec);
+      FAIL() << "expected rejection of: " << spec;
+    } catch (const pvc::Error& e) {
+      EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << spec;
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + spec + "'"), std::string::npos) << what;
+      if (*text != '\0') {
+        EXPECT_NE(what.find(std::string("'") + text + "'"), std::string::npos)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(FaultPlan, ParsesEveryClauseKind) {
@@ -41,13 +62,9 @@ TEST(FaultPlan, ParsesEveryClauseKind) {
       "linkdown:a=0,b=3,at=1ms,for=5ms;"
       "flap:a=2,b=5,period=2ms,duty=0.25,count=4,at=1ms;"
       "degrade:a=0,b=3,factor=0.5,at=2ms;"
-      "throttle:card=1,factor=0.6,at=0,for=3ms;"
-      "devlost:dev=7,at=1ms,for=4ms;"
       "drop:0.1;corrupt:p=0.05;"
-      "usmfail:p=0.01,kind=device;"
       "reroute:0.3;"
-      "retries:max=6,backoff=2us,maxbackoff=5ms;"
-      "timeout:1ms");
+      "retries:max=6,backoff=2us,maxbackoff=5ms");
   EXPECT_EQ(plan.seed, 42u);
   ASSERT_EQ(plan.linkdowns.size(), 1u);
   EXPECT_EQ(plan.linkdowns[0].a, 0);
@@ -61,20 +78,13 @@ TEST(FaultPlan, ParsesEveryClauseKind) {
   ASSERT_EQ(plan.degradations.size(), 1u);
   EXPECT_TRUE(plan.degradations[0].permanent);
   EXPECT_DOUBLE_EQ(plan.degradations[0].factor, 0.5);
-  ASSERT_EQ(plan.throttles.size(), 1u);
-  EXPECT_EQ(plan.throttles[0].card, 1);
-  ASSERT_EQ(plan.device_losses.size(), 1u);
-  EXPECT_EQ(plan.device_losses[0].device, 7);
   EXPECT_DOUBLE_EQ(plan.drop_probability, 0.1);
   EXPECT_DOUBLE_EQ(plan.corrupt_probability, 0.05);
-  EXPECT_DOUBLE_EQ(plan.usm_fail_probability, 0.01);
-  EXPECT_EQ(plan.usm_fail_kind, UsmKindFilter::Device);
   ASSERT_TRUE(plan.reroute_penalty.has_value());
   EXPECT_DOUBLE_EQ(*plan.reroute_penalty, 0.3);
   EXPECT_EQ(plan.max_retries.value(), 6);
   EXPECT_DOUBLE_EQ(plan.retry_backoff_s.value(), 2e-6);
   EXPECT_DOUBLE_EQ(plan.max_backoff_s.value(), 5e-3);
-  EXPECT_DOUBLE_EQ(plan.wait_timeout_s.value(), 1e-3);
   EXPECT_FALSE(plan.empty());
 }
 
@@ -84,12 +94,18 @@ TEST(FaultPlan, EmptySpecYieldsEmptyPlan) {
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
+  // Each is an InvalidArgument; one that holds a single clause quotes it.
   const auto expect_invalid = [](const char* spec) {
     try {
       (void)FaultPlan::parse(spec);
       FAIL() << "expected rejection of: " << spec;
     } catch (const pvc::Error& e) {
       EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << spec;
+      if (std::string_view(spec).find(';') == std::string_view::npos) {
+        EXPECT_NE(std::string(e.what()).find(std::string("'") + spec + "'"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   };
   expect_invalid("explode:now");                    // unknown clause
@@ -98,14 +114,12 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   expect_invalid("linkdown:a=0");                   // missing b
   expect_invalid("linkdown:a=0,b=1,sneaky=1");      // unknown key
   expect_invalid("linkdown:a=0,b=1,a=2");           // duplicate key
+  expect_invalid("linkdown:a=0,b=1,at=1ms,for=0");  // empty window
   expect_invalid("flap:a=0,b=1,period=2ms,duty=1.5");
-  expect_invalid("throttle:card=0,factor=0");       // factor out of (0,1]
+  expect_invalid("degrade:a=0,b=1,factor=0");       // factor out of (0,1]
   expect_invalid("degrade:a=0,b=1,factor=2");
-  expect_invalid("usmfail:p=0.5,kind=texture");
   expect_invalid("retries:max=-1");
   expect_invalid("retries:max=4,maxbackoff=-1us");  // negative clamp
-  expect_invalid("timeout:0");
-  expect_invalid("devlost:dev=1,at=1ms,for=0");
   expect_invalid("nodedown:node=-1");                // negative node
   expect_invalid("nodedown:node=0,rank=1");          // unknown key
   expect_invalid("rankfail:rank=-2");                // negative rank
@@ -113,6 +127,55 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   expect_invalid("ckpt:bytes=0");                    // bytes must be positive
   expect_invalid("ckpt:interval=60s");               // missing bytes
   expect_invalid("recovery:spare");                  // retired clause
+  // Clauses that changed no bench's output are gone: unknown names now.
+  for (const char* retired :
+       {"throttle:card=0,factor=0.5", "devlost:dev=1,at=1ms",
+        "usmfail:p=0.5,kind=device", "timeout:1ms"}) {
+    expect_invalid(retired);
+    try {
+      (void)FaultPlan::parse(retired);
+    } catch (const pvc::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown clause name"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // std::from_chars reads nan and inf, and NaN passes every range check:
+  // each number or duration must be finite, and its error quotes the
+  // clause.
+  for (const char* spec :
+       {"drop:nan", "corrupt:nan", "drop:p=inf", "linkdown:a=0,b=3,at=inf",
+        "linkdown:a=0,b=3,at=nan", "linkdown:a=0,b=3,at=0,for=nan",
+        "flap:a=0,b=3,period=nan", "flap:a=0,b=3,period=2ms,duty=nan",
+        "degrade:a=0,b=3,factor=nan", "reroute:nan",
+        "retries:max=3,backoff=nan", "retries:max=3,maxbackoff=infinity",
+        "nicdown:node=0,nic=0,at=-inf", "nicdegrade:node=0,nic=1,factor=nan",
+        "nodedown:node=3,at=inf", "rankfail:rank=5,at=nan", "ckpt:bytes=nan",
+        "ckpt:bytes=1e9,mtbf=inf"}) {
+    expect_invalid(spec);
+  }
+  // Engine::run and Engine::step stop at Engine::kHorizon (1e300 s): a
+  // window, flap or rank failure that would act past it would be armed
+  // and never fire.
+  for (const char* spec :
+       {"linkdown:a=0,b=3,at=1e301", "linkdown:a=0,b=3,at=1e300,for=1e300",
+        "degrade:a=0,b=3,factor=0.5,at=2e300",
+        "flap:a=0,b=3,period=1e300,count=2", "nicdown:node=0,nic=0,at=1e301",
+        "nicdegrade:node=0,nic=1,factor=0.5,at=0,for=1e301",
+        "nodedown:node=3,at=1e301", "rankfail:rank=5,at=1e301"}) {
+    expect_invalid(spec);
+  }
+  EXPECT_NO_THROW((void)FaultPlan::parse("linkdown:a=0,b=3,at=1e300"));
+  // A malformed duration names its clause and quotes the whole value.
+  try {
+    (void)FaultPlan::parse("linkdown:a=0,b=3,at=1xs");
+    FAIL() << "expected rejection of at=1xs";
+  } catch (const pvc::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'linkdown:a=0,b=3,at=1xs'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("'1xs'"), std::string::npos) << what;
+  }
 }
 
 TEST(FaultPlan, ParsesNodeAndRankFailureClauses) {
@@ -197,8 +260,12 @@ TEST(FaultPlan, FuzzedClausesRoundTripAndMutationsNameTheClause) {
         "nodedown:node=1,node=2",
         "rankfail:rank=1,bogus=1",
         "ckpt:bytes=0",
+        "nodedown:node=1,at=inf",
+        "nodedown:node=1,at=0,for=nan",
+        "rankfail:rank=1,at=nan",
+        "ckpt:bytes=inf",
     };
-    const char* mutation = mutations[randint(0, 3)];
+    const char* mutation = mutations[randint(0, 7)];
     try {
       (void)FaultPlan::parse(spec + ";" + mutation);
       FAIL() << "expected rejection of mutation: " << mutation;
@@ -212,65 +279,16 @@ TEST(FaultPlan, FuzzedClausesRoundTripAndMutationsNameTheClause) {
 
 TEST(FaultPlan, SummaryNamesEveryClause) {
   const auto plan = FaultPlan::parse(
-      "seed:9;linkdown:a=0,b=3,at=1ms;throttle:card=2,factor=0.5,at=0;"
+      "seed:9;linkdown:a=0,b=3,at=1ms;degrade:a=2,b=5,factor=0.5,at=0;"
       "drop:0.2");
   const std::string text = plan.summary();
   EXPECT_NE(text.find("seed 9"), std::string::npos);
   EXPECT_NE(text.find("linkdown 0<->3"), std::string::npos);
-  EXPECT_NE(text.find("throttle card 2"), std::string::npos);
+  EXPECT_NE(text.find("degrade 2<->5 to 0.5x"), std::string::npos);
   EXPECT_NE(text.find("drop p=0.2"), std::string::npos);
 }
 
 // --- injector: timed windows -------------------------------------------------
-
-TEST(Injector, DeviceLostWindowRejectsThenRestores) {
-  rt::NodeSim sim(arch::aurora());
-  Injector injector(FaultPlan::parse("devlost:dev=1,at=1ms,for=1ms"));
-  injector.arm(sim);
-  EXPECT_EQ(injector.events_armed(), 2);
-
-  bool rejected_in_window = false;
-  bool ok_after_restore = false;
-  sim.engine().schedule_at(1.5e-3, [&] {
-    try {
-      sim.transfer_h2d(1, 1e6);
-    } catch (const pvc::Error& e) {
-      rejected_in_window = e.code() == pvc::ErrorCode::DeviceLost;
-    }
-  });
-  sim.engine().schedule_at(3e-3, [&] {
-    sim.transfer_h2d(1, 1e6);
-    ok_after_restore = true;
-  });
-  sim.run();
-  EXPECT_TRUE(rejected_in_window);
-  EXPECT_TRUE(ok_after_restore);
-}
-
-TEST(Injector, ThrottleWindowSlowsKernels) {
-  const auto spec = arch::aurora();
-  rt::KernelDesc kernel;
-  kernel.name = "fma";
-  kernel.kind = arch::WorkloadKind::Fp64Fma;
-  kernel.precision = arch::Precision::FP64;
-  kernel.flops = 1e9;
-  kernel.compute_efficiency = 1.0;
-  kernel.launch_latency_s = 0.0;
-
-  const auto run_one = [&](const char* chaos) {
-    rt::NodeSim sim(spec);
-    Injector injector(FaultPlan::parse(chaos));
-    injector.arm(sim);
-    sim.run();  // open the at=0 window before pricing the kernel
-    rt::Queue queue(sim, 0);
-    queue.submit(kernel);
-    return queue.wait();
-  };
-
-  const double healthy = run_one("");
-  const double throttled = run_one("throttle:card=0,factor=0.5,at=0");
-  EXPECT_NEAR(throttled / healthy, 2.0, 1e-9);
-}
 
 TEST(Injector, DegradeWindowScalesXeLinkBandwidth) {
   const auto spec = arch::aurora();
@@ -354,33 +372,17 @@ TEST(Injector, LinkFlapWindowClosesAgain) {
             (std::vector<bool>{false, true, false, true, false, false}));
 }
 
-// --- probabilistic hooks -----------------------------------------------------
-
-TEST(Injector, UsmFailureHookRespectsKindFilter) {
-  rt::NodeSim sim(arch::aurora());
-  Injector injector(FaultPlan::parse("usmfail:p=1,kind=device"));
-  injector.arm(sim);
-  try {
-    (void)sim.memory().allocate(rt::MemKind::Device, 0, 1.0 * MB);
-    FAIL() << "expected injected OOM";
-  } catch (const pvc::Error& e) {
-    EXPECT_EQ(e.code(), pvc::ErrorCode::OutOfDeviceMemory);
-  }
-  // Host allocations do not match the `device` filter and sail through.
-  auto host = sim.memory().allocate(rt::MemKind::Host, -1, 1.0 * MB);
-  EXPECT_TRUE(host.valid());
-}
+// --- message-verdict hook ----------------------------------------------------
 
 TEST(Injector, AttachAppliesResilienceOverrides) {
   rt::NodeSim sim(arch::aurora());
   auto comm = comm::Communicator::explicit_scaling(sim);
   Injector injector(
-      FaultPlan::parse("retries:max=7,backoff=3us,maxbackoff=9us;timeout:2ms"));
+      FaultPlan::parse("retries:max=7,backoff=3us,maxbackoff=9us"));
   injector.attach(comm);
   EXPECT_EQ(comm.resilience().max_retries, 7);
   EXPECT_DOUBLE_EQ(comm.resilience().retry_backoff_s, 3e-6);
   EXPECT_DOUBLE_EQ(comm.resilience().max_backoff_s, 9e-6);
-  EXPECT_DOUBLE_EQ(comm.resilience().wait_timeout_s, 2e-3);
 }
 
 TEST(Injector, DropPlanRetriesAndStillDelivers) {
@@ -405,7 +407,6 @@ std::string chaotic_run_snapshot() {
   obs::Registry::global().reset_values();
   const auto plan = FaultPlan::parse(
       "seed:7;drop:0.15;corrupt:0.1;retries:max=10,backoff=1us;"
-      "usmfail:p=0.3,kind=device;throttle:card=0,factor=0.8,at=0;"
       "flap:a=0,b=3,period=1ms,duty=0.5,count=2,at=0");
   Injector injector(plan);
   rt::NodeSim sim(arch::aurora());
@@ -423,18 +424,7 @@ std::string chaotic_run_snapshot() {
     (void)comm.irecv(dst, src, i, 64.0 * KiB);
   }
   sim.run();  // drain everything; aborted transfers are fine here
-
-  int injected_oom = 0;
-  for (int i = 0; i < 40; ++i) {
-    try {
-      (void)sim.memory().allocate(rt::MemKind::Device, i % sim.device_count(),
-                                  1.0 * MB);
-    } catch (const pvc::Error&) {
-      ++injected_oom;
-    }
-  }
-  return obs::to_csv(obs::Registry::global().snapshot()).to_string() +
-         "\noom=" + std::to_string(injected_oom);
+  return obs::to_csv(obs::Registry::global().snapshot()).to_string();
 }
 
 TEST(Injector, SameSpecAndSeedReproduceBitIdenticalMetrics) {

@@ -871,12 +871,15 @@ TEST(CheckpointOracle, NoFailuresAtTheSegmentLimitMatchThePerTrialWalk) {
 
 TEST(InjectorLifetime, HookFiringAfterDestructionFailsLoudly) {
   rt::NodeSim sim(arch::aurora());
+  auto comm = comm::Communicator::explicit_scaling(sim);
   {
-    fault::Injector injector(fault::FaultPlan::parse("usmfail:p=1"));
-    injector.arm(sim);
-  }  // injector destroyed, hook still installed
+    fault::Injector injector(fault::FaultPlan::parse("drop:1"));
+    injector.attach(comm);
+  }  // injector destroyed, message hook still installed
   try {
-    (void)sim.memory().allocate(rt::MemKind::Device, 0, 1.0 * MB);
+    auto send = comm.isend(0, 1, 7, 1.0 * MB);
+    auto recv = comm.irecv(1, 0, 7, 1.0 * MB);
+    sim.run();
     FAIL() << "expected a loud lifetime error";
   } catch (const pvc::Error& e) {
     EXPECT_NE(std::string(e.what()).find("detach"), std::string::npos)
@@ -886,13 +889,18 @@ TEST(InjectorLifetime, HookFiringAfterDestructionFailsLoudly) {
 
 TEST(InjectorLifetime, DetachDisarmsTheHookCleanly) {
   rt::NodeSim sim(arch::aurora());
+  auto comm = comm::Communicator::explicit_scaling(sim);
   {
-    fault::Injector injector(fault::FaultPlan::parse("usmfail:p=1"));
-    injector.arm(sim);
-    injector.detach(sim);
+    fault::Injector injector(fault::FaultPlan::parse("drop:1"));
+    injector.attach(comm);
+    injector.detach(comm);
   }
-  auto block = sim.memory().allocate(rt::MemKind::Device, 0, 1.0 * MB);
-  EXPECT_TRUE(block.valid());
+  auto send = comm.isend(0, 1, 7, 1.0 * MB);
+  auto recv = comm.irecv(1, 0, 7, 1.0 * MB);
+  sim.run();
+  EXPECT_TRUE(send.done());
+  EXPECT_TRUE(recv.done());
+  EXPECT_EQ(recv.attempts(), 1);
 }
 
 // --- fault.* metrics ---------------------------------------------------------

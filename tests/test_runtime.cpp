@@ -274,6 +274,32 @@ TEST(NodeSim, CardStackDecomposition) {
   EXPECT_THROW(sim.card_of(99), pvc::Error);
 }
 
+TEST(NodeSim, TransfersRejectADeviceOutsideTheNode) {
+  // Every entry point that starts a flow or binds a queue checks the
+  // subdevice index before it touches the link graph, and starts nothing.
+  NodeSim sim(arch::aurora());
+  for (const int bad : {-1, sim.device_count()}) {
+    const auto expect_rejected = [bad](const char* call, auto&& start) {
+      try {
+        start();
+        ADD_FAILURE() << call << " accepted device " << bad;
+      } catch (const pvc::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("bad device"), std::string::npos)
+            << call << ": " << e.what();
+      }
+    };
+    expect_rejected("transfer_h2d", [&] { sim.transfer_h2d(bad, 1.0 * MB); });
+    expect_rejected("transfer_d2h", [&] { sim.transfer_d2h(bad, 1.0 * MB); });
+    expect_rejected("transfer_d2d src",
+                    [&] { sim.transfer_d2d(bad, 0, 1.0 * MB); });
+    expect_rejected("transfer_d2d dst",
+                    [&] { sim.transfer_d2d(0, bad, 1.0 * MB); });
+    expect_rejected("Queue", [&] { Queue queue(sim, bad); });
+  }
+  EXPECT_TRUE(sim.engine().idle());
+  EXPECT_DOUBLE_EQ(sim.run(), 0.0);
+}
+
 TEST(NodeSim, SameCardStacksHaveNoXeLink) {
   // MDFI joins the two stacks of a card; an Xe-Link joins different
   // cards.  Downing a same-card "Xe-Link" used to change no route, and

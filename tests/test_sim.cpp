@@ -151,16 +151,19 @@ TEST(Engine, StepExecutesAtMostOneEventUpToLimit) {
   int fired = 0;
   engine.schedule_at(1.0, [&] { ++fired; });
   engine.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_TRUE(engine.step(5.0));
+  EXPECT_TRUE(engine.step());
   EXPECT_EQ(fired, 1);
-  // Completing early must not catapult the clock to the limit.
+  // One step must not catapult the clock to the next event.
   EXPECT_DOUBLE_EQ(engine.now(), 1.0);
-  EXPECT_FALSE(engine.step(1.5));  // next event lies beyond the limit
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
-  EXPECT_TRUE(engine.step(2.0));
+  EXPECT_TRUE(engine.step());
   EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
   EXPECT_FALSE(engine.step());  // drained
+  // The limit is the horizon: an event past it stays pending, unrun.
+  engine.schedule_at(2 * Engine::kHorizon, [&] { ++fired; });
+  EXPECT_FALSE(engine.step());
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(engine.idle());
 }
 
 TEST(Engine, PendingTracksEventLifecycle) {
