@@ -182,7 +182,7 @@ int run(int argc, char** argv) {
   fault::check_cluster_plan(
       plan,
       {kJobNodes, fabric.nic.per_node, kJobNodes * node.total_subdevices()},
-      /*reads_checkpoint=*/true);
+      /*recovers=*/true);
 
   const double ckpt_bytes =
       plan.checkpoint ? plan.checkpoint->bytes_per_rank : kCkptBytes;

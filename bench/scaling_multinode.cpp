@@ -16,6 +16,9 @@
 // Aurora nodes); 0 prices every point with the model.  threads= only
 // spreads the per-point DES runs over a sweep pool: output is
 // byte-identical at every value (tests/determinism_check.cmake).
+// chaos= takes the NIC clauses; the bench runs no recovery, so a
+// nodedown or rankfail clause is rejected before any output
+// (docs/ROBUSTNESS.md).
 
 #include <cstdio>
 #include <iostream>
@@ -116,7 +119,7 @@ int run(int argc, char** argv) {
                    ranks};
       }
     }
-    fault::check_cluster_plan(plan, largest, /*reads_checkpoint=*/false);
+    fault::check_cluster_plan(plan, largest, /*recovers=*/false);
     std::printf("%s", plan.summary().c_str());
   }
 

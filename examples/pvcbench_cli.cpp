@@ -5,7 +5,7 @@
 //   ./pvcbench_cli systems
 //   ./pvcbench_cli peak   system=dawn precision=fp64 scope=node
 //   ./pvcbench_cli stream system=aurora scope=stack
-//   ./pvcbench_cli gemm   system=h100 precision=fp16 n=20480
+//   ./pvcbench_cli gemm   system=h100 precision=fp16
 //   ./pvcbench_cli fft    system=aurora dims=2
 //   ./pvcbench_cli xfer   system=aurora src=0 dst=4 mb=500
 //   ./pvcbench_cli kernel system=aurora flops=1e13 bytes=1e10
@@ -68,7 +68,7 @@ int usage() {
       "  systems                         list the modelled systems\n"
       "  peak   system= precision= scope=   FMA-chain peak flops\n"
       "  stream system= scope=              triad bandwidth\n"
-      "  gemm   system= precision= n= scope= GEMM rate\n"
+      "  gemm   system= precision= scope=   GEMM rate\n"
       "  fft    system= dims=1|2 scope=      batched C2C FFT rate\n"
       "  xfer   system= src= dst= mb=        device-to-device transfer\n"
       "         (src=-1 for host-to-device)\n"

@@ -153,8 +153,6 @@ struct Calibration {
 
   /// Fraction of HBM spec bandwidth a stream triad achieves.
   double stream_efficiency = 0.0;
-  /// FMA-chain efficiency vs theoretical peak (paper: 99%).
-  double fma_efficiency = 0.99;
 
   /// GEMM library efficiency vs the best pipeline's peak at the
   /// governor-resolved frequency.

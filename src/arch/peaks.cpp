@@ -48,7 +48,7 @@ double fma_peak(const NodeSpec& node, Precision p, Scope scope) {
       p == Precision::FP64 ? WorkloadKind::Fp64Fma : WorkloadKind::Fp32Fma;
   const double f = governed_frequency(node, kind, scope);
   const double per_subdevice =
-      node.card.subdevice.vector_peak(p, f) * node.calib.fma_efficiency;
+      node.card.subdevice.vector_peak(p, f) * kPaperFmaEfficiency;
   return per_subdevice * active_subdevices(node, scope);
 }
 
@@ -91,14 +91,6 @@ PowerReport power_report(const NodeSpec& node, WorkloadKind kind,
   report.card_cap_w = node.power.card_cap_w;
   report.node_cap_w = node.power.node_cap_w;
   return report;
-}
-
-double fft_rate(const NodeSpec& node, bool two_dimensional, Scope scope) {
-  const double f = governed_frequency(node, WorkloadKind::Fft, scope);
-  const double fp32_peak = node.card.subdevice.vector_peak(Precision::FP32, f);
-  const double fraction = two_dimensional ? node.calib.fft_fraction_2d
-                                          : node.calib.fft_fraction_1d;
-  return fp32_peak * fraction * active_subdevices(node, scope);
 }
 
 }  // namespace pvc::arch

@@ -33,9 +33,13 @@ struct Activity {
 [[nodiscard]] double governed_frequency(const NodeSpec& node,
                                         WorkloadKind kind, Scope scope);
 
+/// Fraction of the vector pipeline's peak an FMA chain sustains: the
+/// paper's 99%, on every system.
+inline constexpr double kPaperFmaEfficiency = 0.99;
+
 /// FMA-chain peak (the paper's "Peak Flops" rows): vector pipeline at the
-/// governed frequency times the 99% chain efficiency, summed over the
-/// scope's subdevices.  Precision must be FP64 or FP32.
+/// governed frequency times kPaperFmaEfficiency, summed over the scope's
+/// subdevices.  Precision must be FP64 or FP32.
 [[nodiscard]] double fma_peak(const NodeSpec& node, Precision p, Scope scope);
 
 /// Theoretical vector peak at f_max (no governor) — used for Table IV
@@ -50,10 +54,6 @@ struct Activity {
 /// GEMM sustained rate for the paper's N=20480 square problem.
 [[nodiscard]] double gemm_rate(const NodeSpec& node, Precision p,
                                Scope scope);
-
-/// FFT sustained flop rate (single-precision C2C), 1D or 2D.
-[[nodiscard]] double fft_rate(const NodeSpec& node, bool two_dimensional,
-                              Scope scope);
 
 /// Per-scope achieved HBM bandwidth available to one subdevice for
 /// roofline kernel timing (bandwidth does not contend across stacks).

@@ -143,7 +143,6 @@ NodeSpec aurora() {
 
   // Triad reaches 1 TB/s of the 1.64 TB/s per-stack spec (§IV-B3).
   n.calib.stream_efficiency = 0.61;
-  n.calib.fma_efficiency = 0.99;
 
   // GEMM library efficiency vs pipeline peak at the governed frequency
   // (§IV-B5: SGEMM ~95% of measured peak, DGEMM ~80%; XMX precisions
@@ -216,7 +215,6 @@ NodeSpec dawn() {
   n.calib.dyn_w_mixed = 171.0;
 
   n.calib.stream_efficiency = 0.61;
-  n.calib.fma_efficiency = 0.99;
 
   n.calib.gemm_eff_fp64 = 0.86;
   n.calib.gemm_eff_fp32 = 0.95;
@@ -314,7 +312,6 @@ NodeSpec jlse_h100() {
   // Calibrated so a bandwidth-bound code (CloverLeaf) reproduces the
   // paper's measured PVC:H100 FOM ratio of ~0.61 against PVC's 2 TB/s.
   n.calib.stream_efficiency = 0.97;
-  n.calib.fma_efficiency = 0.99;
 
   // Back-derived from the mini-GAMESS Table VI entry (the paper leaves
   // H100 DGEMM unmeasured in Table IV): ~51% of the FP64 tensor peak.
@@ -413,7 +410,6 @@ NodeSpec jlse_mi250() {
   // MI250x on Frontier reaches 1.3 TB/s per GCD, ~80% of spec (§IV-B3);
   // the MI250 sibling behaves alike.
   n.calib.stream_efficiency = 0.75;
-  n.calib.fma_efficiency = 0.99;
 
   // §IV-B5: MI250x GEMM uses the matrix cores but only reaches ~50% of
   // their theoretical double-precision peak.

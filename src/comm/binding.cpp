@@ -36,18 +36,6 @@ std::vector<CpuBinding> bind_ranks(const arch::NodeSpec& node, int ranks) {
   return out;
 }
 
-double cores_per_rank(const arch::NodeSpec& node, int ranks) {
-  ensure(ranks >= 1, "cores_per_rank: need at least one rank");
-  const int usable =
-      node.cpu.sockets * (node.cpu.cores_per_socket - 1);  // OS cores reserved
-  return static_cast<double>(usable) / static_cast<double>(ranks);
-}
-
-double host_bandwidth_per_rank(const arch::NodeSpec& node, int ranks) {
-  ensure(ranks >= 1, "host_bandwidth_per_rank: need at least one rank");
-  return node.cpu.ddr_bandwidth_bps / static_cast<double>(ranks);
-}
-
 int nodes_for_ranks(const arch::NodeSpec& node, int ranks) {
   ensure(ranks >= 1, ErrorCode::InvalidArgument,
          "nodes_for_ranks: need at least one rank");

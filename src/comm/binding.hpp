@@ -5,8 +5,8 @@
 // transfer doesn't happen between CPU sockets.  For example, Aurora uses
 // CPU cores 0 and 52 (the first core from each CPU socket) for OS kernel
 // threads.  Therefore, rank 0 is bound to CPU core 1 and PVC 0 Stack 0."
-// This module reproduces that policy and reports per-rank CPU-resource
-// shares, which the miniQMC model uses for its CPU-congestion bottleneck.
+// This module reproduces that policy; the miniQMC model prices the
+// per-socket CPU share it leaves each rank itself (miniapps/miniqmc.cpp).
 //
 // For cluster-scale runs (docs/SCALING.md) the same policy extends to a
 // rank→(node, card, stack, core, NIC) placement: ranks fill nodes in
@@ -37,16 +37,6 @@ struct CpuBinding {
 /// available cores.
 [[nodiscard]] std::vector<CpuBinding> bind_ranks(const arch::NodeSpec& node,
                                                  int ranks);
-
-/// CPU cores available to each rank after binding: the socket's
-/// non-reserved cores divided by the ranks sharing that socket.  This is
-/// the quantity that shrinks on Aurora (6 GPUs : 2 CPUs) relative to
-/// Dawn (4 : 2) and drives the miniQMC full-node behaviour (§V-B1).
-[[nodiscard]] double cores_per_rank(const arch::NodeSpec& node, int ranks);
-
-/// Host DDR bandwidth share per rank (bytes/s).
-[[nodiscard]] double host_bandwidth_per_rank(const arch::NodeSpec& node,
-                                             int ranks);
 
 /// One rank's placement in a multi-node job (docs/SCALING.md).
 struct GlobalBinding {

@@ -35,9 +35,6 @@ FabricMetrics& fabric_metrics() {
     f.routes_minimal =
         &reg.counter("fabric.routes.minimal", "messages",
                      "inter-node messages on the minimal dragonfly route");
-    f.routes_nonminimal = &reg.counter(
-        "fabric.routes.nonminimal", "messages",
-        "inter-node messages detoured over the Valiant route");
     f.hops_local = &reg.counter("fabric.hops.local", "hops",
                                 "router uplink/downlink traversals");
     f.hops_global = &reg.counter("fabric.hops.global", "hops",
@@ -126,7 +123,6 @@ void ClusterComm::build_links() {
   // between groups); both directions share the aggregate.
   const int groups = topology_.groups();
   globals_.assign(static_cast<std::size_t>(groups) * groups, 0);
-  global_scale_.assign(static_cast<std::size_t>(groups) * groups, 1.0);
   for (int a = 0; a < groups; ++a) {
     for (int b = a + 1; b < groups; ++b) {
       const sim::LinkId id =
@@ -194,30 +190,15 @@ int ClusterComm::healthy_nic(int node, int preferred) {
                                  std::to_string(node) + " is down");
 }
 
-sim::FabricRoute ClusterComm::fabric_route(int src_node, int dst_node) const {
-  const int gs = topology_.group_of(src_node);
-  const int gd = topology_.group_of(dst_node);
-  const bool degraded =
-      gs != gd &&
-      global_scale_[static_cast<std::size_t>(gs) * topology_.groups() + gd] <
-          kAdaptiveThreshold;
-  return topology_.route(src_node, dst_node, degraded);
-}
-
 std::size_t ClusterComm::fabric_links(int src_node, int src_nic, int dst_node,
-                                      int dst_nic,
-                                      const sim::FabricRoute& route,
-                                      FabricLinks& out) const {
+                                      int dst_nic, FabricLinks& out) const {
   const int gs = topology_.group_of(src_node);
   const int gd = topology_.group_of(dst_node);
   std::size_t n = 0;
   out[n++] = nics_[nic_index(src_node, src_nic)].egress;
   out[n++] = uplinks_[static_cast<std::size_t>(src_node)];
-  if (route.global_hops == 1) {
+  if (gs != gd) {
     out[n++] = global_link(gs, gd);
-  } else if (route.global_hops == 2) {
-    out[n++] = global_link(gs, route.via_group);
-    out[n++] = global_link(route.via_group, gd);
   }
   out[n++] = downlinks_[static_cast<std::size_t>(dst_node)];
   out[n++] = nics_[nic_index(dst_node, dst_nic)].ingress;
@@ -318,18 +299,14 @@ ClusterComm::ExchangeResult ClusterComm::exchange(
     injection_log_.push_back({src.node, src_nic, post, start});
     fm.nic_stall_seconds->add(start - post);
 
-    const sim::FabricRoute route = fabric_route(src.node, dst.node);
-    if (route.global_hops == 2) {
-      fm.routes_nonminimal->add();
-    } else {
-      fm.routes_minimal->add();
-    }
+    const sim::FabricRoute route = topology_.route(src.node, dst.node);
+    fm.routes_minimal->add();
     fm.hops_local->add(static_cast<std::uint64_t>(route.local_hops));
     fm.hops_global->add(static_cast<std::uint64_t>(route.global_hops));
 
     FabricLinks links;
     const std::size_t hops =
-        fabric_links(src.node, src_nic, dst.node, dst_nic, route, links);
+        fabric_links(src.node, src_nic, dst.node, dst_nic, links);
     const double latency = (start - post) + 2.0 * fabric_.nic.latency_s +
                            route.latency_s;
     post_flow({links.data(), hops}, latency);
@@ -365,8 +342,7 @@ std::vector<sim::LinkId> ClusterComm::route_links(int src_rank,
   const int dst_nic = pick(dst.node, dst.nic);
   FabricLinks links;
   const std::size_t hops =
-      fabric_links(src.node, src_nic, dst.node, dst_nic,
-                   fabric_route(src.node, dst.node), links);
+      fabric_links(src.node, src_nic, dst.node, dst_nic, links);
   return {links.begin(), links.begin() + static_cast<std::ptrdiff_t>(hops)};
 }
 
@@ -544,20 +520,6 @@ void ClusterComm::set_nic_degradation(int node, int nic, double factor) {
   const NicState& state = nics_[nic_index(node, nic)];
   network_.set_link_scale(state.egress, factor);
   network_.set_link_scale(state.ingress, factor);
-}
-
-void ClusterComm::set_global_link_degradation(int group_a, int group_b,
-                                              double factor) {
-  const int groups = topology_.groups();
-  ensure(group_a >= 0 && group_a < groups && group_b >= 0 &&
-             group_b < groups && group_a != group_b,
-         ErrorCode::InvalidArgument,
-         "ClusterComm: invalid group pair for global-link degradation");
-  ensure(factor > 0.0 && factor <= 1.0, ErrorCode::InvalidArgument,
-         "ClusterComm: global-link degradation factor must be in (0, 1]");
-  network_.set_link_scale(global_link(group_a, group_b), factor);
-  global_scale_[static_cast<std::size_t>(group_a) * groups + group_b] = factor;
-  global_scale_[static_cast<std::size_t>(group_b) * groups + group_a] = factor;
 }
 
 std::vector<double> ClusterComm::reference_injection_schedule(

@@ -8,10 +8,10 @@
 // inter-node message is injected through a Slingshot-like NIC
 // queue — per-NIC injection bandwidth as a FlowNetwork link, per-NIC
 // message rate as a FIFO serialization gate — then routed over the
-// dragonfly group topology (sim/fabric.hpp): router uplink, at most one
-// global hop minimal (two for the Valiant detour around a degraded
-// link), router downlink, destination NIC.  Intra-node messages bypass
-// the NICs over the node's aggregated Xe-Link capacity.
+// dragonfly group topology (sim/fabric.hpp) on its minimal route:
+// router uplink, at most one global hop, router downlink, destination
+// NIC.  Intra-node messages bypass the NICs over the node's aggregated
+// Xe-Link capacity.
 //
 // The model is bulk-synchronous: exchange() posts a batch of messages
 // at the current simulated time, runs the calendar dry, and reports
@@ -24,8 +24,7 @@
 // Fault model (docs/ROBUSTNESS.md): a downed NIC (chaos `nicdown`)
 // fails traffic over to the node's next healthy NIC at post time
 // (fabric.nic.failovers counts them); a degraded NIC (`nicdegrade`)
-// scales its injection/ejection links.  A degraded global link flips
-// adaptive routing to the non-minimal Valiant route.
+// scales its injection/ejection links.
 //
 // Whole-node faults (chaos `nodedown`/`rankfail`): a downed node kills
 // every in-flight flow touching its ranks (FlowNetwork::abort_flow — the
@@ -125,14 +124,6 @@ class ClusterComm {
   /// healthy (0 < factor <= 1; 1 restores).
   void set_nic_degradation(int node, int nic, double factor);
 
-  /// Scales the global link between two groups; below
-  /// `kAdaptiveThreshold` new messages between the groups take the
-  /// non-minimal Valiant route (two global hops).
-  void set_global_link_degradation(int group_a, int group_b, double factor);
-
-  /// Scale under which adaptive routing abandons the minimal route.
-  static constexpr double kAdaptiveThreshold = 0.5;
-
   /// Downs (or restores) a whole node: every rank bound to it dies, its
   /// in-flight flows are killed (their completions never fire), and
   /// later messages touching its ranks are refused at post time.
@@ -231,20 +222,15 @@ class ClusterComm {
     int dst_node = 0;
   };
 
-  /// Links of an inter-node message: NIC egress, router uplink, up to
-  /// two global links, router downlink, NIC ingress.
-  using FabricLinks = std::array<sim::LinkId, 6>;
+  /// Links of an inter-node message: NIC egress, router uplink, the
+  /// global link between different groups, router downlink, NIC ingress.
+  using FabricLinks = std::array<sim::LinkId, 5>;
 
   void build_links();
-  /// Adaptive dragonfly route between two nodes: minimal, or Valiant
-  /// when the direct global link is degraded below kAdaptiveThreshold.
-  [[nodiscard]] sim::FabricRoute fabric_route(int src_node,
-                                              int dst_node) const;
-  /// Writes the links `route` takes from `src_nic` to `dst_nic` into
-  /// `out`; returns how many.
+  /// Writes the links of the minimal route from `src_nic` to `dst_nic`
+  /// into `out`; returns how many.
   std::size_t fabric_links(int src_node, int src_nic, int dst_node,
-                           int dst_nic, const sim::FabricRoute& route,
-                           FabricLinks& out) const;
+                           int dst_nic, FabricLinks& out) const;
   /// Completion of message `idx` of the current exchange.
   void deliver(std::size_t idx, sim::Time t);
   /// O(1) removal of message `idx`'s InFlight entry (no-op if absent):
@@ -277,7 +263,6 @@ class ClusterComm {
   std::vector<sim::LinkId> downlinks_;  // per node
   std::vector<sim::LinkId> intra_;      // per node
   std::vector<sim::LinkId> globals_;    // group-pair matrix (a < b mirrored)
-  std::vector<double> global_scale_;    // parallel to globals_
 
   std::vector<InjectionRecord> injection_log_;
   std::uint64_t delivered_ = 0;

@@ -33,7 +33,6 @@ struct FabricMetrics {
   obs::Counter* bytes;
   obs::Counter* routes_intra_node;
   obs::Counter* routes_minimal;
-  obs::Counter* routes_nonminimal;
   obs::Counter* hops_local;
   obs::Counter* hops_global;
   obs::Counter* nic_failovers;

@@ -2,8 +2,8 @@
 // Key/value run configuration.
 //
 // Bench binaries and examples accept `key=value` arguments (mirroring the
-// paper artifact's environment-variable knobs such as ZE_AFFINITY_MASK);
-// Config parses them and serves typed lookups with defaults.
+// paper artifact's environment-variable knobs); Config parses them and
+// serves typed lookups with defaults.
 
 #include <map>
 #include <optional>

@@ -99,15 +99,6 @@ double checkpoint_write_model_s(const sim::FabricSpec& fabric,
          bytes_per_rank / serial_bps;
 }
 
-double resolved_interval_s(const CheckpointPlan& plan, double write_cost_s) {
-  if (plan.interval_s > 0.0) {
-    return plan.interval_s;
-  }
-  ensure(plan.mtbf_s > 0.0, ErrorCode::InvalidArgument,
-         "resolved_interval_s: ckpt interval=0 (Daly-optimal) needs mtbf=");
-  return daly_optimal_interval_s(write_cost_s, plan.mtbf_s);
-}
-
 std::size_t check_restart_cell(std::string_view context, double work_s,
                                double interval_s, double checkpoint_s,
                                double restart_s, double mtbf_s, int trials) {

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "fault/plan.hpp"
 #include "sim/fabric.hpp"
 
 namespace pvc::fault {
@@ -51,11 +50,6 @@ namespace pvc::fault {
 [[nodiscard]] double checkpoint_write_model_s(const sim::FabricSpec& fabric,
                                               int ranks_per_node,
                                               double bytes_per_rank);
-
-/// The interval a CheckpointPlan asks for: its explicit `interval=`, or
-/// the Daly optimum for (write cost, MTBF) when it said 0.
-[[nodiscard]] double resolved_interval_s(const CheckpointPlan& plan,
-                                         double write_cost_s);
 
 /// What the Monte-Carlo C/R engine observed, averaged over its trials.
 struct RestartStats {

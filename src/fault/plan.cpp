@@ -452,7 +452,7 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
 }
 
 void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
-                        bool reads_checkpoint) {
+                        bool recovers) {
   const std::pair<bool, const char*> node_level[] = {
       {!plan.linkdowns.empty(), "linkdown"},
       {!plan.flaps.empty(), "flap"},
@@ -469,7 +469,7 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
                     "simulations only");
     }
   }
-  if (plan.checkpoint && !reads_checkpoint) {
+  if (plan.checkpoint && !recovers) {
     reject_clause("ckpt", "is never read by this bench");
   }
 
@@ -502,12 +502,19 @@ void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
     check_nic("nicdegrade", ev.node, ev.nic);
   }
   for (const auto& ev : plan.node_downs) {
-    require_exists("nodedown:node=" + std::to_string(ev.node), "node",
-                   ev.node, largest.nodes, cluster);
+    const std::string clause = "nodedown:node=" + std::to_string(ev.node);
+    if (!recovers) {
+      reject_clause(clause,
+                    "kills the node's ranks, and this bench runs no recovery");
+    }
+    require_exists(clause, "node", ev.node, largest.nodes, cluster);
   }
   for (const auto& ev : plan.rank_fails) {
-    require_exists("rankfail:rank=" + std::to_string(ev.rank), "rank",
-                   ev.rank, largest.ranks, cluster);
+    const std::string clause = "rankfail:rank=" + std::to_string(ev.rank);
+    if (!recovers) {
+      reject_clause(clause, "kills a rank, and this bench runs no recovery");
+    }
+    require_exists(clause, "rank", ev.rank, largest.ranks, cluster);
   }
 }
 

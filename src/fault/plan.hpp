@@ -171,12 +171,15 @@ struct ClusterExtent {
 };
 
 /// Rejects a plan that a cluster-only bench (scaling_multinode,
-/// resilience_sweep) would silently ignore, with ErrorCode::InvalidArgument
-/// naming the clause:
+/// resilience_sweep) would silently ignore or could not survive, with
+/// ErrorCode::InvalidArgument naming the clause:
 ///  * node-level clauses (linkdown, flap, degrade, drop, corrupt,
 ///    reroute, retries), which need a NodeSim or Communicator the bench
 ///    never builds;
-///  * `ckpt`, unless `reads_checkpoint`;
+///  * `ckpt`, `nodedown` and `rankfail`, unless the bench `recovers`
+///    (runs the fault-tolerant collectives and the checkpoint model):
+///    without recovery a dead rank fails the run and a checkpoint plan
+///    is never read;
 ///  * nodedown/nicdown/nicdegrade/rankfail clauses naming a node, NIC or
 ///    rank outside `largest`.  Injector::arm(ClusterComm&) still skips
 ///    such events per cluster, so a plan valid on the largest cluster
@@ -184,7 +187,7 @@ struct ClusterExtent {
 /// Zero-probability drop/corrupt clauses parse to the empty plan and
 /// pass.
 void check_cluster_plan(const FaultPlan& plan, const ClusterExtent& largest,
-                        bool reads_checkpoint);
+                        bool recovers);
 
 /// Rejects a plan that a single-node bench (chaos_degradation) would
 /// silently ignore or fail on late, with ErrorCode::InvalidArgument

@@ -66,7 +66,7 @@ double measure_peak_flops(const arch::NodeSpec& node, arch::Precision p,
   // Enough chained FMAs for ~1 ms of device time per launch.
   const double target_flops = 2.0e10;
   kernel.flops = target_flops;
-  kernel.compute_efficiency = node.calib.fma_efficiency;
+  kernel.compute_efficiency = arch::kPaperFmaEfficiency;
   kernel.launch_latency_s = 0.0;
   return run_kernel_scope(node, scope, kernel, target_flops, /*passes=*/4);
 }

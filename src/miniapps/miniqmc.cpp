@@ -266,10 +266,10 @@ double miniqmc_block_time(const arch::NodeSpec& node, int ranks) {
   const int ranks_socket0 = std::min(ranks, cards_socket0 * spc);
   const double usable_per_socket =
       static_cast<double>(node.cpu.cores_per_socket - 1);
-  const double cores_per_rank =
+  const double rank_cores =
       usable_per_socket / static_cast<double>(ranks_socket0);
   const double cpu_time =
-      c.cpu_s * std::max(1.0, c.cpu_threads_needed / cores_per_rank);
+      c.cpu_s * std::max(1.0, c.cpu_threads_needed / rank_cores);
 
   // PCIe sharing: stacks of one card share its link; the host aggregate
   // caps the total.

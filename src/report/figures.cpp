@@ -21,11 +21,6 @@ double ratio(const std::optional<double>& a, const std::optional<double>& b) {
 
 }  // namespace
 
-std::vector<RelativeBar> figure2_bars() {
-  return figure2_bars(compute_table6(arch::aurora()),
-                      compute_table6(arch::dawn()));
-}
-
 std::vector<RelativeBar> figure2_bars(const Table6Column& fom_a,
                                       const Table6Column& fom_d) {
   const auto aurora = arch::aurora();
@@ -171,12 +166,6 @@ std::vector<RelativeBar> versus_bars(const arch::NodeSpec& peer,
 
 }  // namespace
 
-std::vector<RelativeBar> figure3_bars() {
-  return figure3_bars(compute_table6(arch::jlse_h100()),
-                      compute_table6(arch::aurora()),
-                      compute_table6(arch::dawn()));
-}
-
 std::vector<RelativeBar> figure3_bars(const Table6Column& peer_fom,
                                       const Table6Column& aurora_fom,
                                       const Table6Column& dawn_fom) {
@@ -184,25 +173,11 @@ std::vector<RelativeBar> figure3_bars(const Table6Column& peer_fom,
                      aurora_fom, dawn_fom);
 }
 
-std::vector<RelativeBar> figure4_bars() {
-  return figure4_bars(compute_table6(arch::jlse_mi250()),
-                      compute_table6(arch::aurora()),
-                      compute_table6(arch::dawn()));
-}
-
 std::vector<RelativeBar> figure4_bars(const Table6Column& peer_fom,
                                       const Table6Column& aurora_fom,
                                       const Table6Column& dawn_fom) {
   return versus_bars(arch::jlse_mi250(), /*gcd_scope=*/true, peer_fom,
                      aurora_fom, dawn_fom);
-}
-
-std::vector<LatencySeries> figure1_series(bool coalesced) {
-  std::vector<LatencySeries> series;
-  for (const auto& node : arch::all_systems()) {
-    series.push_back(figure1_system_series(node, coalesced));
-  }
-  return series;
 }
 
 LatencySeries figure1_system_series(const arch::NodeSpec& node,

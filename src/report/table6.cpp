@@ -2,7 +2,6 @@
 
 #include "apps/hacc_mini.hpp"
 #include "apps/openmc_mini.hpp"
-#include "arch/systems.hpp"
 #include "miniapps/cloverleaf.hpp"
 #include "miniapps/minibude.hpp"
 #include "miniapps/minigamess.hpp"
@@ -25,14 +24,6 @@ Table6Column compute_table6(const arch::NodeSpec& node) {
   }
   col.hacc = apps::hacc_fom(node);
   return col;
-}
-
-std::vector<Table6Column> compute_table6_all() {
-  std::vector<Table6Column> cols;
-  for (const auto& node : arch::all_systems()) {
-    cols.push_back(compute_table6(node));
-  }
-  return cols;
 }
 
 }  // namespace pvc::report

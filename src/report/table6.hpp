@@ -3,7 +3,6 @@
 // four systems.
 
 #include <string>
-#include <vector>
 
 #include "arch/gpu_spec.hpp"
 #include "miniapps/fom.hpp"
@@ -26,8 +25,5 @@ struct Table6Column {
 /// mini-GAMESS on MI250 (build failure), OpenMC everywhere but node
 /// scale, OpenMC on Dawn (not run), HACC below node scale.
 [[nodiscard]] Table6Column compute_table6(const arch::NodeSpec& node);
-
-/// All four systems in the paper's order.
-[[nodiscard]] std::vector<Table6Column> compute_table6_all();
 
 }  // namespace pvc::report

@@ -13,48 +13,18 @@ namespace {
 double pipeline_rate(const arch::NodeSpec& node, const KernelDesc& kernel,
                      double f) {
   ensure(kernel.compute_efficiency > 0.0 && kernel.compute_efficiency <= 1.0,
-         "kernel_compute_rate: efficiency must be in (0, 1]");
+         "kernel_duration: compute efficiency must be in (0, 1]");
   const auto& sub = node.card.subdevice;
   const double pipeline =
       kernel.use_matrix_pipeline ? sub.matrix_peak(kernel.precision, f)
                                  : sub.vector_peak(kernel.precision, f);
-  ensure(pipeline > 0.0, "kernel_compute_rate: precision " +
+  ensure(pipeline > 0.0, "kernel_duration: precision " +
                              arch::precision_name(kernel.precision) +
                              " unsupported on pipeline");
   return pipeline * kernel.compute_efficiency;
 }
 
 }  // namespace
-
-double kernel_compute_rate(const arch::NodeSpec& node,
-                           const KernelDesc& kernel, arch::Activity act) {
-  const sim::PowerGovernor governor(node.power);
-  const double f = governor.operating_frequency(
-      node.calib.dynamic_power(kernel.kind), act.stacks_per_card, act.cards);
-  return pipeline_rate(node, kernel, f);
-}
-
-double kernel_duration_on_card(const arch::NodeSpec& node,
-                               const KernelDesc& kernel, ScalingMode mode) {
-  const int stacks = node.card.subdevice_count;
-  const arch::Activity card_active{stacks, 1};
-  if (stacks == 1) {
-    return kernel_duration(node, kernel, card_active);
-  }
-  if (mode == ScalingMode::Explicit) {
-    // One rank per stack, each handling half the work.
-    KernelDesc half = kernel;
-    half.flops /= stacks;
-    half.bytes /= stacks;
-    return kernel_duration(node, half, card_active);
-  }
-  // Implicit: the driver spreads the whole kernel over both stacks at a
-  // derated aggregate rate (work splitting + MDFI sharing overheads).
-  KernelDesc spread = kernel;
-  spread.flops /= stacks * kImplicitScalingEfficiency;
-  spread.bytes /= stacks * kImplicitScalingEfficiency;
-  return kernel_duration(node, spread, card_active);
-}
 
 double kernel_duration(const arch::NodeSpec& node, const KernelDesc& kernel,
                        arch::Activity act) {

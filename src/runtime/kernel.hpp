@@ -44,31 +44,4 @@ struct KernelDesc {
                                      const KernelDesc& kernel,
                                      arch::Activity act);
 
-/// Sustained compute rate (flop/s) the model assigns to `kernel` on one
-/// subdevice — duration without the memory term or latency.
-[[nodiscard]] double kernel_compute_rate(const arch::NodeSpec& node,
-                                         const KernelDesc& kernel,
-                                         arch::Activity act);
-
-/// How a kernel uses a two-stack card (paper ref [19], "Options for
-/// using a GPU Tile Hierarchy").  The paper benchmarks *explicit*
-/// scaling (one rank per stack); *implicit* scaling exposes the card as
-/// one device and lets the driver split each kernel across stacks — it
-/// doubles the resources but pays cross-stack traffic and imperfect
-/// work splitting.
-enum class ScalingMode { Explicit, Implicit };
-
-/// Fraction of two-stack throughput implicit scaling retains (driver
-/// splitting overhead + MDFI traffic for shared data).
-inline constexpr double kImplicitScalingEfficiency = 0.85;
-
-/// Duration of `kernel` on one whole card under the given mode:
-/// Explicit assumes the caller runs one rank per stack (duration of the
-/// per-stack half of the work); Implicit runs the full kernel across
-/// both stacks at the derated combined rate.  For single-subdevice
-/// cards both modes coincide.
-[[nodiscard]] double kernel_duration_on_card(const arch::NodeSpec& node,
-                                             const KernelDesc& kernel,
-                                             ScalingMode mode);
-
 }  // namespace pvc::rt

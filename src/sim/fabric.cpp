@@ -56,21 +56,7 @@ int DragonflyTopology::group_of(int node) const {
   return node / spec_.nodes_per_group;
 }
 
-int DragonflyTopology::valiant_group(int src_group, int dst_group) const {
-  if (groups_ < 3) {
-    return -1;
-  }
-  for (int step = 0; step < groups_; ++step) {
-    const int g = (src_group + dst_group + step) % groups_;
-    if (g != src_group && g != dst_group) {
-      return g;
-    }
-  }
-  return -1;
-}
-
-FabricRoute DragonflyTopology::route(int src_node, int dst_node,
-                                     bool nonminimal) const {
+FabricRoute DragonflyTopology::route(int src_node, int dst_node) const {
   const int gs = group_of(src_node);
   const int gd = group_of(dst_node);
   FabricRoute r;
@@ -80,15 +66,7 @@ FabricRoute DragonflyTopology::route(int src_node, int dst_node,
   }
   // Uplink out of the source node, downlink into the destination node.
   r.local_hops = 2;
-  if (gs != gd) {
-    const int via = nonminimal ? valiant_group(gs, gd) : -1;
-    if (via >= 0) {
-      r.global_hops = 2;
-      r.via_group = via;
-    } else {
-      r.global_hops = 1;
-    }
-  }
+  r.global_hops = gs != gd ? 1 : 0;
   r.latency_s = r.local_hops * spec_.local_hop_latency_s +
                 r.global_hops * spec_.global_hop_latency_s;
   return r;

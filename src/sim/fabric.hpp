@@ -13,9 +13,9 @@
 //  * NicSpec / FabricTopologySpec / FabricSpec — the calibrated limits:
 //    per-NIC injection bandwidth and message rate, dragonfly-ish group
 //    topology link capacities and hop latencies;
-//  * DragonflyTopology — node→group placement and route decomposition
-//    (intra-node, intra-group, minimal inter-group with one global hop,
-//    non-minimal Valiant detour with two global hops);
+//  * DragonflyTopology — node→group placement and minimal route
+//    decomposition (intra-node, intra-group, inter-group with one global
+//    hop);
 //  * the analytic collective cost model (alpha-beta with NIC message
 //    gating) used by bench/scaling_multinode at rank counts where
 //    discrete-event simulation of every message would be wasteful.
@@ -78,13 +78,11 @@ struct FabricSpec {
 struct FabricRoute {
   bool intra_node = false;
   int local_hops = 0;   ///< router uplink/downlink traversals
-  int global_hops = 0;  ///< inter-group link traversals (0, 1 or 2)
-  int via_group = -1;   ///< Valiant intermediate group; -1 when minimal
+  int global_hops = 0;  ///< inter-group link traversals (0 or 1)
   double latency_s = 0.0;
 };
 
-/// Node→group placement plus route decomposition with minimal and
-/// non-minimal (Valiant) variants.
+/// Node→group placement plus minimal route decomposition.
 class DragonflyTopology {
  public:
   DragonflyTopology(FabricTopologySpec spec, int nodes);
@@ -96,19 +94,9 @@ class DragonflyTopology {
   }
   [[nodiscard]] int group_of(int node) const;
 
-  /// Route for a node pair.  Minimal routing takes at most one global
-  /// hop (dragonfly); `nonminimal` forces the Valiant detour through
-  /// valiant_group() (two global hops), the fallback adaptive routing
-  /// uses when the minimal global link is congested or degraded.
-  /// Same-node pairs are intra-node regardless of `nonminimal`.
-  [[nodiscard]] FabricRoute route(int src_node, int dst_node,
-                                  bool nonminimal = false) const;
-
-  /// Deterministic Valiant intermediate group for a group pair: the
-  /// first group that is neither src nor dst (scanning from
-  /// (src_group + dst_group) % groups).  Returns -1 when fewer than
-  /// three groups exist (no detour available).
-  [[nodiscard]] int valiant_group(int src_group, int dst_group) const;
+  /// Minimal route for a node pair: at most one global hop (the
+  /// dragonfly invariant).  Same-node pairs are intra-node.
+  [[nodiscard]] FabricRoute route(int src_node, int dst_node) const;
 
  private:
   FabricTopologySpec spec_;

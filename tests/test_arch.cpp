@@ -199,18 +199,6 @@ TEST(Peaks, ComputeRatioFollowsXeCoreRatio) {
   EXPECT_NEAR(bw_ratio, 1.0, 1e-9);
 }
 
-TEST(Peaks, FftRatesMatchPaper) {
-  EXPECT_LT(relative_error(fft_rate(aurora(), false, Scope::OneSubdevice),
-                           3.1e12),
-            0.10);
-  EXPECT_LT(relative_error(fft_rate(dawn(), false, Scope::OneSubdevice),
-                           3.6e12),
-            0.10);
-  EXPECT_LT(relative_error(fft_rate(aurora(), true, Scope::OneSubdevice),
-                           3.4e12),
-            0.10);
-}
-
 TEST(Peaks, ScopeHelpers) {
   const NodeSpec n = aurora();
   EXPECT_EQ(active_subdevices(n, Scope::OneSubdevice), 1);

@@ -388,8 +388,14 @@ TEST(BenchOptions, ClusterChaosClausesActOrFail) {
       expect_rejected(bench, {std::string("chaos=") + spec}, clause);
     }
   }
-  // scaling_multinode never reads the checkpoint clause...
+  // scaling_multinode never reads the checkpoint clause, and runs no
+  // recovery, so an in-range node or rank fault, which would fail its
+  // halo exchange or change nothing, is rejected too...
   expect_rejected("scaling_multinode", {"chaos=ckpt:bytes=1e6"}, "ckpt");
+  expect_rejected("scaling_multinode", {"chaos=seed:7;nodedown:node=3,at=2us"},
+                  "nodedown:node=3");
+  expect_rejected("scaling_multinode", {"chaos=seed:7;rankfail:rank=5"},
+                  "rankfail:rank=5");
   // ...bounds targets by its largest DES point <= sim_ranks (192 Aurora
   // ranks = 16 nodes at sim_ranks=384)...
   expect_rejected("scaling_multinode", {"sim_ranks=384", "chaos=nodedown:16"},

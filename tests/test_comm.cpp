@@ -381,22 +381,6 @@ TEST(Binding, SkipsOsCoresAndFillsSockets) {
   }
 }
 
-TEST(Binding, CoresPerRankShrinksWithMoreGpus) {
-  // Aurora (6 GPUs : 2 CPUs) leaves fewer cores per rank than Dawn
-  // (4 : 2) — the miniQMC congestion mechanism (§V-B1).
-  const double aurora_share = cores_per_rank(arch::aurora(), 12);
-  const double dawn_share = cores_per_rank(arch::dawn(), 8);
-  EXPECT_LT(aurora_share, dawn_share);
-  EXPECT_NEAR(aurora_share, 102.0 / 12.0, 1e-9);
-  EXPECT_NEAR(dawn_share, 94.0 / 8.0, 1e-9);
-}
-
-TEST(Binding, HostBandwidthSharesEvenly) {
-  const auto node = arch::aurora();
-  EXPECT_NEAR(host_bandwidth_per_rank(node, 12),
-              node.cpu.ddr_bandwidth_bps / 12.0, 1.0);
-}
-
 TEST(Binding, ValidatesRankCount) {
   EXPECT_THROW(bind_ranks(arch::aurora(), 0), pvc::Error);
   EXPECT_THROW(bind_ranks(arch::aurora(), 13), pvc::Error);

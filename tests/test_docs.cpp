@@ -1,7 +1,8 @@
 // Documentation consistency: the README option table vs what the bench
-// sources actually parse, the docs/ cross-links the README promises,
-// the ARCHITECTURE.md subsystem map vs the src/ tree, the chaos clause
-// table vs the FaultPlan parser, and the fabric metric names vs
+// sources actually parse, the README's system names vs the system
+// parser, the docs/ cross-links the README promises, the ARCHITECTURE.md
+// subsystem map vs the src/ tree, the chaos clause table vs the
+// FaultPlan parser, and the fabric metric names vs
 // docs/OBSERVABILITY.md.  Pattern of
 // Documentation.ObservabilityDocListsEveryRegisteredMetric
 // (tests/test_obs.cpp).
@@ -17,6 +18,7 @@
 
 #include "arch/systems.hpp"
 #include "comm/cluster.hpp"
+#include "core/error.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fabric.hpp"
@@ -228,7 +230,8 @@ TEST(Documentation, ScalingDocCoversTheResilienceBenchOptions) {
 TEST(Documentation, ObservabilityDocListsTheFabricMetrics) {
   // Register the fabric metrics for real — one exchange over a fresh
   // registry — then require each live name in the doc, backticked like
-  // the rest of the metric tables.
+  // the rest of the metric tables, and each backticked fabric.* name in
+  // the doc to be live, so a deleted counter's row cannot linger.
   pvc::obs::Registry registry;
   pvc::obs::ScopedRegistry scope(registry);
   const auto node = pvc::arch::aurora();
@@ -238,16 +241,49 @@ TEST(Documentation, ObservabilityDocListsTheFabricMetrics) {
       std::vector<pvc::comm::ClusterComm::Message>{{0, 12, 1024.0}}));
 
   const std::string doc = slurp(kRoot / "docs" / "OBSERVABILITY.md");
-  std::size_t fabric_names = 0;
+  std::set<std::string> live;
   for (const auto& name : registry.names()) {
     if (name.rfind("fabric.", 0) != 0) {
       continue;
     }
-    ++fabric_names;
+    live.insert(name);
     EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
         << "docs/OBSERVABILITY.md does not document `" << name << "`";
   }
-  EXPECT_GE(fabric_names, 9u);
+  EXPECT_GE(live.size(), 9u);
+
+  static const std::regex documented(R"(`(fabric\.[a-z_.]+)`)");
+  std::size_t doc_names = 0;
+  for (std::sregex_iterator it(doc.begin(), doc.end(), documented), end;
+       it != end; ++it) {
+    ++doc_names;
+    EXPECT_TRUE(live.count((*it)[1].str()))
+        << "docs/OBSERVABILITY.md documents `" << (*it)[1].str()
+        << "`, which no fabric code registers";
+  }
+  EXPECT_GE(doc_names, live.size());
+}
+
+TEST(Documentation, ReadmeSystemNamesParse) {
+  // Every name the README's system= row offers is one system_by_name()
+  // accepts, and together they cover all five node models.
+  const std::string readme = slurp(kRoot / "README.md");
+  const std::size_t row = readme.find("| `system=<name>` |");
+  ASSERT_NE(row, std::string::npos) << "README.md lost its system= row";
+  const std::string line = readme.substr(row, readme.find('\n', row) - row);
+  const std::string meaning = line.substr(line.rfind(" | ") + 3);
+  static const std::regex name(R"(`([^`]+)`)");
+  std::set<std::string> systems;
+  for (std::sregex_iterator it(meaning.begin(), meaning.end(), name), end;
+       it != end; ++it) {
+    try {
+      systems.insert(pvc::arch::system_by_name((*it)[1].str()).system_name);
+    } catch (const pvc::Error& e) {
+      ADD_FAILURE() << "README.md system= row: " << e.what();
+    }
+  }
+  EXPECT_EQ(systems.size(), pvc::arch::all_systems().size() + 1)
+      << "the row should name every system, Frontier included";
 }
 
 TEST(Documentation, ObservabilityDocListsTheSweepDedupCounter) {

@@ -1,4 +1,4 @@
-// Tests for the second extension batch: implicit scaling, the Frontier
+// Tests for the second extension batch: explicit scaling, the Frontier
 // reference system, CloverLeaf artificial viscosity, and the miniQMC
 // local-energy estimator.
 
@@ -17,38 +17,11 @@
 namespace pvc {
 namespace {
 
-// --- implicit vs explicit scaling ------------------------------------------------
+// --- explicit scaling -------------------------------------------------------------
 
-TEST(ScalingMode, ExplicitBeatsImplicitOnTwoStackCards) {
-  // Paper §II benchmarks explicit scaling; ref [19]'s implicit mode pays
-  // a driver-splitting overhead the model prices at ~15%.
-  const auto node = arch::aurora();
-  rt::KernelDesc k;
-  k.kind = arch::WorkloadKind::Fp32Fma;
-  k.precision = arch::Precision::FP32;
-  k.flops = 1.0e13;
-  k.launch_latency_s = 0.0;
-  const double explicit_t =
-      rt::kernel_duration_on_card(node, k, rt::ScalingMode::Explicit);
-  const double implicit_t =
-      rt::kernel_duration_on_card(node, k, rt::ScalingMode::Implicit);
-  EXPECT_LT(explicit_t, implicit_t);
-  EXPECT_NEAR(explicit_t / implicit_t, rt::kImplicitScalingEfficiency, 0.01);
-}
-
-TEST(ScalingMode, ModesCoincideOnSingleDeviceCards) {
-  const auto node = arch::jlse_h100();
-  rt::KernelDesc k;
-  k.kind = arch::WorkloadKind::Fp32Fma;
-  k.precision = arch::Precision::FP32;
-  k.flops = 1.0e13;
-  k.launch_latency_s = 0.0;
-  EXPECT_DOUBLE_EQ(
-      rt::kernel_duration_on_card(node, k, rt::ScalingMode::Explicit),
-      rt::kernel_duration_on_card(node, k, rt::ScalingMode::Implicit));
-}
-
-TEST(ScalingMode, CardThroughputNearTwiceOneStack) {
+TEST(ExplicitScaling, CardThroughputNearTwiceOneStack) {
+  // Paper §II benchmarks explicit scaling: one rank per stack, each
+  // running half the card's work with both stacks active.
   const auto node = arch::dawn();
   rt::KernelDesc k;
   k.kind = arch::WorkloadKind::Stream;
@@ -56,8 +29,10 @@ TEST(ScalingMode, CardThroughputNearTwiceOneStack) {
   k.launch_latency_s = 0.0;
   const double one_stack =
       rt::kernel_duration(node, k, arch::Activity{1, 1});
-  const double card =
-      rt::kernel_duration_on_card(node, k, rt::ScalingMode::Explicit);
+  rt::KernelDesc half = k;
+  half.bytes /= node.card.subdevice_count;
+  const double card = rt::kernel_duration(
+      node, half, arch::Activity{node.card.subdevice_count, 1});
   EXPECT_NEAR(card, one_stack / 2.0, one_stack * 0.02);
 }
 

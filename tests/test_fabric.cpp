@@ -78,23 +78,7 @@ TEST(DragonflyTopology, MinimalRoutesTakeAtMostOneGlobalHop) {
   const auto cross_group = topo.route(0, 127);
   EXPECT_EQ(cross_group.local_hops, 2);
   EXPECT_EQ(cross_group.global_hops, 1);
-  EXPECT_EQ(cross_group.via_group, -1);
   EXPECT_GT(cross_group.latency_s, same_group.latency_s);
-}
-
-TEST(DragonflyTopology, ValiantDetourUsesTwoGlobalHopsThroughAThirdGroup) {
-  const sim::DragonflyTopology topo(sim::FabricTopologySpec{}, 128);
-  const auto detour = topo.route(0, 127, /*nonminimal=*/true);
-  EXPECT_EQ(detour.global_hops, 2);
-  EXPECT_NE(detour.via_group, topo.group_of(0));
-  EXPECT_NE(detour.via_group, topo.group_of(127));
-  EXPECT_GE(detour.via_group, 0);
-  // With fewer than three groups there is no detour to take.
-  const sim::DragonflyTopology two_groups(sim::FabricTopologySpec{}, 64);
-  EXPECT_EQ(two_groups.valiant_group(0, 1), -1);
-  EXPECT_EQ(two_groups.route(0, 63, true).global_hops, 1);
-  // Same-group pairs never cross a global link, detour or not.
-  EXPECT_EQ(topo.route(0, 31, true).global_hops, 0);
 }
 
 // --- multi-node binding ----------------------------------------------------
@@ -359,28 +343,6 @@ TEST(ClusterCommFaults, DegradedNicSlowsItsFlows) {
   ClusterComm cluster(arch::aurora(), aurora_fabric(), 24);
   EXPECT_THROW(cluster.set_nic_degradation(0, 0, 0.0), Error);
   EXPECT_THROW(cluster.set_nic_degradation(0, 0, 1.5), Error);
-}
-
-TEST(ClusterCommFaults, DegradedGlobalLinkTriggersValiantDetour) {
-  obs::Registry registry;
-  obs::ScopedRegistry scope(registry);
-  // 3 groups (96 nodes = 1152 ranks is too big; use 32 nodes/group with
-  // 65 nodes => 3 groups at 12 ranks/node = 780 ranks — still big; use
-  // a narrow fabric instead).
-  auto fabric = aurora_fabric();
-  fabric.topo.nodes_per_group = 1;  // every node its own group
-  ClusterComm cluster(arch::aurora(), fabric, 36);  // 3 nodes, 3 groups
-  EXPECT_EQ(cluster.topology().groups(), 3);
-  const auto minimal = cluster.route_links(0, 12);
-  cluster.set_global_link_degradation(0, 1, 0.25);  // below the threshold
-  const auto detour = cluster.route_links(0, 12);
-  EXPECT_EQ(detour.size(), minimal.size() + 1);  // two global hops now
-
-  static_cast<void>(cluster.exchange(
-      std::vector<ClusterComm::Message>{{0, 12, 1024.0}, {0, 24, 1024.0}}));
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.count("fabric.routes.nonminimal"), 1u);  // only 0->12
-  EXPECT_EQ(snap.count("fabric.routes.minimal"), 1u);  // 0->24 untouched
 }
 
 TEST(ClusterCommFaults, InjectorArmsNicClausesOnTheClusterEngine) {

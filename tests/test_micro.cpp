@@ -64,6 +64,31 @@ TEST_P(Table2System, ReproducesEveryRow) {
   expect_triple_close(model.fft_2d, ref.fft_2d, "FFT 2D");
 }
 
+TEST_P(Table2System, ClosedFormPeaksMatchTheMeasurements) {
+  // The figures' expected bars and the roofline read the closed forms in
+  // arch/peaks.hpp; Table II measures the same rates by simulation.  FMA
+  // and stream agree to the bit, DGEMM up to the simulated launch
+  // latency.
+  const arch::NodeSpec node = arch::system_by_name(GetParam());
+  for (const Scope scope :
+       {Scope::OneSubdevice, Scope::OneCard, Scope::FullNode}) {
+    const std::string where = arch::scope_name(scope);
+    EXPECT_EQ(arch::fma_peak(node, Precision::FP64, scope),
+              measure_peak_flops(node, Precision::FP64, scope))
+        << where;
+    EXPECT_EQ(arch::fma_peak(node, Precision::FP32, scope),
+              measure_peak_flops(node, Precision::FP32, scope))
+        << where;
+    EXPECT_EQ(arch::stream_bandwidth(node, scope),
+              measure_stream_bandwidth(node, scope))
+        << where;
+    EXPECT_LT(relative_error(arch::gemm_rate(node, Precision::FP64, scope),
+                             measure_gemm(node, Precision::FP64, scope)),
+              1e-4)
+        << where;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(PvcSystems, Table2System,
                          ::testing::Values("aurora", "dawn"));
 

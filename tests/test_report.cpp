@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "arch/systems.hpp"
 #include "core/statistics.hpp"
 #include "report/figures.hpp"
@@ -10,8 +13,30 @@
 namespace pvc::report {
 namespace {
 
+// Each figure's bars from freshly computed Table VI columns, as the fig
+// benches call them.
+std::vector<RelativeBar> figure2() {
+  return figure2_bars(compute_table6(arch::aurora()),
+                      compute_table6(arch::dawn()));
+}
+
+std::vector<RelativeBar> figure3() {
+  return figure3_bars(compute_table6(arch::jlse_h100()),
+                      compute_table6(arch::aurora()),
+                      compute_table6(arch::dawn()));
+}
+
+std::vector<RelativeBar> figure4() {
+  return figure4_bars(compute_table6(arch::jlse_mi250()),
+                      compute_table6(arch::aurora()),
+                      compute_table6(arch::dawn()));
+}
+
 TEST(Table6, CellPresencePatternMatchesPaper) {
-  const auto cols = compute_table6_all();
+  std::vector<Table6Column> cols;
+  for (const auto& node : arch::all_systems()) {
+    cols.push_back(compute_table6(node));
+  }
   ASSERT_EQ(cols.size(), 4u);
 
   const auto& aurora = cols[0];
@@ -37,7 +62,7 @@ TEST(Table6, CellPresencePatternMatchesPaper) {
 }
 
 TEST(Figure2, AuroraToDawnRatiosNearExpectedBars) {
-  const auto bars = figure2_bars();
+  const auto bars = figure2();
   ASSERT_GE(bars.size(), 10u);
   for (const auto& bar : bars) {
     EXPECT_GT(bar.measured, 0.0) << bar.app << " " << bar.label;
@@ -54,7 +79,7 @@ TEST(Figure2, AuroraToDawnRatiosNearExpectedBars) {
 }
 
 TEST(Figure2, MiniBudeExpectedIsXeCoreRatio) {
-  const auto bars = figure2_bars();
+  const auto bars = figure2();
   const auto it =
       std::find_if(bars.begin(), bars.end(),
                    [](const RelativeBar& b) { return b.app == "miniBUDE"; });
@@ -66,7 +91,7 @@ TEST(Figure2, MiniBudeExpectedIsXeCoreRatio) {
 TEST(Figure3, SinglePvcRatiosInPaperRange) {
   // §V-B2: one PVC vs one H100 ranges from 0.6x (CloverLeaf) to ~1.8x
   // (miniQMC).
-  const auto bars = figure3_bars();
+  const auto bars = figure3();
   double lo = 1e9, hi = 0.0;
   for (const auto& bar : bars) {
     if (bar.label.find("one PVC") == std::string::npos ||
@@ -83,7 +108,7 @@ TEST(Figure3, SinglePvcRatiosInPaperRange) {
 
 TEST(Figure3, CloverLeafExpectedBarNearPointFiveNine) {
   // The paper's worked example: 2 TB/s / 3.35 TB/s = 0.59.
-  const auto bars = figure3_bars();
+  const auto bars = figure3();
   for (const auto& bar : bars) {
     if (bar.app == "CloverLeaf" &&
         bar.label.find("one PVC") != std::string::npos) {
@@ -96,7 +121,7 @@ TEST(Figure3, CloverLeafExpectedBarNearPointFiveNine) {
 TEST(Figure3, MiniBudeOutperformsExpectation) {
   // §V-B2: miniBUDE performs better than expected against H100 (PVC
   // sustains ~45-49% of FP32 peak vs H100's ~30%).
-  const auto bars = figure3_bars();
+  const auto bars = figure3();
   for (const auto& bar : bars) {
     if (bar.app == "miniBUDE") {
       ASSERT_TRUE(bar.expected.has_value());
@@ -108,7 +133,7 @@ TEST(Figure3, MiniBudeOutperformsExpectation) {
 TEST(Figure4, StackVsGcdRatiosInPaperRange) {
   // §V-B3: single stack vs one GCD spans 0.8x (CloverLeaf) to 7.5x
   // (miniQMC).
-  const auto bars = figure4_bars();
+  const auto bars = figure4();
   double lo = 1e9, hi = 0.0;
   for (const auto& bar : bars) {
     if (bar.label.find("one Stack") == std::string::npos) {
@@ -122,16 +147,17 @@ TEST(Figure4, StackVsGcdRatiosInPaperRange) {
 }
 
 TEST(Figure4, NoGamessBarsAgainstMi250) {
-  const auto bars = figure4_bars();
+  const auto bars = figure4();
   for (const auto& bar : bars) {
     EXPECT_NE(bar.app, "mini-GAMESS");
   }
 }
 
 TEST(Figure1, SeriesCoverAllSystemsAndAreMonotone) {
-  const auto series = figure1_series(false);
-  ASSERT_EQ(series.size(), 4u);
-  for (const auto& s : series) {
+  const auto systems = arch::all_systems();
+  ASSERT_EQ(systems.size(), 4u);
+  for (const auto& node : systems) {
+    const LatencySeries s = figure1_system_series(node, false);
     ASSERT_GT(s.points.size(), 8u) << s.system;
     // Latency never decreases with footprint.
     for (std::size_t i = 1; i < s.points.size(); ++i) {

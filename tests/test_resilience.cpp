@@ -497,19 +497,6 @@ TEST(Checkpoint, DalyOptimalIntervalClampsAndValidates) {
   EXPECT_THROW((void)fault::daly_optimal_interval_s(0.0, 100.0), pvc::Error);
 }
 
-TEST(Checkpoint, ResolvedIntervalHonoursExplicitThenDaly) {
-  fault::CheckpointPlan plan;
-  plan.bytes_per_rank = 1.0;
-  plan.interval_s = 42.0;
-  EXPECT_DOUBLE_EQ(fault::resolved_interval_s(plan, 10.0), 42.0);
-  plan.interval_s = 0.0;
-  plan.mtbf_s = 1000.0;
-  EXPECT_DOUBLE_EQ(fault::resolved_interval_s(plan, 10.0),
-                   fault::daly_optimal_interval_s(10.0, 1000.0));
-  plan.mtbf_s = 0.0;
-  EXPECT_THROW((void)fault::resolved_interval_s(plan, 10.0), pvc::Error);
-}
-
 TEST(Checkpoint, DiscreteEventMinimumLandsWithinOneStepOfDaly) {
   // The acceptance grid: W=10000 s, C=10 s, R=30 s, M=1000 s over
   // doubling intervals.  Daly's analytic argmin is 140 s; the seeded

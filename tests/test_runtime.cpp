@@ -1,5 +1,5 @@
 // Unit tests for src/runtime: kernel pricing, memory manager, node
-// simulator transfers, queues, affinity masks.
+// simulator transfers, queues.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "core/error.hpp"
 #include "core/statistics.hpp"
 #include "core/units.hpp"
-#include "runtime/affinity.hpp"
 #include "runtime/kernel.hpp"
 #include "runtime/memory.hpp"
 #include "runtime/node_sim.hpp"
@@ -358,38 +357,6 @@ TEST(Queue, WaitOnEmptyQueueReturnsImmediately) {
   NodeSim sim(arch::aurora());
   Queue q(sim, 0);
   EXPECT_DOUBLE_EQ(q.wait(), 0.0);
-}
-
-// --- affinity ----------------------------------------------------------------
-
-TEST(Affinity, EmptyMaskExposesEverything) {
-  const auto devices = expand_affinity_mask("", 6, 2);
-  EXPECT_EQ(devices.size(), 12u);
-  EXPECT_EQ(devices.front(), 0);
-  EXPECT_EQ(devices.back(), 11);
-}
-
-TEST(Affinity, CardAndStackTerms) {
-  // "0.0,1" exposes stack 0 of card 0 plus both stacks of card 1.
-  const auto devices = expand_affinity_mask("0.0,1", 6, 2);
-  EXPECT_EQ(devices, (std::vector<int>{0, 2, 3}));
-}
-
-TEST(Affinity, DeduplicatesPreservingOrder) {
-  const auto devices = expand_affinity_mask("1.1,1.1,0.0", 6, 2);
-  EXPECT_EQ(devices, (std::vector<int>{3, 0}));
-}
-
-TEST(Affinity, RejectsMalformedAndOutOfRange) {
-  EXPECT_THROW(expand_affinity_mask("9.0", 6, 2), pvc::Error);
-  EXPECT_THROW(expand_affinity_mask("0.7", 6, 2), pvc::Error);
-  EXPECT_THROW(expand_affinity_mask("a.b", 6, 2), pvc::Error);
-  EXPECT_THROW(expand_affinity_mask("0,,1", 6, 2), pvc::Error);
-}
-
-TEST(Affinity, FormatDeviceUsesPaperNotation) {
-  EXPECT_EQ(format_device(0, 2), "0.0");
-  EXPECT_EQ(format_device(11, 2), "5.1");
 }
 
 }  // namespace
