@@ -91,9 +91,7 @@ inline void require_known_keys(const pvc::Config& config,
             ? "is in a directory that does not exist"
             : nullptr;
     if (problem != nullptr) {
-      pvc::raise(pvc::ErrorCode::InvalidArgument,
-                 "Config: value for '" + key + "' " + problem + ": " + key +
-                     "=" + *path);
+      pvc::reject_option(key, *path, problem);
     }
   }
 }
@@ -106,10 +104,9 @@ inline pvc::arch::NodeSpec system_from_config(const pvc::Config& config,
   try {
     return pvc::arch::system_by_name(name);
   } catch (const pvc::Error&) {
-    pvc::raise(pvc::ErrorCode::InvalidArgument,
-               "Config: value for 'system' is not a known system (aurora, "
-               "dawn, jlse-h100, jlse-mi250, frontier): system=" +
-                   name);
+    pvc::reject_option("system", name,
+                       "is not a known system (aurora, dawn, jlse-h100, "
+                       "jlse-mi250, frontier)");
   }
 }
 

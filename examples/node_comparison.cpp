@@ -12,15 +12,18 @@
 
 #include "arch/peaks.hpp"
 #include "arch/systems.hpp"
+#include "bench_common.hpp"
 #include "core/config.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
-#include "micro/microbench.hpp"
 #include "report/table6.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace pvc;
   const auto config = Config::from_args(argc, argv);
+  pvcbench::require_known_keys(config, {"bound"});
   const std::string bound = config.get_string("bound", "bandwidth");
 
   struct Entry {
@@ -47,8 +50,8 @@ int main(int argc, char** argv) {
       metric = 1.0e12 / node.card.subdevice.hbm.latency_cycles *
                node.total_subdevices();
     } else {
-      std::fprintf(stderr, "unknown bound '%s'\n", bound.c_str());
-      return 1;
+      reject_option("bound", bound,
+                    "is not a bound (fp32, fp64, bandwidth, dgemm, latency)");
     }
 
     const auto foms = report::compute_table6(node);
@@ -89,4 +92,10 @@ int main(int argc, char** argv) {
       "whole-node bottlenecks — miniQMC is CPU-congestion bound and ranks "
       "differently than any of these metrics predicts.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return pvcbench::guarded_main("node_comparison", argc, argv, run);
 }

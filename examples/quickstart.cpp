@@ -7,19 +7,22 @@
 
 #include "arch/peaks.hpp"
 #include "arch/systems.hpp"
-#include "blas/gemm.hpp"
+#include "bench_common.hpp"
 #include "core/config.hpp"
 #include "core/units.hpp"
+#include "micro/microbench.hpp"
 #include "runtime/node_sim.hpp"
 #include "runtime/queue.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace pvc;
   const auto config = Config::from_args(argc, argv);
+  pvcbench::require_known_keys(config, {"system"});
 
   // 1. Pick a system model (paper §III).
-  const arch::NodeSpec node =
-      arch::system_by_name(config.get_string("system", "aurora"));
+  const arch::NodeSpec node = pvcbench::system_from_config(config, "aurora");
   std::printf("System: %s\n", node.system_name.c_str());
   std::printf("  GPUs: %d x %s (%d subdevice(s) each)\n", node.card_count,
               node.card.name.c_str(), node.card.subdevice_count);
@@ -56,16 +59,22 @@ int main(int argc, char** argv) {
               100.0 * matrix_bytes / node.card.subdevice.hbm.capacity_bytes);
 
   queue.memcpy_h2d(matrix_bytes);
-  queue.submit(blas::gemm_kernel_desc(node, arch::Precision::FP64, n));
+  queue.submit(micro::gemm_kernel_desc(node, arch::Precision::FP64, n));
   queue.memcpy_d2h(static_cast<double>(n) * n * 8.0);
   const sim::Time end = queue.wait();
 
   std::printf("Pipeline H2D + DGEMM(N=%zu) + D2H finished at t = %s\n", n,
               format_duration(end).c_str());
   std::printf("  effective DGEMM rate: %s\n",
-              format_flops(blas::gemm_flops(static_cast<double>(n)) / end)
+              format_flops(micro::gemm_flops(static_cast<double>(n)) / end)
                   .c_str());
   std::printf("\nNext: see node_comparison, topology_explorer, "
-              "latency_sweep, docking_screen, shock_tube.\n");
+              "latency_sweep, trace_timeline, pvcbench_cli.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return pvcbench::guarded_main("quickstart", argc, argv, run);
 }

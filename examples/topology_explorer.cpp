@@ -3,12 +3,16 @@
 // measured pair bandwidth for one representative of each route class.
 //
 //   ./topology_explorer [system=aurora|dawn]
+//
+// Any other system has no Xe-Link fabric to explore and is refused by
+// name.
 
 #include <cstdio>
 #include <iostream>
 
 #include "arch/systems.hpp"
 #include "arch/topology.hpp"
+#include "bench_common.hpp"
 #include "core/config.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
@@ -25,20 +29,17 @@ double pair_bandwidth(const pvc::arch::NodeSpec& node, int src, int dst) {
   return 500.0 * pvc::MB / done;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pvc;
   const auto config = Config::from_args(argc, argv);
-  const auto node =
-      arch::system_by_name(config.get_string("system", "aurora"));
-  rt::NodeSim sim(node);
-  if (!sim.topology()) {
-    std::printf("%s has no two-stack Xe-Link topology to explore.\n",
-                node.system_name.c_str());
-    return 0;
+  pvcbench::require_known_keys(config, {"system"});
+  const auto node = pvcbench::system_from_config(config, "aurora");
+  if (node.fabric.technology != "Xe-Link") {
+    reject_option("system", config.get_string("system", "aurora"),
+                  "has no Xe-Link fabric to explore (aurora, dawn)");
   }
-  const auto& topo = *sim.topology();
+  rt::NodeSim sim(node);
+  const auto& topo = sim.topology().value();
 
   std::printf("%s Xe-Link topology (%d cards, %d stacks)\n",
               node.system_name.c_str(), topo.gpus(), topo.stacks());
@@ -105,4 +106,10 @@ int main(int argc, char** argv) {
               "pairs are slower than PCIe (~55 GB/s) while local MDFI is "
               "~3.6x faster.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return pvcbench::guarded_main("topology_explorer", argc, argv, run);
 }

@@ -8,8 +8,10 @@
 //                    [metrics=metrics.csv]
 
 #include <cstdio>
+#include <string>
 
 #include "arch/systems.hpp"
+#include "bench_common.hpp"
 #include "core/config.hpp"
 #include "core/units.hpp"
 #include "obs/exporters.hpp"
@@ -17,13 +19,18 @@
 #include "runtime/node_sim.hpp"
 #include "runtime/queue.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace pvc;
   const auto config = Config::from_args(argc, argv);
-  const auto node =
-      arch::system_by_name(config.get_string("system", "aurora"));
+  pvcbench::require_known_keys(config, {"system", "out", "steps", "metrics"});
+  const auto node = pvcbench::system_from_config(config, "aurora");
   const std::string out_path = config.get_string("out", "trace.json");
-  const int steps = static_cast<int>(config.get_int("steps", 4));
+  const long steps = config.get_int("steps", 4);
+  if (steps < 1) {
+    reject_option("steps", std::to_string(steps), "must be at least 1");
+  }
 
   rt::NodeSim sim(node);
   sim.trace().set_enabled(true);
@@ -40,7 +47,7 @@ int main(int argc, char** argv) {
   hydro.name = "hydro-step";
   hydro.kind = arch::WorkloadKind::Stream;
   hydro.bytes = 8.0 * GB;
-  for (int s = 0; s < steps; ++s) {
+  for (long s = 0; s < steps; ++s) {
     for (auto& q : queues) {
       q.memcpy_h2d(32.0 * MB);
       q.submit(hydro);
@@ -52,7 +59,7 @@ int main(int argc, char** argv) {
   }
 
   const double makespan = sim.engine().now();
-  std::printf("%s: %d devices x %d steps finished at %s\n",
+  std::printf("%s: %d devices x %ld steps finished at %s\n",
               node.system_name.c_str(), sim.device_count(), steps,
               format_duration(makespan).c_str());
 
@@ -79,4 +86,10 @@ int main(int argc, char** argv) {
   std::printf("\nChrome trace written to %s (open in chrome://tracing)\n",
               out_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return pvcbench::guarded_main("trace_timeline", argc, argv, run);
 }

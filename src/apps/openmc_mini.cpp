@@ -3,184 +3,9 @@
 #include <cmath>
 
 #include "arch/peaks.hpp"
-#include "core/error.hpp"
-#include "core/statistics.hpp"
 #include "core/units.hpp"
 
 namespace pvc::apps {
-
-void CrossSections::validate() const {
-  const std::size_t g = groups();
-  ensure(g >= 1, "CrossSections: need at least one group");
-  ensure(capture.size() == g && fission.size() == g && nu.size() == g &&
-             scatter.size() == g * g,
-         "CrossSections: inconsistent sizes");
-  for (std::size_t from = 0; from < g; ++from) {
-    double s = 0.0;
-    for (std::size_t to = 0; to < g; ++to) {
-      ensure(scatter[from * g + to] >= 0.0, "CrossSections: negative sigma");
-      s += scatter[from * g + to];
-    }
-    const double sum = capture[from] + fission[from] + s;
-    ensure(std::fabs(sum - total[from]) < 1e-9 * (1.0 + total[from]),
-           "CrossSections: sigma_t != capture + fission + scatter");
-  }
-}
-
-CrossSections make_two_group_xs() {
-  CrossSections xs;
-  // Fast group 0 / thermal group 1, depleted-fuel-like: modest fission,
-  // strong downscatter, no upscatter.
-  xs.total = {1.0, 1.5};
-  xs.capture = {0.15, 0.45};
-  xs.fission = {0.05, 0.30};
-  xs.nu = {2.5, 2.43};
-  xs.scatter = {
-      0.30, 0.50,  // group 0 -> {0, 1}
-      0.00, 0.75,  // group 1 -> {0, 1}
-  };
-  xs.validate();
-  return xs;
-}
-
-double TransportTally::k_estimate() const {
-  return source_particles == 0
-             ? 0.0
-             : fission_neutrons / static_cast<double>(source_particles);
-}
-
-namespace {
-
-/// Shared analog transport; `slab_width` <= 0 means infinite medium.
-TransportTally transport(const CrossSections& xs, double slab_width,
-                         std::uint64_t particles, std::uint64_t seed) {
-  xs.validate();
-  ensure(particles > 0, "transport: no particles");
-  const std::size_t g = xs.groups();
-  Rng rng(seed);
-  TransportTally tally;
-  tally.flux.assign(g, 0.0);
-  tally.source_particles = particles;
-
-  for (std::uint64_t p = 0; p < particles; ++p) {
-    std::size_t group = 0;
-    // Slab: birth position uniform in [0, width), direction mu uniform.
-    double x = slab_width > 0.0 ? rng.uniform() * slab_width : 0.0;
-    double mu = slab_width > 0.0 ? rng.uniform(-1.0, 1.0) : 1.0;
-
-    bool alive = true;
-    while (alive) {
-      const double sigma_t = xs.total[group];
-      const double flight = -std::log(1.0 - rng.uniform()) / sigma_t;
-
-      if (slab_width > 0.0) {
-        const double x_new = x + flight * mu;
-        if (x_new < 0.0 || x_new > slab_width) {
-          // Leaks: score track length up to the boundary.
-          const double to_boundary =
-              mu > 0.0 ? (slab_width - x) / mu : -x / mu;
-          tally.flux[group] += to_boundary;
-          break;
-        }
-        x = x_new;
-      }
-      tally.flux[group] += flight;
-      ++tally.collisions;
-
-      // Sample the collision channel.
-      const double xi = rng.uniform() * sigma_t;
-      if (xi < xs.capture[group]) {
-        ++tally.absorptions;
-        alive = false;
-      } else if (xi < xs.capture[group] + xs.fission[group]) {
-        ++tally.absorptions;
-        ++tally.fissions;
-        tally.fission_neutrons += xs.nu[group];
-        alive = false;  // analog: bank not followed (k-estimate only)
-      } else {
-        // Scatter: select outgoing group from the scatter row.
-        double remaining = xi - xs.capture[group] - xs.fission[group];
-        std::size_t to = 0;
-        while (to + 1 < g && remaining >= xs.scatter[group * g + to]) {
-          remaining -= xs.scatter[group * g + to];
-          ++to;
-        }
-        group = to;
-        if (slab_width > 0.0) {
-          mu = rng.uniform(-1.0, 1.0);  // isotropic scatter
-        }
-      }
-    }
-  }
-  return tally;
-}
-
-}  // namespace
-
-TransportTally transport_infinite_medium(const CrossSections& xs,
-                                         std::uint64_t particles,
-                                         std::uint64_t seed) {
-  return transport(xs, 0.0, particles, seed);
-}
-
-TransportTally transport_slab(const CrossSections& xs, double width,
-                              std::uint64_t particles, std::uint64_t seed) {
-  ensure(width > 0.0, "transport_slab: width must be positive");
-  return transport(xs, width, particles, seed);
-}
-
-EigenvalueResult power_iteration(const CrossSections& xs,
-                                 std::uint64_t particles_per_batch,
-                                 std::size_t active_batches,
-                                 std::size_t inactive_batches,
-                                 std::uint64_t seed) {
-  ensure(particles_per_batch > 0 && active_batches > 0,
-         "power_iteration: degenerate configuration");
-  EigenvalueResult result;
-  Rng batch_seed_gen(seed);
-  for (std::size_t batch = 0; batch < inactive_batches + active_batches;
-       ++batch) {
-    const auto tally =
-        transport_infinite_medium(xs, particles_per_batch, batch_seed_gen());
-    const double k = tally.k_estimate();
-    if (batch >= inactive_batches) {
-      result.k_per_batch.push_back(k);
-    }
-  }
-  const Summary stats = summarize(result.k_per_batch);
-  result.k_mean = stats.mean;
-  result.k_std = stats.stddev;
-  return result;
-}
-
-double analytic_k_inf(const CrossSections& xs) {
-  xs.validate();
-  const std::size_t g = xs.groups();
-  // Expected collisions per group for one neutron born in group 0 solve
-  // the linear system c = e_0 + P^T c where P[from][to] =
-  // sigma_s(from->to) / sigma_t(from).  For the downscatter-only sets we
-  // build, forward substitution suffices.
-  std::vector<double> collisions(g, 0.0);
-  std::vector<double> arrivals(g, 0.0);
-  arrivals[0] = 1.0;
-  for (std::size_t from = 0; from < g; ++from) {
-    // Self-scatter multiplies collisions in-group geometrically.
-    const double p_self = xs.scatter[from * g + from] / xs.total[from];
-    ensure(p_self < 1.0, "analytic_k_inf: absorbing-free group");
-    collisions[from] = arrivals[from] / (1.0 - p_self);
-    for (std::size_t to = from + 1; to < g; ++to) {
-      ensure(from == to || to > from || xs.scatter[from * g + to] == 0.0,
-             "analytic_k_inf: upscatter unsupported");
-      arrivals[to] += collisions[from] * xs.scatter[from * g + to] /
-                      xs.total[from];
-    }
-  }
-  double k = 0.0;
-  for (std::size_t grp = 0; grp < g; ++grp) {
-    k += collisions[grp] * xs.fission[grp] / xs.total[grp] * xs.nu[grp];
-  }
-  return k;
-}
 
 double openmc_software_efficiency(const arch::NodeSpec& node) {
   // §VI-B1: OpenMC's OpenMP-offload path is exceptionally good on PVC;

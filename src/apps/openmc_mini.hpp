@@ -1,90 +1,19 @@
 #pragma once
 // OpenMC-style Monte Carlo neutral-particle transport (paper §VI-A1).
 //
-// Functional core: analog multigroup Monte Carlo in an infinite medium
-// (and a 1-D slab with leakage) — sample flight distance from the total
-// cross-section, choose capture / scatter (with group transfer) /
-// fission, tally track-length flux per group, and estimate k_inf.
-// The transport loop's behaviour — random-stride table lookups and
-// tally atomics — is what makes the real code memory-latency bound.
+// The transport loop samples flight distances from the total
+// cross-section, chooses capture / scatter / fission and tallies flux;
+// its random-stride table lookups and tally atomics are what make the
+// real code memory-latency bound.
 //
 // FOM model: thousands of particles per second at node scale
 // (Table VI), built from each GPU's achieved bandwidth and HBM latency
 // plus a software-maturity factor (ROCm's OpenMP offload lags, §VI-B1).
 
-#include <cstdint>
-#include <vector>
-
 #include "arch/gpu_spec.hpp"
-#include "core/rng.hpp"
 #include "miniapps/fom.hpp"
 
 namespace pvc::apps {
-
-/// Multigroup cross-section set; vectors are indexed by group.
-struct CrossSections {
-  std::vector<double> total;       ///< sigma_t
-  std::vector<double> capture;     ///< sigma_c
-  std::vector<double> fission;     ///< sigma_f
-  std::vector<double> nu;          ///< neutrons per fission
-  /// scatter[g_from * groups + g_to] = sigma_s(g_from -> g_to).
-  std::vector<double> scatter;
-
-  [[nodiscard]] std::size_t groups() const { return total.size(); }
-  /// Validates internal consistency: sigma_t = c + f + sum_s.
-  void validate() const;
-};
-
-/// A simple two-group depleted-fuel-like set (downscatter only).
-[[nodiscard]] CrossSections make_two_group_xs();
-
-/// Tally results of a transport batch.
-struct TransportTally {
-  std::vector<double> flux;        ///< track-length flux per group
-  std::uint64_t collisions = 0;
-  std::uint64_t absorptions = 0;
-  std::uint64_t fissions = 0;
-  double fission_neutrons = 0.0;   ///< nu-weighted fission sites
-  std::uint64_t source_particles = 0;
-
-  /// k estimate: fission neutrons produced per source particle.
-  [[nodiscard]] double k_estimate() const;
-};
-
-/// Transports `particles` analog histories born uniformly in group 0
-/// through an infinite medium until absorption.  Deterministic per seed.
-[[nodiscard]] TransportTally transport_infinite_medium(
-    const CrossSections& xs, std::uint64_t particles, std::uint64_t seed);
-
-/// Same physics in a 1-D slab of `width` mean-free-path units with
-/// vacuum boundaries; returns the leakage fraction via the tally's
-/// `source_particles - absorptions` balance.
-[[nodiscard]] TransportTally transport_slab(const CrossSections& xs,
-                                            double width,
-                                            std::uint64_t particles,
-                                            std::uint64_t seed);
-
-/// k-eigenvalue power iteration: batches of histories with the fission
-/// production renormalized each generation (the "active phase" whose
-/// rate the paper's FOM measures).  Inactive batches are discarded
-/// before statistics.
-struct EigenvalueResult {
-  std::vector<double> k_per_batch;  ///< active batches only
-  double k_mean = 0.0;
-  double k_std = 0.0;  ///< standard deviation of the batch means
-};
-
-[[nodiscard]] EigenvalueResult power_iteration(const CrossSections& xs,
-                                               std::uint64_t particles_per_batch,
-                                               std::size_t active_batches,
-                                               std::size_t inactive_batches,
-                                               std::uint64_t seed);
-
-/// Analytic k_inf of a cross-section set with fission neutrons born in
-/// group 0 (chi = e_0): production per source neutron.
-[[nodiscard]] double analytic_k_inf(const CrossSections& xs);
-
-// --- FOM model --------------------------------------------------------------
 
 /// Software maturity of the OpenMP-offload transport kernel per system
 /// (PVC shows "excellent performance", ROCm trails, §VI-B1).

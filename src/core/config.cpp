@@ -10,16 +10,11 @@
 
 namespace pvc {
 
-namespace {
-
-/// A present value that does not parse as its option's type.
-[[noreturn]] void reject(const std::string& key, const std::string& value,
-                         const char* what) {
-  raise(ErrorCode::InvalidArgument, "Config: value for '" + key + "' is " +
-                                        what + ": " + key + "=" + value);
+void reject_option(const std::string& key, const std::string& value,
+                   const std::string& problem) {
+  raise(ErrorCode::InvalidArgument, "Config: value for '" + key + "' " +
+                                        problem + ": " + key + "=" + value);
 }
-
-}  // namespace
 
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
@@ -84,10 +79,10 @@ long Config::get_int(const std::string& key, long fallback) const {
   errno = 0;
   const long out = std::strtol(v->c_str(), &end, 10);
   if (v->empty() || *end != '\0') {
-    reject(key, *v, "not an integer");
+    reject_option(key, *v, "is not an integer");
   }
   if (errno == ERANGE) {
-    reject(key, *v, "out of range");
+    reject_option(key, *v, "is out of range");
   }
   return out;
 }
@@ -100,10 +95,10 @@ double Config::get_double(const std::string& key, double fallback) const {
   char* end = nullptr;
   const double out = std::strtod(v->c_str(), &end);
   if (v->empty() || *end != '\0') {
-    reject(key, *v, "not a number");
+    reject_option(key, *v, "is not a number");
   }
   if (!std::isfinite(out)) {
-    reject(key, *v, "not a finite number");
+    reject_option(key, *v, "is not a finite number");
   }
   return out;
 }
@@ -122,7 +117,7 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (lower == "0" || lower == "false" || lower == "no" || lower == "off") {
     return false;
   }
-  reject(key, *v, "not a boolean");
+  reject_option(key, *v, "is not a boolean");
 }
 
 }  // namespace pvc

@@ -56,4 +56,11 @@ class Config {
   std::vector<std::string> positional_;
 };
 
+/// Refuses an option's value: throws ErrorCode::InvalidArgument reading
+/// `Config: value for '<key>' <problem>: <key>=<value>`, the one format
+/// every binary uses to name the option it cannot use.
+[[noreturn]] void reject_option(const std::string& key,
+                                const std::string& value,
+                                const std::string& problem);
+
 }  // namespace pvc

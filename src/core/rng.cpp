@@ -1,12 +1,8 @@
 #include "core/rng.hpp"
 
-#include <cmath>
-
 #include "core/error.hpp"
 
 namespace pvc {
-
-double Rng::sqrt_neg2_log(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
 
 void sattolo_cycle(Rng& rng, std::uint32_t* indices, std::size_t n) {
   ensure(indices != nullptr && n >= 1, "sattolo_cycle: need at least one slot");

@@ -1,9 +1,9 @@
 #pragma once
 // Deterministic pseudo-random number generation.
 //
-// pvcbench needs reproducible workload generation (Monte Carlo transport,
-// docking poses, N-body initial conditions, pointer-chase permutations),
-// so everything routes through a seedable xoshiro256** generator rather
+// pvcbench needs reproducible randomness (pointer-chase permutations,
+// injected message drops, the checkpoint/restart Monte Carlo), so
+// everything routes through a seedable xoshiro256** generator rather
 // than `std::random_device`.  xoshiro256** is small, fast and passes
 // BigCrush; see Blackman & Vigna, "Scrambled linear pseudorandom number
 // generators" (2021).
@@ -76,33 +76,12 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Standard normal via Marsaglia polar method.
-  double normal() {
-    if (have_spare_) {
-      have_spare_ = false;
-      return spare_;
-    }
-    double u, v, s;
-    do {
-      u = uniform(-1.0, 1.0);
-      v = uniform(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double factor = sqrt_neg2_log(s);
-    spare_ = v * factor;
-    have_spare_ = true;
-    return u * factor;
-  }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
-  static double sqrt_neg2_log(double s);
 
   std::array<std::uint64_t, 4> state_{};
-  bool have_spare_ = false;
-  double spare_ = 0.0;
 };
 
 /// Fills `indices[0..n)` with a random permutation forming a single cycle

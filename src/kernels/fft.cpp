@@ -1,4 +1,4 @@
-#include "fft/fft.hpp"
+#include "kernels/fft.hpp"
 
 #include <cmath>
 #include <algorithm>
@@ -6,7 +6,7 @@
 
 #include "core/error.hpp"
 
-namespace pvc::fft {
+namespace pvc::kernels {
 namespace {
 
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
@@ -162,25 +162,4 @@ void fft_2d(std::span<cplx> data, std::size_t rows, std::size_t cols,
   }
 }
 
-double fft_flops_complex(double n) { return 5.0 * n * std::log2(n); }
-double fft_flops_real(double n) { return 2.5 * n * std::log2(n); }
-
-rt::KernelDesc fft_kernel_desc(const arch::NodeSpec& node, std::size_t n,
-                               bool two_d, std::size_t batch) {
-  ensure(n >= 2 && batch >= 1, "fft_kernel_desc: degenerate problem");
-  rt::KernelDesc desc;
-  const double nd = static_cast<double>(n);
-  const double points = two_d ? nd * nd : nd;
-  desc.name = (two_d ? "FFT-C2C-2D/N=" : "FFT-C2C-1D/N=") + std::to_string(n);
-  desc.kind = arch::WorkloadKind::Fft;
-  desc.precision = arch::Precision::FP32;
-  desc.flops = fft_flops_complex(points) * static_cast<double>(batch);
-  // The calibrated fraction folds in all memory effects; the descriptor's
-  // compute efficiency carries it.
-  desc.compute_efficiency = two_d ? node.calib.fft_fraction_2d
-                                  : node.calib.fft_fraction_1d;
-  desc.bytes = 0.0;
-  return desc;
-}
-
-}  // namespace pvc::fft
+}  // namespace pvc::kernels

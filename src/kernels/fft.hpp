@@ -1,22 +1,18 @@
 #pragma once
-// FFT substrate (the paper's oneMKL FFT stand-in, §IV-A6).
+// Host-executed FFT.
 //
 // Functional transforms: iterative radix-2 Cooley-Tukey for power-of-two
 // lengths and Bluestein's chirp-z algorithm for arbitrary lengths (the
-// paper's N = 20000 and 10000 are not powers of two), plus 1D batched
-// and 2D row-column transforms and a real-input wrapper.  Flop
-// accounting follows the paper's convention: 5 N log2 N for complex
-// transforms, 2.5 N log2 N for real ones.
+// paper's N = 20000 and 10000 are not powers of two), plus 2D
+// row-column transforms and a real-input wrapper.  Only tests call them;
+// the benches price the paper's oneMKL FFT with micro::fft_kernel_desc.
 
 #include <complex>
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "arch/gpu_spec.hpp"
-#include "runtime/kernel.hpp"
-
-namespace pvc::fft {
+namespace pvc::kernels {
 
 using cplx = std::complex<double>;
 
@@ -40,15 +36,4 @@ void fft(std::span<const cplx> in, std::span<cplx> out, bool inverse);
 void fft_2d(std::span<cplx> data, std::size_t rows, std::size_t cols,
             bool inverse);
 
-/// Paper flop conventions.
-[[nodiscard]] double fft_flops_complex(double n);
-[[nodiscard]] double fft_flops_real(double n);
-
-/// Cost descriptor: a batched single-precision C2C transform of length
-/// `n` (1D) or `n x n` (2D), `batch` transforms, priced with the
-/// calibrated FFT fraction of FP32 peak.
-[[nodiscard]] rt::KernelDesc fft_kernel_desc(const arch::NodeSpec& node,
-                                             std::size_t n, bool two_d,
-                                             std::size_t batch);
-
-}  // namespace pvc::fft
+}  // namespace pvc::kernels

@@ -2,9 +2,9 @@
 // Chain of fused multiply-adds (clpeak-style, paper §IV-A1).
 //
 // Each work-item performs 16 x 128 dependent FMA operations.  The
-// functional version really executes the chain (used for the measured
-// host baseline and for validating the flop accounting); the device-time
-// of the same chain on a simulated stack comes from the roofline model.
+// functional version really executes the chain on the host, which tests
+// use to validate the flop accounting; the device time of the same
+// chain on a simulated stack comes from the roofline model.
 
 #include <cstddef>
 #include <cstdint>

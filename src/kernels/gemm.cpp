@@ -1,11 +1,11 @@
-#include "blas/gemm.hpp"
+#include "kernels/gemm.hpp"
 
 #include <algorithm>
 #include <vector>
 
 #include "core/error.hpp"
 
-namespace pvc::blas {
+namespace pvc::kernels {
 namespace {
 
 // Block sizes tuned for L1-resident panels on typical hosts; correctness
@@ -79,27 +79,27 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
 }
 
 void gemm_fp16(std::size_t m, std::size_t n, std::size_t k,
-               std::span<const kernels::half_t> a,
-               std::span<const kernels::half_t> b, std::span<float> c) {
+               std::span<const half_t> a, std::span<const half_t> b,
+               std::span<float> c) {
   check_shapes(m, n, k, a, b, c.size());
-  gemm_blocked<kernels::half_t, float>(
-      m, n, k, a, b, c, [](kernels::half_t v) { return v.to_float(); });
+  gemm_blocked<half_t, float>(m, n, k, a, b, c,
+                              [](half_t v) { return v.to_float(); });
 }
 
 void gemm_bf16(std::size_t m, std::size_t n, std::size_t k,
-               std::span<const kernels::bfloat16_t> a,
-               std::span<const kernels::bfloat16_t> b, std::span<float> c) {
+               std::span<const bfloat16_t> a, std::span<const bfloat16_t> b,
+               std::span<float> c) {
   check_shapes(m, n, k, a, b, c.size());
-  gemm_blocked<kernels::bfloat16_t, float>(
-      m, n, k, a, b, c, [](kernels::bfloat16_t v) { return v.to_float(); });
+  gemm_blocked<bfloat16_t, float>(m, n, k, a, b, c,
+                                  [](bfloat16_t v) { return v.to_float(); });
 }
 
 void gemm_tf32(std::size_t m, std::size_t n, std::size_t k,
-               std::span<const kernels::tf32_t> a,
-               std::span<const kernels::tf32_t> b, std::span<float> c) {
+               std::span<const tf32_t> a, std::span<const tf32_t> b,
+               std::span<float> c) {
   check_shapes(m, n, k, a, b, c.size());
-  gemm_blocked<kernels::tf32_t, float>(
-      m, n, k, a, b, c, [](kernels::tf32_t v) { return v.to_float(); });
+  gemm_blocked<tf32_t, float>(m, n, k, a, b, c,
+                              [](tf32_t v) { return v.to_float(); });
 }
 
 void gemm_i8(std::size_t m, std::size_t n, std::size_t k,
@@ -111,23 +111,4 @@ void gemm_i8(std::size_t m, std::size_t n, std::size_t k,
       [](std::int8_t v) { return static_cast<std::int32_t>(v); });
 }
 
-rt::KernelDesc gemm_kernel_desc(const arch::NodeSpec& node, arch::Precision p,
-                                std::size_t n) {
-  ensure(n > 0, "gemm_kernel_desc: empty problem");
-  rt::KernelDesc desc;
-  desc.name = arch::gemm_name(p) + "/N=" + std::to_string(n);
-  desc.kind = arch::gemm_workload(p);
-  desc.precision = p;
-  desc.flops = gemm_flops(static_cast<double>(n));
-  const auto& sub = node.card.subdevice;
-  desc.use_matrix_pipeline =
-      sub.matrix_rates.at(p) > sub.vector_rates.at(p);
-  desc.compute_efficiency = node.calib.gemm_efficiency(p);
-  // Square GEMM at the paper's N is compute bound; HBM traffic is the
-  // three matrices streamed once (a lower bound that never binds here).
-  const double nn = static_cast<double>(n);
-  desc.bytes = 3.0 * nn * nn * static_cast<double>(precision_bytes(p));
-  return desc;
-}
-
-}  // namespace pvc::blas
+}  // namespace pvc::kernels

@@ -58,7 +58,7 @@ struct ChaseConfig {
                                          const ChaseConfig& config);
 
 /// Real host-memory pointer chase: nanoseconds per dependent load over a
-/// footprint, for the google-benchmark measured baseline.
+/// footprint.  Only tests call it.
 [[nodiscard]] double chase_host_ns_per_load(std::size_t footprint_bytes,
                                             std::uint64_t steps,
                                             std::uint64_t seed = 42);

@@ -1,10 +1,8 @@
 #pragma once
 // Reductions with controlled error growth.
 //
-// The mini-GAMESS RI-MP2 kernel is "a call to DGEMM and a reduction"
-// (paper §V-A4); OpenMC tallies and miniQMC accumulators also reduce.
-// Pairwise summation keeps the functional results reproducible across
-// problem sizes.
+// Pairwise, Kahan and naive host summation and a pairwise dot product.
+// Only tests call them.
 
 #include <span>
 

@@ -1,10 +1,10 @@
 #pragma once
 // Stream triad: a[i] = b[i] + scalar * c[i]  (two loads, one store).
 //
-// The paper's device-memory-bandwidth microbenchmark (§IV-A2).  The
-// functional kernel here runs on the host for correctness tests and for
-// the google-benchmark measured baseline; the simulated variant prices
-// the same byte traffic on a modelled subdevice.
+// The paper's device-memory-bandwidth microbenchmark (§IV-A2), described
+// by its byte traffic: micro::measure_stream_bandwidth prices these
+// bytes on a modelled subdevice.  triad() runs the same loop on the host;
+// only tests call it.
 
 #include <cstddef>
 #include <span>

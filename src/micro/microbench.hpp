@@ -5,22 +5,51 @@
 // paper's workload at the requested scope (one stack / one PVC / full
 // node), runs the event calendar, and reports the achieved rate — the
 // same methodology as the paper's scripts, executed against the model.
+// A workload is its cost descriptor: the GEMM and FFT ones below stand
+// in for the oneMKL calls the paper times.
 // Each number is one run of one NodeSim.  The paper keeps the best of
 // N runs to ride out run-to-run variation on real GPUs (§IV-A); the
 // model is deterministic, so a repeat would return the same bits
 // (MicroBench.MeasurementsAreBitReproducible checks that once).
 
+#include <cstddef>
 #include <vector>
 
 #include "arch/gpu_spec.hpp"
 #include "arch/peaks.hpp"
 #include "arch/precision.hpp"
 #include "kernels/pointer_chase.hpp"
+#include "runtime/kernel.hpp"
 
 namespace pvc::micro {
 
 /// Transfer directions for the PCIe benchmark (§IV-A3).
 enum class PcieDirection { H2D, D2H, Bidirectional };
+
+/// Operation count the paper reports for a square N GEMM: 2 * N^3.
+[[nodiscard]] constexpr double gemm_flops(double n) { return 2.0 * n * n * n; }
+
+/// The paper's GEMM problem size (N=20480 square, §IV-A5).
+inline constexpr std::size_t kPaperGemmN = 20480;
+
+/// Cost descriptor for a square-N GEMM in precision `p` on `node`,
+/// using the calibrated library efficiency and the best pipeline (the
+/// paper's oneMKL GEMM, Table II rows 7-12).
+[[nodiscard]] rt::KernelDesc gemm_kernel_desc(const arch::NodeSpec& node,
+                                              arch::Precision p,
+                                              std::size_t n);
+
+/// Paper flop convention for a complex transform of `n` points:
+/// 5 N log2 N (§IV-A6).
+[[nodiscard]] double fft_flops_complex(double n);
+
+/// Cost descriptor: a batched single-precision C2C transform of length
+/// `n` (1D) or `n x n` (2D), `batch` transforms, priced with the
+/// calibrated FFT fraction of FP32 peak (the paper's oneMKL FFT, Table
+/// II rows 13-14).
+[[nodiscard]] rt::KernelDesc fft_kernel_desc(const arch::NodeSpec& node,
+                                             std::size_t n, bool two_d,
+                                             std::size_t batch);
 
 /// FMA-chain peak flops (Table II rows 1-2).  Precision FP64 or FP32.
 [[nodiscard]] double measure_peak_flops(const arch::NodeSpec& node,

@@ -7,7 +7,6 @@
 // not build on ROCm).  `FomTriple` mirrors that sparsity.
 
 #include <optional>
-#include <string>
 
 #include "arch/gpu_spec.hpp"
 
@@ -25,9 +24,5 @@ struct FomTriple {
 [[nodiscard]] inline bool has_stacks(const arch::NodeSpec& node) {
   return node.card.subdevice_count == 2;
 }
-
-/// Formats an optional FOM the way the paper's table does.
-[[nodiscard]] std::string format_fom(const std::optional<double>& value,
-                                     int digits = 4);
 
 }  // namespace pvc::miniapps

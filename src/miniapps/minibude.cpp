@@ -1,120 +1,8 @@
 #include "miniapps/minibude.hpp"
 
-#include <cmath>
-
 #include "arch/peaks.hpp"
-#include "core/error.hpp"
-#include "core/units.hpp"
 
 namespace pvc::miniapps {
-namespace {
-
-/// Applies a pose's rigid transform to a ligand atom (FP32).
-Atom transform(const Atom& atom, const Pose& pose) {
-  const float cx = std::cos(pose.rx), sx = std::sin(pose.rx);
-  const float cy = std::cos(pose.ry), sy = std::sin(pose.ry);
-  const float cz = std::cos(pose.rz), sz = std::sin(pose.rz);
-  // ZYX Euler rotation.
-  const float x1 = cz * atom.x - sz * atom.y;
-  const float y1 = sz * atom.x + cz * atom.y;
-  const float z1 = atom.z;
-  const float x2 = cy * x1 + sy * z1;
-  const float z2 = -sy * x1 + cy * z1;
-  const float y3 = cx * y1 - sx * z2;
-  const float z3 = sx * y1 + cx * z2;
-  Atom out = atom;
-  out.x = x2 + pose.tx;
-  out.y = y3 + pose.ty;
-  out.z = z3 + pose.tz;
-  return out;
-}
-
-/// BUDE-style pair potential: soft steric wall inside contact distance,
-/// distance-capped Coulomb term, and a short-range desolvation reward.
-float pair_energy(const Atom& lig, const Atom& pro) {
-  const float dx = lig.x - pro.x;
-  const float dy = lig.y - pro.y;
-  const float dz = lig.z - pro.z;
-  const float r2 = dx * dx + dy * dy + dz * dz + 1e-6f;
-  const float r = std::sqrt(r2);
-  const float contact = lig.radius + pro.radius;
-
-  float energy = 0.0f;
-  if (r < contact) {
-    const float overlap = (contact - r) / contact;
-    energy += 100.0f * overlap * overlap;  // steric clash
-  }
-  constexpr float kCutoff = 8.0f;
-  if (r < kCutoff) {
-    const float scale = 1.0f - r / kCutoff;
-    energy += 332.0f * lig.charge * pro.charge / r * scale;  // electrostatics
-    energy -= 0.2f * scale * scale;                          // desolvation
-  }
-  return energy;
-}
-
-}  // namespace
-
-BudeDeck make_deck(std::size_t n_protein, std::size_t n_ligand,
-                   std::size_t n_poses, std::uint64_t seed) {
-  ensure(n_protein > 0 && n_ligand > 0 && n_poses > 0,
-         "make_deck: empty deck");
-  Rng rng(seed);
-  BudeDeck deck;
-  deck.protein.resize(n_protein);
-  deck.ligand.resize(n_ligand);
-  deck.poses.resize(n_poses);
-  for (auto& a : deck.protein) {
-    a.x = static_cast<float>(rng.uniform(-20.0, 20.0));
-    a.y = static_cast<float>(rng.uniform(-20.0, 20.0));
-    a.z = static_cast<float>(rng.uniform(-20.0, 20.0));
-    a.radius = static_cast<float>(rng.uniform(1.2, 2.0));
-    a.charge = static_cast<float>(rng.uniform(-0.5, 0.5));
-  }
-  for (auto& a : deck.ligand) {
-    a.x = static_cast<float>(rng.uniform(-4.0, 4.0));
-    a.y = static_cast<float>(rng.uniform(-4.0, 4.0));
-    a.z = static_cast<float>(rng.uniform(-4.0, 4.0));
-    a.radius = static_cast<float>(rng.uniform(1.2, 2.0));
-    a.charge = static_cast<float>(rng.uniform(-0.5, 0.5));
-  }
-  for (auto& p : deck.poses) {
-    p.rx = static_cast<float>(rng.uniform(0.0, 6.2831853));
-    p.ry = static_cast<float>(rng.uniform(0.0, 6.2831853));
-    p.rz = static_cast<float>(rng.uniform(0.0, 6.2831853));
-    p.tx = static_cast<float>(rng.uniform(-10.0, 10.0));
-    p.ty = static_cast<float>(rng.uniform(-10.0, 10.0));
-    p.tz = static_cast<float>(rng.uniform(-10.0, 10.0));
-  }
-  return deck;
-}
-
-float pose_energy(const BudeDeck& deck, const Pose& pose) {
-  float energy = 0.0f;
-  for (const auto& latom : deck.ligand) {
-    const Atom moved = transform(latom, pose);
-    float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-    for (std::size_t k = 0; k < deck.protein.size(); ++k) {
-      lane[k & 3] += pair_energy(moved, deck.protein[k]);
-    }
-    energy += (lane[0] + lane[2]) + (lane[1] + lane[3]);
-  }
-  return energy;
-}
-
-void evaluate_poses(const BudeDeck& deck, std::span<float> energies) {
-  ensure(energies.size() == deck.poses.size(),
-         "evaluate_poses: one energy slot per pose required");
-  for (std::size_t p = 0; p < deck.poses.size(); ++p) {
-    energies[p] = pose_energy(deck, deck.poses[p]);
-  }
-}
-
-double deck_interactions(const BudeDeck& deck) {
-  return static_cast<double>(deck.poses.size()) *
-         static_cast<double>(deck.ligand.size()) *
-         static_cast<double>(deck.protein.size());
-}
 
 double minibude_fp32_fraction(const arch::NodeSpec& node) {
   // Paper §V-B2/3: PVC sustains ~45% (Aurora) and ~49% (Dawn) of its

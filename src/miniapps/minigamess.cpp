@@ -1,114 +1,9 @@
 #include "miniapps/minigamess.hpp"
 
-#include <cmath>
-
 #include "arch/peaks.hpp"
-#include "blas/gemm.hpp"
 #include "core/error.hpp"
-#include "core/rng.hpp"
 
 namespace pvc::miniapps {
-
-Rimp2Problem make_rimp2_problem(std::size_t n_occ, std::size_t n_virt,
-                                std::size_t n_aux, std::uint64_t seed) {
-  ensure(n_occ >= 1 && n_virt >= 1 && n_aux >= 1,
-         "make_rimp2_problem: empty dimensions");
-  Rng rng(seed);
-  Rimp2Problem p;
-  p.n_occ = n_occ;
-  p.n_virt = n_virt;
-  p.n_aux = n_aux;
-  p.e_occ.resize(n_occ);
-  p.e_virt.resize(n_virt);
-  for (std::size_t i = 0; i < n_occ; ++i) {
-    p.e_occ[i] = -2.0 + 1.5 * static_cast<double>(i) /
-                            static_cast<double>(n_occ);  // in [-2, -0.5)
-  }
-  for (std::size_t a = 0; a < n_virt; ++a) {
-    p.e_virt[a] = 0.5 + 2.0 * static_cast<double>(a) /
-                            static_cast<double>(n_virt);  // in [0.5, 2.5)
-  }
-  p.b.resize(n_aux * n_occ * n_virt);
-  for (auto& v : p.b) {
-    v = rng.uniform(-0.1, 0.1);
-  }
-  return p;
-}
-
-double rimp2_energy(const Rimp2Problem& p) {
-  const std::size_t no = p.n_occ, nv = p.n_virt, nx = p.n_aux;
-  ensure(p.b.size() == nx * no * nv, "rimp2_energy: malformed B tensor");
-
-  // Extract B_i as an (aux x virt) matrix for occupied orbital i.
-  const auto slice = [&](std::size_t i) {
-    std::vector<double> bi(nx * nv);
-    for (std::size_t x = 0; x < nx; ++x) {
-      for (std::size_t a = 0; a < nv; ++a) {
-        bi[x * nv + a] = p.b[x * no * nv + i * nv + a];
-      }
-    }
-    return bi;
-  };
-
-  double e2 = 0.0;
-  std::vector<double> v(nv * nv);
-  std::vector<double> bi_t(nv * nx);
-  for (std::size_t i = 0; i < no; ++i) {
-    const auto bi = slice(i);
-    // Transpose B_i to (virt x aux) for the row-major GEMM.
-    for (std::size_t x = 0; x < nx; ++x) {
-      for (std::size_t a = 0; a < nv; ++a) {
-        bi_t[a * nx + x] = bi[x * nv + a];
-      }
-    }
-    for (std::size_t j = 0; j < no; ++j) {
-      const auto bj = slice(j);
-      // V = B_i^T * B_j : (virt x aux) * (aux x virt).
-      blas::gemm(nv, nv, nx, 1.0, std::span<const double>(bi_t),
-                 std::span<const double>(bj), 0.0, std::span<double>(v));
-      for (std::size_t a = 0; a < nv; ++a) {
-        for (std::size_t b = 0; b < nv; ++b) {
-          const double denom =
-              p.e_occ[i] + p.e_occ[j] - p.e_virt[a] - p.e_virt[b];
-          e2 += v[a * nv + b] * (2.0 * v[a * nv + b] - v[b * nv + a]) / denom;
-        }
-      }
-    }
-  }
-  return e2;
-}
-
-double rimp2_energy_reference(const Rimp2Problem& p) {
-  const std::size_t no = p.n_occ, nv = p.n_virt, nx = p.n_aux;
-  const auto b_at = [&](std::size_t x, std::size_t i, std::size_t a) {
-    return p.b[x * no * nv + i * nv + a];
-  };
-  double e2 = 0.0;
-  for (std::size_t i = 0; i < no; ++i) {
-    for (std::size_t j = 0; j < no; ++j) {
-      for (std::size_t a = 0; a < nv; ++a) {
-        for (std::size_t b = 0; b < nv; ++b) {
-          double v_ab = 0.0, v_ba = 0.0;
-          for (std::size_t x = 0; x < nx; ++x) {
-            v_ab += b_at(x, i, a) * b_at(x, j, b);
-            v_ba += b_at(x, i, b) * b_at(x, j, a);
-          }
-          const double denom =
-              p.e_occ[i] + p.e_occ[j] - p.e_virt[a] - p.e_virt[b];
-          e2 += v_ab * (2.0 * v_ab - v_ba) / denom;
-        }
-      }
-    }
-  }
-  return e2;
-}
-
-double rimp2_dgemm_flops(const Rimp2Problem& p) {
-  // One (nv x nx) * (nx x nv) GEMM per occupied pair.
-  return static_cast<double>(p.n_occ) * static_cast<double>(p.n_occ) * 2.0 *
-         static_cast<double>(p.n_virt) * static_cast<double>(p.n_virt) *
-         static_cast<double>(p.n_aux);
-}
 
 double minigamess_walltime(const arch::NodeSpec& node, int ranks) {
   ensure(ranks >= 1 && ranks <= node.total_subdevices(),

@@ -1,55 +1,21 @@
 #pragma once
 // GAMESS RI-MP2 mini-app (paper §V-A4): DGEMM-bound quantum chemistry.
 //
-// Functional core: the RI-MP2 perturbative energy correction.  With RI
-// three-index integrals B[aux][i,a] (occupied i, virtual a), each pair
-// (i, j) forms V_ij = B_i^T B_j via DGEMM and contributes
+// The RI-MP2 perturbative energy correction: with RI three-index
+// integrals B[aux][i,a] (occupied i, virtual a), each pair (i, j) forms
+// V_ij = B_i^T B_j via DGEMM and contributes
 //     E2 += sum_ab V[ab] (2 V[ab] - V[ba]) / (e_i + e_j - e_a - e_b),
-// the exact "DGEMM plus reduction" structure the paper describes.  A
-// synthetic closed-shell input stands in for W90.rand.
+// the "DGEMM plus reduction" structure the paper describes.
 //
 // FOM model: 1 / walltime(hours), strong-scaled.  The W90.rand DGEMM
 // volume (~2.39e15 flops, back-derived consistently from both Aurora's
 // and Dawn's Table VI entries) divides across ranks at the system's
 // sustained DGEMM rate, plus a fixed serial setup time (Amdahl).
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
-
 #include "arch/gpu_spec.hpp"
 #include "miniapps/fom.hpp"
 
 namespace pvc::miniapps {
-
-/// Synthetic RI-MP2 problem.
-struct Rimp2Problem {
-  std::size_t n_occ = 8;
-  std::size_t n_virt = 24;
-  std::size_t n_aux = 64;
-  std::vector<double> e_occ;   ///< occupied orbital energies (< 0)
-  std::vector<double> e_virt;  ///< virtual orbital energies (> 0)
-  /// B[x * (n_occ*n_virt) + i*n_virt + a], row-major over aux index x.
-  std::vector<double> b;
-};
-
-/// Deterministically generates a well-conditioned problem.
-[[nodiscard]] Rimp2Problem make_rimp2_problem(std::size_t n_occ,
-                                              std::size_t n_virt,
-                                              std::size_t n_aux,
-                                              std::uint64_t seed);
-
-/// RI-MP2 correlation energy via per-pair DGEMMs (the mini-app path).
-[[nodiscard]] double rimp2_energy(const Rimp2Problem& problem);
-
-/// Reference evaluation without GEMM (explicit four-index loop), for
-/// validating rimp2_energy.
-[[nodiscard]] double rimp2_energy_reference(const Rimp2Problem& problem);
-
-/// DGEMM flops the energy evaluation performs.
-[[nodiscard]] double rimp2_dgemm_flops(const Rimp2Problem& problem);
-
-// --- FOM model --------------------------------------------------------------
 
 /// W90.rand DGEMM volume and the serial (host/setup) seconds.
 inline constexpr double kW90DgemmFlops = 2.39e15;

@@ -5,8 +5,8 @@
 // pipeline, bytes of HBM traffic) rather than how it is written; the
 // duration model resolves the governed frequency for the workload class
 // and takes the classic roofline max of compute and memory time, plus a
-// fixed launch latency.  Functional correctness is handled separately by
-// the real kernels in src/kernels — this file only prices device time.
+// fixed launch latency.  Nothing here runs the kernel; it only prices
+// device time.
 
 #include <string>
 

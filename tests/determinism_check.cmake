@@ -1,9 +1,9 @@
 # ctest script: parallel-sweep determinism at the binary level.
 #
-# Asserts the ISSUE-3 acceptance criteria end to end: `threads=4` must
-# produce byte-identical stdout, CSV, and metrics snapshots to
-# `threads=1` on scaling_sweep and table3_p2p, and chaos_degradation
-# must be bit-reproducible across repeated runs of the same seed.
+# Asserts end to end that `threads=4` produces byte-identical stdout,
+# CSV, and metrics snapshots to `threads=1` on every threaded bench
+# below, and that chaos_degradation is bit-reproducible across repeated
+# runs of the same seed.
 #
 # Invoked as:
 #   cmake -DBENCH_DIR=<dir with bench binaries> -DWORK_DIR=<scratch dir>
@@ -44,16 +44,13 @@ endfunction()
 
 # Parallelized sweep binaries: threads=4 vs threads=1, stdout + CSV +
 # metrics snapshot all byte-identical.  fig1_latency additionally pins
-# the cache.* counters its closed-form chases credit;
-# table6_foms and power_report pin the per-system/per-row sweeps added
-# with the workload-layer optimisation PR (ISSUE-5); scaling_multinode
-# pins the multi-node fabric sweep (discrete-event ClusterComm points
-# plus the analytic tail) added with the fabric-model PR (ISSUE-6);
-# resilience_sweep pins the checkpoint/restart Monte-Carlo and the
-# fault-tolerant recovery runs added with the failure-model PR
-# (ISSUE-7) — its per-cell Monte-Carlo seeds derive from the plan seed
-# plus the sweep-slot index, so any threads= value must reproduce the
-# same bytes.
+# the cache.* counters its closed-form chases credit; table6_foms and
+# power_report pin their per-system and per-row sweeps;
+# scaling_multinode pins the multi-node fabric sweep (discrete-event
+# ClusterComm points plus the analytic tail); resilience_sweep pins the
+# checkpoint/restart Monte Carlo and the fault-tolerant recovery runs —
+# its per-cell Monte-Carlo seeds derive from the plan seed plus the
+# sweep-slot index, so any threads= value must reproduce the same bytes.
 foreach(bin scaling_sweep table3_p2p fig1_latency ablation_model
         table6_foms power_report scaling_multinode resilience_sweep)
   run_bench(${bin} ${bin}_t1 threads=1 csv=out.csv metrics=out.met)

@@ -1,80 +1,17 @@
-// Tests for src/apps: Monte Carlo transport physics and N-body dynamics,
-// plus their Table VI FOM models.
+// Tests for src/apps: the OpenMC and HACC FOM models vs Table VI.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "apps/hacc_mini.hpp"
 #include "apps/openmc_mini.hpp"
 #include "arch/systems.hpp"
-#include "core/error.hpp"
 #include "core/statistics.hpp"
 #include "micro/paper_reference.hpp"
 
 namespace pvc::apps {
 namespace {
 
-// --- OpenMC functional -------------------------------------------------------
-
-TEST(OpenMc, CrossSectionsValidate) {
-  auto xs = make_two_group_xs();
-  EXPECT_NO_THROW(xs.validate());
-  xs.capture[0] = 99.0;  // break the balance
-  EXPECT_THROW(xs.validate(), pvc::Error);
-}
-
-TEST(OpenMc, InfiniteMediumFluxMatchesAnalytic) {
-  // With the two-group set: expected group-0 track length per history is
-  // 1/(sigma_t0 * (1 - p_00)) = 1/0.7; group-1 flux is
-  // P(downscatter) * 2 / 1.5 = (0.5/0.7) * (4/3).  Ratio = 1.5.
-  const auto xs = make_two_group_xs();
-  const auto tally = transport_infinite_medium(xs, 400000, 1);
-  const double per_hist_g0 =
-      tally.flux[0] / static_cast<double>(tally.source_particles);
-  const double per_hist_g1 =
-      tally.flux[1] / static_cast<double>(tally.source_particles);
-  EXPECT_NEAR(per_hist_g0, 1.0 / 0.7, 0.01);
-  EXPECT_NEAR(per_hist_g1, (0.5 / 0.7) * (2.0 / 1.5), 0.01);
-  EXPECT_NEAR(per_hist_g0 / per_hist_g1, 1.5, 0.02);
-}
-
-TEST(OpenMc, KEstimateMatchesAnalytic) {
-  // E[fission neutrons] = E[coll g0]*(f0/t0)*nu0 + E[coll g1]*(f1/t1)*nu1
-  //                     = 1.4286*0.05*2.5 + 1.4286*0.2*2.43 = 0.8729.
-  const auto xs = make_two_group_xs();
-  const auto tally = transport_infinite_medium(xs, 400000, 2);
-  EXPECT_NEAR(tally.k_estimate(), 0.8729, 0.01);
-}
-
-TEST(OpenMc, EveryHistoryEndsAbsorbedInInfiniteMedium) {
-  const auto xs = make_two_group_xs();
-  const auto tally = transport_infinite_medium(xs, 50000, 3);
-  EXPECT_EQ(tally.absorptions, tally.source_particles);
-}
-
-TEST(OpenMc, SlabLeakageGrowsAsWidthShrinks) {
-  const auto xs = make_two_group_xs();
-  const auto thin = transport_slab(xs, 0.5, 100000, 4);
-  const auto thick = transport_slab(xs, 20.0, 100000, 4);
-  const auto leak = [](const TransportTally& t) {
-    return 1.0 - static_cast<double>(t.absorptions) /
-                     static_cast<double>(t.source_particles);
-  };
-  EXPECT_GT(leak(thin), leak(thick));
-  EXPECT_GT(leak(thin), 0.5);   // half-mfp slab leaks most particles
-  EXPECT_LT(leak(thick), 0.1);  // 20-mfp slab absorbs nearly all
-}
-
-TEST(OpenMc, DeterministicPerSeed) {
-  const auto xs = make_two_group_xs();
-  const auto a = transport_infinite_medium(xs, 10000, 7);
-  const auto b = transport_infinite_medium(xs, 10000, 7);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_DOUBLE_EQ(a.flux[0], b.flux[0]);
-}
-
-// --- OpenMC FOM ---------------------------------------------------------------
+// --- OpenMC FOM -----------------------------------------------------------------
 
 TEST(OpenMcFom, MatchesTableSix) {
   EXPECT_LT(relative_error(*openmc_fom(arch::aurora()).node, 2039.0), 0.05);
@@ -97,56 +34,6 @@ TEST(OpenMcFom, NodeScaleOnly) {
   EXPECT_FALSE(fom.one_stack.has_value());
   EXPECT_FALSE(fom.one_gpu.has_value());
   EXPECT_TRUE(fom.node.has_value());
-}
-
-// --- HACC functional -----------------------------------------------------------
-
-TEST(Hacc, BinaryOrbitConservesEnergyAndSeparation) {
-  auto ps = make_binary(2.0, 1.0);
-  const double eps = 1e-4;
-  const double e0 = total_kinetic_energy(ps) + total_potential_energy(ps, eps);
-  for (int s = 0; s < 2000; ++s) {
-    leapfrog_step(ps, 1e-3, eps);
-  }
-  const double e1 = total_kinetic_energy(ps) + total_potential_energy(ps, eps);
-  EXPECT_NEAR(e1, e0, std::fabs(e0) * 5e-3);
-  const double dx = static_cast<double>(ps.x[1]) - ps.x[0];
-  const double dy = static_cast<double>(ps.y[1]) - ps.y[0];
-  EXPECT_NEAR(std::sqrt(dx * dx + dy * dy), 2.0, 0.05);
-}
-
-TEST(Hacc, MomentumConservedInCloud) {
-  auto ps = make_cloud(64, 10.0, 5);
-  EXPECT_NEAR(total_momentum_magnitude(ps), 0.0, 1e-4);
-  for (int s = 0; s < 50; ++s) {
-    leapfrog_step(ps, 1e-3, 0.05);
-  }
-  // Pairwise forces cancel: net momentum stays ~0 (FP32 roundoff only).
-  EXPECT_NEAR(total_momentum_magnitude(ps), 0.0, 2e-2);
-}
-
-TEST(Hacc, AccelerationsAreEqualAndOpposite) {
-  auto ps = make_binary(3.0, 2.0);
-  std::vector<float> ax, ay, az;
-  compute_accelerations(ps, 1e-5, ax, ay, az);
-  EXPECT_NEAR(ax[0], -ax[1], 1e-6);
-  EXPECT_NEAR(ax[0], 2.0 / 9.0, 1e-4);  // G m / d^2
-  EXPECT_NEAR(ay[0], 0.0, 1e-7);
-}
-
-TEST(Hacc, SofteningBoundsCloseEncounters) {
-  ParticleSystem ps;
-  ps.x = {0.0f, 1e-6f};
-  ps.y = {0.0f, 0.0f};
-  ps.z = {0.0f, 0.0f};
-  ps.vx = {0.0f, 0.0f};
-  ps.vy = {0.0f, 0.0f};
-  ps.vz = {0.0f, 0.0f};
-  ps.mass = {1.0f, 1.0f};
-  std::vector<float> ax, ay, az;
-  compute_accelerations(ps, 0.1, ax, ay, az);
-  EXPECT_LT(std::fabs(ax[0]), 1.0 / (0.1 * 0.1));  // capped by eps
-  EXPECT_TRUE(std::isfinite(ax[0]));
 }
 
 // --- HACC FOM -------------------------------------------------------------------

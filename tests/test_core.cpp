@@ -99,19 +99,6 @@ TEST(Rng, UniformIndexBounded) {
   EXPECT_EQ(seen.size(), 7u);  // all residues hit
 }
 
-TEST(Rng, NormalMoments) {
-  Rng rng(3);
-  double sum = 0.0, sum2 = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.normal();
-    sum += x;
-    sum2 += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sum2 / n, 1.0, 0.03);
-}
-
 TEST(Rng, SattoloSingleCycle) {
   Rng rng(4);
   std::vector<std::uint32_t> next(257);
@@ -129,25 +116,6 @@ TEST(Rng, SattoloSingleCycle) {
 }
 
 // --- statistics --------------------------------------------------------------
-
-TEST(Statistics, SummarizeBasics) {
-  const std::vector<double> v{4.0, 1.0, 3.0, 2.0};
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.median, 2.5);
-  EXPECT_NEAR(s.stddev, std::sqrt(5.0 / 3.0), 1e-12);
-}
-
-TEST(Statistics, SummarizeEmptyAndSingle) {
-  EXPECT_EQ(summarize({}).count, 0u);
-  const std::vector<double> one{5.0};
-  const Summary s = summarize(one);
-  EXPECT_DOUBLE_EQ(s.median, 5.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-}
 
 TEST(Statistics, RelativeError) {
   EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);

@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "arch/systems.hpp"
 #include "comm/cluster.hpp"
@@ -164,6 +165,53 @@ TEST(Documentation, ArchitectureMapCoversEverySourceSubsystem) {
   for (const char* anchor : {"Engine", "FlowNetwork", "bench"}) {
     EXPECT_NE(architecture.find(anchor), std::string::npos)
         << "docs/ARCHITECTURE.md lost its data-flow anchor " << anchor;
+  }
+}
+
+TEST(Documentation, ArchitectureMapNamesOnlyExistingSubsystems) {
+  // The reverse of ArchitectureMapCoversEverySourceSubsystem: every
+  // `src/<dir>` that ARCHITECTURE.md or the README names is a directory,
+  // and every `pvc_<name>` they name is defined by some CMakeLists.txt
+  // (a library, an executable or a CMake function), so a deleted or
+  // folded subsystem cannot leave a stale row behind.
+  static const std::regex defined(
+      R"((?:add_library|add_executable|function)\((pvc_[a-z0-9_]+))");
+  std::set<std::string> targets;
+  std::vector<fs::path> cmake_files;
+  for (const char* dir : {"", "bench", "tests", "examples", "perfbench"}) {
+    cmake_files.push_back(kRoot / dir / "CMakeLists.txt");
+  }
+  for (const auto& entry : fs::recursive_directory_iterator(kRoot / "src")) {
+    if (entry.path().filename() == "CMakeLists.txt") {
+      cmake_files.push_back(entry.path());
+    }
+  }
+  for (const auto& file : cmake_files) {
+    const std::string text = slurp(file);
+    for (std::sregex_iterator it(text.begin(), text.end(), defined), end;
+         it != end; ++it) {
+      targets.insert((*it)[1].str());
+    }
+  }
+  ASSERT_TRUE(targets.count("pvc_core")) << "no pvc_* target found";
+
+  static const std::regex src_dir(R"(src/([a-z0-9_]+))");
+  static const std::regex pvc_name(R"(\bpvc_[a-z0-9_]+)");
+  for (const fs::path& doc :
+       {kRoot / "docs" / "ARCHITECTURE.md", kRoot / "README.md"}) {
+    const std::string text = slurp(doc);
+    for (std::sregex_iterator it(text.begin(), text.end(), src_dir), end;
+         it != end; ++it) {
+      EXPECT_TRUE(fs::is_directory(kRoot / "src" / (*it)[1].str()))
+          << doc.filename() << " names " << (*it)[0].str()
+          << ", which does not exist";
+    }
+    for (std::sregex_iterator it(text.begin(), text.end(), pvc_name), end;
+         it != end; ++it) {
+      EXPECT_TRUE(targets.count((*it)[0].str()))
+          << doc.filename() << " names " << (*it)[0].str()
+          << ", which no CMakeLists.txt defines";
+    }
   }
 }
 

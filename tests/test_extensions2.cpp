@@ -1,6 +1,5 @@
-// Tests for the second extension batch: explicit scaling, the Frontier
-// reference system, CloverLeaf artificial viscosity, and the miniQMC
-// local-energy estimator.
+// Tests for the second extension batch: explicit scaling and the
+// Frontier reference system.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +9,6 @@
 #include "arch/systems.hpp"
 #include "core/statistics.hpp"
 #include "core/units.hpp"
-#include "miniapps/cloverleaf.hpp"
-#include "miniapps/miniqmc.hpp"
 #include "runtime/kernel.hpp"
 
 namespace pvc {
@@ -67,131 +64,6 @@ TEST(Frontier, GemmComparisonClaimFromSection4B5) {
   // And the efficiency contrast: MI250x at ~50% of its matrix peak vs
   // PVC's ~80% of measured peak.
   EXPECT_NEAR(arch::frontier().calib.gemm_eff_fp64, 0.50, 0.02);
-}
-
-// --- CloverLeaf viscosity ------------------------------------------------------------
-
-TEST(Viscosity, AddsPressureOnlyUnderCompression) {
-  miniapps::CloverGrid grid(16, 4, 1.0, 1.0);
-  // Uniform state with a converging velocity field around column 8.
-  for (std::size_t j = 0; j < 6; ++j) {
-    for (std::size_t i = 0; i < 19; ++i) {
-      grid.velocity_x(i, j) = i < 8 ? 1.0 : -1.0;  // compression at i=8
-    }
-  }
-  miniapps::update_pressure(grid, 1.4);
-  // The converging cell is i=7: its left face moves right (+1) and its
-  // right face moves left (-1).
-  const double p_before = grid.pressure(7, 2);
-  const double p_far = grid.pressure(3, 2);
-  miniapps::apply_artificial_viscosity(grid);
-  EXPECT_GT(grid.pressure(7, 2), p_before);   // compressed cell bumped
-  EXPECT_DOUBLE_EQ(grid.pressure(3, 2), p_far);  // uniform flow untouched
-}
-
-TEST(Viscosity, ShockProfileMonotoneBehindFront) {
-  miniapps::CloverGrid grid(128, 4, 1.0 / 128.0, 1.0 / 128.0);
-  miniapps::initialize_sod(grid);
-  for (int s = 0; s < 40; ++s) {
-    miniapps::hydro_step(grid);
-  }
-  // Density along the mid-row decreases monotonically (within a small
-  // tolerance) from the driver section into the expansion fan — no
-  // post-shock ringing.
-  double prev = grid.density(1, 2);
-  for (std::size_t i = 2; i <= 128; ++i) {
-    const double rho = grid.density(i, 2);
-    EXPECT_LE(rho, prev * 1.02) << "oscillation at i=" << i;
-    prev = rho;
-  }
-}
-
-// --- miniQMC local energy ---------------------------------------------------------
-
-TEST(LocalEnergy, GradientMatchesFiniteDifference) {
-  miniapps::QmcSystem system;
-  system.electrons = 6;
-  miniapps::QmcEnsemble ensemble(system, 1, 17);
-  auto walker = ensemble.walkers()[0];
-
-  const std::size_t e = 2;
-  const auto grad = ensemble.grad_log_psi(walker, e);
-  const double eps = 1e-4;
-  auto perturbed = walker;
-  perturbed.x[e] += static_cast<float>(eps);
-  const double fd_x =
-      (ensemble.log_psi(perturbed) - ensemble.log_psi(walker)) / eps;
-  EXPECT_NEAR(grad.x, fd_x, 5e-3);
-}
-
-TEST(LocalEnergy, LaplacianMatchesFiniteDifference) {
-  miniapps::QmcSystem system;
-  system.electrons = 5;
-  miniapps::QmcEnsemble ensemble(system, 1, 23);
-  const auto& walker = ensemble.walkers()[0];
-
-  const std::size_t e = 1;
-  const double eps = 1e-3;
-  double fd_lap = 0.0;
-  for (int axis = 0; axis < 3; ++axis) {
-    auto plus = walker;
-    auto minus = walker;
-    auto bump = [&](miniapps::Walker& w, double delta) {
-      if (axis == 0) {
-        w.x[e] += static_cast<float>(delta);
-      } else if (axis == 1) {
-        w.y[e] += static_cast<float>(delta);
-      } else {
-        w.z[e] += static_cast<float>(delta);
-      }
-    };
-    bump(plus, eps);
-    bump(minus, -eps);
-    fd_lap += (ensemble.log_psi(plus) - 2.0 * ensemble.log_psi(walker) +
-               ensemble.log_psi(minus)) /
-              (eps * eps);
-  }
-  EXPECT_NEAR(ensemble.laplacian_log_psi(walker, e), fd_lap, 0.05);
-}
-
-TEST(LocalEnergy, VmcEnergyFiniteAndRepulsionDominated) {
-  miniapps::QmcSystem system;
-  system.electrons = 16;
-  miniapps::QmcEnsemble ensemble(system, 16, 31);
-  for (int s = 0; s < 20; ++s) {
-    ensemble.diffusion_step();
-  }
-  const double energy = ensemble.vmc_energy();
-  EXPECT_TRUE(std::isfinite(energy));
-  // A repulsive-only electron gas has positive total energy.
-  EXPECT_GT(energy, 0.0);
-}
-
-TEST(LocalEnergy, JastrowLowersEnergyVersusNoJastrow) {
-  // The Jastrow factor keeps electrons apart, reducing the mean Coulomb
-  // repulsion relative to un-correlated (b ~ 0) sampling.
-  miniapps::QmcSystem correlated;
-  correlated.electrons = 12;
-  correlated.jastrow_b = 1.5;
-  miniapps::QmcSystem weak = correlated;
-  weak.jastrow_b = 0.01;
-
-  const auto mean_potential = [](const miniapps::QmcSystem& sys) {
-    miniapps::QmcEnsemble ensemble(sys, 24, 7);
-    for (int s = 0; s < 30; ++s) {
-      ensemble.diffusion_step();
-    }
-    double v = 0.0;
-    for (const auto& w : ensemble.walkers()) {
-      for (std::size_t i = 0; i < sys.electrons; ++i) {
-        for (std::size_t j = i + 1; j < sys.electrons; ++j) {
-          v += 1.0 / ensemble.distance(w, i, j);
-        }
-      }
-    }
-    return v / static_cast<double>(ensemble.walkers().size());
-  };
-  EXPECT_LT(mean_potential(correlated), mean_potential(weak));
 }
 
 }  // namespace

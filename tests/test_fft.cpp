@@ -1,17 +1,16 @@
-// Unit tests for src/fft: transform correctness (power-of-two and
-// Bluestein), 2D, real input, Parseval, flop conventions.
+// Unit tests for the host FFT (src/kernels/fft): transform correctness
+// (power-of-two and Bluestein), 2D, real input, Parseval.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
-#include "arch/systems.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "fft/fft.hpp"
+#include "kernels/fft.hpp"
 
-namespace pvc::fft {
+namespace pvc::kernels {
 namespace {
 
 /// O(n^2) DFT oracle.
@@ -177,22 +176,5 @@ TEST(Fft, ValidatesArguments) {
   EXPECT_THROW(fft_2d(v, 3, 3, false), pvc::Error);  // shape mismatch
 }
 
-TEST(Fft, FlopConventionsMatchPaper) {
-  // 5 N log2 N complex, 2.5 N log2 N real (§IV-A6).
-  EXPECT_DOUBLE_EQ(fft_flops_complex(4096.0), 5.0 * 4096.0 * 12.0);
-  EXPECT_DOUBLE_EQ(fft_flops_real(4096.0), 2.5 * 4096.0 * 12.0);
-}
-
-TEST(Fft, KernelDescUsesCalibratedFraction) {
-  const auto node = arch::aurora();
-  const auto d1 = fft_kernel_desc(node, 20000, false, 16);
-  EXPECT_EQ(d1.kind, arch::WorkloadKind::Fft);
-  EXPECT_DOUBLE_EQ(d1.compute_efficiency, node.calib.fft_fraction_1d);
-  EXPECT_NEAR(d1.flops, 16.0 * fft_flops_complex(20000.0), 1.0);
-  const auto d2 = fft_kernel_desc(node, 10000, true, 2);
-  EXPECT_DOUBLE_EQ(d2.compute_efficiency, node.calib.fft_fraction_2d);
-  EXPECT_NEAR(d2.flops, 2.0 * fft_flops_complex(1.0e8), 1e3);
-}
-
 }  // namespace
-}  // namespace pvc::fft
+}  // namespace pvc::kernels

@@ -1,17 +1,16 @@
-// Unit tests for src/blas: GEMM correctness across precisions and the
-// device-time descriptor.
+// Unit tests for the host GEMM (src/kernels/gemm): correctness across
+// precisions against a naive oracle.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "arch/systems.hpp"
-#include "blas/gemm.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "kernels/gemm.hpp"
 
-namespace pvc::blas {
+namespace pvc::kernels {
 namespace {
 
 /// Naive triple loop used as the oracle.
@@ -109,19 +108,19 @@ TEST(Gemm, ShapeMismatchThrows) {
 TEST(GemmNarrow, Fp16AccumulatesInFp32) {
   const std::size_t n = 32;
   Rng rng(12);
-  std::vector<kernels::half_t> a(n * n), b(n * n);
+  std::vector<half_t> a(n * n), b(n * n);
   std::vector<double> ad(n * n), bd(n * n);
   for (std::size_t i = 0; i < n * n; ++i) {
     const float v1 = static_cast<float>(rng.uniform(-1.0, 1.0));
     const float v2 = static_cast<float>(rng.uniform(-1.0, 1.0));
-    a[i] = kernels::half_t::from_float(v1);
-    b[i] = kernels::half_t::from_float(v2);
+    a[i] = half_t::from_float(v1);
+    b[i] = half_t::from_float(v2);
     ad[i] = a[i].to_float();  // oracle uses the quantized values
     bd[i] = b[i].to_float();
   }
   std::vector<float> c(n * n);
-  gemm_fp16(n, n, n, std::span<const kernels::half_t>(a),
-            std::span<const kernels::half_t>(b), std::span<float>(c));
+  gemm_fp16(n, n, n, std::span<const half_t>(a),
+            std::span<const half_t>(b), std::span<float>(c));
   const auto oracle = naive_gemm(n, n, n, ad, bd);
   for (std::size_t i = 0; i < n * n; ++i) {
     EXPECT_NEAR(c[i], oracle[i], 1e-3);
@@ -130,19 +129,19 @@ TEST(GemmNarrow, Fp16AccumulatesInFp32) {
 
 TEST(GemmNarrow, Bf16AndTf32Paths) {
   const std::size_t n = 16;
-  std::vector<kernels::bfloat16_t> ab(n * n), bb(n * n);
-  std::vector<kernels::tf32_t> at(n * n), bt(n * n);
+  std::vector<bfloat16_t> ab(n * n), bb(n * n);
+  std::vector<tf32_t> at(n * n), bt(n * n);
   for (std::size_t i = 0; i < n * n; ++i) {
-    ab[i] = kernels::bfloat16_t::from_float(1.0f);
-    bb[i] = kernels::bfloat16_t::from_float(0.5f);
-    at[i] = kernels::tf32_t::from_float(1.0f);
-    bt[i] = kernels::tf32_t::from_float(0.5f);
+    ab[i] = bfloat16_t::from_float(1.0f);
+    bb[i] = bfloat16_t::from_float(0.5f);
+    at[i] = tf32_t::from_float(1.0f);
+    bt[i] = tf32_t::from_float(0.5f);
   }
   std::vector<float> cb(n * n), ct(n * n);
-  gemm_bf16(n, n, n, std::span<const kernels::bfloat16_t>(ab),
-            std::span<const kernels::bfloat16_t>(bb), std::span<float>(cb));
-  gemm_tf32(n, n, n, std::span<const kernels::tf32_t>(at),
-            std::span<const kernels::tf32_t>(bt), std::span<float>(ct));
+  gemm_bf16(n, n, n, std::span<const bfloat16_t>(ab),
+            std::span<const bfloat16_t>(bb), std::span<float>(cb));
+  gemm_tf32(n, n, n, std::span<const tf32_t>(at),
+            std::span<const tf32_t>(bt), std::span<float>(ct));
   for (std::size_t i = 0; i < n * n; ++i) {
     EXPECT_FLOAT_EQ(cb[i], 8.0f);  // n * 1 * 0.5
     EXPECT_FLOAT_EQ(ct[i], 8.0f);
@@ -172,26 +171,5 @@ TEST(GemmNarrow, I8IsExactInInt32) {
   }
 }
 
-TEST(GemmDesc, FlopsAndPipelineSelection) {
-  EXPECT_DOUBLE_EQ(gemm_flops(10.0), 2000.0);
-  const auto node = arch::aurora();
-  const auto dgemm = gemm_kernel_desc(node, arch::Precision::FP64, 1024);
-  EXPECT_FALSE(dgemm.use_matrix_pipeline);  // PVC XMX has no FP64
-  EXPECT_DOUBLE_EQ(dgemm.flops, 2.0 * 1024.0 * 1024.0 * 1024.0);
-  EXPECT_EQ(dgemm.kind, arch::WorkloadKind::GemmFp64);
-  const auto hgemm = gemm_kernel_desc(node, arch::Precision::FP16, 1024);
-  EXPECT_TRUE(hgemm.use_matrix_pipeline);
-  EXPECT_EQ(hgemm.kind, arch::WorkloadKind::GemmLowPrec);
-  EXPECT_GT(hgemm.compute_efficiency, 0.0);
-}
-
-TEST(GemmDesc, PaperProblemSize) {
-  EXPECT_EQ(kPaperGemmN, 20480u);
-  const auto node = arch::dawn();
-  const auto desc = gemm_kernel_desc(node, arch::Precision::FP64, kPaperGemmN);
-  // 2 * 20480^3 = 1.718e13 flops.
-  EXPECT_NEAR(desc.flops, 1.718e13, 0.01e13);
-}
-
 }  // namespace
-}  // namespace pvc::blas
+}  // namespace pvc::kernels

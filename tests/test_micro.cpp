@@ -1,6 +1,6 @@
-// Tests for src/micro: microbenchmark drivers against the paper's
-// published Tables II and III, plus the latency-curve behaviour behind
-// Figure 1.
+// Tests for src/micro: the GEMM and FFT cost descriptors, the
+// microbenchmark drivers against the paper's published Tables II and
+// III, plus the latency-curve behaviour behind Figure 1.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +36,47 @@ void expect_triple_close(const ScopeTriple& model, const ScopeTriple& paper,
       << what << " full node: model " << format_flops(model.full_node)
       << " paper " << format_flops(paper.full_node);
 }
+
+// --- workload descriptors ----------------------------------------------------
+
+TEST(GemmDesc, FlopsAndPipelineSelection) {
+  EXPECT_DOUBLE_EQ(gemm_flops(10.0), 2000.0);
+  const auto node = arch::aurora();
+  const auto dgemm = gemm_kernel_desc(node, arch::Precision::FP64, 1024);
+  EXPECT_FALSE(dgemm.use_matrix_pipeline);  // PVC XMX has no FP64
+  EXPECT_DOUBLE_EQ(dgemm.flops, 2.0 * 1024.0 * 1024.0 * 1024.0);
+  EXPECT_EQ(dgemm.kind, arch::WorkloadKind::GemmFp64);
+  const auto hgemm = gemm_kernel_desc(node, arch::Precision::FP16, 1024);
+  EXPECT_TRUE(hgemm.use_matrix_pipeline);
+  EXPECT_EQ(hgemm.kind, arch::WorkloadKind::GemmLowPrec);
+  EXPECT_GT(hgemm.compute_efficiency, 0.0);
+}
+
+TEST(GemmDesc, PaperProblemSize) {
+  EXPECT_EQ(kPaperGemmN, 20480u);
+  const auto node = arch::dawn();
+  const auto desc = gemm_kernel_desc(node, arch::Precision::FP64, kPaperGemmN);
+  // 2 * 20480^3 = 1.718e13 flops.
+  EXPECT_NEAR(desc.flops, 1.718e13, 0.01e13);
+}
+
+TEST(Fft, FlopConventionsMatchPaper) {
+  // 5 N log2 N for complex transforms (§IV-A6).
+  EXPECT_DOUBLE_EQ(fft_flops_complex(4096.0), 5.0 * 4096.0 * 12.0);
+}
+
+TEST(Fft, KernelDescUsesCalibratedFraction) {
+  const auto node = arch::aurora();
+  const auto d1 = fft_kernel_desc(node, 20000, false, 16);
+  EXPECT_EQ(d1.kind, arch::WorkloadKind::Fft);
+  EXPECT_DOUBLE_EQ(d1.compute_efficiency, node.calib.fft_fraction_1d);
+  EXPECT_NEAR(d1.flops, 16.0 * fft_flops_complex(20000.0), 1.0);
+  const auto d2 = fft_kernel_desc(node, 10000, true, 2);
+  EXPECT_DOUBLE_EQ(d2.compute_efficiency, node.calib.fft_fraction_2d);
+  EXPECT_NEAR(d2.flops, 2.0 * fft_flops_complex(1.0e8), 1e3);
+}
+
+// --- Table II ----------------------------------------------------------------
 
 class Table2System : public ::testing::TestWithParam<const char*> {
  protected:

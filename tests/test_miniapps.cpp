@@ -1,9 +1,6 @@
-// Tests for src/miniapps: functional cores (docking energies, hydro
-// conservation, QMC moves, RI-MP2 energies) and FOM models vs Table VI.
+// Tests for src/miniapps: the FOM models vs Table VI.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "arch/systems.hpp"
 #include "core/statistics.hpp"
@@ -17,50 +14,6 @@ namespace pvc::miniapps {
 namespace {
 
 constexpr double kFomTolerance = 0.12;
-
-// --- miniBUDE functional -----------------------------------------------------
-
-TEST(MiniBude, DeckGenerationIsDeterministic) {
-  const auto a = make_deck(16, 8, 4, 99);
-  const auto b = make_deck(16, 8, 4, 99);
-  EXPECT_EQ(a.protein.size(), 16u);
-  EXPECT_EQ(a.ligand.size(), 8u);
-  EXPECT_EQ(a.poses.size(), 4u);
-  EXPECT_FLOAT_EQ(a.protein[0].x, b.protein[0].x);
-  EXPECT_FLOAT_EQ(a.poses[3].rz, b.poses[3].rz);
-}
-
-TEST(MiniBude, EvaluateMatchesSinglePoseReference) {
-  const auto deck = make_deck(24, 12, 6, 7);
-  std::vector<float> energies(deck.poses.size());
-  evaluate_poses(deck, energies);
-  for (std::size_t p = 0; p < deck.poses.size(); ++p) {
-    EXPECT_FLOAT_EQ(energies[p], pose_energy(deck, deck.poses[p]));
-    EXPECT_TRUE(std::isfinite(energies[p]));
-  }
-}
-
-TEST(MiniBude, IdentityPoseKeepsLigandInPlace) {
-  // A ligand far from the protein with zero charge has ~zero energy.
-  BudeDeck deck;
-  deck.protein.push_back({0.0f, 0.0f, 0.0f, 1.5f, 0.0f});
-  deck.ligand.push_back({100.0f, 0.0f, 0.0f, 1.5f, 0.0f});
-  deck.poses.push_back({});
-  EXPECT_FLOAT_EQ(pose_energy(deck, deck.poses[0]), 0.0f);
-}
-
-TEST(MiniBude, ClashProducesLargePositiveEnergy) {
-  BudeDeck deck;
-  deck.protein.push_back({0.0f, 0.0f, 0.0f, 1.5f, 0.0f});
-  deck.ligand.push_back({0.1f, 0.0f, 0.0f, 1.5f, 0.0f});
-  deck.poses.push_back({});
-  EXPECT_GT(pose_energy(deck, deck.poses[0]), 50.0f);
-}
-
-TEST(MiniBude, InteractionAccounting) {
-  const auto deck = make_deck(10, 20, 30, 1);
-  EXPECT_DOUBLE_EQ(deck_interactions(deck), 10.0 * 20.0 * 30.0);
-}
 
 // --- miniBUDE FOM ------------------------------------------------------------
 
@@ -80,82 +33,6 @@ TEST(MiniBudeFom, NotAnMpiApp) {
   const auto fom = minibude_fom(arch::aurora());
   EXPECT_FALSE(fom.one_gpu.has_value());
   EXPECT_FALSE(fom.node.has_value());
-}
-
-// --- CloverLeaf functional ---------------------------------------------------
-
-TEST(CloverLeaf, AdvectionConservesMass) {
-  CloverGrid grid(32, 32, 1.0, 1.0);
-  initialize_sod(grid);
-  const double mass_before = grid.total_mass();
-  for (int s = 0; s < 10; ++s) {
-    hydro_step(grid);
-  }
-  // Reflective walls: mass must be conserved to numerical precision of
-  // the donor-cell scheme at the boundary (no-flux condition).
-  EXPECT_NEAR(grid.total_mass(), mass_before, 1e-6 * mass_before);
-}
-
-TEST(CloverLeaf, SodShockExpandsRightward) {
-  CloverGrid grid(64, 4, 1.0, 1.0);
-  initialize_sod(grid);
-  const double right_mass_before = grid.density(60, 2);
-  for (int s = 0; s < 30; ++s) {
-    hydro_step(grid);
-  }
-  // Material flows into the low-density region.
-  double right_mass_after = 0.0;
-  for (std::size_t i = 40; i <= 64; ++i) {
-    right_mass_after += grid.density(i, 2);
-  }
-  EXPECT_GT(right_mass_after, 25.0 * right_mass_before);
-  // Density stays positive and finite everywhere.
-  for (std::size_t j = 1; j <= grid.ny(); ++j) {
-    for (std::size_t i = 1; i <= grid.nx(); ++i) {
-      EXPECT_GT(grid.density(i, j), 0.0);
-      EXPECT_TRUE(std::isfinite(grid.energy(i, j)));
-    }
-  }
-}
-
-TEST(CloverLeaf, SymmetricProblemStaysSymmetric) {
-  CloverGrid grid(33, 9, 1.0, 1.0);
-  // Hot spot dead centre.
-  for (std::size_t j = 0; j < 11; ++j) {
-    for (std::size_t i = 0; i < 35; ++i) {
-      grid.density(i, j) = 1.0;
-      grid.energy(i, j) = (i == 17 && j == 5) ? 10.0 : 1.0;
-    }
-  }
-  for (int s = 0; s < 5; ++s) {
-    hydro_step(grid);
-  }
-  for (std::size_t j = 1; j <= 9; ++j) {
-    for (std::size_t i = 1; i <= 16; ++i) {
-      EXPECT_NEAR(grid.density(i, j), grid.density(34 - i, j), 1e-9)
-          << "asymmetry at " << i << "," << j;
-    }
-  }
-}
-
-TEST(CloverLeaf, PressureFollowsIdealGas) {
-  CloverGrid grid(8, 8, 1.0, 1.0);
-  grid.density(4, 4) = 2.0;
-  grid.energy(4, 4) = 3.0;
-  update_pressure(grid, 1.4);
-  EXPECT_NEAR(grid.pressure(4, 4), 0.4 * 2.0 * 3.0, 1e-12);
-}
-
-TEST(CloverLeaf, TimestepShrinksWithEnergy) {
-  CloverGrid hot(16, 16, 1.0, 1.0);
-  CloverGrid cold(16, 16, 1.0, 1.0);
-  for (std::size_t j = 0; j < 18; ++j) {
-    for (std::size_t i = 0; i < 18; ++i) {
-      hot.energy(i, j) = 100.0;
-      cold.energy(i, j) = 1.0;
-    }
-  }
-  EXPECT_LT(compute_timestep(hot, 1.4), compute_timestep(cold, 1.4));
 }
 
 // --- CloverLeaf FOM ----------------------------------------------------------
@@ -186,67 +63,6 @@ TEST(CloverLeafFom, MatchesTableSix) {
   EXPECT_LT(relative_error(*fom_m.one_stack, *ref_m.cloverleaf_one_stack),
             kFomTolerance);
   EXPECT_LT(relative_error(*fom_m.node, *ref_m.cloverleaf_node), 0.15);
-}
-
-// --- miniQMC functional ------------------------------------------------------
-
-TEST(MiniQmc, SplineInterpolatesSamples) {
-  std::vector<double> samples;
-  for (int i = 0; i <= 16; ++i) {
-    samples.push_back(std::sin(0.3 * i));
-  }
-  const CubicSpline spline(samples, 16.0);
-  // Exact at the knots.
-  for (int i = 1; i < 16; ++i) {
-    EXPECT_NEAR(spline.value(static_cast<double>(i)), std::sin(0.3 * i),
-                1e-12);
-  }
-  // Close between knots; derivative approximates the analytic one.
-  EXPECT_NEAR(spline.value(7.5), std::sin(0.3 * 7.5), 5e-3);
-  EXPECT_NEAR(spline.derivative(7.5), 0.3 * std::cos(0.3 * 7.5), 2e-2);
-}
-
-TEST(MiniQmc, DiffusionAcceptanceIsReasonable) {
-  QmcSystem system;
-  system.electrons = 16;
-  QmcEnsemble ensemble(system, 8, 42);
-  double acceptance = 0.0;
-  for (int s = 0; s < 10; ++s) {
-    acceptance = ensemble.diffusion_step();
-  }
-  EXPECT_GT(ensemble.mean_acceptance(), 0.5);
-  EXPECT_LE(ensemble.mean_acceptance(), 1.0);
-  EXPECT_GT(acceptance, 0.3);
-}
-
-TEST(MiniQmc, LogPsiTracksIncrementalUpdates) {
-  QmcSystem system;
-  system.electrons = 10;
-  QmcEnsemble ensemble(system, 4, 11);
-  for (int s = 0; s < 5; ++s) {
-    ensemble.diffusion_step();
-  }
-  // The incrementally maintained log_psi must match a full recompute.
-  for (const auto& w : ensemble.walkers()) {
-    EXPECT_NEAR(w.log_psi, ensemble.log_psi(w), 1e-9);
-  }
-}
-
-TEST(MiniQmc, MinimumImageDistanceBounded) {
-  QmcSystem system;
-  system.electrons = 8;
-  system.box = 4.0;
-  QmcEnsemble ensemble(system, 2, 3);
-  const double limit = 0.5 * system.box * std::sqrt(3.0);
-  for (const auto& w : ensemble.walkers()) {
-    for (std::size_t i = 0; i < system.electrons; ++i) {
-      for (std::size_t j = i + 1; j < system.electrons; ++j) {
-        const double r = ensemble.distance(w, i, j);
-        EXPECT_GE(r, 0.0);
-        EXPECT_LE(r, limit + 1e-9);
-      }
-    }
-  }
 }
 
 // --- miniQMC FOM -------------------------------------------------------------
@@ -290,28 +106,6 @@ TEST(MiniQmcFom, CongestionGrowsWithRanks) {
   EXPECT_LT(miniqmc_block_time(node, 2), miniqmc_block_time(node, 12));
 }
 
-// --- mini-GAMESS functional ---------------------------------------------------
-
-TEST(MiniGamess, GemmPathMatchesExplicitLoop) {
-  const auto problem = make_rimp2_problem(4, 6, 12, 21);
-  const double via_gemm = rimp2_energy(problem);
-  const double reference = rimp2_energy_reference(problem);
-  EXPECT_NEAR(via_gemm, reference, 1e-10 * std::fabs(reference) + 1e-14);
-}
-
-TEST(MiniGamess, CorrelationEnergyIsNegative) {
-  // MP2 correlation energy must be negative for a gapped spectrum: the
-  // denominators are all negative, the numerator quadratic form is
-  // positive on the dominant diagonal (a == b) terms.
-  const auto problem = make_rimp2_problem(6, 10, 24, 22);
-  EXPECT_LT(rimp2_energy(problem), 0.0);
-}
-
-TEST(MiniGamess, FlopAccounting) {
-  const auto problem = make_rimp2_problem(3, 5, 7, 1);
-  EXPECT_DOUBLE_EQ(rimp2_dgemm_flops(problem), 9.0 * 2.0 * 25.0 * 7.0);
-}
-
 // --- mini-GAMESS FOM ----------------------------------------------------------
 
 TEST(MiniGamessFom, MatchesTableSix) {
@@ -345,13 +139,6 @@ TEST(MiniGamessFom, StrongScalingHasAmdahlTail) {
   const double t12 = minigamess_walltime(node, 12);
   EXPECT_GT(t1 / t12, 8.0);
   EXPECT_LT(t1 / t12, 12.0);
-}
-
-// --- fom helpers -------------------------------------------------------------
-
-TEST(Fom, FormatShowsDashForMissing) {
-  EXPECT_EQ(format_fom(std::nullopt), "-");
-  EXPECT_EQ(format_fom(293.02, 5), "293.02");
 }
 
 }  // namespace

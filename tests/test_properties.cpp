@@ -6,9 +6,9 @@
 #include <array>
 #include <cmath>
 
-#include "blas/gemm.hpp"
 #include "core/rng.hpp"
-#include "fft/fft.hpp"
+#include "kernels/fft.hpp"
+#include "kernels/gemm.hpp"
 #include "kernels/narrow_float.hpp"
 #include "sim/cache_model.hpp"
 #include "sim/engine.hpp"
@@ -199,8 +199,8 @@ TEST(GemmProperty, IdentityIsNeutral) {
   for (std::size_t i = 0; i < n; ++i) {
     eye[i * n + i] = 1.0;
   }
-  blas::gemm(n, n, n, 1.0, std::span<const double>(a),
-             std::span<const double>(eye), 0.0, std::span<double>(c));
+  kernels::gemm(n, n, n, 1.0, std::span<const double>(a),
+                std::span<const double>(eye), 0.0, std::span<double>(c));
   for (std::size_t i = 0; i < n * n; ++i) {
     EXPECT_NEAR(c[i], a[i], 1e-12);
   }
@@ -218,12 +218,12 @@ TEST(GemmProperty, DistributesOverAddition) {
     bsum[i] = b1[i] + b2[i];
   }
   std::vector<double> c1(n * n), c2(n * n), csum(n * n);
-  blas::gemm(n, n, n, 1.0, std::span<const double>(a),
-             std::span<const double>(b1), 0.0, std::span<double>(c1));
-  blas::gemm(n, n, n, 1.0, std::span<const double>(a),
-             std::span<const double>(b2), 0.0, std::span<double>(c2));
-  blas::gemm(n, n, n, 1.0, std::span<const double>(a),
-             std::span<const double>(bsum), 0.0, std::span<double>(csum));
+  kernels::gemm(n, n, n, 1.0, std::span<const double>(a),
+                std::span<const double>(b1), 0.0, std::span<double>(c1));
+  kernels::gemm(n, n, n, 1.0, std::span<const double>(a),
+                std::span<const double>(b2), 0.0, std::span<double>(c2));
+  kernels::gemm(n, n, n, 1.0, std::span<const double>(a),
+                std::span<const double>(bsum), 0.0, std::span<double>(csum));
   for (std::size_t i = 0; i < n * n; ++i) {
     EXPECT_NEAR(csum[i], c1[i] + c2[i], 1e-10);
   }
@@ -235,23 +235,23 @@ TEST(FftProperty, TimeShiftBecomesPhaseRamp) {
   // x[(t - s) mod N] <-> X[k] * exp(-2 pi i k s / N).
   const std::size_t n = 64;
   Rng rng(51);
-  std::vector<fft::cplx> x(n);
+  std::vector<kernels::cplx> x(n);
   for (auto& v : x) {
-    v = fft::cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    v = kernels::cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
   }
   const std::size_t shift = 5;
-  std::vector<fft::cplx> shifted(n);
+  std::vector<kernels::cplx> shifted(n);
   for (std::size_t t = 0; t < n; ++t) {
     shifted[(t + shift) % n] = x[t];
   }
-  const auto fx = fft::fft_forward(x);
-  const auto fshift = fft::fft_forward(shifted);
+  const auto fx = kernels::fft_forward(x);
+  const auto fshift = kernels::fft_forward(shifted);
   for (std::size_t k = 0; k < n; ++k) {
     const double angle = -2.0 * 3.14159265358979323846 *
                          static_cast<double>(k * shift) /
                          static_cast<double>(n);
-    const fft::cplx expected =
-        fx[k] * fft::cplx(std::cos(angle), std::sin(angle));
+    const kernels::cplx expected =
+        fx[k] * kernels::cplx(std::cos(angle), std::sin(angle));
     EXPECT_NEAR(std::abs(fshift[k] - expected), 0.0, 1e-10);
   }
 }
