@@ -70,9 +70,10 @@ double measure_pair(const pvc::arch::NodeSpec& spec, std::pair<int, int> pair,
     recv = comm.irecv(pair.second, pair.first, /*tag=*/0, message_bytes);
   });
   sim.run();
-  pvc::ensure(recv.has_value() && !recv->failed(),
-              "chaos_degradation: transfer did not survive the fault plan (" +
-                  (recv.has_value() ? recv->error() : "never posted") + ")");
+  pvc::ensure(recv.has_value() && !recv->failed(), [&] {
+    return "chaos_degradation: transfer did not survive the fault plan (" +
+           (recv.has_value() ? recv->error() : "never posted") + ")";
+  });
   pvc::ensure(recv->done(), "chaos_degradation: transfer never completed");
   const double elapsed = recv->complete_time() - start;
   pvc::ensure(elapsed > 0.0, "chaos_degradation: zero elapsed time");

@@ -58,6 +58,23 @@ void BM_EngineCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancelChurn);
 
+// A fresh engine that runs a handful of events and is destroyed: the
+// shape of one one-shot NodeSim run, such as one Table II cell.  Guards
+// constructing slots on first use rather than a whole chunk up front.
+void BM_EngineFreshCalendar(benchmark::State& state) {
+  for (auto _ : state) {
+    pvc::sim::Engine engine;
+    long counter = 0;
+    for (int i = 0; i < 8; ++i) {
+      engine.schedule_at(static_cast<double>(i), [&counter] { ++counter; });
+    }
+    engine.run();
+    benchmark::DoNotOptimize(counter);
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_EngineFreshCalendar);
+
 void BM_FlowNetworkContention(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   for (auto _ : state) {

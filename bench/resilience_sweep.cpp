@@ -159,9 +159,10 @@ int run(int argc, char** argv) {
   const arch::NodeSpec node = pvcbench::system_from_config(config, "Aurora");
   const sim::FabricSpec fabric = sim::FabricSpec::for_node(node);
   const long sim_cap = config.get_int("sim_ranks", 768);
-  ensure(sim_cap >= 0, ErrorCode::InvalidArgument,
-         "sim_ranks must be non-negative (got " + std::to_string(sim_cap) +
-             "; 0 prices every point with the model)");
+  ensure(sim_cap >= 0, ErrorCode::InvalidArgument, [&] {
+    return "sim_ranks must be non-negative (got " + std::to_string(sim_cap) +
+           "; 0 prices every point with the model)";
+  });
   const double work_s = config.get_double("work", 10000.0);
   ensure(std::isfinite(work_s) && work_s > 0.0, ErrorCode::InvalidArgument,
          [&] {

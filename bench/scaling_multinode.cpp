@@ -100,9 +100,10 @@ int run(int argc, char** argv) {
   const arch::NodeSpec node = pvcbench::system_from_config(config, "Aurora");
   const sim::FabricSpec fabric = sim::FabricSpec::for_node(node);
   const long sim_cap = config.get_int("sim_ranks", 768);
-  ensure(sim_cap >= 0, ErrorCode::InvalidArgument,
-         "sim_ranks must be non-negative (got " + std::to_string(sim_cap) +
-             "; 0 prices every point with the model)");
+  ensure(sim_cap >= 0, ErrorCode::InvalidArgument, [&] {
+    return "sim_ranks must be non-negative (got " + std::to_string(sim_cap) +
+           "; 0 prices every point with the model)";
+  });
   const int base = node.total_subdevices();
   std::vector<int> rank_counts;
   for (const int m : kNodeMultipliers) {

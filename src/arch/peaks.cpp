@@ -71,8 +71,9 @@ double gemm_rate(const NodeSpec& node, Precision p, Scope scope) {
   const WorkloadKind kind = gemm_workload(p);
   const double f = governed_frequency(node, kind, scope);
   const double pipeline_peak = node.card.subdevice.gemm_peak(p, f);
-  ensure(pipeline_peak > 0.0, "gemm_rate: precision unsupported on " +
-                                  node.system_name);
+  ensure(pipeline_peak > 0.0, [&] {
+    return "gemm_rate: precision unsupported on " + node.system_name;
+  });
   const double per_subdevice = pipeline_peak * node.calib.gemm_efficiency(p);
   return per_subdevice * active_subdevices(node, scope);
 }

@@ -442,9 +442,10 @@ int ClusterComm::failed_ranks() const noexcept {
 int ClusterComm::activate_spare(int failed_node) {
   ensure(failed_node >= 0 && failed_node < nodes_, ErrorCode::InvalidArgument,
          "ClusterComm: failed node out of range");
-  ensure(spares_available() > 0, ErrorCode::RankFailed,
-         "ClusterComm: no spare node left to fail node " +
-             std::to_string(failed_node) + " over to");
+  ensure(spares_available() > 0, ErrorCode::RankFailed, [&] {
+    return "ClusterComm: no spare node left to fail node " +
+           std::to_string(failed_node) + " over to";
+  });
   const int spare = compute_nodes_ + used_spares_;
   ++used_spares_;
   remap_node_bindings(binding_, failed_node, spare);
@@ -556,10 +557,11 @@ sim::Time cluster_halo_exchange(ClusterComm& cluster, double halo_bytes) {
   }
   const sim::Time t0 = cluster.engine().now();
   const auto result = cluster.exchange(messages);
-  ensure(result.failures == 0, ErrorCode::RankFailed,
-         "cluster_halo_exchange: " + std::to_string(result.failures) +
-             " message(s) failed — a rank or node died (use the "
-             "fault-tolerant driver in fault/recovery.hpp to recover)");
+  ensure(result.failures == 0, ErrorCode::RankFailed, [&] {
+    return "cluster_halo_exchange: " + std::to_string(result.failures) +
+           " message(s) failed — a rank or node died (use the "
+           "fault-tolerant driver in fault/recovery.hpp to recover)";
+  });
   return result.finish - t0;
 }
 

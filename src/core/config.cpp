@@ -23,8 +23,9 @@ Config Config::from_args(int argc, const char* const* argv) {
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       const std::string key = arg.substr(0, eq);
-      ensure(!cfg.has(key), ErrorCode::InvalidArgument,
-             "Config: option '" + key + "' given more than once");
+      ensure(!cfg.has(key), ErrorCode::InvalidArgument, [&] {
+        return "Config: option '" + key + "' given more than once";
+      });
       cfg.set(arg);
     } else {
       cfg.positional_.push_back(arg);
@@ -35,8 +36,9 @@ Config Config::from_args(int argc, const char* const* argv) {
 
 void Config::set(const std::string& entry) {
   const auto eq = entry.find('=');
-  ensure(eq != std::string::npos && eq > 0,
-         "Config: malformed entry (expected key=value): " + entry);
+  ensure(eq != std::string::npos && eq > 0, [&] {
+    return "Config: malformed entry (expected key=value): " + entry;
+  });
   set(entry.substr(0, eq), entry.substr(eq + 1));
 }
 

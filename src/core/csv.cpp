@@ -77,9 +77,9 @@ std::string CsvWriter::to_string() const {
 
 void CsvWriter::write_file(const std::string& path) const {
   std::ofstream out(path);
-  ensure(out.good(), "CsvWriter: cannot open " + path);
+  ensure(out.good(), [&] { return "CsvWriter: cannot open " + path; });
   render(out);
-  ensure(out.good(), "CsvWriter: write failed for " + path);
+  ensure(out.good(), [&] { return "CsvWriter: write failed for " + path; });
 }
 
 }  // namespace pvc

@@ -114,7 +114,11 @@ inline void ensure(bool condition, ErrorCode code, const char* message,
 
 /// Deferred-message variants: `make_message()` builds the message only
 /// when the check fails, so a range check on a per-message path formats
-/// no string while it passes.
+/// no string while it passes.  Use one wherever the message is built
+/// from runtime values (std::to_string, concatenation) and the check
+/// runs on a run path: per event, kernel, transfer, message, table row
+/// or bench run.  The std::string overloads above pay for that message
+/// on every call, passing or not.
 template <typename MakeMessage>
   requires std::is_invocable_r_v<std::string, MakeMessage&>
 inline void ensure(bool condition, MakeMessage&& make_message,

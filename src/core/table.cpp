@@ -15,9 +15,10 @@ void Table::set_header(std::vector<std::string> header) {
 
 void Table::add_row(std::vector<std::string> row) {
   ensure(!header_.empty(), "Table: set_header before add_row");
-  ensure(row.size() == header_.size(),
-         "Table: row has " + std::to_string(row.size()) + " cells, expected " +
-             std::to_string(header_.size()));
+  ensure(row.size() == header_.size(), [&] {
+    return "Table: row has " + std::to_string(row.size()) +
+           " cells, expected " + std::to_string(header_.size());
+  });
   rows_.push_back(Row{std::move(row), false});
 }
 

@@ -122,9 +122,11 @@ void write_file(const Snapshot& snapshot, const std::string& path) {
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   if (json) {
     std::ofstream out(path, std::ios::binary);
-    ensure(out.good(), "obs::write_file: cannot open '" + path + "'");
+    ensure(out.good(),
+           [&] { return "obs::write_file: cannot open '" + path + "'"; });
     out << to_json(snapshot);
-    ensure(out.good(), "obs::write_file: write to '" + path + "' failed");
+    ensure(out.good(),
+           [&] { return "obs::write_file: write to '" + path + "' failed"; });
   } else {
     to_csv(snapshot).write_file(path);
   }

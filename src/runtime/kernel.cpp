@@ -18,9 +18,10 @@ double pipeline_rate(const arch::NodeSpec& node, const KernelDesc& kernel,
   const double pipeline =
       kernel.use_matrix_pipeline ? sub.matrix_peak(kernel.precision, f)
                                  : sub.vector_peak(kernel.precision, f);
-  ensure(pipeline > 0.0, "kernel_duration: precision " +
-                             arch::precision_name(kernel.precision) +
-                             " unsupported on pipeline");
+  ensure(pipeline > 0.0, [&] {
+    return "kernel_duration: precision " +
+           arch::precision_name(kernel.precision) + " unsupported on pipeline";
+  });
   return pipeline * kernel.compute_efficiency;
 }
 

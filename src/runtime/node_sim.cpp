@@ -187,8 +187,9 @@ bool NodeSim::xelink_down(int a_device, int b_device) const {
 void NodeSim::set_xelink_degradation(int a_device, int b_device,
                                      double factor) {
   check_xelink_pair(a_device, b_device);
-  ensure(has_remote_fabric_,
-         "NodeSim: no remote fabric to degrade on " + spec_.system_name);
+  ensure(has_remote_fabric_, [&] {
+    return "NodeSim: no remote fabric to degrade on " + spec_.system_name;
+  });
   network_.set_link_scale(pair_link(a_device, b_device), factor);
 }
 
@@ -315,8 +316,10 @@ sim::FlowId NodeSim::transfer_d2d(int src_device, int dst_device,
                                std::move(done));
   }
 
-  ensure(has_remote_fabric_, ErrorCode::LinkDown,
-         "NodeSim: no remote fabric between devices on " + spec_.system_name);
+  ensure(has_remote_fabric_, ErrorCode::LinkDown, [&] {
+    return "NodeSim: no remote fabric between devices on " +
+           spec_.system_name;
+  });
   latency = spec_.fabric.latency_s;
 
   if (kind == arch::RouteKind::XeLinkDirect) {

@@ -88,6 +88,14 @@ void Queue::submit(const KernelDesc& kernel) {
   queue_metrics().kernels_submitted->add(1);
   const double duration =
       kernel_duration(node_->spec(), kernel, node_->activity());
+  // Whether to trace is decided here, as NodeSim::traced() does for
+  // transfers: an untraced kernel builds no label and captures no name.
+  if (!node_->trace().enabled()) {
+    enqueue_async([this, duration](std::function<void(sim::Time)> done) {
+      node_->compute_queue(device_).submit(duration, std::move(done));
+    });
+    return;
+  }
   enqueue_async([this, duration,
                  name = kernel.name](std::function<void(sim::Time)> done) {
     auto traced_done = [this, name, duration,

@@ -22,7 +22,8 @@ class Queue {
   [[nodiscard]] NodeSim& node() noexcept { return *node_; }
 
   /// Enqueues a kernel; device time comes from kernel_duration() using
-  /// the node's current activity hint.
+  /// the node's current activity hint.  The kernel lands on the trace
+  /// timeline only if the node's recorder is on at this call.
   void submit(const KernelDesc& kernel);
 
   /// Enqueues a host-to-device transfer that starts after previously
@@ -49,10 +50,8 @@ class Queue {
   NodeSim* node_;
   int device_;
   sim::Time last_complete_ = 0.0;
-  // Number of enqueued items not yet finished plus a monotonically
-  // incremented ticket used to keep in-order semantics for transfers.
+  // Number of enqueued items not yet finished.
   int pending_ = 0;
-  std::function<void()> run_next_;
   std::vector<std::function<void(std::function<void(sim::Time)>)>> fifo_;
   bool item_in_flight_ = false;
   // Busy/idle accounting for the obs registry: per-item in-flight

@@ -84,8 +84,9 @@ EventId Engine::schedule_at(Time when, std::function<void()> action) {
   std::uint32_t idx;
   if (free_slots_.empty()) {
     if ((slot_count_ >> kSlotChunkShift) == slot_chunks_.size()) {
-      slot_chunks_.push_back(std::make_unique<Slot[]>(kSlotChunkSize));
+      slot_chunks_.emplace_back().reserve(kSlotChunkSize);
     }
+    slot_chunks_.back().emplace_back();  // within capacity: no slot moves
     idx = slot_count_++;
   } else {
     idx = free_slots_.back();

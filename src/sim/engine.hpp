@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 namespace pvc::sim {
@@ -113,7 +112,10 @@ class Engine {
 
   // Slots live in fixed-size chunks so growing the table never moves a
   // Slot (std::function moves during vector reallocation showed up as a
-  // quarter of the event loop in profiles).
+  // quarter of the event loop in profiles).  Each chunk is reserved to
+  // kSlotChunkSize up front but constructs a slot only when the calendar
+  // first needs it, so a short-lived engine pays for the slots it uses,
+  // not for a whole chunk of empty std::function objects.
   static constexpr std::uint32_t kSlotChunkShift = 8;
   static constexpr std::uint32_t kSlotChunkSize = 1u << kSlotChunkShift;
   [[nodiscard]] Slot& slot(std::uint32_t s) noexcept {
@@ -134,7 +136,7 @@ class Engine {
   // front), so the calendar minimum is min(tail_.front(), heap_.front())
   // and a sim that schedules in time order never pays a sift at all.
   std::deque<Event> tail_;
-  std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
+  std::vector<std::vector<Slot>> slot_chunks_;
   std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;
 };

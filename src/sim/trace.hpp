@@ -22,7 +22,12 @@ struct TraceEvent {
   Time end = 0.0;
 };
 
-/// Collects intervals; negligible overhead when disabled.
+/// Collects intervals.  Costs nothing when disabled, because callers
+/// decide whether to trace when they submit the work (rt::Queue::submit
+/// for kernels, rt::NodeSim::traced as a transfer starts) and, with the
+/// recorder off, build no track label and wrap no completion callback.
+/// Work submitted while the recorder is off stays unrecorded even if it
+/// is switched on before that work completes.
 class TraceRecorder {
  public:
   TraceRecorder() = default;

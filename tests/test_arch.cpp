@@ -168,6 +168,17 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{"dawn", Precision::TF32, 118e12},
                       GemmCase{"dawn", Precision::I8, 525e12}));
 
+TEST(Peaks, GemmRateNamesTheSystemWithoutThePrecision) {
+  // The MI250 has neither a vector nor a matrix TF32 pipeline.
+  try {
+    (void)gemm_rate(jlse_mi250(), Precision::TF32, Scope::OneSubdevice);
+    FAIL() << "expected an error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Generic);
+    EXPECT_STREQ(e.what(), "gemm_rate: precision unsupported on JLSE-MI250");
+  }
+}
+
 TEST(Peaks, StreamBandwidthScalesLinearly) {
   const NodeSpec n = aurora();
   const double one = stream_bandwidth(n, Scope::OneSubdevice);

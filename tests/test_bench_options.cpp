@@ -181,9 +181,25 @@ TEST(BenchOptions, NegativeSimRanksIsATypedError) {
   for (const char* bench : {"scaling_multinode", "resilience_sweep"}) {
     const pvc::Error e = run_expecting_error(bench, {"sim_ranks=-5"});
     EXPECT_EQ(e.code(), pvc::ErrorCode::InvalidArgument) << bench;
-    EXPECT_NE(std::string(e.what()).find("sim_ranks"), std::string::npos)
-        << e.what();
+    EXPECT_STREQ(e.what(),
+                 "[invalid_argument] sim_ranks must be non-negative (got -5; "
+                 "0 prices every point with the model)")
+        << bench;
   }
+}
+
+TEST(BenchOptions, ChaosThatKillsTheMeasuredTransferNamesIt) {
+  // Every message dropped and none retried: the first measured transfer
+  // fails, and the bench reports why instead of printing a rate.
+  testing::internal::CaptureStdout();
+  const pvc::Error e = run_expecting_error(
+      "chaos_degradation", {"chaos=drop:1;retries:max=0", "threads=1"});
+  testing::internal::GetCapturedStdout();
+  EXPECT_EQ(e.code(), pvc::ErrorCode::Generic);
+  EXPECT_STREQ(e.what(),
+               "chaos_degradation: transfer did not survive the fault plan "
+               "(message rank 0 -> rank 1 tag 0 (5e+08 bytes) aborted after "
+               "1 attempts (0 retries exhausted))");
 }
 
 TEST(BenchOptions, NegativeThreadsIsATypedError) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -149,10 +150,32 @@ TEST(Table, RendersAlignedGrid) {
 TEST(Table, RowWidthMismatchThrows) {
   Table t;
   t.set_header({"a", "b"});
-  EXPECT_THROW(t.add_row({"only-one"}), Error);
+  try {
+    t.add_row({"only-one"});
+    FAIL() << "expected an error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Generic);
+    EXPECT_STREQ(e.what(), "Table: row has 1 cells, expected 2");
+  }
 }
 
 // --- csv ---------------------------------------------------------------------
+
+TEST(Csv, WriteFileNamesAPathItCannotOpen) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "pvc_no_such_dir" / "out.csv")
+                               .string();
+  ASSERT_FALSE(std::filesystem::exists(path));
+  CsvWriter csv;
+  csv.set_header({"a"});
+  try {
+    csv.write_file(path);
+    FAIL() << "expected an error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Generic);
+    EXPECT_EQ(std::string(e.what()), "CsvWriter: cannot open " + path);
+  }
+}
 
 TEST(Csv, EscapesSpecials) {
   EXPECT_EQ(csv_escape("plain"), "plain");
@@ -231,9 +254,17 @@ TEST(Config, TypedGettersValidate) {
 }
 
 TEST(Config, MalformedEntryThrows) {
-  Config cfg;
-  EXPECT_THROW(cfg.set("novalue"), Error);
-  EXPECT_THROW(cfg.set("=x"), Error);
+  for (const std::string entry : {"novalue", "=x"}) {
+    Config cfg;
+    try {
+      cfg.set(entry);
+      ADD_FAILURE() << entry << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Generic) << entry;
+      EXPECT_EQ(std::string(e.what()),
+                "Config: malformed entry (expected key=value): " + entry);
+    }
+  }
 }
 
 TEST(Config, RepeatedKeyIsRejectedByName) {
@@ -243,8 +274,9 @@ TEST(Config, RepeatedKeyIsRejectedByName) {
     FAIL() << "expected InvalidArgument";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
-    EXPECT_NE(std::string(e.what()).find("'threads'"), std::string::npos)
-        << e.what();
+    EXPECT_STREQ(e.what(),
+                 "[invalid_argument] Config: option 'threads' given more "
+                 "than once");
   }
 }
 

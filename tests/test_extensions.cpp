@@ -75,6 +75,28 @@ TEST(Trace, NodeSimCapturesKernelsAndTransfers) {
   EXPECT_GE(events[1].end, events[0].end);
 }
 
+TEST(Trace, KernelSubmittedWithTracingOffIsNeverRecorded) {
+  // Queue::submit decides whether to trace when the kernel is submitted,
+  // as NodeSim::traced() does for transfers: switching the recorder on
+  // before the kernel completes does not record it.
+  rt::NodeSim sim(arch::aurora());
+  rt::Queue q(sim, 0);
+  rt::KernelDesc k;
+  k.name = "untraced";
+  k.kind = arch::WorkloadKind::Stream;
+  k.bytes = 1.0e9;
+  q.submit(k);
+  sim.trace().set_enabled(true);
+  k.name = "traced";
+  q.submit(k);
+  const sim::Time end = q.wait();
+  const auto& events = sim.trace().events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "traced");
+  EXPECT_EQ(events[0].track, "dev0/compute");
+  EXPECT_DOUBLE_EQ(events[0].end, end);
+}
+
 // --- flow network introspection --------------------------------------------------
 
 TEST(FlowIntrospection, LinkLoadNeverExceedsCapacity) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -213,6 +214,23 @@ TEST(Exporters, JsonMentionsEveryMetric) {
   const std::string text = to_json(exporter_fixture().snapshot());
   EXPECT_NE(text.find("\"exp.count\""), std::string::npos);
   EXPECT_NE(text.find("\"buckets\""), std::string::npos);
+}
+
+TEST(Exporters, WriteFileNamesAPathItCannotOpen) {
+  // A metrics= path ending in .json is written here; any other goes to
+  // CsvWriter::write_file (Csv.WriteFileNamesAPathItCannotOpen).
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "pvc_no_such_dir" / "m.json")
+                               .string();
+  ASSERT_FALSE(std::filesystem::exists(path));
+  try {
+    write_file(exporter_fixture().snapshot(), path);
+    FAIL() << path << " was written";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Generic);
+    EXPECT_EQ(std::string(e.what()),
+              "obs::write_file: cannot open '" + path + "'");
+  }
 }
 
 // --- batched counters --------------------------------------------------------

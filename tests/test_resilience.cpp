@@ -154,6 +154,12 @@ TEST(ClusterFaults, NodeDownKillsInflightFlowsAndWrapperRaisesRankFailed) {
     FAIL() << "expected RankFailed";
   } catch (const pvc::Error& e) {
     EXPECT_EQ(e.code(), pvc::ErrorCode::RankFailed);
+    // Every message with an end on node 1 dies: ranks 12..23 send two
+    // each, plus 11 -> 12 and the ring's wrap 0 -> 23.
+    EXPECT_STREQ(e.what(),
+                 "[rank_failed] cluster_halo_exchange: 26 message(s) failed "
+                 "— a rank or node died (use the fault-tolerant driver in "
+                 "fault/recovery.hpp to recover)");
   }
   EXPECT_FALSE(cluster.rank_alive(12));
   EXPECT_EQ(cluster.failed_ranks(), 12);
@@ -258,6 +264,9 @@ TEST(Failover, ExhaustedSparesRaiseRankFailed) {
     FAIL() << "expected RankFailed";
   } catch (const pvc::Error& e) {
     EXPECT_EQ(e.code(), pvc::ErrorCode::RankFailed);
+    EXPECT_STREQ(e.what(),
+                 "[rank_failed] ClusterComm: no spare node left to fail node "
+                 "1 over to");
   }
 }
 

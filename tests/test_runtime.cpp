@@ -81,6 +81,25 @@ TEST(KernelDuration, ValidatesInputs) {
   EXPECT_THROW(kernel_duration(node, k, arch::Activity{1, 1}), pvc::Error);
 }
 
+TEST(KernelDuration, UnsupportedPrecisionNamesIt) {
+  // PVC's vector pipeline has no TF32 rate; only XMX runs TF32.
+  const auto node = arch::aurora();
+  KernelDesc k;
+  k.precision = Precision::TF32;
+  k.flops = 1.0e9;
+  k.use_matrix_pipeline = false;
+  try {
+    (void)kernel_duration(node, k, arch::Activity{1, 1});
+    FAIL() << "expected an error";
+  } catch (const pvc::Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Generic);
+    EXPECT_STREQ(e.what(),
+                 "kernel_duration: precision TF32 unsupported on pipeline");
+  }
+  k.use_matrix_pipeline = true;
+  EXPECT_GT(kernel_duration(node, k, arch::Activity{1, 1}), 0.0);
+}
+
 // --- memory manager ----------------------------------------------------------
 
 TEST(MemoryManager, TracksCapacityAndRaiiRelease) {
@@ -328,6 +347,34 @@ TEST(NodeSim, SameCardStacksHaveNoXeLink) {
   EXPECT_TRUE(sim.xelink_down(0, 4));
   sim.set_xelink_degradation(1, 5, 0.5);
   EXPECT_EQ(sim.network().link_count(), links + 1);
+}
+
+TEST(NodeSim, CrossCardCopyWithoutRemoteFabricIsLinkDown) {
+  // Two cards with no card-to-card fabric: a peer copy between them has
+  // no route, and there is no pair link to degrade.
+  auto spec = arch::aurora();
+  spec.system_name = "Bare";
+  spec.fabric.remote_uni_bps = 0.0;
+  NodeSim sim(spec);
+  try {
+    (void)sim.transfer_d2d(0, 2, 1.0 * MB);
+    ADD_FAILURE() << "transfer_d2d accepted";
+  } catch (const pvc::Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::LinkDown);
+    EXPECT_STREQ(e.what(),
+                 "[link_down] NodeSim: no remote fabric between devices on "
+                 "Bare");
+  }
+  try {
+    sim.set_xelink_degradation(0, 2, 0.5);
+    ADD_FAILURE() << "set_xelink_degradation accepted";
+  } catch (const pvc::Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Generic);
+    EXPECT_STREQ(e.what(), "NodeSim: no remote fabric to degrade on Bare");
+  }
+  // The stacks of one card still reach each other over MDFI.
+  (void)sim.transfer_d2d(0, 1, 1.0 * MB);
+  EXPECT_GT(sim.run(), 0.0);
 }
 
 // --- queue -------------------------------------------------------------------

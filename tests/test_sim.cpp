@@ -7,6 +7,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +53,54 @@ TEST(Engine, EventsMayScheduleEvents) {
   });
   engine.run();
   EXPECT_DOUBLE_EQ(fired_at, 1.5);
+}
+
+TEST(Engine, CallbacksScheduleAcrossSlotChunkBoundaries) {
+  // Slots come in 256-entry chunks, and a slot is reused only once its
+  // event has fired.  A chain of callbacks each schedules the next link
+  // plus two late events from inside run(), so more than 512 events are
+  // pending at once and the slot table grows past 256 and then 512
+  // slots while callbacks run.  A slot that moved under a running
+  // callback would show up under the ASan build.
+  Engine engine;
+  constexpr int kLinks = 300;
+  constexpr int kEvents = 1 + 3 * kLinks;
+  constexpr Time kLate = 1.0e6;
+  std::vector<std::pair<Time, int>> fired;  // (time, id); ids follow seq
+  std::vector<int> times_fired(kEvents, 0);
+  int scheduled = 0;
+  int peak_pending = 0;
+  std::function<void(int)> fire;
+  const auto add = [&](Time when) {
+    const int id = scheduled++;
+    engine.schedule_at(when, [&fire, id] { fire(id); });
+    peak_pending = std::max(peak_pending,
+                            scheduled - static_cast<int>(fired.size()));
+  };
+  fire = [&](int id) {
+    fired.emplace_back(engine.now(), id);
+    ++times_fired[static_cast<std::size_t>(id)];
+    if (scheduled + 3 <= kEvents) {
+      add(engine.now() + 1.0);  // the next link of the chain
+      add(kLate);               // all at one time: FIFO by seq
+      add(kLate - scheduled);   // ever earlier: taken out of order
+    }
+  };
+  add(0.0);
+  engine.run();
+  EXPECT_EQ(scheduled, kEvents);
+  EXPECT_GT(peak_pending, 512);
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kEvents));
+  for (int id = 0; id < kEvents; ++id) {
+    EXPECT_EQ(times_fired[static_cast<std::size_t>(id)], 1) << "event " << id;
+  }
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_TRUE(fired[i - 1].first < fired[i].first ||
+                (fired[i - 1].first == fired[i].first &&
+                 fired[i - 1].second < fired[i].second))
+        << "event " << fired[i].second << " at " << fired[i].first;
+  }
+  EXPECT_EQ(engine.events_executed(), static_cast<std::uint64_t>(kEvents));
 }
 
 TEST(Engine, CancelSuppressesEvent) {
